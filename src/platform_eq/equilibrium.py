@@ -1,11 +1,19 @@
 """Stage-1 equilibria in the normalized net-utility variable z.
 
-Both regimes reduce to a two-equation system beta z = (Phi - H(z)) Omega(z) - u0
-with a regime-specific pricing matrix H.  With zero cross-side externalities
-the system decouples into two strictly monotone scalar equations, solved by
-bracketed bisection plus a Newton polish; otherwise a damped Newton starts from
-the decoupled root.  All formulas accept a real-valued platform count so that
-derivatives with respect to N can be validated by central differences.
+Both regimes reduce to a two-equation system beta z = Phi Omega(z) - p(z) - u0
+with the competitive price p = H(z) Omega(z) or the collusive p = H^C(z) Omega(z).
+One function evaluates both prices in share space: in the per-platform share
+omega = 1/(e^{-z}+N) and the outside share o = 1/(1+N e^z), each in (0, 1), so
+nothing of size e^z is formed and then cancelled.  Every FOC residual, the
+decoupled scalar forms and the reported prices go through it; the literal
+matrices `h_matrix`/`hc_matrix` stay as the reference the tests compare against.
+
+One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
+safeguarded Newton-bisection over arrays of markets on a bracket worked out
+from the inputs.  A scalar solve is one batch of its two sides; with nonzero
+cross-side externalities a damped Newton on the two-equation system starts
+from the decoupled root.  All formulas accept a real-valued platform count so
+that derivatives with respect to N can be validated by central differences.
 """
 
 from __future__ import annotations
@@ -17,7 +25,15 @@ import numpy as np
 from ._families import a_coefficients, eval_series
 from .model import EULER_GAMMA, MarketParams, Side, check_cne_existence, check_ce_existence
 
+# How far the search window reaches past the tail-asymptote roots of a
+# competitive FOC whose price may have a pole (only outside the existence
+# region); elsewhere the bracket is bounded from the inputs, see `_bracket`.
 Z_BRACKET = 60.0
+
+# mk_slope caps z here: its coefficient family holds e^{6z} terms that would
+# overflow further out, and past this z the slope equals its limit -beta to
+# double precision.  The bracket reaches beyond it only when |u0|/beta is large.
+SLOPE_Z_CAP = 80.0
 
 
 class FOCSingularityError(ArithmeticError):
@@ -54,7 +70,11 @@ class SymmetricEquilibrium:
     """Solved symmetric equilibrium for one regime ("cne" or "ce").
 
     Profit fields are per platform; `aggregate_profit` scales by N, which is
-    the collusive total the cartel actually maximizes.
+    the collusive total the cartel actually maximizes.  `foc_residual` and
+    `price_check` are absolute, in utility units: the largest gap between the
+    price formula and the price the participation identity implies,
+    Phi Omega - u0 - beta z.  Both are evaluated in share space, without
+    cancellation, so the two fields coincide.
     """
 
     regime: str
@@ -101,36 +121,51 @@ class RegimeComparison:
 
 
 # --------------------------------------------------------------------------
-# elementary maps
+# shares and the share-space price
 # --------------------------------------------------------------------------
 
-def _piecewise_z(z, neg_fn, pos_fn):
-    """Evaluate a function by its z<0 / z>=0 stable branches, preserving scalars."""
-    z = np.asarray(z, dtype=float)
-    zz = np.atleast_1d(z)
-    out = np.empty_like(zz)
-    neg = zz < 0
-    out[neg] = neg_fn(zz[neg])
-    out[~neg] = pos_fn(zz[~neg])
-    return float(out[0]) if z.ndim == 0 else out
-
-
 def omega(z, n):
-    """Symmetric per-platform share 1/(e^{-z} + N), evaluated overflow-free."""
-    return _piecewise_z(
-        z,
-        lambda v: np.exp(v) / (1.0 + n * np.exp(v)),
-        lambda v: 1.0 / (np.exp(-v) + n),
-    )
+    """Symmetric per-platform share 1/(e^{-z} + N); 0 once e^{-z} overflows."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (np.exp(-z) + n)
+    return out if out.ndim else float(out)
 
 
-def omega_prime(z, n):
-    """d omega/dz = e^{-z}/(e^{-z}+N)^2 in a form stable for either sign of z."""
-    return _piecewise_z(
-        z,
-        lambda v: np.exp(v) / (1.0 + n * np.exp(v)) ** 2,
-        lambda v: np.exp(-v) / (np.exp(-v) + n) ** 2,
-    )
+def _outside(z, n):
+    """Outside share 1/(1 + N e^z), formed directly rather than as 1 - N omega."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + n * np.exp(z))
+
+
+def _price(regime: str, z, beta, phi, n):
+    """Symmetric prices (H(z) Omega(z))_k ("cne") or (H^C(z) Omega(z))_k ("ce").
+
+    z and beta hold (buyer, seller) on axis 0 and phi is the 2x2 matrix on
+    axes 0-1, each with any trailing grid axes.  With l the other side,
+    B = o + omega, K = phi_kk o omega - beta (1 - omega), c = phi_bs phi_sb:
+
+        (H Omega)_k   = beta_k [K_l (B_k omega_k phi_kk - beta_k) - c omega_k o_l omega_l B_k
+                        - (N-1) phi_lk beta_l omega_k omega_l^2] / (K_b K_s - c o_b omega_b o_s omega_s)
+                        - phi_kk omega_k - phi_lk omega_l
+        (H^C Omega)_k = beta_k / o_k - phi_kk omega_k - phi_lk omega_l
+
+    A pole of the competitive price reads as a non-finite value.
+    """
+    om, o = omega(z, n), _outside(z, n)
+    own = np.stack([phi[0][0], phi[1][1]])
+    lk = np.stack([phi[1][0], phi[0][1]])
+    base = own * om + lk * om[::-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if regime == "ce":
+            return beta / o - base
+        B = o + om
+        K = own * o * om - beta * (1.0 - om)
+        c = phi[0][1] * phi[1][0]
+        q = o * om
+        num = (K[::-1] * (B * om * own - beta) - c * om * q[::-1] * B
+               - (n - 1.0) * lk * beta[::-1] * om * om[::-1] ** 2)
+        return beta * num / (K[0] * K[1] - c * q[0] * q[1]) - base
 
 
 def _as_z_array(z) -> np.ndarray:
@@ -143,7 +178,7 @@ def _as_z_array(z) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# pricing matrices and FOC residuals
+# literal pricing matrices (reference) and FOC residuals
 # --------------------------------------------------------------------------
 
 def h_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
@@ -189,61 +224,49 @@ def hc_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
     return np.array([[diag[0], -phi[1, 0]], [-phi[0, 1], diag[1]]])
 
 
-def cne_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
-    """(Phi - H(z)) Omega(z) - u0 - beta z; zero exactly at the competitive z*."""
+def _residual(regime: str, z, params: MarketParams, n: float | None) -> np.ndarray:
     zv = _as_z_array(z)
     n = float(params.n_platforms if n is None else n)
-    H = h_matrix(zv, params, n)
-    om = omega(zv, n)
-    with np.errstate(invalid="ignore"):  # callers reject non-finite probes
-        return (params.phi_arr - H) @ om - params.u0_arr - params.beta_arr * zv
+    return (params.phi_arr @ omega(zv, n) - _price(regime, zv, params.beta_arr, params.phi_arr, n)
+            - params.u0_arr - params.beta_arr * zv)
+
+
+def cne_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
+    """(Phi - H(z)) Omega(z) - u0 - beta z in share space; zero exactly at the competitive z*."""
+    return _residual("cne", z, params, n)
 
 
 def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
-    """(Phi - H^C(z)) Omega(z) - u0 - beta z; zero exactly at the collusive z."""
-    zv = _as_z_array(z)
-    n = float(params.n_platforms if n is None else n)
-    H = hc_matrix(zv, params, n)
-    om = omega(zv, n)
-    with np.errstate(invalid="ignore"):
-        return (params.phi_arr - H) @ om - params.u0_arr - params.beta_arr * zv
+    """(Phi - H^C(z)) Omega(z) - u0 - beta z in share space; zero exactly at the collusive z."""
+    return _residual("ce", z, params, n)
 
 
 # --------------------------------------------------------------------------
 # decoupled (zero cross-externality) scalar forms
 # --------------------------------------------------------------------------
 
-def mk_value(z, beta, phi_kk, n, u0):
-    """Decoupled competitive FOC residual M_k(z); strictly decreasing in the
-    existence region.  Two algebraically identical branches keep every
-    exponential bounded for either sign of z."""
+def _decoupled_value(regime: str, z, beta, phi_kk, n, u0):
+    """Row k of the FOC residual with zero cross externalities.  That row does
+    not depend on side l, so side l mirrors side k."""
     scalar = all(np.ndim(a) == 0 for a in (z, beta, phi_kk, u0))
-    z, b, f, u = (np.atleast_1d(np.asarray(a, dtype=float))
-                  for a in np.broadcast_arrays(z, beta, phi_kk, u0))
-    out = np.empty_like(z)
-    neg = z < 0
-    e, bb, ff = np.exp(z[neg]), b[neg], f[neg]
-    num = -bb * bb * (1.0 + n * e) ** 3 \
-        + bb * ff * e * (3.0 + (2.0 * n - 1.0) * e) * (1.0 + n * e) - 2.0 * ff * ff * e * e
-    den = (1.0 + n * e) * (bb * (1.0 + (n - 1.0) * e) * (1.0 + n * e) - e * ff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[neg] = num / den
-    w, bb, ff = np.exp(-z[~neg]), b[~neg], f[~neg]
-    num = -bb * bb * (w + n) ** 3 + bb * ff * (3.0 * w + 2.0 * n - 1.0) * (w + n) \
-        - 2.0 * ff * ff * w
-    den = (w + n) * (bb * (w + n - 1.0) * (w + n) - w * ff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~neg] = num / den
-    out = out - b * z - u
-    return float(out[0]) if scalar else out
+    z, b, f, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, beta, phi_kk, u0)))
+    zero = np.zeros_like(f)
+    p = _price(regime, np.stack([z, z]), np.stack([b, b]), np.array([[f, zero], [zero, f]]), n)[0]
+    out = f * omega(z, n) - p - u - b * z
+    return float(out) if scalar else out
+
+
+def mk_value(z, beta, phi_kk, n, u0):
+    """Decoupled competitive FOC residual M_k(z); strictly decreasing in the existence region."""
+    return _decoupled_value("cne", z, beta, phi_kk, n, u0)
 
 
 def mk_slope(z, beta, phi_kk, n):
     """dM_k/dz via the slope coefficient family; strictly negative in the existence region."""
-    z = np.asarray(z, dtype=float)
+    z = np.minimum(np.asarray(z, dtype=float), SLOPE_Z_CAP)
     coeffs = a_coefficients(beta, phi_kk, n)
     num = eval_series(coeffs, 0, z)
-    ez = np.exp(np.minimum(z, 80.0))
+    ez = np.exp(z)
     den = (1.0 + n * ez) ** 2 * (beta * (1.0 + (n - 1.0) * ez) * (1.0 + n * ez) - ez * phi_kk) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -num / den
@@ -252,144 +275,119 @@ def mk_slope(z, beta, phi_kk, n):
 
 def mkc_value(z, beta, phi_kk, n, u0):
     """Decoupled collusive FOC residual 2 phi omega(z) - beta (1+N e^z) - u0 - beta z."""
-    z = np.asarray(z, dtype=float)
-    out = 2.0 * phi_kk * omega(z, n) - beta * (1.0 + n * np.exp(np.minimum(z, 80.0))) \
-        - u0 - beta * z
-    return out if np.ndim(out) else float(out)
+    return _decoupled_value("ce", z, beta, phi_kk, n, u0)
 
 
 def mkc_slope(z, beta, phi_kk, n):
-    """dM_k^C/dz = (2 e^z phi - beta (N e^z + 1)^3) / (N e^z + 1)^2."""
+    """dM_k^C/dz = 2 phi omega o - beta / o, from omega' = omega o."""
     z = np.asarray(z, dtype=float)
-    ez = np.exp(np.minimum(z, 80.0))
-    out = 2.0 * phi_kk * omega_prime(z, n) - beta * (1.0 + n * ez)
+    o = _outside(z, n)
+    with np.errstate(divide="ignore"):
+        out = 2.0 * phi_kk * omega(z, n) * o - beta / o
     return out if np.ndim(out) else float(out)
 
 
-def decoupled_price(z, beta, phi_kk, n):
-    """Symmetric competitive price as a function of z alone (cross externalities zero)."""
-    b, f = beta, phi_kk
-
-    def _neg(v):
-        e = np.exp(v)
-        num = (b + e * (b * n - f)) * (b * (n * e + 1.0) ** 2 - e * f)
-        den = (1.0 + n * e) * (b * (1.0 + (n - 1.0) * e) * (1.0 + n * e) - e * f)
-        return num / den
-
-    def _pos(v):
-        w = np.exp(-v)
-        num = (b * w + b * n - f) * (b * (n + w) ** 2 - w * f)
-        den = (w + n) * (b * (w + n - 1.0) * (w + n) - w * f)
-        return num / den
-
-    return _piecewise_z(z, _neg, _pos)
-
-
 # --------------------------------------------------------------------------
-# scalar root finding on the decoupled FOCs
+# the decoupled root-finder
 # --------------------------------------------------------------------------
 
-def _bisect(f, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> float:
-    lo_positive = f(lo) > 0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        # a pole inside the bracket reads as non-finite: shrink from the right
-        on_lo_side = np.isfinite(fm) and ((fm > 0) == lo_positive)
-        if on_lo_side:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= xtol:
-            break
-    return 0.5 * (lo + hi)
+def _bracket(regime: str, beta, phi_kk, n, u0):
+    """Ends (lo, hi) with value(lo) > 0 > value(hi), worked out from the inputs.
 
-
-def _newton_polish(f, fprime, z: float, iters: int = 6) -> float:
-    for _ in range(iters):
-        v = f(z)
-        sl = fprime(z)
-        if sl == 0 or not np.isfinite(sl):
-            break
-        step = v / sl
-        z_new = z - step
-        if not np.isfinite(z_new) or abs(f(z_new)) >= abs(v):
-            break
-        z = z_new
-    return z
-
-
-def _expand_bracket(f, lo: float, hi: float) -> tuple[float, float]:
-    for _ in range(20):
-        if f(lo) > 0:
-            break
-        lo *= 2.0
-    else:
-        raise SolverError("no root in range: lower bracket expansion exhausted")
-    for _ in range(20):
-        if f(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("no root in range: upper bracket expansion exhausted")
-    return lo, hi
-
-
-def _solve_decoupled_side(value, slope, existence_ok: bool,
-                          profit_of) -> tuple[float, list[str]]:
-    """Root of a strictly decreasing scalar FOC; scans for multiple roots when
-    the existence certificate fails and then keeps the max-profit root."""
-    warnings: list[str] = []
-    lo, hi = _expand_bracket(value, -Z_BRACKET, Z_BRACKET)
-    if existence_ok:
-        z = _newton_polish(value, slope, _bisect(value, lo, hi))
-        return z, warnings
-    zs = np.linspace(lo, hi, 601)
-    vals = np.asarray(value(zs))
-    roots: list[float] = []
-    for i in range(len(zs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or (a > 0) == (b > 0):
-            continue
-        cand = _newton_polish(value, slope, _bisect(value, zs[i], zs[i + 1]))
-        if abs(value(cand)) < 1e-8 and not any(abs(cand - r) < 1e-8 for r in roots):
-            roots.append(cand)
-    if not roots:
-        z = _newton_polish(value, slope, _bisect(value, lo, hi))
-        if abs(value(z)) > 1e-8:
-            raise SolverError("no root in range after scan")
-        return z, warnings
-    if len(roots) > 1:
-        warnings.append(f"multiple FOC roots ({len(roots)}); selected max-profit root")
-        roots.sort(key=profit_of, reverse=True)
-    return roots[0], warnings
-
-
-def solve_decoupled_batch(value_fn, beta, phi_kk, n, u0, iters: int = 110):
-    """Vectorized bisection for grids of decoupled FOCs of one regime.
-
-    Returns z arrays with NaN where the bracket never sign-changes or the
-    bisection lands on a pole instead of a root (possible outside the
-    existence region).
+    Each decoupled FOC reads g(z) - u0 - beta z, so the root lies where
+    beta z = g - u0 for some value g takes.  The competitive g is bounded by
+    2|phi|/N + beta (beta + |phi|/N) / D, where D = beta (N-1)/N - max(phi, 0)/(4N)
+    keeps the price denominator -K away from zero; D > 0 throughout the
+    existence region.  Where D <= 0 the price may have a pole and no bound
+    holds; the window then reaches Z_BRACKET beyond where beta z meets the
+    tail limits of g - u0: -beta - u0 as z -> -inf and
+    g_inf - u0 = 3 phi/N - (beta N^2 - phi)/(N (N-1)) - u0 as z -> inf.
+    The collusive g is at most a - beta N e^z with a = 2 max(phi, 0)/N - beta,
+    so the root lies below both a/beta and, for z >= 0, ln(a/(beta N)); g is
+    at least -2|phi|/N - 2 beta for z <= -ln N.
     """
-    beta, phi_kk, u0 = np.broadcast_arrays(np.asarray(beta, float),
-                                           np.asarray(phi_kk, float),
-                                           np.asarray(u0, float))
-    lo = np.full(beta.shape, -Z_BRACKET)
-    hi = np.full(beta.shape, Z_BRACKET)
-    flo = value_fn(lo, beta, phi_kk, n, u0)
-    fhi = value_fn(hi, beta, phi_kk, n, u0)
-    bad = ~((flo > 0) & (fhi < 0))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = value_fn(mid, beta, phi_kk, n, u0)
-        take_lo = np.isfinite(fm) & (fm > 0)
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    z = 0.5 * (lo + hi)
-    resid = value_fn(z, beta, phi_kk, n, u0)
-    bad |= ~np.isfinite(resid) | (np.abs(resid) > 1e-6)
-    return np.where(bad, np.nan, z)
+    if regime == "ce":
+        lo = np.minimum((-2.0 * np.abs(phi_kk) / n - 2.0 * beta - u0) / beta, -np.log(n)) - 1.0
+        a = 2.0 * np.maximum(phi_kk, 0.0) / n - beta - u0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return lo, np.fmin(a / beta, np.maximum(np.log(a / (beta * n)), 0.0)) + 1.0
+    d = beta * (n - 1.0) / n - np.maximum(phi_kk, 0.0) / (4.0 * n)
+    g_inf = 3.0 * phi_kk / n - (beta * n * n - phi_kk) / (n * (n - 1.0))
+    with np.errstate(divide="ignore"):
+        g = np.where(d > 0, 2.0 * np.abs(phi_kk) / n + beta * (beta + np.abs(phi_kk) / n) / d,
+                     np.maximum(beta, np.abs(g_inf)) + beta * Z_BRACKET)
+    return (-g - u0) / beta - 1.0, (g - u0) / beta + 1.0
+
+
+def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
+    """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on 1-D
+    arrays of brackets whose ends `pos`/`neg` have positive/negative FOC values.
+
+    A cell takes the Newton step with the analytic slope when it lands inside
+    the bracket and is at most half the step before last, and bisects
+    otherwise.  A non-finite value (a pole) counts as negative.  Cells freeze
+    once the step falls to rounding size.  Returns (z, FOC value at z).
+    """
+    value, slope = (mk_value, mk_slope) if regime == "cne" else (mkc_value, mkc_slope)
+    pos, neg = np.array(pos, dtype=float), np.array(neg, dtype=float)
+    beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=float), pos.shape)
+                        for a in (beta, phi_kk, u0))
+    z, fz = 0.5 * (pos + neg), np.full(pos.shape, np.nan)
+    step = np.abs(pos - neg)
+    step_old = step.copy()
+    act = np.arange(z.size)
+    for _ in range(200):  # enough for bisection alone on a bracket up to ~1e40 wide
+        if not act.size:
+            break
+        x, b, f, u = z[act], beta[act], phi_kk[act], u0[act]
+        fx, dfx = value(x, b, f, n, u), slope(x, b, f, n)
+        up = fx > 0
+        p, q = np.where(up, x, pos[act]), np.where(up, neg[act], x)
+        pos[act], neg[act], fz[act] = p, q, fx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = fx / dfx
+            use = ((x - newton - p) * (x - newton - q) < 0) & (2.0 * np.abs(newton) <= step_old[act])
+        delta = np.where(use, newton, x - 0.5 * (p + q))
+        step_old[act] = step[act]
+        step[act] = np.abs(delta)
+        done = (np.abs(delta) <= 4e-16 * np.maximum(1.0, np.abs(x))) | (fx == 0)
+        z[act] = np.where(done, x, x - delta)
+        act = act[~done]
+    return z, fz
+
+
+def solve_decoupled_batch(regime: str, beta, phi_kk, n, u0):
+    """Roots of the decoupled FOCs of one regime ("cne" or "ce") over arrays
+    of markets, by one safeguarded Newton-bisection.
+
+    Returns z with NaN where the bracket never sign-changes or the solve lands
+    on a pole instead of a root (possible outside the existence region).
+    """
+    value = mk_value if regime == "cne" else mkc_value
+    shape = np.broadcast_shapes(np.shape(beta), np.shape(phi_kk), np.shape(u0))
+    beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+                        for a in (beta, phi_kk, u0))
+    lo, hi = _bracket(regime, beta, phi_kk, n, u0)
+    ok = (value(lo, beta, phi_kk, n, u0) > 0) & (value(hi, beta, phi_kk, n, u0) < 0)
+    z, fz = _rtsafe(regime, lo[ok], hi[ok], beta[ok], phi_kk[ok], n, u0[ok])
+    out = np.full(beta.shape, np.nan)
+    out[ok] = np.where(np.abs(fz) <= 1e-6, z, np.nan)  # a pole's value is not small
+    return out.reshape(shape)
+
+
+def _scan_roots(regime: str, beta: float, phi_kk: float, n: float, u0: float) -> np.ndarray:
+    """Every root of one side's decoupled FOC at a sign change of a 601-point
+    scan of its bracket, solved as one batch; ascending."""
+    value = mk_value if regime == "cne" else mkc_value
+    zs = np.linspace(*_bracket(regime, beta, phi_kk, n, u0), 601)
+    v = value(zs, beta, phi_kk, n, u0)
+    a, b = v[:-1], v[1:]
+    i = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a > 0) != (b > 0)))
+    up = a[i] > 0
+    z, fz = _rtsafe(regime, np.where(up, zs[i], zs[i + 1]), np.where(up, zs[i + 1], zs[i]),
+                    beta, phi_kk, n, u0)
+    z = z[np.abs(fz) < 1e-8]
+    return z[np.r_[True, np.diff(z) >= 1e-8]] if z.size else z
 
 
 # --------------------------------------------------------------------------
@@ -448,30 +446,11 @@ def consumer_surplus(params: MarketParams, prices, shares, n: float | None = Non
 
 
 def _assemble(regime: str, zv: np.ndarray, params: MarketParams, n: float,
-              matrix_fn, residual_fn, warnings: list[str]) -> SymmetricEquilibrium:
+              warnings: list[str]) -> SymmetricEquilibrium:
     om = omega(zv, n)
-    H = matrix_fn(zv, params, n)
-    prices_alt = params.phi_arr @ om - params.beta_arr * zv - params.u0_arr
-    with np.errstate(invalid="ignore"):
-        prices_matrix = H @ om
-        diff = np.abs(prices_matrix - prices_alt)
-    # the literal matrix product overflows for astronomically large |z|;
-    # the cross-check is then unavailable, not zero
-    price_check = float(np.max(diff)) if np.all(np.isfinite(diff)) else float("inf")
-    if regime == "cne" and params.cross_externalities_zero:
-        # same value as the H Omega row, but in the cancellation-free closed
-        # form (the literal matrix product loses digits for |z| >> 1)
-        prices = np.array([decoupled_price(zv[k], params.beta[k], params.phi[k][k], n)
-                           for k in (0, 1)])
-    elif regime == "ce" and params.cross_externalities_zero:
-        prices = prices_alt
-    else:
-        prices = prices_matrix
-    if regime == "ce" and not np.any(params.phi_arr):
-        ez = np.exp(np.minimum(zv, 80.0))
-        price_check = max(price_check,
-                          float(np.max(np.abs(prices - params.beta_arr * (1.0 + n * ez)))))
-    resid = float(np.max(np.abs(residual_fn(zv, params, n))))
+    prices = _price(regime, zv, params.beta_arr, params.phi_arr, n)
+    implied = params.phi_arr @ om - params.beta_arr * zv - params.u0_arr
+    gap = float(np.max(np.abs(implied - prices)))
     cs = consumer_surplus(params, prices, om, n)
     per_side = prices * om
     return SymmetricEquilibrium(
@@ -483,8 +462,8 @@ def _assemble(regime: str, zv: np.ndarray, params: MarketParams, n: float,
         profit_per_side=(float(per_side[0]), float(per_side[1])),
         total_profit=float(per_side.sum()),
         consumer_surplus=(float(cs[0]), float(cs[1])),
-        foc_residual=resid,
-        price_check=price_check,
+        foc_residual=gap,
+        price_check=gap,
         n=n,
         params=params,
         warnings=tuple(warnings),
@@ -493,43 +472,42 @@ def _assemble(regime: str, zv: np.ndarray, params: MarketParams, n: float,
 
 def _solve(regime: str, params: MarketParams, tol: float, n: float | None) -> SymmetricEquilibrium:
     n = float(params.n_platforms if n is None else n)
-    if regime == "cne":
-        exists = check_cne_existence(params, n)
-        value_fn, slope_fn, matrix_fn, residual_fn = mk_value, mk_slope, h_matrix, cne_foc_residual
-    else:
-        exists = check_ce_existence(params, n)
-        value_fn, slope_fn, matrix_fn, residual_fn = mkc_value, mkc_slope, hc_matrix, ce_foc_residual
-    warnings: list[str] = []
-    for side, ok in zip(Side, exists):
-        if not ok:
-            warnings.append(f"{regime} existence condition fails on side {side.label}")
-
-    dec = params if params.cross_externalities_zero else params.decoupled()
-    z = np.empty(2)
+    exists = (check_cne_existence if regime == "cne" else check_ce_existence)(params, n)
+    warnings = [f"{regime} existence condition fails on side {side.label}"
+                for side, ok in zip(Side, exists) if not ok]
+    beta, phi_kk, u0 = params.beta_arr, np.diag(params.phi_arr), params.u0_arr
+    z = solve_decoupled_batch(regime, beta, phi_kk, n, u0)
     for k in (0, 1):
-        beta, phi_kk, u0 = dec.beta[k], dec.phi[k][k], dec.u0[k]
-        z[k], w = _solve_decoupled_side(
-            lambda zz: value_fn(zz, beta, phi_kk, n, u0),
-            lambda zz: slope_fn(zz, beta, phi_kk, n),
-            exists[k],
-            profit_of=lambda zz: (phi_kk * omega(zz, n) - beta * zz - u0) * omega(zz, n),
-        )
-        warnings.extend(w)
+        if exists[k]:
+            continue
+        # the FOC may turn non-monotone: keep the max-profit root of the scan
+        roots = _scan_roots(regime, beta[k], phi_kk[k], n, u0[k])
+        if roots.size > 1:
+            warnings.append(f"multiple FOC roots ({roots.size}); selected max-profit root")
+        if roots.size:
+            om = omega(roots, n)
+            z[k] = roots[np.argmax((phi_kk[k] * om - beta[k] * roots - u0[k]) * om)]
+    if np.isnan(z).any():
+        raise SolverError(f"no root in range for the decoupled {regime} FOC")
 
     if not params.cross_externalities_zero:
+        residual_fn = cne_foc_residual if regime == "cne" else ce_foc_residual
         z = _newton2d(lambda zz: residual_fn(zz, params, n), z, tol=min(tol, 1e-12))
-    return _assemble(regime, z, params, n, matrix_fn, residual_fn, warnings)
+    return _assemble(regime, z, params, n, warnings)
 
 
 def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
     """Solve the symmetric competitive equilibrium.
 
-    With zero cross-side externalities each side is solved independently by
-    bracketed bisection on the monotone decoupled FOC followed by a Newton
-    polish with the analytic slope; otherwise a damped Newton on the full
-    two-equation system starts from the decoupled root.  A failed existence
-    check downgrades to a warning on the result (region-boundary sweeps need
-    values slightly outside the certified region).
+    Both sides' decoupled FOCs are solved as one batch of
+    :func:`solve_decoupled_batch`; that is the answer with zero cross-side
+    externalities, and otherwise the start of a damped Newton on the full
+    two-equation system.  Where a side fails the existence check its FOC may
+    have several roots: a scan of its bracket finds them all and the
+    max-profit root is kept.  A failed existence check downgrades to a
+    warning on the result (region-boundary sweeps need values slightly outside
+    the certified region).  `foc_residual` and `price_check` keep their
+    absolute meaning and are evaluated in share space, without cancellation.
     """
     return _solve("cne", params, tol, n)
 

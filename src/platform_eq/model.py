@@ -79,7 +79,7 @@ class MarketParams:
             raise ValueError("phi must be a 2x2 matrix")
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi must be finite")
-        object.__setattr__(self, "phi", tuple(tuple(row) for row in phi))
+        object.__setattr__(self, "phi", tuple(tuple(float(v) for v in row) for row in phi))
         if not (self.beta[0] > 0 and self.beta[1] > 0):
             raise ValueError("beta must be positive on both sides")
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import mk_slope, mkc_value, mk_value, omega, solve_decoupled_batch
+from .equilibrium import mk_slope, omega, solve_decoupled_batch
 from .model import (Cubic, MarketParams, Side, ce_existence_bound,
                     check_ce_existence, check_cne_existence,
                     cne_existence_bound, solve_cubic_real)
@@ -514,7 +514,7 @@ def region_grid(classifier: str, phi_range: tuple[float, float] = (-2.0, 2.0),
     z_grid = None
     if needs_z or solve_signs:
         pp, bb = np.meshgrid(phis, betas, indexing="ij")
-        z_grid = solve_decoupled_batch(mk_value, bb, pp, float(n), u0)
+        z_grid = solve_decoupled_batch("cne", bb, pp, float(n), u0)
 
     labels: list[RegionLabel] = []
     for i, phi in enumerate(phis):
@@ -541,7 +541,7 @@ def _solved_sign_grid(classifier: str, phis, betas, n: float, u0: float,
     pp, bb = np.meshgrid(phis, betas, indexing="ij")
     if classifier in ("sign_z_cne", "sign_z_ce"):
         if classifier == "sign_z_ce":
-            z_grid = solve_decoupled_batch(mkc_value, bb, pp, n, u0)
+            z_grid = solve_decoupled_batch("ce", bb, pp, n, u0)
         return np.where(np.isnan(z_grid), 0, np.sign(z_grid)).astype(int)
     if classifier in ("existence_cne", "existence_ce"):
         # certificate of a unique root: the FOC slope stays negative on a z grid
@@ -556,8 +556,8 @@ def _solved_sign_grid(classifier: str, phis, betas, n: float, u0: float,
         return np.where(ok, 1, -1)
     # direction grids: centered difference of the solved quantity across N +- h
     h = 1e-4 * n
-    z_hi = solve_decoupled_batch(mk_value, bb, pp, n + h, u0)
-    z_lo = solve_decoupled_batch(mk_value, bb, pp, n - h, u0)
+    z_hi = solve_decoupled_batch("cne", bb, pp, n + h, u0)
+    z_lo = solve_decoupled_batch("cne", bb, pp, n - h, u0)
     if classifier == "price_dn":
         q_hi = pp * omega(z_hi, n + h) - bb * z_hi - u0
         q_lo = pp * omega(z_lo, n - h) - bb * z_lo - u0

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from platform_eq.equilibrium import (SolverError, ZPoint, ce_foc_residual,
+import platform_eq.equilibrium as equilibrium
+from platform_eq.equilibrium import (SolverError, ZPoint, _price, ce_foc_residual,
                                      cne_foc_residual, compare_regimes,
-                                     consumer_surplus, decoupled_price, h_matrix,
-                                     hc_matrix, mk_value, mkc_value, omega,
-                                     solve_ce, solve_cne)
+                                     consumer_surplus, h_matrix, hc_matrix,
+                                     mk_value, mkc_value, omega, solve_ce,
+                                     solve_cne, solve_decoupled_batch)
 from platform_eq.model import EULER_GAMMA, MarketParams, Side, check_cne_existence
 
 
@@ -150,13 +151,24 @@ class TestHMatrix:
         assert H[1, 0] == -params.phi[0][1]
 
     def test_decoupled_price_matches_matrix_route(self):
+        # the share-space prices against the literal H Omega and H^C Omega
         for beta, phi, n in ((1.0, 0.5, 2.0), (0.7, -1.0, 4.0)):
             params = MarketParams.uniform(int(n), beta, phi_own=phi)
             for z in np.linspace(-6, 6, 25):
                 H = h_matrix(ZPoint(z, z), params)
                 om = omega(z, n)
-                assert decoupled_price(z, beta, phi, n) == pytest.approx(
-                    (H @ [om, om])[0], rel=1e-11, abs=1e-11)
+                p = _price("cne", np.array([z, z]), params.beta_arr, params.phi_arr, n)
+                assert p[0] == pytest.approx((H @ [om, om])[0], rel=1e-11, abs=1e-11)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            params = MarketParams(n, tuple(rng.uniform(0.2, 3.0, 2)),
+                                  tuple(map(tuple, rng.uniform(-1.0, 1.0, (2, 2)))))
+            z = rng.uniform(-3.0, 3.0, 2)
+            om = omega(z, n)
+            for regime, matrix in (("cne", h_matrix), ("ce", hc_matrix)):
+                p = _price(regime, z, params.beta_arr, params.phi_arr, float(n))
+                np.testing.assert_allclose(p, matrix(z, params) @ om, rtol=1e-12, atol=1e-12)
 
 
 class TestSolvers:
@@ -247,11 +259,59 @@ class TestSolvers:
         with pytest.raises(FOCSingularityError):
             h_matrix(ZPoint(0.5 * (lo + hi), 0.5 * (lo + hi)), params)
 
-    def test_bracket_exhaustion_error(self):
-        # u0 beyond any expanded bracket: no root reachable
-        from platform_eq.equilibrium import _expand_bracket
+    def test_bracket_exhaustion_error(self, monkeypatch):
+        # a FOC with no sign change anywhere: the batch reports NaN and the
+        # scalar solve raises instead of returning a number
+        monkeypatch.setattr(equilibrium, "mk_value", lambda z, *args: np.full(np.shape(z), -1.0))
+        assert np.isnan(solve_decoupled_batch("cne", [1.0, 2.0], [0.0, 0.5], 2.0, 0.0)).all()
         with pytest.raises(SolverError, match="no root in range"):
-            _expand_bracket(lambda z: -1.0, -60.0, 60.0)
+            solve_cne(MarketParams.uniform(2, 1.0))
+
+    def test_decoupled_batch_matches_scalar_solve(self):
+        bb, pp = np.meshgrid(np.linspace(0.3, 2.0, 7), np.linspace(-1.0, 0.2, 5))
+        for regime, solver in (("cne", solve_cne), ("ce", solve_ce)):
+            z = solve_decoupled_batch(regime, bb, pp, 3.0, 0.4)
+            assert z.shape == bb.shape
+            for (i, j), zij in np.ndenumerate(z):
+                eq = solver(MarketParams.uniform(3, bb[i, j], phi_own=pp[i, j], u0=0.4))
+                assert zij == pytest.approx(eq.z.z_b, abs=1e-12)
+
+
+class TestStableResidual:
+    """Repros where the literal H Omega form lost the answer to cancellation."""
+
+    @staticmethod
+    def _check(eq):
+        assert np.all(np.isfinite(eq.prices))
+        assert eq.foc_residual <= 1e-10 and eq.price_check <= 1e-10
+
+    def test_decoupled_sweep_point(self):
+        # N=4 decoupled market at u0 = -5: mk_value reads 0 at the solved z
+        # while the literal residual read 1.06e-10
+        params = MarketParams(4, (0.3543503934757068, 0.44282441592322064),
+                              ((0.8116010492685515, 0.0), (0.0, -0.1629825296106031)),
+                              (-5.0, -5.0))
+        eq = solve_cne(params)
+        self._check(eq)
+        assert eq.foc_residual <= 1e-14
+
+    def test_coupled_sweep_point(self):
+        # coupled Newton used to stall at the 1.6e-12 rounding floor of H Omega
+        params = MarketParams(4, (0.34538904452312646, 0.26147124405915734),
+                              ((-0.4274284004803448, 0.03548354578742795),
+                               (0.020057693293181036, 0.5639233174910863)), (-5.0, -5.0))
+        for solver in (solve_cne, solve_ce):
+            self._check(solver(params))
+
+    @pytest.mark.parametrize("u0", [-1000.0, -50.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("cross", [0.0, 0.03])
+    def test_extreme_outside_utility(self, u0, cross):
+        params = MarketParams.uniform(3, 1.0, phi_own=0.3, phi_cross=cross, u0=u0)
+        for solver in (solve_cne, solve_ce):
+            self._check(solver(params))
+        if cross == 0.0 and u0 < 0:
+            # the z -> inf price limit (beta N^2 - phi)/(N(N-1)) - phi/N
+            assert solve_cne(params).prices[0] == pytest.approx(1.35, abs=1e-9)
 
 
 class TestCompareRegimes:

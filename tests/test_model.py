@@ -146,6 +146,12 @@ class TestMarketParams:
         assert p.phi_own(Side.SELLER) == 0.2
         assert np.array_equal(p.phi_arr, np.array([[0.2, -0.1], [-0.1, 0.2]]))
 
+    def test_phi_holds_plain_floats(self):
+        # a numpy scalar's repr ("np.float64(0.3)") is not a valid config value
+        p = MarketParams.uniform(3, 1.0, phi_own=0.3)
+        assert all(type(v) is float for row in p.phi for v in row)
+        assert repr(p.phi) == "((0.3, 0.0), (0.0, 0.3))"
+
     def test_side_involution(self):
         assert Side.BUYER.other is Side.SELLER
         assert Side.SELLER.other is Side.BUYER
