@@ -26,9 +26,9 @@ from .demand import FixedPointError
 from .equilibrium import SolverError, compare_regimes, solve_cne, solve_ce
 from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
-from .regions import (FIGURES, RegionGrid, Verdict, classify_direction,
-                      classify_sign_z, figure_paint, figure_threshold_curve,
-                      grid_agreement, region_grid)
+from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
+                      figure_paint, figure_threshold_curve, grid_agreement,
+                      region_grid)
 from . import __version__
 from .statics import AnalyticDomainError, derivative_bundle, fd_derivative, _ANALYTIC_OPS
 from .svg import BLUE, GRAY, RED, region_svg
@@ -384,13 +384,10 @@ def _figure_worker(task):
     agree, checked, frac = grid_agreement(grid)
     paint = figure_paint(figure, grid)
     curve = figure_threshold_curve(figure, grid)
-    rows = []
-    nb = len(grid.betas)
-    for i, phi in enumerate(grid.phis):
-        for j, beta in enumerate(grid.betas):
-            label = grid.labels[i * nb + j]
-            rows.append([phi, beta, label.verdict.value, label.margin,
-                         int(paint[i, j]), int(grid.solved_signs[i, j])])
+    phi, beta = np.meshgrid(grid.phis, grid.betas, indexing="ij")
+    verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
+    columns = (phi, beta, verdict, grid.margins, paint, grid.solved_signs)
+    rows = list(zip(*(c.ravel().tolist() for c in columns)))
     title = f"{figure}: {spec.description} (N={n:g}, u0={panel_u0:g})"
     svg = region_svg(grid.phis, grid.betas, paint, curve, title,
                      _FIGURE_LEGENDS[figure], width=width, height=height)

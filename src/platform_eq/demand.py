@@ -294,26 +294,16 @@ def contraction_margin(params: MarketParams) -> float:
 def sensitivities(z: float, params: MarketParams, side: Side) -> ShareSensitivities:
     """Own- and cross-platform share derivatives at a symmetric profile.
 
-    In the normalized net-utility variable: s = e^z (1+(N-1)e^z) / (beta (1+N e^z)^2)
-    and r = -e^{2z} / (beta (1+N e^z)^2), evaluated in whichever exponential
-    form stays finite for the sign of z.
+    In the per-platform share omega = 1/(e^{-z} + N): s = omega (1 - omega) / beta
+    and r = -omega^2 / beta, finite for every z.
     """
     beta = params.beta[side.index]
     if not beta > 0:
         raise ValueError("beta must be positive")
-    n = float(params.n_platforms)
-    z = float(z)
-    if z <= 0.0:
-        ez = np.exp(z)
-        denom = beta * (1.0 + n * ez) ** 2
-        s = ez * (1.0 + (n - 1.0) * ez) / denom
-        r = -(ez * ez) / denom
-    else:
-        emz = np.exp(-z)
-        denom = beta * (emz + n) ** 2
-        s = (emz + n - 1.0) / denom
-        r = -1.0 / denom
-    return ShareSensitivities(s=float(s), r=float(r))
+    with np.errstate(over="ignore"):
+        omega = 1.0 / (np.exp(-float(z)) + params.n_platforms)
+    return ShareSensitivities(s=float(omega * (1.0 - omega) / beta),
+                              r=float(-omega * omega / beta))
 
 
 # --------------------------------------------------------------------------

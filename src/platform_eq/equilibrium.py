@@ -35,6 +35,11 @@ Z_BRACKET = 60.0
 # double precision.  The bracket reaches beyond it only when |u0|/beta is large.
 SLOPE_Z_CAP = 80.0
 
+# Relative central-difference step of the coupled Newton's Jacobian: the step
+# on z_j is this times max(1, |z_j|), so z_j +- step stays distinct from z_j
+# in double precision however far out z_j lies.
+NEWTON_FD_STEP = 1e-7
+
 
 class FOCSingularityError(ArithmeticError):
     """The pricing-matrix denominator (J_phi or a K factor) vanished."""
@@ -394,8 +399,7 @@ def _scan_roots(regime: str, beta: float, phi_kk: float, n: float, u0: float) ->
 # coupled 2D Newton
 # --------------------------------------------------------------------------
 
-def _newton2d(residual, z0: np.ndarray, tol: float, max_iter: int = 80,
-              fd_step: float = 1e-7) -> np.ndarray:
+def _newton2d(residual, z0: np.ndarray, tol: float, max_iter: int = 80) -> np.ndarray:
     z = z0.copy()
     F = residual(z)
     trace: list[str] = []
@@ -406,8 +410,8 @@ def _newton2d(residual, z0: np.ndarray, tol: float, max_iter: int = 80,
         J = np.empty((2, 2))
         for j in range(2):
             dz = np.zeros(2)
-            dz[j] = fd_step
-            J[:, j] = (residual(z + dz) - residual(z - dz)) / (2.0 * fd_step)
+            dz[j] = NEWTON_FD_STEP * max(1.0, abs(z[j]))
+            J[:, j] = (residual(z + dz) - residual(z - dz)) / (2.0 * dz[j])
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:

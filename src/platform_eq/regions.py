@@ -1,24 +1,31 @@
 """Threshold functions and sign/direction classifiers over (phi_kk, beta_k) space.
 
-Each classifier applies one proposition's hypotheses literally: it returns a
-definite verdict only inside the stated sufficient region and Indeterminate in
-the gaps the analysis leaves open.  Cubic-root thresholds are built from the
-actual (N, phi_kk) pair and resolved through the shared cubic solver with a
+Each proposition is written once, as an ordered list of rules (:class:`_Rule`):
+a condition, the verdict it implies, the thresholds it compares against and
+the margin to them, all numpy expressions in (N, beta_k, phi_kk, u0, z*).
+The first rule that holds decides.  The scalar classifiers walk the list on
+floats and stop at that rule, so later thresholds are never evaluated;
+:func:`region_grid` evaluates the whole list over a (phi_kk, beta_k) mesh at
+once.  The rules apply each proposition's hypotheses literally: a definite
+verdict only inside the stated sufficient region, Indeterminate in the gaps
+the analysis leaves open.  Cubic-root thresholds are built from the actual
+(N, phi_kk) pair and resolved through the shared cubic solver with a
 table-driven branch choice (largest vs unique real root).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import mk_slope, omega, solve_decoupled_batch
+from .equilibrium import mk_slope, mkc_slope, omega, solve_decoupled_batch
 from .model import (Cubic, MarketParams, Side, ce_existence_bound,
-                    check_ce_existence, check_cne_existence,
                     cne_existence_bound, solve_cubic_real)
 
 BOUNDARY_TOL = 1e-9
@@ -58,6 +65,18 @@ class Verdict(Enum):
     INDETERMINATE = "indeterminate"
     BOUNDARY = "boundary"
 
+    @property
+    def sign(self) -> int:
+        if self in (Verdict.POSITIVE, Verdict.INCREASING):
+            return 1
+        if self in (Verdict.NEGATIVE, Verdict.DECREASING):
+            return -1
+        return 0
+
+
+# a RegionGrid's verdict codes index this tuple
+VERDICTS = tuple(Verdict)
+
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -70,11 +89,7 @@ class RegionLabel:
 
     @property
     def sign(self) -> int:
-        if self.verdict in (Verdict.POSITIVE, Verdict.INCREASING):
-            return 1
-        if self.verdict in (Verdict.NEGATIVE, Verdict.DECREASING):
-            return -1
-        return 0
+        return self.verdict.sign
 
 
 # --------------------------------------------------------------------------
@@ -143,13 +158,14 @@ def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
     N-only kinds return the multiplier of phi_kk (or the plain bound); cubic
     kinds return the designated real root of their polynomial in beta built
     with the actual phi_kk, i.e. a value directly comparable to beta_k.
+    GAMMA and GAMMA_C also take arrays of phi_kk.
     """
     n = float(n)
     if n < 2:
         raise ValueError("thresholds are defined for N >= 2")
-    if kind in _NEEDS_PHI and phi_kk is None:
+    if phi_kk is None and kind in _NEEDS_PHI:
         raise ValueError(f"{kind.value} requires phi_kk")
-    if kind in _NEEDS_U0 and u0 is None:
+    if u0 is None and kind in _NEEDS_U0:
         raise ValueError(f"{kind.value} requires u0")
 
     if kind is ThresholdKind.F_EXISTENCE:
@@ -159,7 +175,7 @@ def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
     if kind is ThresholdKind.GAMMA:
         a = 2.0 * phi_kk - n * u0
         rad = a * a + 4.0 * phi_kk * (u0 - 2.0 * phi_kk / (n + 1.0))
-        return (a + math.sqrt(max(rad, 0.0))) / (2.0 * (n + 1.0))
+        return (a + np.sqrt(np.maximum(rad, 0.0))) / (2.0 * (n + 1.0))
     if kind is ThresholdKind.GAMMA_C:
         return (2.0 * phi_kk - u0 * (n + 1.0)) / (n + 1.0) ** 2
     if kind is ThresholdKind.U_TILDE:
@@ -211,80 +227,148 @@ def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
 
 
 # --------------------------------------------------------------------------
-# classifiers
+# the propositions, one rule list each
 # --------------------------------------------------------------------------
 
-def _finish(verdict: Verdict, used: list[tuple[ThresholdKind, float]],
-            margin: float, boundary_tol: float, reason: str = "") -> RegionLabel:
-    if margin < boundary_tol:
-        verdict = Verdict.BOUNDARY
-    return RegionLabel(verdict=verdict, thresholds_used=tuple(used),
-                       margin=margin, reason=reason)
+class _Rule(NamedTuple):
+    """One line of a proposition: where `when` holds, the verdict is `verdict`.
 
-
-def classify_existence(regime: str, params: MarketParams, side: Side,
-                       boundary_tol: float = BOUNDARY_TOL) -> RegionLabel:
-    """Positive iff the regime's uniqueness condition holds on this side."""
-    n = float(params.n_platforms)
-    beta = params.beta[side.index]
-    phi_kk = params.phi_own(side)
-    kind = ThresholdKind.F_EXISTENCE if regime == "cne" else ThresholdKind.CE_EXISTENCE
-    mult = eval_threshold(kind, n)
-    if phi_kk <= 0:
-        return RegionLabel(Verdict.POSITIVE, ((kind, 0.0),), margin=float("inf"))
-    bound = mult * phi_kk
-    margin = abs(beta - bound)
-    verdict = Verdict.POSITIVE if beta > bound else Verdict.NEGATIVE
-    return _finish(verdict, [(kind, bound)], margin, boundary_tol)
-
-
-def classify_sign_z(regime: str, params: MarketParams, side: Side,
-                    boundary_tol: float = BOUNDARY_TOL) -> RegionLabel:
-    """Sign of the equilibrium normalized net utility on this side.
-
-    Negative when beta exceeds the regime's indifference curve gamma (resp.
-    gamma_c), Positive below it; requires the regime's existence condition.
+    `used` holds the (threshold, value) pairs the line compares against; NaN
+    marks a threshold the proposition does not evaluate at that point.  The
+    margin is the least |point - value| over the (point, value) pairs in
+    `margin`, infinite when it is empty; None pairs beta with each value in
+    `used`.  A None verdict marks a point the proposition cannot classify
+    without an input it lacks; `reason` then holds the error message.  Every
+    list ends with a rule that always holds.
     """
-    n = float(params.n_platforms)
-    beta = params.beta[side.index]
-    phi_kk = params.phi_own(side)
-    u0 = params.u0[side.index]
-    exists = check_cne_existence(params) if regime == "cne" else check_ce_existence(params)
-    if not exists[side.index]:
-        return RegionLabel(Verdict.INDETERMINATE, reason="existence condition fails")
-    kind = ThresholdKind.GAMMA if regime == "cne" else ThresholdKind.GAMMA_C
-    gamma = eval_threshold(kind, n, phi_kk, u0)
-    margin = abs(beta - gamma)
-    verdict = Verdict.NEGATIVE if beta > gamma else Verdict.POSITIVE
-    return _finish(verdict, [(kind, gamma)], margin, boundary_tol)
+
+    when: object
+    verdict: Verdict | None
+    used: tuple = ()
+    margin: tuple | None = None
+    reason: str = ""
 
 
-def _pi_z_threshold_low(n: float, phi: float, u0: float, beta: float) -> tuple[float, list]:
-    """g_pi_z: the z* cap below which more competition lowers this side's profit."""
-    used: list[tuple[ThresholdKind, float]] = []
-    if phi < 0:
-        f_pi = eval_threshold(ThresholdKind.F_PI, n, phi)
-        used.append((ThresholdKind.F_PI, f_pi))
-        if beta < f_pi:
-            num = (phi**2 * (-n * u0 + 2.0 * phi)
-                   + n * phi * (2.0 * n**2 * u0 - n * u0 - 2.0 * phi) * beta
-                   + n * (-5.0 * n**3 * u0 + 8.0 * n**2 * u0 - 3.0 * n * u0
-                          - 5.0 * n * phi + 2.0 * phi) * beta**2
-                   + 4.0 * n**3 * beta**3)
-            den = (beta**2 * (n**2 - 2.0 * n**3) * phi
-                   + beta**3 * (5.0 * n**4 - 8.0 * n**3 + 3.0 * n**2)
-                   + beta * n * phi**2)
-            return num / den, used
-        return -u0 / beta, used
-    if phi > 0:
-        h_pi = eval_threshold(ThresholdKind.H_PI, n) * phi
-        used.append((ThresholdKind.H_PI, h_pi))
-        if beta <= h_pi:
-            num = (-n**3 * u0 + beta * n**2 + 2.0 * n**2 * u0 - n * u0
-                   - 2.0 * n * phi + phi)
-            return num / (beta * (n**3 - 2.0 * n**2 + n)), used
-        return -u0 / beta, used
-    return -u0 / beta, used
+def _cubic_threshold(kind: ThresholdKind, n: float, phi, where):
+    """eval_threshold of a cubic kind where `where` holds, NaN elsewhere.
+
+    On an array each distinct phi_kk is solved once and an undefined root
+    reads NaN; on a float an undefined root raises, as eval_threshold does.
+    """
+    if not isinstance(phi, np.ndarray):
+        return eval_threshold(kind, n, phi) if where else math.nan
+    distinct, inverse = np.unique(phi[where], return_inverse=True)
+    roots = []
+    for p in distinct.tolist():
+        try:
+            roots.append(eval_threshold(kind, n, p))
+        except ValueError:
+            roots.append(math.nan)
+    out = np.full(phi.shape, math.nan)
+    out[where] = np.asarray(roots)[inverse]
+    return out
+
+
+def _band(lo, beta, hi, verdict: Verdict, used: tuple) -> _Rule:
+    """verdict on lo < beta < hi, with the distance to the nearer end."""
+    return _Rule((lo < beta) & (beta < hi), verdict, used, ((beta, lo), (beta, hi)))
+
+
+def _select(cond, a, b):
+    """np.where that stays a plain float on floats."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _existence_fails(bound: float, beta, phi) -> _Rule:
+    return _Rule((phi > 0) & (beta <= bound * phi), Verdict.INDETERMINATE,
+                 reason="existence condition fails")
+
+
+def _phi_multiple(kind: ThresholdKind, verdict: Verdict, n, beta, phi):
+    """The opening lines of a region bounded by a multiple c(N) phi_kk:
+    `verdict` wherever phi_kk <= 0 or beta > c(N) phi_kk.  Returns c(N) phi_kk."""
+    yield _Rule(phi <= 0, verdict, ((kind, 0.0),), ())  # no boundary nearby
+    bound = eval_threshold(kind, n) * phi
+    yield _Rule(beta > bound, verdict, ((kind, bound),))
+    return bound
+
+
+def _existence(regime, n, beta, phi, u0, z):
+    kind = ThresholdKind.F_EXISTENCE if regime == "cne" else ThresholdKind.CE_EXISTENCE
+    bound = yield from _phi_multiple(kind, Verdict.POSITIVE, n, beta, phi)
+    yield _Rule(True, Verdict.NEGATIVE, ((kind, bound),))
+
+
+def _sign_z(regime, n, beta, phi, u0, z):
+    """Negative above the indifference curve gamma (gamma_c), Positive below."""
+    bound, kind = ((cne_existence_bound(n), ThresholdKind.GAMMA) if regime == "cne"
+                   else (ce_existence_bound(n), ThresholdKind.GAMMA_C))
+    yield _existence_fails(bound, beta, phi)
+    gamma = eval_threshold(kind, n, phi, u0)
+    yield _Rule(beta > gamma, Verdict.NEGATIVE, ((kind, gamma),))
+    yield _Rule(True, Verdict.POSITIVE, ((kind, gamma),))
+
+
+def _price_u0(n, beta, phi, u0, z):
+    g = yield from _phi_multiple(ThresholdKind.G_P_U, Verdict.DECREASING, n, beta, phi)
+    lo = cne_existence_bound(n) * phi
+    used = ((ThresholdKind.G_P_U, g), (ThresholdKind.F_EXISTENCE, lo))
+    if n >= 3:
+        hi = eval_threshold(ThresholdKind.F_P_U, n) * phi
+        used += ((ThresholdKind.F_P_U, hi),)
+        yield _band(lo, beta, hi, Verdict.INCREASING, used)
+    yield _Rule(True, Verdict.INDETERMINATE, used)
+
+
+def _profit_u0(n, beta, phi, u0, z):
+    g = yield from _phi_multiple(ThresholdKind.G_PI_U, Verdict.DECREASING, n, beta, phi)
+    yield _Rule(True, Verdict.INDETERMINATE, ((ThresholdKind.G_PI_U, g),))
+
+
+def _cs_u0(n, beta, phi, u0, z):
+    hi2 = yield from _phi_multiple(ThresholdKind.TWO_PHI, Verdict.INCREASING, n, beta, phi)
+    lo = cne_existence_bound(n) * phi
+    hi = _cubic_threshold(ThresholdKind.F_CS_U, n, phi, phi > 0)
+    used = ((ThresholdKind.TWO_PHI, hi2), (ThresholdKind.F_EXISTENCE, lo),
+            (ThresholdKind.F_CS_U, hi))
+    yield _band(lo, beta, hi, Verdict.DECREASING, used)
+    yield _Rule(True, Verdict.INDETERMINATE, used)
+
+
+def _price_n(n, beta, phi, u0, z):
+    nonpositive = phi <= 0
+    g = _cubic_threshold(ThresholdKind.G_P, n, phi, nonpositive)
+    yield _Rule(nonpositive & (beta > g), Verdict.DECREASING, ((ThresholdKind.G_P, g),))
+    yield _Rule(nonpositive, Verdict.INDETERMINATE, ((ThresholdKind.G_P, g),))
+    yield _Rule(beta > phi, Verdict.DECREASING, ((ThresholdKind.PHI, phi),))
+    lo = cne_existence_bound(n) * phi
+    used = ((ThresholdKind.PHI, phi), (ThresholdKind.F_EXISTENCE, lo))
+    if n >= 3:
+        hi = _cubic_threshold(ThresholdKind.F_P, n, phi, phi > 0)
+        used += ((ThresholdKind.F_P, hi),)
+        yield _band(lo, beta, hi, Verdict.INCREASING, used)
+    yield _Rule(True, Verdict.INDETERMINATE, used)
+
+
+def _participation_n(n, beta, phi, u0, z):
+    g = yield from _phi_multiple(ThresholdKind.G_X, Verdict.INCREASING, n, beta, phi)
+    yield _Rule(True, Verdict.INDETERMINATE, ((ThresholdKind.G_X, g),))
+
+
+def _cs_n(n, beta, phi, u0, z):
+    g = yield from _phi_multiple(ThresholdKind.G_CS, Verdict.INCREASING, n, beta, phi)
+    lo = cne_existence_bound(n) * phi
+    used = ((ThresholdKind.G_CS, g), (ThresholdKind.F_EXISTENCE, lo))
+    if n >= 7:
+        f_cs = _cubic_threshold(ThresholdKind.F_CS, n, phi, phi > 0)
+        gamma = eval_threshold(ThresholdKind.GAMMA, n, phi, u0)
+        used += ((ThresholdKind.F_CS, f_cs), (ThresholdKind.GAMMA, gamma))
+        band = (lo < beta) & (beta < f_cs) & (beta < gamma)
+        yield _Rule(band & np.isnan(z), None,
+                    reason="z_star required for the consumer-surplus decrease region")
+        yield _Rule(band & (z < CS_DN_Z_CAP), Verdict.DECREASING, used,
+                    ((beta, lo), (beta, f_cs), (beta, gamma)))
+    yield _Rule(True, Verdict.INDETERMINATE, used)
 
 
 def _pi_z_threshold_high(n: float, phi: float, u0: float, beta: float) -> float:
@@ -293,174 +377,127 @@ def _pi_z_threshold_high(n: float, phi: float, u0: float, beta: float) -> float:
     return num / (beta * (n**3 - 2.0 * n**2 + n))
 
 
+def _profit_n(n, beta, phi, u0, z):
+    yield _existence_fails(cne_existence_bound(n), beta, phi)
+    yield _Rule(np.isnan(z), None, reason="z_star required for the profit direction classifier")
+    negative, positive = phi < 0, phi > 0
+    f_pi = _cubic_threshold(ThresholdKind.F_PI, n, phi, negative)
+    h_pi = _select(positive, eval_threshold(ThresholdKind.H_PI, n) * phi, math.nan)
+    high = _pi_z_threshold_high(n, phi, u0, beta)
+    # the denominator is positive wherever the existence condition holds
+    low_negative = (
+        (phi**2 * (-n * u0 + 2.0 * phi)
+         + n * phi * (2.0 * n**2 * u0 - n * u0 - 2.0 * phi) * beta
+         + n * (-5.0 * n**3 * u0 + 8.0 * n**2 * u0 - 3.0 * n * u0
+                - 5.0 * n * phi + 2.0 * phi) * beta**2
+         + 4.0 * n**3 * beta**3)
+        / (beta**2 * (n**2 - 2.0 * n**3) * phi
+           + beta**3 * (5.0 * n**4 - 8.0 * n**3 + 3.0 * n**2)
+           + beta * n * phi**2))
+    # g_pi_z: the z* cap below which more competition lowers this side's profit
+    low = _select(negative & (beta < f_pi), low_negative,
+                  _select(positive & (beta <= h_pi), high, -u0 / beta))
+    used = ((ThresholdKind.F_PI, f_pi), (ThresholdKind.H_PI, h_pi))
+    yield _Rule(z < low, Verdict.DECREASING, used, ((z, low),))
+    yield _Rule((phi <= 0) & (z > high), Verdict.INCREASING, used, ((z, high),))
+    g_pi = _cubic_threshold(ThresholdKind.G_PI, n, phi, positive & (z > high))
+    used += ((ThresholdKind.G_PI, g_pi),)
+    yield _Rule((z > high) & (beta > g_pi), Verdict.INCREASING, used, ((z, high), (beta, g_pi)))
+    yield _Rule(True, Verdict.INDETERMINATE, used, ((z, low), (z, high)))
+
+
+_DIRECTION_RULES = {
+    ("price", "u0"): _price_u0,
+    ("profit", "u0"): _profit_u0,
+    ("consumer_surplus", "u0"): _cs_u0,
+    ("price", "n_platforms"): _price_n,
+    ("participation", "n_platforms"): _participation_n,
+    ("consumer_surplus", "n_platforms"): _cs_n,
+    ("profit", "n_platforms"): _profit_n,
+}
+
+
+# --------------------------------------------------------------------------
+# scalar classifiers: the first rule that holds at one market
+# --------------------------------------------------------------------------
+
+def _classify(rules, params: MarketParams, side: Side, z_star: float | None = None) -> RegionLabel:
+    """The first rule that holds at this market, as a label."""
+    k = side.index
+    beta = params.beta[k]
+    z = math.nan if z_star is None else float(z_star)
+    for rule in rules(float(params.n_platforms), beta, params.phi[k][k], params.u0[k], z):
+        if rule.when:
+            break
+    if rule.verdict is None:
+        raise ValueError(rule.reason)
+    used = tuple((kind, float(v)) for kind, v in rule.used if not math.isnan(v))
+    pairs = ((beta, v) for _, v in used) if rule.margin is None else rule.margin
+    margin = float(min((abs(x - v) for x, v in pairs), default=math.inf))
+    verdict = Verdict.BOUNDARY if margin < BOUNDARY_TOL else rule.verdict
+    return RegionLabel(verdict, used, margin, rule.reason)
+
+
+def classify_existence(regime: str, params: MarketParams, side: Side) -> RegionLabel:
+    """Positive iff the regime's uniqueness condition holds on this side."""
+    return _classify(partial(_existence, regime), params, side)
+
+
+def classify_sign_z(regime: str, params: MarketParams, side: Side) -> RegionLabel:
+    """Sign of the equilibrium normalized net utility on this side.
+
+    Negative when beta exceeds the regime's indifference curve gamma (resp.
+    gamma_c), Positive below it; requires the regime's existence condition.
+    """
+    return _classify(partial(_sign_z, regime), params, side)
+
+
 def classify_direction(quantity: str, wrt: str, params: MarketParams, side: Side,
-                       z_star: float | None = None,
-                       boundary_tol: float = BOUNDARY_TOL) -> RegionLabel:
+                       z_star: float | None = None) -> RegionLabel:
     """Sign of d(quantity)/d(wrt) on this side, by the stated sufficient regions.
 
     quantity in {"price", "participation", "consumer_surplus", "profit"},
     wrt in {"u0", "n_platforms"}.  The profit/N and consumer-surplus/N decrease
     regions condition on the solved z*, which must then be supplied.
     """
-    n = float(params.n_platforms)
-    beta = params.beta[side.index]
-    phi = params.phi_own(side)
-    u0 = params.u0[side.index]
-
-    if wrt == "u0":
-        if quantity == "price":
-            return _classify_price_u0(n, beta, phi, boundary_tol)
-        if quantity == "profit":
-            return _classify_profit_u0(n, beta, phi, boundary_tol)
-        if quantity == "consumer_surplus":
-            return _classify_cs_u0(n, beta, phi, boundary_tol)
-        raise ValueError(f"no direction classifier for {quantity!r} w.r.t. u0")
-    if wrt != "n_platforms":
-        raise ValueError(f"unknown differentiation variable {wrt!r}")
-    if quantity == "price":
-        return _classify_price_n(n, beta, phi, boundary_tol)
-    if quantity == "participation":
-        return _classify_participation_n(n, beta, phi, boundary_tol)
-    if quantity == "consumer_surplus":
-        return _classify_cs_n(n, beta, phi, u0, z_star, boundary_tol)
-    if quantity == "profit":
-        return _classify_profit_n(params, side, n, beta, phi, u0, z_star, boundary_tol)
-    raise ValueError(f"no direction classifier for {quantity!r} w.r.t. n_platforms")
-
-
-def _classify_price_u0(n, beta, phi, tol) -> RegionLabel:
-    if phi <= 0:
-        return RegionLabel(Verdict.DECREASING, ((ThresholdKind.G_P_U, 0.0),))
-    g = eval_threshold(ThresholdKind.G_P_U, n) * phi
-    used = [(ThresholdKind.G_P_U, g)]
-    if beta > g:
-        return _finish(Verdict.DECREASING, used, beta - g, tol)
-    lo = cne_existence_bound(n) * phi
-    used.append((ThresholdKind.F_EXISTENCE, lo))
-    if n >= 3:
-        hi = eval_threshold(ThresholdKind.F_P_U, n) * phi
-        used.append((ThresholdKind.F_P_U, hi))
-        if lo < beta < hi:
-            return _finish(Verdict.INCREASING, used, min(beta - lo, hi - beta), tol)
-    margin = min(abs(beta - v) for _, v in used)
-    return _finish(Verdict.INDETERMINATE, used, margin, tol)
-
-
-def _classify_profit_u0(n, beta, phi, tol) -> RegionLabel:
-    if phi <= 0:
-        return RegionLabel(Verdict.DECREASING, ((ThresholdKind.G_PI_U, 0.0),))
-    g = eval_threshold(ThresholdKind.G_PI_U, n) * phi
-    used = [(ThresholdKind.G_PI_U, g)]
-    if beta > g:
-        return _finish(Verdict.DECREASING, used, beta - g, tol)
-    return _finish(Verdict.INDETERMINATE, used, g - beta, tol)
-
-
-def _classify_cs_u0(n, beta, phi, tol) -> RegionLabel:
-    if phi <= 0:
-        return RegionLabel(Verdict.INCREASING, ((ThresholdKind.TWO_PHI, 0.0),))
-    hi2 = eval_threshold(ThresholdKind.TWO_PHI, n) * phi
-    used = [(ThresholdKind.TWO_PHI, hi2)]
-    if beta > hi2:
-        return _finish(Verdict.INCREASING, used, beta - hi2, tol)
-    lo = cne_existence_bound(n) * phi
-    hi = eval_threshold(ThresholdKind.F_CS_U, n, phi)
-    used += [(ThresholdKind.F_EXISTENCE, lo), (ThresholdKind.F_CS_U, hi)]
-    if lo < beta < hi:
-        return _finish(Verdict.DECREASING, used, min(beta - lo, hi - beta), tol)
-    margin = min(abs(beta - v) for _, v in used)
-    return _finish(Verdict.INDETERMINATE, used, margin, tol)
-
-
-def _classify_price_n(n, beta, phi, tol) -> RegionLabel:
-    if phi <= 0:
-        g = eval_threshold(ThresholdKind.G_P, n, phi)
-        used = [(ThresholdKind.G_P, g)]
-        if beta > g:
-            return _finish(Verdict.DECREASING, used, beta - g, tol)
-        return _finish(Verdict.INDETERMINATE, used, g - beta, tol)
-    used = [(ThresholdKind.PHI, phi)]
-    if beta > phi:
-        return _finish(Verdict.DECREASING, used, beta - phi, tol)
-    lo = cne_existence_bound(n) * phi
-    used.append((ThresholdKind.F_EXISTENCE, lo))
-    if n >= 3:
-        hi = eval_threshold(ThresholdKind.F_P, n, phi)
-        used.append((ThresholdKind.F_P, hi))
-        if lo < beta < hi:
-            return _finish(Verdict.INCREASING, used, min(beta - lo, hi - beta), tol)
-    margin = min(abs(beta - v) for _, v in used)
-    return _finish(Verdict.INDETERMINATE, used, margin, tol)
-
-
-def _classify_participation_n(n, beta, phi, tol) -> RegionLabel:
-    if phi <= 0:
-        return RegionLabel(Verdict.INCREASING, ((ThresholdKind.G_X, 0.0),))
-    g = eval_threshold(ThresholdKind.G_X, n) * phi
-    used = [(ThresholdKind.G_X, g)]
-    if beta > g:
-        return _finish(Verdict.INCREASING, used, beta - g, tol)
-    return _finish(Verdict.INDETERMINATE, used, g - beta, tol)
-
-
-def _classify_cs_n(n, beta, phi, u0, z_star, tol) -> RegionLabel:
-    if phi <= 0:
-        return RegionLabel(Verdict.INCREASING, ((ThresholdKind.G_CS, 0.0),))
-    g = eval_threshold(ThresholdKind.G_CS, n) * phi
-    used = [(ThresholdKind.G_CS, g)]
-    if beta > g:
-        return _finish(Verdict.INCREASING, used, beta - g, tol)
-    lo = cne_existence_bound(n) * phi
-    used.append((ThresholdKind.F_EXISTENCE, lo))
-    if n >= 7:
-        f_cs = eval_threshold(ThresholdKind.F_CS, n, phi)
-        gamma = eval_threshold(ThresholdKind.GAMMA, n, phi, u0)
-        hi = min(f_cs, gamma)
-        used += [(ThresholdKind.F_CS, f_cs), (ThresholdKind.GAMMA, gamma)]
-        if lo < beta < hi:
-            if z_star is None:
-                raise ValueError("z_star required for the consumer-surplus decrease region")
-            if z_star < CS_DN_Z_CAP:
-                return _finish(Verdict.DECREASING, used,
-                               min(beta - lo, hi - beta), tol)
-    margin = min(abs(beta - v) for _, v in used)
-    return _finish(Verdict.INDETERMINATE, used, margin, tol)
-
-
-def _classify_profit_n(params, side, n, beta, phi, u0, z_star, tol) -> RegionLabel:
-    if not check_cne_existence(params)[side.index]:
-        return RegionLabel(Verdict.INDETERMINATE, reason="existence condition fails")
-    if z_star is None:
-        raise ValueError("z_star required for the profit direction classifier")
-    low, used = _pi_z_threshold_low(n, phi, u0, beta)
-    if z_star < low:
-        return _finish(Verdict.DECREASING, used, abs(z_star - low), tol)
-    high = _pi_z_threshold_high(n, phi, u0, beta)
-    if z_star > high:
-        if phi <= 0:
-            return _finish(Verdict.INCREASING, used, abs(z_star - high), tol)
-        g_pi = eval_threshold(ThresholdKind.G_PI, n, phi)
-        used.append((ThresholdKind.G_PI, g_pi))
-        if beta > g_pi:
-            return _finish(Verdict.INCREASING, used,
-                           min(abs(z_star - high), beta - g_pi), tol)
-    margin = min(abs(z_star - low), abs(z_star - high))
-    return _finish(Verdict.INDETERMINATE, used, margin, tol)
+    rules = _DIRECTION_RULES.get((quantity, wrt))
+    if rules is None:
+        if wrt not in ("u0", "n_platforms"):
+            raise ValueError(f"unknown differentiation variable {wrt!r}")
+        raise ValueError(f"no direction classifier for {quantity!r} w.r.t. {wrt}")
+    return _classify(rules, params, side, z_star)
 
 
 # --------------------------------------------------------------------------
-# grids
+# grids: every rule of a proposition over the whole mesh
 # --------------------------------------------------------------------------
 
-GRID_CLASSIFIERS = ("existence_cne", "existence_ce", "sign_z_cne", "sign_z_ce",
-                    "price_dn", "participation_dn", "cs_dn")
+_GRID_RULES = {
+    "existence_cne": partial(_existence, "cne"),
+    "existence_ce": partial(_existence, "ce"),
+    "sign_z_cne": partial(_sign_z, "cne"),
+    "sign_z_ce": partial(_sign_z, "ce"),
+    "price_dn": _price_n,
+    "participation_dn": _participation_n,
+    "cs_dn": _cs_n,
+}
+GRID_CLASSIFIERS = tuple(_GRID_RULES)
+
+_INDETERMINATE = VERDICTS.index(Verdict.INDETERMINATE)
+_BOUNDARY = VERDICTS.index(Verdict.BOUNDARY)
+_SIGNS = np.array([v.sign for v in VERDICTS], dtype=np.int8)
 
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """Row-major classifier grid over the (phi_kk, beta_k) plane.
+    """A classifier evaluated over the (phi_kk, beta_k) plane.
 
-    Cell (i, j) -> labels[i * len(betas) + j] for phi = phis[i], beta = betas[j].
+    Cell (i, j) is phi = phis[i], beta = betas[j].  verdicts[i, j] indexes
+    VERDICTS, margins[i, j] is that verdict's margin and signs[i, j] its sign
+    (+1, -1, or 0 for Indeterminate and Boundary), exactly as the scalar
+    classifier reports them at that market.  A cell where the scalar
+    classifier would raise (an undefined threshold, a missing z*) is
+    Indeterminate with an infinite margin.
     """
 
     classifier: str
@@ -468,31 +505,32 @@ class RegionGrid:
     u0: float
     phis: np.ndarray
     betas: np.ndarray
-    labels: tuple[RegionLabel, ...]
-    solved_signs: np.ndarray | None = field(default=None)
+    verdicts: np.ndarray
+    margins: np.ndarray
+    signs: np.ndarray
+    solved_signs: np.ndarray | None = None
 
-    def label_at(self, i: int, j: int) -> RegionLabel:
-        return self.labels[i * len(self.betas) + j]
 
-
-def _cell_label(classifier: str, params: MarketParams, z_star: float | None) -> RegionLabel:
-    side = Side.BUYER
-    if classifier == "existence_cne":
-        return classify_existence("cne", params, side)
-    if classifier == "existence_ce":
-        return classify_existence("ce", params, side)
-    if classifier == "sign_z_cne":
-        return classify_sign_z("cne", params, side)
-    if classifier == "sign_z_ce":
-        return classify_sign_z("ce", params, side)
-    if classifier == "price_dn":
-        return classify_direction("price", "n_platforms", params, side)
-    if classifier == "participation_dn":
-        return classify_direction("participation", "n_platforms", params, side)
-    if classifier == "cs_dn":
-        return classify_direction("consumer_surplus", "n_platforms", params, side,
-                                  z_star=z_star)
-    raise ValueError(f"unknown grid classifier {classifier!r}")
+def _decide(rules, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict codes and margins, each cell taking the first rule that holds."""
+    whens, codes, margins = [], [], []
+    for rule in rules:
+        whens.append(np.broadcast_to(rule.when, beta.shape))
+        if rule.verdict is None:  # the scalar classifier raises here
+            codes.append(_INDETERMINATE)
+            margins.append(math.nan)
+        else:
+            codes.append(VERDICTS.index(rule.verdict))
+            pairs = ((beta, v) for _, v in rule.used) if rule.margin is None else rule.margin
+            margins.append(reduce(np.minimum, (abs(x - v) for x, v in pairs), math.inf))
+    code = np.select(whens, codes).astype(np.int8)
+    margin = np.select(whens, [np.broadcast_to(m, beta.shape) for m in margins])
+    # a NaN margin: a missing input or an undefined threshold decided the cell
+    failed = np.isnan(margin)
+    code[failed] = _INDETERMINATE
+    margin[failed] = math.inf
+    code[margin < BOUNDARY_TOL] = _BOUNDARY
+    return code, margin
 
 
 def region_grid(classifier: str, phi_range: tuple[float, float] = (-2.0, 2.0),
@@ -500,58 +538,51 @@ def region_grid(classifier: str, phi_range: tuple[float, float] = (-2.0, 2.0),
                 n: int = 4, u0: float = 0.0, solve_signs: bool = False) -> RegionGrid:
     """Classify every cell of a (phi_kk, beta_k) grid; cell centers avoid beta = 0.
 
-    With solve_signs=True a companion grid of numerically solved quantity signs
+    The classifier's rule list is evaluated once over the whole mesh.  With
+    solve_signs=True a companion grid of numerically solved quantity signs
     is attached for agreement scoring (see :func:`grid_agreement`).
     """
+    if classifier not in _GRID_RULES:
+        raise ValueError(f"unknown grid classifier {classifier!r}")
     if resolution < 1:
         raise ValueError("resolution must be positive")
     if not all(np.isfinite(v) for v in (*phi_range, *beta_range)):
         raise ValueError("grid ranges must be finite")
+    if not (float(n).is_integer() and n >= 2):
+        raise ValueError("n must be an integer >= 2")
     phis = phi_range[0] + (np.arange(resolution) + 0.5) * (phi_range[1] - phi_range[0]) / resolution
     betas = beta_range[0] + (np.arange(resolution) + 0.5) * (beta_range[1] - beta_range[0]) / resolution
 
-    needs_z = classifier == "cs_dn" and n >= 7
+    pp, bb = np.meshgrid(phis, betas, indexing="ij")
     z_grid = None
-    if needs_z or solve_signs:
-        pp, bb = np.meshgrid(phis, betas, indexing="ij")
+    if (classifier == "cs_dn" and n >= 7) or solve_signs:
         z_grid = solve_decoupled_batch("cne", bb, pp, float(n), u0)
-
-    labels: list[RegionLabel] = []
-    for i, phi in enumerate(phis):
-        for j, beta in enumerate(betas):
-            params = MarketParams.uniform(n, float(beta), phi_own=float(phi), u0=u0)
-            z_cell = None if z_grid is None else float(z_grid[i, j])
-            if z_cell is not None and math.isnan(z_cell):
-                z_cell = None
-            try:
-                labels.append(_cell_label(classifier, params, z_cell))
-            except (ValueError, ArithmeticError) as exc:
-                labels.append(RegionLabel(Verdict.INDETERMINATE, reason=str(exc)))
-
-    solved = _solved_sign_grid(classifier, phis, betas, float(n), u0, z_grid) \
-        if solve_signs else None
-    return RegionGrid(classifier=classifier, n=float(n), u0=u0, phis=phis,
-                      betas=betas, labels=tuple(labels), solved_signs=solved)
+    rules = _GRID_RULES[classifier](float(n), bb, pp, float(u0),
+                                    math.nan if z_grid is None else z_grid)
+    verdicts, margins = _decide(rules, bb)
+    # beta <= 0 is no market: no proposition applies there
+    verdicts[bb <= 0] = _INDETERMINATE
+    margins[bb <= 0] = math.inf
+    solved = _solved_sign_grid(classifier, pp, bb, float(n), u0, z_grid) if solve_signs else None
+    return RegionGrid(classifier=classifier, n=float(n), u0=u0, phis=phis, betas=betas,
+                      verdicts=verdicts, margins=margins, signs=_SIGNS[verdicts],
+                      solved_signs=solved)
 
 
-def _solved_sign_grid(classifier: str, phis, betas, n: float, u0: float,
+def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float, u0: float,
                       z_grid: np.ndarray) -> np.ndarray:
     """Numeric ground truth per cell: solved z sign, FD quantity sign, or a
     monotonicity certificate for the existence grids."""
-    pp, bb = np.meshgrid(phis, betas, indexing="ij")
     if classifier in ("sign_z_cne", "sign_z_ce"):
         if classifier == "sign_z_ce":
             z_grid = solve_decoupled_batch("ce", bb, pp, n, u0)
         return np.where(np.isnan(z_grid), 0, np.sign(z_grid)).astype(int)
     if classifier in ("existence_cne", "existence_ce"):
         # certificate of a unique root: the FOC slope stays negative on a z grid
+        slope_fn = mk_slope if classifier == "existence_cne" else mkc_slope
         ok = np.ones(pp.shape, dtype=bool)
         for z in np.linspace(-30.0, 30.0, 41):
-            if classifier == "existence_cne":
-                slope = mk_slope(np.full(pp.shape, z), bb, pp, n)
-            else:
-                ez = math.exp(z)
-                slope = (2.0 * ez * pp - bb * (n * ez + 1.0) ** 3) / (n * ez + 1.0) ** 2
+            slope = slope_fn(np.full(pp.shape, z), bb, pp, n)
             ok &= np.isfinite(slope) & (slope < 0)
         return np.where(ok, 1, -1)
     # direction grids: centered difference of the solved quantity across N +- h
@@ -564,11 +595,9 @@ def _solved_sign_grid(classifier: str, phis, betas, n: float, u0: float,
     elif classifier == "participation_dn":
         q_hi = (n + h) * omega(z_hi, n + h)
         q_lo = (n - h) * omega(z_lo, n - h)
-    elif classifier == "cs_dn":
+    else:
         q_hi = bb * (np.log(n + h + 1.0) + z_hi)
         q_lo = bb * (np.log(n - h + 1.0) + z_lo)
-    else:
-        raise ValueError(f"no solved-sign oracle for {classifier!r}")
     diff = q_hi - q_lo
     return np.where(np.isnan(diff), 0, np.sign(diff)).astype(int)
 
@@ -581,22 +610,13 @@ def grid_agreement(grid: RegionGrid, margin_min: float = 0.01) -> tuple[int, int
     necessary)."""
     if grid.solved_signs is None:
         raise ValueError("grid was built without solve_signs=True")
-    nb = len(grid.betas)
-    agree = checked = 0
-    one_sided = grid.classifier.startswith("existence")
-    for i in range(len(grid.phis)):
-        for j in range(nb):
-            label = grid.labels[i * nb + j]
-            if label.sign == 0 or label.margin <= margin_min:
-                continue
-            if one_sided and label.sign < 0:
-                continue
-            truth = grid.solved_signs[i, j]
-            if truth == 0:
-                continue
-            checked += 1
-            agree += int(truth == label.sign)
-    return agree, checked, (agree / checked if checked else float("nan"))
+    truth = grid.solved_signs
+    checked = (grid.signs != 0) & (grid.margins > margin_min) & (truth != 0)
+    if grid.classifier.startswith("existence"):
+        checked &= grid.signs > 0
+    count = int(checked.sum())
+    agree = int((truth[checked] == grid.signs[checked]).sum())
+    return agree, count, (agree / count if count else float("nan"))
 
 
 # --------------------------------------------------------------------------
@@ -637,35 +657,21 @@ def figure_paint(figure: str, grid: RegionGrid) -> np.ndarray:
     band f(N) phi < beta < min(f_cs phi, gamma) red even where the strict
     classifier stays indeterminate (its proposition needs N >= 7 and a z* cap).
     """
-    nb = len(grid.betas)
-    paint = np.zeros((len(grid.phis), nb), dtype=int)
-    for i, phi in enumerate(grid.phis):
-        for j, beta in enumerate(grid.betas):
-            label = grid.labels[i * nb + j]
-            if figure == "fig1":
-                paint[i, j] = 1 if label.verdict is Verdict.POSITIVE else -1
-            elif figure in ("fig2", "fig3"):
-                paint[i, j] = label.sign
-            elif figure in ("fig4", "fig6"):
-                paint[i, j] = label.sign
-            elif figure == "fig5":
-                paint[i, j] = 1 if label.sign > 0 else 0
+    paint = grid.signs.astype(int)
+    if figure == "fig1":
+        return np.where(grid.verdicts == VERDICTS.index(Verdict.POSITIVE), 1, -1)
+    if figure == "fig5":
+        return np.maximum(paint, 0)
     if figure == "fig6":
         # demonstration band as conventionally drawn: the z*-related
         # conditions (the z* cap and beta < gamma, which merely signs z*)
         # are deliberately left out there
-        n = grid.n
-        for i, phi in enumerate(grid.phis):
-            if phi <= 0:
-                continue
-            lo = cne_existence_bound(n) * phi
-            try:
-                hi = eval_threshold(ThresholdKind.F_CS, n, phi)
-            except ValueError:
-                continue
-            for j, beta in enumerate(grid.betas):
-                if paint[i, j] == 0 and lo < beta < hi:
-                    paint[i, j] = -1
+        phi = grid.phis[:, None]
+        hi = _cubic_threshold(ThresholdKind.F_CS, grid.n, phi, phi > 0)
+        paint[(paint == 0) & (phi > 0) & (cne_existence_bound(grid.n) * phi < grid.betas)
+              & (grid.betas < hi)] = -1
+    elif figure not in ("fig2", "fig3", "fig4"):
+        raise ValueError(f"unknown figure {figure!r}")
     return paint
 
 

@@ -313,6 +313,13 @@ class TestStableResidual:
             # the z -> inf price limit (beta N^2 - phi)/(N(N-1)) - phi/N
             assert solve_cne(params).prices[0] == pytest.approx(1.35, abs=1e-9)
 
+    def test_coupled_newton_far_out_z(self):
+        # z* ~ 1.7e9: a fixed Jacobian step of 1e-7 rounded away and the
+        # coupled Newton raised "singular Jacobian"
+        eq = solve_cne(MarketParams.uniform(3, 3e-7, phi_cross=0.03, u0=-500.0))
+        self._check(eq)
+        assert eq.z.z_b == pytest.approx(1.66675e9, rel=1e-5)
+
 
 class TestCompareRegimes:
     def test_base_case(self):

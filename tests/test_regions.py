@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platform_eq.model import MarketParams, Side, cne_existence_bound
-from platform_eq.regions import (FIGURES, ThresholdKind, Verdict, classify_direction,
-                                 classify_existence, classify_sign_z, eval_threshold,
-                                 figure_paint, figure_threshold_curve, grid_agreement,
-                                 region_grid)
-from platform_eq.equilibrium import solve_cne
+from platform_eq.model import MarketParams, Side, check_cne_existence, cne_existence_bound
+from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, ThresholdKind, Verdict,
+                                 classify_direction, classify_existence, classify_sign_z,
+                                 eval_threshold, figure_paint, figure_threshold_curve,
+                                 grid_agreement, region_grid)
+from platform_eq.equilibrium import solve_cne, solve_decoupled_batch
 from platform_eq.statics import fd_derivative
 
 from test_model import bisect_isolate
@@ -155,6 +157,17 @@ class TestDirectionClassifiers:
                                    MarketParams.uniform(2, 0.52, phi_own=1.0), Side.BUYER)
         assert label.verdict is Verdict.INDETERMINATE
 
+    def test_profit_dn_reports_thresholds_evaluated(self):
+        # the z* cap uses f_pi for phi < 0 and h_pi for phi > 0; g_pi is
+        # evaluated only once z* clears the floor with phi > 0
+        cases = ((-0.5, 0.0, [ThresholdKind.F_PI]), (0.0, 0.0, []),
+                 (0.5, 0.0, [ThresholdKind.H_PI]),
+                 (0.5, 50.0, [ThresholdKind.H_PI, ThresholdKind.G_PI]))
+        for phi, z, kinds in cases:
+            params = MarketParams.uniform(4, 1.0, phi_own=phi)
+            label = classify_direction("profit", "n_platforms", params, Side.BUYER, z_star=z)
+            assert [kind for kind, _ in label.thresholds_used] == kinds, (phi, z)
+
     def test_profit_dn_base_case(self):
         params = MarketParams.uniform(2, 1.0)
         z = solve_cne(params).z.z_b
@@ -211,36 +224,37 @@ class TestDirectionClassifiers:
             checked += 1
 
 
+def _cells(grid):
+    """(phi, beta) meshes matching the grid's arrays."""
+    return np.meshgrid(grid.phis, grid.betas, indexing="ij")
+
+
+def _is(grid, verdict):
+    return grid.verdicts == VERDICTS.index(verdict)
+
+
 class TestRegionGrids:
     def test_fig1_boundary_trace(self):
         grid = region_grid("existence_cne", resolution=80, n=4)
-        nb = len(grid.betas)
+        phi, beta = _cells(grid)
         f4 = 0.375
-        for i, phi in enumerate(grid.phis):
-            for j, beta in enumerate(grid.betas):
-                verdict = grid.labels[i * nb + j].verdict
-                if phi <= 0:
-                    assert verdict is Verdict.POSITIVE
-                elif beta > f4 * phi + 0.02:
-                    assert verdict is Verdict.POSITIVE
-                elif beta < f4 * phi - 0.02:
-                    assert verdict is Verdict.NEGATIVE
+        positive, negative = _is(grid, Verdict.POSITIVE), _is(grid, Verdict.NEGATIVE)
+        assert positive[phi <= 0].all()
+        assert positive[(phi > 0) & (beta > f4 * phi + 0.02)].all()
+        assert negative[(phi > 0) & (beta < f4 * phi - 0.02)].all()
 
     def test_fig2_partition_at_gamma(self):
         grid = region_grid("sign_z_cne", resolution=60, n=4, u0=-1.0)
-        nb = len(grid.betas)
-        for i, phi in enumerate(grid.phis):
-            gamma = eval_threshold(ThresholdKind.GAMMA, 4, float(phi), -1.0)
-            for j, beta in enumerate(grid.betas):
-                label = grid.labels[i * nb + j]
-                if label.verdict is Verdict.POSITIVE:
-                    assert beta < gamma + 1e-9
-                elif label.verdict is Verdict.NEGATIVE:
-                    assert beta > gamma - 1e-9
+        _, beta = _cells(grid)
+        gamma = np.array([eval_threshold(ThresholdKind.GAMMA, 4, float(phi), -1.0)
+                          for phi in grid.phis])[:, None]
+        assert np.all((beta < gamma + 1e-9)[_is(grid, Verdict.POSITIVE)])
+        assert np.all((beta > gamma - 1e-9)[_is(grid, Verdict.NEGATIVE)])
 
     def test_grid_agreement_high(self):
         for classifier, u0 in (("sign_z_cne", -1.0), ("price_dn", 0.0),
-                               ("participation_dn", 0.0), ("cs_dn", 0.0)):
+                               ("participation_dn", 0.0), ("cs_dn", 0.0),
+                               ("existence_ce", 0.0)):
             grid = region_grid(classifier, resolution=50, n=4, u0=u0, solve_signs=True)
             agree, checked, frac = grid_agreement(grid)
             assert checked > 100
@@ -256,9 +270,36 @@ class TestRegionGrids:
         assert len(curve) > 10
 
     def test_errors_become_indeterminate(self):
+        # the scalar classifier reports "existence condition fails" exactly there
         grid = region_grid("sign_z_cne", resolution=12, n=4, u0=0.0)
-        bad = [l for l in grid.labels if l.verdict is Verdict.INDETERMINATE]
-        assert all(l.reason for l in bad)
+        fails = np.array([[not check_cne_existence(
+            MarketParams.uniform(4, float(beta), phi_own=float(phi)))[0]
+            for beta in grid.betas] for phi in grid.phis])
+        assert fails.any()
+        assert np.array_equal(_is(grid, Verdict.INDETERMINATE), fails)
+        assert np.all(np.isinf(grid.margins[fails]))
+
+    def test_missing_z_star_cells_are_indeterminate(self, monkeypatch):
+        # with no solved z*, the N >= 7 consumer-surplus band cannot be
+        # classified: the scalar classifier raises, the grid marks the cell
+        import platform_eq.regions as regions
+        monkeypatch.setattr(regions, "solve_decoupled_batch",
+                            lambda regime, beta, phi, n, u0: np.full(beta.shape, np.nan))
+        grid = region_grid("cs_dn", resolution=30, n=8, u0=-1.0)
+        raised = 0
+        for i, phi in enumerate(grid.phis):
+            for j, beta in enumerate(grid.betas):
+                params = MarketParams.uniform(8, float(beta), phi_own=float(phi), u0=-1.0)
+                try:
+                    label = classify_direction("consumer_surplus", "n_platforms",
+                                               params, Side.BUYER)
+                except ValueError:
+                    raised += 1
+                    assert VERDICTS[grid.verdicts[i, j]] is Verdict.INDETERMINATE
+                    assert grid.margins[i, j] == np.inf
+                    continue
+                assert VERDICTS[grid.verdicts[i, j]] is label.verdict
+        assert raised > 0
 
     def test_figure_specs_cover_panels(self):
         assert set(FIGURES) == {"fig1", "fig2", "fig3", "fig4", "fig5", "fig6"}
@@ -271,3 +312,44 @@ class TestRegionGrids:
                                   Side.BUYER).verdict is Verdict.POSITIVE
         assert classify_existence("ce", MarketParams.uniform(2, 0.1, phi_own=1.0),
                                   Side.BUYER).verdict is Verdict.NEGATIVE
+
+
+_SCALAR = {
+    "existence_cne": lambda p, z: classify_existence("cne", p, Side.BUYER),
+    "existence_ce": lambda p, z: classify_existence("ce", p, Side.BUYER),
+    "sign_z_cne": lambda p, z: classify_sign_z("cne", p, Side.BUYER),
+    "sign_z_ce": lambda p, z: classify_sign_z("ce", p, Side.BUYER),
+    "price_dn": lambda p, z: classify_direction("price", "n_platforms", p, Side.BUYER),
+    "participation_dn": lambda p, z: classify_direction("participation", "n_platforms",
+                                                        p, Side.BUYER),
+    "cs_dn": lambda p, z: classify_direction("consumer_surplus", "n_platforms", p,
+                                             Side.BUYER, z_star=z),
+}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(classifier=st.sampled_from(GRID_CLASSIFIERS),
+       n=st.one_of(st.integers(2, 12), st.just(200)),
+       u0=st.floats(-2.0, 2.0),
+       resolution=st.integers(4, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_scalar_classifiers_match_grid(classifier, n, u0, resolution, seed):
+    """Each scalar verdict and margin equals the grid's at that cell; a cell
+    where the scalar classifier raises is Indeterminate with margin inf."""
+    assert set(_SCALAR) == set(GRID_CLASSIFIERS)
+    grid = region_grid(classifier, resolution=resolution, n=n, u0=u0)
+    phi, beta = _cells(grid)
+    z = solve_decoupled_batch("cne", beta, phi, float(n), u0)
+    rng = np.random.default_rng(seed)
+    for i, j in rng.integers(0, resolution, size=(12, 2)):
+        params = MarketParams.uniform(n, float(beta[i, j]), phi_own=float(phi[i, j]), u0=u0)
+        z_cell = None if np.isnan(z[i, j]) else float(z[i, j])
+        try:
+            label = _SCALAR[classifier](params, z_cell)
+        except ValueError:
+            assert VERDICTS[grid.verdicts[i, j]] is Verdict.INDETERMINATE
+            assert grid.margins[i, j] == np.inf
+            continue
+        assert VERDICTS[grid.verdicts[i, j]] is label.verdict
+        assert grid.margins[i, j] == label.margin
+        assert grid.signs[i, j] == label.sign
