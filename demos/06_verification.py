@@ -3,9 +3,10 @@
 #
 # The solver finds the FOC root in z-space; verification works in price space
 # instead: let one platform deviate over a grid around the symmetric prices
-# (every candidate runs its own stage-2 fixed point), polish the best cell,
-# and confirm no profitable deviation exists.  Second-order conditions come
-# in closed form where available and as numeric Hessians always.
+# (every candidate runs its own stage-2 fixed point), polish the best cell
+# with Newton steps on exact price derivatives, and confirm no profitable
+# deviation exists.  Second-order conditions come in closed form where
+# available and as exact price-space Hessians always.
 
 # %%
 import dataclasses
@@ -51,7 +52,7 @@ for d, v in zip(offsets, row):
 # %%
 soc = soc_report(params, eq)
 print("competitive curvature (closed form):", soc.cne_diag)
-print("numeric price Hessian:\n", soc.numeric_hessian)
+print("price-space Hessian (exact):\n", soc.numeric_hessian)
 
 soc_ce = soc_report(params, solve_ce(params))
 print("collusive Hessian (closed form):\n", soc_ce.ce_hessian)

@@ -153,20 +153,6 @@ def _sigma(x: np.ndarray, params: MarketParams, prices: np.ndarray) -> np.ndarra
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _iterate(params: MarketParams, prices: np.ndarray, x0: np.ndarray,
-             damping: float, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    """Damped iteration x <- (1-d) x + d Sigma(x); returns (x, sup residual of Sigma(x)-x, iters)."""
-    x = x0
-    resid = np.inf
-    for it in range(max_iter):
-        s = _sigma(x, params, prices)
-        resid = np.max(np.abs(s - x))
-        if resid <= tol:
-            return x, float(resid), it
-        x = (1.0 - damping) * x + damping * s
-    return x, float(resid), max_iter
-
-
 def _coerce_prices(params: MarketParams, prices) -> np.ndarray:
     if isinstance(prices, PriceProfile):
         arr = prices.as_array()
@@ -200,15 +186,11 @@ def share_fixed_point(params: MarketParams, prices, damping: float = 0.5,
         raise ValueError("damping must lie in (0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = _coerce_prices(params, prices)
-    n = params.n_platforms
-    if x0 is None:
-        start = np.full((2, n + 1), 1.0 / (n + 1))
-    else:
-        start = x0.shares if isinstance(x0, MarketState) else np.asarray(x0, dtype=float)
-    x, resid, _ = _iterate(params, p, start, damping, tol, max_iter)
+    if x0 is not None:
+        x0 = x0.shares if isinstance(x0, MarketState) else np.asarray(x0, dtype=float)
+    x, resid = fixed_point_batch(params, prices, damping, tol, max_iter, x0=x0)
     if resid > tol:
-        raise FixedPointError("share fixed point did not converge", resid)
+        raise FixedPointError("share fixed point did not converge", float(resid))
     return MarketState(x)
 
 
@@ -218,14 +200,17 @@ def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized fixed point over a leading batch of price profiles.
 
-    Returns (shares, residuals) with shares of shape (..., 2, N+1); cells that
-    failed to converge keep their last iterate and a residual above tol.
+    Each sweep applies x <- (1-d) x + d Sigma(x) to every cell until all
+    cells meet tol.  Returns (shares, residuals) with shares of shape
+    (..., 2, N+1); cells that failed to converge keep their last iterate and
+    a residual above tol.  A single profile is the batch of shape ().
     """
     p = _coerce_prices(params, prices_batch)
     n = params.n_platforms
     if x0 is None:
         x0 = np.broadcast_to(np.full((2, n + 1), 1.0 / (n + 1)), p.shape[:-1] + (n + 1,)).copy()
     x = x0
+    resid = np.full(p.shape[:-2], np.inf)
     for _ in range(max_iter):
         s = _sigma(x, params, p)
         resid = np.max(np.abs(s - x), axis=(-2, -1))

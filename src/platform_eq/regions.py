@@ -676,7 +676,12 @@ def figure_paint(figure: str, grid: RegionGrid) -> np.ndarray:
 
 
 def figure_threshold_curve(figure: str, grid: RegionGrid) -> list[tuple[float, float]]:
-    """The (phi, beta) polyline of the figure's governing boundary, for overlay."""
+    """The (phi, beta) polyline of the figure's governing boundary, for overlay.
+
+    Phis where the boundary is undefined are skipped; an unknown figure raises.
+    """
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}")
     n, u0 = grid.n, grid.u0
     pts: list[tuple[float, float]] = []
     for phi in grid.phis:
@@ -690,10 +695,8 @@ def figure_threshold_curve(figure: str, grid: RegionGrid) -> list[tuple[float, f
                         else eval_threshold(ThresholdKind.G_P, n, float(phi)))
             elif figure == "fig5":
                 beta = eval_threshold(ThresholdKind.G_X, n) * phi if phi > 0 else 0.0
-            elif figure == "fig6":
-                beta = eval_threshold(ThresholdKind.G_CS, n) * phi if phi > 0 else 0.0
             else:
-                raise ValueError(f"unknown figure {figure!r}")
+                beta = eval_threshold(ThresholdKind.G_CS, n) * phi if phi > 0 else 0.0
         except ValueError:
             continue
         pts.append((float(phi), float(beta)))

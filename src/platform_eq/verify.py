@@ -2,10 +2,11 @@
 
 A competitive point is certified by letting one platform deviate in price space
 (every candidate runs its own stage-2 fixed point with the other N-1 platforms
-held at the symmetric prices) over a grid plus a simplex polish; the best gain
-over the symmetric profit should be numerically zero.  Second-order conditions
-come in closed form at zero cross-side externalities and as numeric price-space
-Hessians otherwise.
+held at the symmetric prices) over a grid plus a Newton polish; the best gain
+over the symmetric profit should be numerically zero.  The polish and the
+price-space second-order check use exact profit gradients and Hessians from the
+implicit function theorem on the stage-2 fixed point.  Second-order conditions
+also come in closed form at zero cross-side externalities.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ._families import eval_series, s_coefficients
-from .demand import fixed_point_batch, share_fixed_point
+from .demand import FixedPointError, MarketState, fixed_point_batch, share_fixed_point
 from .equilibrium import SymmetricEquilibrium, ZPoint
 from .model import MarketParams, Side
+
+# a polish step this small relative to the prices is the last one tried:
+# Newton's next step would sit below what the stage-2 tolerance resolves
+STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,16 +77,134 @@ def deviation_profit(params: MarketParams, others_price, deviation,
     return float(x1[0] * deviation[0] + x1[1] * deviation[1])
 
 
+@dataclass(frozen=True, eq=False)
+class ProfitDerivatives:
+    """Stage-1 objective at one price pair, with its exact price gradient and
+    Hessian, and the stage-2 fixed point they were taken at."""
+
+    prices: np.ndarray
+    profit: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+    state: MarketState
+
+
+def profit_derivatives(params: MarketParams, regime: str, q, others=None,
+                       damping: float = 0.5, tol: float = 1e-12,
+                       max_iter: int = 100_000, x0=None) -> ProfitDerivatives:
+    """Solve stage 2 once at price pair q and differentiate the objective.
+
+    regime "cne": platform 1 charges q while platforms 2..N charge `others`;
+    the objective is platform 1's profit.  regime "ce": every platform charges
+    q (`others` is unused); the objective is total profit.  Either way
+    pi = sum_k q_k w.y_k over the inside shares y_k, with w the platforms that
+    move (platform 1, or all).  The derivatives come from the fixed point
+    y = Sigma(y, p) by the implicit function theorem: with
+    J_k = (diag(y_k) - y_k y_k^T)/beta_k and M = I - [phi_kl J_k],
+    dy = M^-1 (-J E) and d2y = M^-1 sigma''[du, du], where du = Phi dy - E
+    and E places w on each side.
+    """
+    n = params.n_platforms
+    q = np.asarray(q, dtype=float)
+    if regime == "cne":
+        prices = _full_prices(params, others, q)
+        w = np.zeros(n)
+        w[0] = 1.0
+    elif regime == "ce":
+        prices = np.repeat(q[:, None], n, axis=1)
+        w = np.ones(n)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    state = share_fixed_point(params, prices, damping=damping, tol=tol,
+                              max_iter=max_iter, x0=x0)
+    y = state.platform_shares
+    beta = params.beta_arr
+    phi = params.phi_arr
+
+    # (k, n, m) logit Jacobians, the (2N, 2N) map derivative and M
+    jac = (y[:, :, None] * np.eye(n) - y[:, :, None] * y[:, None, :]) / beta[:, None, None]
+    a_map = (phi[:, None, :, None] * jac[:, :, None, :]).reshape(2 * n, 2 * n)
+    m_mat = np.eye(2 * n) - a_map
+    e = np.eye(2)[:, None, :] * w[None, :, None]               # (k, n, a)
+    dy = np.linalg.solve(m_mat, -(jac @ e).reshape(2 * n, 2)).reshape(2, n, 2)
+    du = np.einsum("kl,lna->kna", phi, dy) - e
+    yu = np.einsum("kn,kna->ka", y, du)                        # y_k . du_a
+    c = du - yu[:, None, :]                                    # du_a - y.du_a
+    cross = np.einsum("kn,kna,knb->kab", y, du, du) - yu[:, :, None] * yu[:, None, :]
+    rhs = y[:, :, None, None] * (c[:, :, :, None] * c[:, :, None, :] - cross[:, None]) \
+        / (beta ** 2)[:, None, None, None]
+    d2y = np.linalg.solve(m_mat, rhs.reshape(2 * n, 4)).reshape(2, n, 2, 2)
+
+    wy = y @ w                                                 # (k,)
+    wdy = np.einsum("n,kna->ka", w, dy)                        # (k, a)
+    grad = wy + q @ wdy
+    hess = wdy.T + wdy + np.einsum("k,n,knab->ab", q, w, d2y)
+    return ProfitDerivatives(prices=q, profit=float(q @ wy), gradient=grad,
+                             hessian=hess, state=state)
+
+
+def _symmetric_state(eq: SymmetricEquilibrium) -> np.ndarray:
+    """The (2, N+1) stage-2 shares of a solved symmetric point."""
+    n = eq.params.n_platforms
+    x = np.empty((2, n + 1))
+    x[:, 1:] = np.array(eq.shares)[:, None]
+    x[:, 0] = 1.0 - np.array(eq.participation)
+    return x
+
+
+def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,
+                   x0: np.ndarray, max_step: np.ndarray, iters: int,
+                   damping: float, tol: float, max_iter: int) -> ProfitDerivatives:
+    """Safeguarded Newton ascent on the deviator's profit from `start`.
+
+    The step is Newton's where the Hessian is negative definite and a gradient
+    step scaled by the Hessian's largest |eigenvalue| otherwise, capped at
+    max_step per price.  It is halved until profit does not fall and the
+    warm-started stage-2 solve converges; the polish ends once a step of at
+    most STEP_TOL (relative to the prices) has been tried.  Each solve starts
+    from the last accepted fixed point, so the polish follows that branch.
+    """
+    def solve(q, x):
+        return profit_derivatives(params, "cne", q, p_star, damping=damping,
+                                  tol=tol, max_iter=max_iter, x0=x)
+
+    cur = solve(start, x0)
+    for _ in range(iters):
+        q = cur.prices
+        eigs = np.linalg.eigvalsh(cur.hessian)
+        if eigs[-1] < 0:
+            step = -np.linalg.solve(cur.hessian, cur.gradient)
+        else:
+            step = cur.gradient / max(np.abs(eigs).max(), 1e-300)
+        step *= min(1.0, float(np.min(max_step / np.maximum(np.abs(step), 1e-300))))
+        while True:
+            small = np.max(np.abs(step)) <= STEP_TOL * max(1.0, float(np.max(np.abs(q))))
+            try:
+                trial = solve(q + step, cur.state)
+            except FixedPointError:
+                trial = None
+            if trial is not None and trial.profit >= cur.profit:
+                cur = trial
+                break
+            if small:
+                return cur
+            step = 0.5 * step
+        if small:
+            break
+    return cur
+
+
 def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
                 radius: float = 0.5, grid_n: int = 41,
                 polish_iters: int = 200, damping: float = 0.5,
                 fp_tol: float = 1e-12, grid_max_iter: int = 20_000) -> DeviationReport:
     """Grid search over deviating prices in [p* - r|p*|, p* + r|p*|]^2, then a
-    Nelder-Mead polish from the best cell.
+    safeguarded Newton polish from the best cell on exact price derivatives.
 
     The symmetric point itself sits in the search set, so best_gain >= -1e-12
     by construction; a materially positive gain falsifies the equilibrium and
-    is reported, not raised.
+    is reported, not raised.  Polish solves are capped at grid_max_iter and a
+    trial whose stage-2 solve does not converge is rejected, never raised.
     """
     if eq.regime != "cne":
         raise ValueError("verify_nash certifies competitive points")
@@ -98,11 +220,8 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     prices[:, 0, 0] = pb.ravel()
     prices[:, 1, 0] = ps.ravel()
 
-    n_opt = params.n_platforms + 1
-    x_sym = np.empty((2, n_opt))
-    x_sym[:, 1:] = np.array(eq.shares)[:, None]
-    x_sym[:, 0] = 1.0 - np.array(eq.participation)
-    x0 = np.broadcast_to(x_sym, (m, 2, n_opt)).copy()
+    x_sym = _symmetric_state(eq)
+    x0 = np.broadcast_to(x_sym, (m, 2, params.n_platforms + 1)).copy()
     shares, resid = fixed_point_batch(params, prices, damping=damping,
                                       tol=fp_tol, max_iter=grid_max_iter, x0=x0)
     profits = shares[:, 0, 1] * prices[:, 0, 0] + shares[:, 1, 1] * prices[:, 1, 0]
@@ -112,18 +231,22 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
                                    damping=damping, tol=fp_tol, x0=x_sym)
     best_idx = int(np.argmax(profits))
     best_prices = np.array([prices[best_idx, 0, 0], prices[best_idx, 1, 0]])
-    best_profit = max(float(profits[best_idx]), base_profit)
+    best_profit = float(profits[best_idx])
+    x_start = shares[best_idx]
+    if not best_profit >= base_profit:
+        best_prices, best_profit, x_start = p_star, base_profit, x_sym
 
-    refined = False
-    res = optimize.minimize(
-        lambda q: -deviation_profit(params, p_star, q, damping=damping,
-                                    tol=fp_tol, x0=x_sym),
-        best_prices, method="Nelder-Mead",
-        options={"maxiter": polish_iters, "xatol": 1e-10, "fatol": 1e-14})
-    if -res.fun > best_profit:
-        best_profit = -res.fun
-        best_prices = res.x
-        refined = True
+    try:
+        polished = _newton_polish(params, p_star, best_prices, x_start,
+                                  radius * np.maximum(1.0, np.abs(p_star)),
+                                  polish_iters, damping, fp_tol, grid_max_iter)
+    except FixedPointError:
+        polished = None
+    # a gain below what the stage-2 tolerance resolves in profit is noise
+    refined = polished is not None and polished.profit - best_profit > \
+        fp_tol * max(1.0, float(np.sum(np.abs(polished.prices))))
+    if refined:
+        best_profit, best_prices = polished.profit, polished.prices
 
     return DeviationReport(
         base=eq,
@@ -175,44 +298,14 @@ def soc_ce_hessian(z: ZPoint | tuple, params: MarketParams,
     return H, bool(neg_def)
 
 
-def numeric_price_hessian(params: MarketParams, eq: SymmetricEquilibrium,
-                          step_scale: float = 1e-4) -> np.ndarray:
-    """Second differences of the relevant stage-1 objective in price space.
-
-    For a competitive point the objective is the deviating platform's profit;
-    for a collusive point it is total profit with all platforms moving together.
-    Second differences lose half the working digits, so the step is coarse.
-    """
-    p_star = np.array(eq.prices)
-    h = step_scale * np.maximum(1.0, np.abs(p_star))
-
-    if eq.regime == "cne":
-        def objective(q):
-            return deviation_profit(params, p_star, q, tol=1e-13)
-    else:
-        def objective(q):
-            prices = np.repeat(np.asarray(q, dtype=float)[:, None], params.n_platforms, axis=1)
-            state = share_fixed_point(params, prices, tol=1e-13)
-            x1 = state.platform_shares[:, 0]
-            return float(params.n_platforms * (x1[0] * q[0] + x1[1] * q[1]))
-
-    f0 = objective(p_star)
-    H = np.empty((2, 2))
-    for a in (0, 1):
-        e_a = np.zeros(2)
-        e_a[a] = h[a]
-        H[a, a] = (objective(p_star + e_a) - 2.0 * f0 + objective(p_star - e_a)) / h[a] ** 2
-    e_b = np.array([h[0], 0.0])
-    e_s = np.array([0.0, h[1]])
-    H[0, 1] = H[1, 0] = (objective(p_star + e_b + e_s) - objective(p_star + e_b - e_s)
-                         - objective(p_star - e_b + e_s) + objective(p_star - e_b - e_s)) \
-        / (4.0 * h[0] * h[1])
-    return H
-
-
 def soc_report(params: MarketParams, eq: SymmetricEquilibrium) -> SOCReport:
-    """Assemble closed-form (when applicable) and numeric SOC diagnostics."""
-    numeric = numeric_price_hessian(params, eq)
+    """Assemble closed-form (when applicable) and exact price-space SOC
+    diagnostics; the latter differentiate the deviator's profit (cne) or
+    total profit with every platform moving together (ce) at the solved
+    stage-2 fixed point."""
+    p_star = np.array(eq.prices)
+    numeric = profit_derivatives(params, eq.regime, p_star, p_star,
+                                 x0=_symmetric_state(eq)).hessian
     eigs = np.linalg.eigvalsh(0.5 * (numeric + numeric.T))
     numeric_nd = bool(np.all(eigs < 0))
     cne_diag = None

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -170,6 +171,20 @@ class TestVerifyCommand:
         ini = tmp_path / "v.ini"
         ini.write_text(BASE_INI + "\n[verify]\nperturb_price = 0.1\ngrid_n = 21\n")
         assert main(["verify", "--config", str(ini)]) == 3
+
+    @pytest.mark.parametrize("n, beta, phi_own, u0", [
+        (3, 0.1, 0.3, -1.0), (5, 0.2, 0.8, -1.0), (5, 0.2, 0.8, 0.0)])
+    def test_nonpositive_margin_markets_report(self, tmp_path, capsys,
+                                               n, beta, phi_own, u0):
+        ini = tmp_path / "v.ini"
+        ini.write_text(
+            f"[market]\nn_platforms = {n}\nbeta_b = {beta}\nbeta_s = {beta}\n"
+            f"phi_bb = {phi_own}\nphi_ss = {phi_own}\nu0_b = {u0}\nu0_s = {u0}\n"
+            "\n[verify]\ngrid_n = 11\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(ini), "--out", str(out)]) == 3
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["deviation"]["certified"] is False and doc["passed"] is False
 
 
 class TestFiguresCommand:

@@ -269,6 +269,12 @@ class TestRegionGrids:
         curve = figure_threshold_curve("fig6", grid)
         assert len(curve) > 10
 
+    def test_unknown_figure_raises(self):
+        grid = region_grid("cs_dn", resolution=8, n=4, u0=0.0)
+        for paint_or_curve in (figure_paint, figure_threshold_curve):
+            with pytest.raises(ValueError, match="unknown figure"):
+                paint_or_curve("fig9", grid)
+
     def test_errors_become_indeterminate(self):
         # the scalar classifier reports "existence condition fails" exactly there
         grid = region_grid("sign_z_cne", resolution=12, n=4, u0=0.0)

@@ -1,15 +1,64 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platform_eq.equilibrium import solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
-from platform_eq.verify import (deviation_profit, numeric_price_hessian,
-                                soc_ce_hessian, soc_cne_diag, soc_report,
-                                verify_nash)
+from platform_eq.demand import FixedPointError, contraction_margin, share_fixed_point
+from platform_eq.verify import (DeviationReport, _symmetric_state, deviation_profit,
+                                profit_derivatives, soc_ce_hessian, soc_cne_diag,
+                                soc_report, verify_nash)
 
 BASE = MarketParams.uniform(2, 1.0)
+
+
+def collusive_profit(params, q, tol=1e-13, x0=None):
+    """Total profit with every platform charging q."""
+    prices = np.repeat(np.asarray(q, dtype=float)[:, None], params.n_platforms, axis=1)
+    x = share_fixed_point(params, prices, tol=tol, x0=x0).platform_shares
+    return float(np.sum(x.sum(axis=1) * q))
+
+
+def price_objective(params, regime, others, x0=None):
+    """The stage-1 objective in price space: the deviator's profit against
+    others (cne), or total profit with all platforms moving together (ce)."""
+    if regime == "cne":
+        return lambda q: deviation_profit(params, others, q, tol=1e-13, x0=x0)
+    return lambda q: collusive_profit(params, q, x0=x0)
+
+
+def central_differences(objective, q, h):
+    """Finite-difference oracle: central first and second differences of
+    objective at q with per-price steps h.  Second differences lose half the
+    working digits, so h should be coarse."""
+    q = np.asarray(q, dtype=float)
+    f0 = objective(q)
+    grad = np.empty(2)
+    H = np.empty((2, 2))
+    for a in (0, 1):
+        e_a = np.zeros(2)
+        e_a[a] = h[a]
+        f_plus, f_minus = objective(q + e_a), objective(q - e_a)
+        grad[a] = (f_plus - f_minus) / (2.0 * h[a])
+        H[a, a] = (f_plus - 2.0 * f0 + f_minus) / h[a] ** 2
+    e_b = np.array([h[0], 0.0])
+    e_s = np.array([0.0, h[1]])
+    H[0, 1] = H[1, 0] = (objective(q + e_b + e_s) - objective(q + e_b - e_s)
+                         - objective(q - e_b + e_s) + objective(q - e_b - e_s)) \
+        / (4.0 * h[0] * h[1])
+    return grad, H
+
+
+def numeric_price_hessian(params, eq, step_scale=1e-4):
+    """Second differences of the regime's objective at the solved prices."""
+    p_star = np.array(eq.prices)
+    h = step_scale * np.maximum(1.0, np.abs(p_star))
+    return central_differences(price_objective(params, eq.regime, p_star), p_star, h)[1]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +109,64 @@ class TestVerifyNash:
         eq = solve_cne(params)
         report = verify_nash(params, eq, radius=0.5, grid_n=21)
         assert report.certified(1e-6)
+
+    # gains the Nelder-Mead polish reported before the Newton polish replaced
+    # it (grid_n = 41): perturbed points, then markets outside the existence
+    # region that it rejected.  The Newton polish may not do worse by more than
+    # the stage-2 tolerance lets profit resolve.
+    @pytest.mark.parametrize("params, perturb, old_gain", [
+        (BASE, 0.1, 0.001647793053697666),
+        (MarketParams(3, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1)), 0.1,
+         0.001501579052659796),
+        (MarketParams.uniform(2, 0.1, phi_own=0.3, u0=-1), 0.1, 3.999465033237833e-07),
+        (MarketParams.uniform(2, 0.2, phi_own=0.8, u0=-1), 0.0, 0.40031780226594527),
+        (MarketParams.uniform(3, 0.1, phi_own=0.8, u0=0), 0.0, 0.16615945245744718),
+        (MarketParams.uniform(5, 0.05, phi_own=0.8, u0=-1), 0.0, 0.05501079068684703),
+    ])
+    def test_polish_no_weaker_than_simplex(self, params, perturb, old_gain):
+        eq = solve_cne(params)
+        target = dataclasses.replace(eq, prices=(eq.prices[0] + perturb,
+                                                 eq.prices[1] + perturb))
+        report = verify_nash(params, target)
+        assert report.refined and not report.certified(1e-6)
+        assert report.best_gain >= old_gain - 1e-11
+        # the polished point is stationary on the fixed-point branch it reports
+        at = profit_derivatives(params, "cne", report.best_deviation_prices,
+                                target.prices, x0=_symmetric_state(target))
+        assert at.profit == pytest.approx(report.base_profit + report.best_gain, abs=1e-11)
+        assert np.max(np.abs(at.gradient)) <= 1e-8
+
+    @pytest.mark.parametrize("n, beta, phi_own, u0", [
+        (3, 0.1, 0.3, -1.0), (5, 0.2, 0.8, -1.0), (5, 0.2, 0.8, 0.0)])
+    def test_polish_never_raises(self, n, beta, phi_own, u0):
+        # contraction margin <= 0, where a polish solve can fail to converge:
+        # the search still reports, and finds the profitable deviation
+        params = MarketParams.uniform(n, beta, phi_own=phi_own, u0=u0)
+        report = verify_nash(params, solve_cne(params), grid_n=11)
+        assert isinstance(report, DeviationReport)
+        assert report.best_gain > 1e-3 and not report.certified(1e-6)
+
+    @pytest.mark.parametrize("failing, refined", [(0, False), (1, True)])
+    def test_failed_polish_solves_are_rejected(self, base_eq, monkeypatch, failing, refined):
+        # polish solves carry max_iter = grid_max_iter.  If the one at the
+        # start fails, the grid result is reported; if the first trial fails,
+        # the step is halved and the polish goes on.
+        import platform_eq.verify as verify
+        real, polish_calls = verify.share_fixed_point, []
+
+        def flaky(params, prices, **kwargs):
+            if kwargs.get("max_iter") == 20_000:
+                polish_calls.append(prices)
+                if len(polish_calls) == failing + 1:
+                    raise FixedPointError("injected", 1.0)
+            return real(params, prices, **kwargs)
+
+        monkeypatch.setattr(verify, "share_fixed_point", flaky)
+        fake = dataclasses.replace(base_eq, prices=(base_eq.prices[0] + 0.1,
+                                                    base_eq.prices[1] + 0.1))
+        report = verify_nash(BASE, fake, radius=0.5, grid_n=21)
+        assert len(polish_calls) > failing
+        assert report.refined is refined and report.best_gain > 1e-4
 
     def test_rejects_ce_point(self):
         eq = solve_ce(BASE)
@@ -124,3 +231,44 @@ class TestSecondOrderConditions:
         rep = soc_report(params, solve_cne(params))
         assert rep.cne_diag is None
         assert rep.numeric_negative_definite
+
+
+@st.composite
+def contracting_markets(draw):
+    """Envelope markets (N < 7, beta in [0.2, 3], |u0| <= 2), decoupled or
+    with |cross| <= 0.05, and |phi_kk| + |phi_kl| < 2 min beta, so the
+    contraction margin is positive; plus a deviating and a rival price pair."""
+    n = draw(st.integers(2, 6))
+    beta = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)))
+    coupled = draw(st.booleans())
+    cross = [draw(st.floats(-0.05, 0.05)) if coupled else 0.0 for _ in range(2)]
+    room = min(1.0, 2.0 * min(beta) - 0.05)
+    own = [draw(st.floats(-0.95, 0.95)) * room for _ in range(2)]
+    u0 = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    params = MarketParams(n, beta, ((own[0], cross[0]), (cross[1], own[1])), u0)
+    prices = [np.array([draw(st.floats(-0.5, 2.5)), draw(st.floats(-0.5, 2.5))])
+              for _ in range(2)]
+    return params, prices[0], prices[1]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(contracting_markets())
+def test_exact_derivatives_match_central_differences(case):
+    # one stencil with h = 3e-4: the gradient's truncation error and the
+    # Hessian's fixed-point noise (1e-13 / h^2) both stay near 1e-7 .. 1e-6
+    params, q, others = case
+    assert contraction_margin(params) > 0
+    for regime in ("cne", "ce"):
+        exact = profit_derivatives(params, regime, q, others, tol=1e-13)
+        objective = price_objective(params, regime, others, x0=exact.state)
+        grad, hess = central_differences(objective, q, 3e-4 * np.maximum(1.0, np.abs(q)))
+        assert exact.profit == pytest.approx(objective(q), abs=1e-12)
+        assert np.all(np.abs(exact.gradient - grad) <= 1e-6 * (1.0 + np.abs(exact.gradient)))
+        assert np.all(np.abs(exact.hessian - hess) <= 3e-5 * (1.0 + np.abs(exact.hessian)))
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, platform_eq.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
