@@ -1,8 +1,8 @@
 """Numerical engine for two-sided platform markets with an outside option.
 
 Solves the user-side logit share fixed point, symmetric competitive and
-collusive equilibria in the normalized net-utility variable, closed-form
-comparative statics with finite-difference oracles, threshold/region
+collusive equilibria in the normalized net-utility variable, closed-form and
+implicit-function comparative statics with a finite-difference oracle, threshold/region
 classifiers over (phi_kk, beta_k) space, and deviation-search certification
 of solved equilibria.
 """
@@ -28,7 +28,7 @@ from .statics import (AnalyticDomainError, AsymptoticLimits, CoeffSeries,
                       DerivativeBundle, asymptotic_limits, build_coeffs,
                       dcs_dn, dcs_du0, derivative_bundle, dparticipation_dn,
                       dprice_dn, dprice_du0, dprofit_dn, dprofit_du0, dz_du0,
-                      fd_derivative)
+                      fd_derivative, ift_derivatives)
 from .verify import (DeviationReport, SOCReport, deviation_profit, soc_ce_hessian,
                      soc_cne_diag, soc_report, verify_nash)
 

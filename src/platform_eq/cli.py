@@ -30,7 +30,7 @@ from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
                       figure_paint, figure_threshold_curve, grid_agreement,
                       region_grid)
 from . import __version__
-from .statics import AnalyticDomainError, derivative_bundle, fd_derivative, _ANALYTIC_OPS
+from .statics import _ANALYTIC_OPS, ift_derivatives
 from .svg import BLUE, GRAY, RED, region_svg
 from .verify import soc_report, verify_nash
 
@@ -206,6 +206,28 @@ def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
     return params.replace(phi=(tuple(phi[0]), tuple(phi[1])))
 
 
+def _deriv_cells(params: MarketParams, eq) -> list:
+    """The 16 derivative cells of a cne sweep row: the closed forms at zero
+    cross externalities, otherwise one implicit-function solve.  A derivative
+    that cannot be formed writes error:<exception type>."""
+    if not params.cross_externalities_zero:
+        try:
+            d = ift_derivatives(eq)
+        except ArithmeticError as exc:
+            return [f"error:{type(exc).__name__}"] * (2 * len(DERIV_SPECS))
+        return [d[quantity, wrt][side.index]
+                for quantity, wrt, _name in DERIV_SPECS for side in Side]
+    cells = []
+    for quantity, wrt, _name in DERIV_SPECS:
+        for side in Side:
+            try:
+                cells.append(_ANALYTIC_OPS[(quantity, wrt)](params, side,
+                                                            z_star=eq.z.side(side)))
+            except ArithmeticError as exc:
+                cells.append(f"error:{type(exc).__name__}")
+    return cells
+
+
 def _sweep_row_worker(task) -> list[list]:
     params, regimes, tol, with_derivs = task
     rows = []
@@ -220,20 +242,8 @@ def _sweep_row_worker(task) -> list[list]:
             continue
         row = base + _eq_row(eq) + [""]  # empty error column
         if regime == "cne" and with_derivs:
-            analytic_ok = params.cross_externalities_zero
-            row.append("analytic" if analytic_ok else "fd")
-            for quantity, wrt, _name in DERIV_SPECS:
-                for side in Side:
-                    try:
-                        if analytic_ok:
-                            op = _ANALYTIC_OPS[(quantity, wrt)]
-                            val = op(params, side, z_star=eq.z.side(side))
-                        else:
-                            val = fd_derivative(quantity, wrt, params, side)
-                        row.append(val)
-                    except (ArithmeticError, AnalyticDomainError, SolverError,
-                            FixedPointError) as exc:
-                        row.append(f"error:{type(exc).__name__}")
+            row.append("analytic" if params.cross_externalities_zero else "ift")
+            row.extend(_deriv_cells(params, eq))
             row.append(classify_sign_z("cne", params, Side.BUYER).verdict.value)
             row.append(classify_sign_z("cne", params, Side.SELLER).verdict.value)
             for quantity, wrt, _name in CLASSIFIER_SPECS:

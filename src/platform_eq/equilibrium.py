@@ -157,7 +157,12 @@ def _price(regime: str, z, beta, phi, n):
 
     A pole of the competitive price reads as a non-finite value.
     """
-    om, o = omega(z, n), _outside(z, n)
+    return _share_price(regime, omega(z, n), _outside(z, n), beta, phi, n)
+
+
+def _share_price(regime: str, om, o, beta, phi, n):
+    """`_price` from the shares omega and o themselves.  Only + - * / act on
+    them, so complex shares and a complex N carry a complex step through."""
     own = np.stack([phi[0][0], phi[1][1]])
     lk = np.stack([phi[1][0], phi[0][1]])
     base = own * om + lk * om[::-1]
@@ -441,10 +446,11 @@ def consumer_surplus(params: MarketParams, prices, shares, n: float | None = Non
     """Per-side consumer surplus mu + beta (ln(N+1) + gamma_EM) - p + (Phi x)_k.
 
     The first term is the expected maximum of the N+1 idiosyncratic taste draws.
+    Nothing is cast to float, so a complex step passes through.
     """
-    n = float(params.n_platforms if n is None else n)
-    p = np.asarray(prices, dtype=float)
-    x = np.asarray(shares, dtype=float)
+    n = params.n_platforms if n is None else n
+    p = np.asarray(prices)
+    x = np.asarray(shares)
     emax = params.mu_arr + params.beta_arr * (np.log(n + 1.0) + EULER_GAMMA)
     return emax - p + params.phi_arr @ x
 

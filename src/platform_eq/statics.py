@@ -1,22 +1,26 @@
-"""Closed-form comparative statics at zero cross-side externalities, plus a
-finite-difference oracle valid for any parameters.
+"""Comparative statics of the competitive equilibrium: closed forms at zero
+cross-side externalities, the implicit function theorem for any market, and a
+finite-difference oracle that tests both.
 
 Every analytic derivative is a ratio of polynomial series in e^{z*} whose
 coefficients are polynomials in (beta_k, phi_kk, N) -- and, for the profit/N
 numerator, (u0_k, z*).  The analytic ops refuse to run when the cross-side
 externalities are nonzero: those closed forms simply do not apply there, and
-silently returning them would be a correctness trap.  Use the finite
-difference oracle instead in that regime.
+silently returning them would be a correctness trap.  `ift_derivatives` covers
+that regime from one 2x2 solve at z*.  A derivative that cannot be formed
+raises ArithmeticError; none returns NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import mk_slope, solve_cne
+from .equilibrium import (SymmetricEquilibrium, _outside, _share_price, consumer_surplus,
+                          mk_slope, omega, solve_cne)
 from .model import MarketParams, Side
 
 QUANTITIES = ("price", "profit", "consumer_surplus", "participation", "z")
@@ -24,6 +28,10 @@ DERIVATIVE_WRT = ("u0", "n_platforms")
 
 FD_STEP_U0 = 1e-5
 FD_STEP_N = 1e-4
+
+# Imaginary step of `ift_derivatives`: a complex step subtracts nothing, so
+# any step far below rounding size gives the derivative to full precision.
+COMPLEX_STEP = 1e-20
 
 
 class AnalyticDomainError(ValueError):
@@ -108,7 +116,7 @@ def _require_decoupled(params: MarketParams):
     if not params.cross_externalities_zero:
         raise AnalyticDomainError(
             "analytic comparative statics require zero cross-side externalities; "
-            "use fd_derivative instead")
+            "use ift_derivatives instead")
 
 
 def _z_star(params: MarketParams, side: Side, z_star: float | None, n: float | None) -> float:
@@ -122,7 +130,11 @@ def _ratio(num: CoeffSeries, den: CoeffSeries, z: float, sign: float = 1.0) -> f
     scale = max(1.0, max(abs(c) for c in den.coefficients))
     if abs(d) < 1e-300 * scale:
         raise ArithmeticError(f"vanishing denominator in {den.name}")
-    return sign * num.eval_at_z(z) / d
+    n = num.eval_at_z(z)
+    out = sign * n / d
+    if not all(map(math.isfinite, (n, d, out))):  # a series overflowed at this z
+        raise ArithmeticError(f"non-finite {num.name}/{den.name} at z = {z:.17g}")
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +226,60 @@ def dprofit_dn(params: MarketParams, side: Side, z_star: float | None = None,
     extras = {"u0": params.u0[side.index], "z": z}
     return _ratio(build_coeffs("n_pik", params, side, extras=extras, n=n),
                   build_coeffs("d_pik", params, side, n=n), z)
+
+
+# --------------------------------------------------------------------------
+# implicit-function derivatives for any market
+# --------------------------------------------------------------------------
+
+def ift_derivatives(eq: SymmetricEquilibrium) -> dict[tuple[str, str], tuple[float, float]]:
+    """d q_k / d u0_k and d q_k / dN of every quantity in QUANTITIES, on both
+    sides k of a solved equilibrium, keyed (quantity, wrt) with (buyer, seller)
+    values.  The sweep uses it for competitive rows with nonzero cross-side
+    externalities; it holds for any market and for either regime.
+
+    The FOC F(z; u0, N) = Phi omega - p - u0 - beta z, with the regime's price
+    p, vanishes at z*, so dz/du0 = -F_z^{-1} F_u0 = F_z^{-1} and
+    dz/dN = -F_z^{-1} F_N.  Price, profit p omega, consumer surplus,
+    participation N omega and z itself are explicit in (z, N):
+    dq/dtheta = q_z dz/dtheta + q_N dN/dtheta.  The
+    partials in z_b, z_s and N come from one complex step each through the
+    same share-space price: the shares omega and o are perturbed along their
+    exact tangents omega_z = omega o, o_z = -N omega o, omega_N = -omega^2 and
+    o_N = -omega o, so no e^z is formed in complex arithmetic.  A singular F_z
+    or a non-finite result raises ArithmeticError.
+    """
+    params, n = eq.params, eq.n
+    z = eq.z.as_array()
+    om, o = omega(z, n), _outside(z, n)
+    h = COMPLEX_STEP
+
+    def partials(dz, dn):
+        zc, nc = z + 1j * h * dz, n + 1j * h * dn
+        omc = om + 1j * h * om * (o * dz - om * dn)
+        oc = o - 1j * h * om * o * (n * dz + dn)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = _share_price(eq.regime, omc, oc, params.beta_arr, params.phi_arr, nc)
+            F = params.phi_arr @ omc - p - params.u0_arr - params.beta_arr * zc
+            cs = consumer_surplus(params, p, omc, nc)
+        return np.concatenate([F, p, p * omc, cs, nc * omc, zc]).imag / h
+
+    eye = np.eye(2)
+    # columns: the partials along z_b, z_s and N
+    J = np.column_stack([partials(eye[0], 0.0), partials(eye[1], 0.0),
+                         partials(0.0 * eye[0], 1.0)])
+    Fz, FN = J[:2, :2], J[:2, 2]
+    scale = abs(Fz[0, 0] * Fz[1, 1]) + abs(Fz[0, 1] * Fz[1, 0])
+    if not np.isfinite(J).all() or abs(np.linalg.det(Fz)) <= 1e-14 * scale:
+        raise ArithmeticError("singular or non-finite FOC Jacobian F_z at z*")
+    # columns: (dz_b, dz_s, dN) along u0_b, u0_s and N
+    dz = np.linalg.solve(Fz, np.column_stack([eye, -FN]))
+    D = J[2:] @ np.vstack([dz, [0.0, 0.0, 1.0]])
+    if not np.isfinite(D).all():
+        raise ArithmeticError("non-finite implicit-function derivative")
+    return {(q, wrt): (float(D[2 * i, col[0]]), float(D[2 * i + 1, col[1]]))
+            for i, q in enumerate(QUANTITIES)
+            for wrt, col in (("u0", (0, 1)), ("n_platforms", (2, 2)))}
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from platform_eq.cli import main
+import platform_eq.cli as cli
+import platform_eq.statics as statics
+from platform_eq.cli import DERIV_SPECS, main
 from platform_eq.config import ConfigError, parse_config
+from platform_eq.model import MarketParams, Side
 
 BASE_INI = """\
 [market]
@@ -146,6 +149,60 @@ class TestSweepCommand:
         _, rows = read_rows(d / "sweep.csv")
         nx = [float(r["nx_b"]) for r in rows]
         assert all(b > a for a, b in zip(nx, nx[1:]))
+
+    def test_coupled_rows_take_one_solve_and_ift(self, tmp_path, monkeypatch):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[market]\nn_platforms = 2\nbeta_b = 1.0\nbeta_s = 1.0\n"
+                       "phi_bb = 0.2\nphi_bs = 0.03\nphi_sb = 0.03\nphi_ss = 0.2\n"
+                       "\n[sweep]\naxis = u0\nstart = -1.0\nstop = 1.0\nstep = 1.0\n"
+                       "\n[solve]\nregime = cne\n")
+        calls = {"solve": 0, "fd": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.delenv("PLATFORM_EQ_JOBS", raising=False)  # counts need one process
+        monkeypatch.setattr(cli, "solve_cne", counting("solve", cli.solve_cne))
+        monkeypatch.setattr(statics, "solve_cne", counting("solve", statics.solve_cne))
+        monkeypatch.setattr(statics, "fd_derivative", counting("fd", statics.fd_derivative))
+        d = tmp_path / "out"
+        assert main(["sweep", "--config", str(ini), "--out", str(d), "--jobs", "1"]) == 0
+        _, rows = read_rows(d / "sweep.csv")
+        assert len(rows) == 3
+        assert calls == {"solve": 3, "fd": 0}
+        monkeypatch.undo()
+        for r in rows:
+            assert r["deriv_method"] == "ift"
+            assert not any(v.startswith("error:") for v in r.values())
+            params = MarketParams(2, (1.0, 1.0), ((0.2, 0.03), (0.03, 0.2)),
+                                  (float(r["u0_b"]), float(r["u0_s"])))
+            for quantity, wrt, name in DERIV_SPECS:
+                for side in Side:
+                    fd = statics.fd_derivative(quantity, wrt, params, side)
+                    assert abs(float(r[f"{name}_{side.label}"]) - fd) <= 1e-6, (name, side)
+
+    def test_overflowing_closed_forms_write_error_cells(self, tmp_path):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[market]\nn_platforms = 3\nbeta_b = 1.0\nbeta_s = 1.0\n"
+                       "phi_bb = 0.3\nphi_ss = 0.3\n"
+                       "\n[sweep]\naxis = u0\nstart = -500.0\nstop = -500.0\nstep = 1.0\n"
+                       "\n[solve]\nregime = cne\n")
+        d = tmp_path / "out"
+        assert main(["sweep", "--config", str(ini), "--out", str(d)]) == 0
+        _, rows = read_rows(d / "sweep.csv")
+        (row,) = rows
+        assert row["deriv_method"] == "analytic"
+        for _quantity, _wrt, name in DERIV_SPECS:
+            for side in ("b", "s"):
+                cell = row[f"{name}_{side}"]
+                assert "nan" not in cell
+                if name == "dz_du0":
+                    assert float(cell) == pytest.approx(-1.0)
+                else:
+                    assert cell == "error:ArithmeticError"
 
     def test_two_axis_sweep(self, tmp_path):
         ini = tmp_path / "sweep.ini"

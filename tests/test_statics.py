@@ -1,13 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from platform_eq import _families as fam
-from platform_eq.equilibrium import solve_cne
+from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side, cne_existence_bound
-from platform_eq.statics import (AnalyticDomainError, asymptotic_limits,
+from platform_eq.statics import (_ANALYTIC_OPS, DERIVATIVE_WRT, QUANTITIES,
+                                 AnalyticDomainError, asymptotic_limits,
                                  build_coeffs, dcs_dn, dcs_du0, derivative_bundle,
                                  dparticipation_dn, dprice_dn, dprice_du0,
-                                 dprofit_dn, dprofit_du0, dz_du0, fd_derivative)
+                                 dprofit_dn, dprofit_du0, dz_du0, fd_derivative,
+                                 ift_derivatives)
+
+from test_envelope import wide_markets
 
 ALL_OPS = (("price", "u0"), ("profit", "u0"), ("consumer_surplus", "u0"), ("z", "u0"),
            ("price", "n_platforms"), ("participation", "n_platforms"),
@@ -137,6 +145,96 @@ class TestAnalyticVsFiniteDifference:
                    dparticipation_dn, dcs_dn, dprofit_dn):
             with pytest.raises(AnalyticDomainError):
                 op(params, Side.BUYER)
+
+
+class TestNoSilentNaN:
+    def test_overflowing_closed_forms_raise(self):
+        # z* = 498.75: the degree-7 series overflow to inf/inf
+        params = MarketParams.uniform(3, 1.0, phi_own=0.3, u0=-500)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            dprice_du0(params, Side.BUYER)
+
+    def test_large_market_ops_raise_or_stay_finite(self):
+        # z* ~ 2e4: every series op raises; dz_du0 goes through mk_slope
+        params = MarketParams.uniform(10000, 0.001, u0=-20)
+        for (quantity, wrt), op in _ANALYTIC_OPS.items():
+            if quantity == "z":
+                assert np.isfinite(op(params, Side.BUYER))
+                continue
+            with pytest.raises(ArithmeticError):
+                op(params, Side.BUYER)
+
+
+def _close(value, reference, tol):
+    """|value - reference| <= tol * max(1, |reference|)."""
+    return abs(value - reference) <= tol * max(1.0, abs(reference))
+
+
+@st.composite
+def envelope_markets(draw, cross):
+    """Acceptance-envelope markets: N < 7, beta in [0.2, 3] lifted 0.05 above
+    the existence bound where phi_own > 0, |u0| <= 2, |phi_bs|, |phi_sb| <= cross."""
+    n = draw(st.integers(2, 6))
+    beta, own = [], []
+    for _ in range(2):
+        phi = draw(st.floats(-1.0, 1.0))
+        beta.append(max(draw(st.floats(0.2, 3.0)), cne_existence_bound(n) * phi + 0.05))
+        own.append(phi)
+    c = [draw(st.floats(-cross, cross)) if cross else 0.0 for _ in range(2)]
+    u0 = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    return MarketParams(n, tuple(beta), ((own[0], c[0]), (c[1], own[1])), u0)
+
+
+class TestImplicitFunctionDerivatives:
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(envelope_markets(cross=0.05))
+    def test_coupled_matches_fd(self, params):
+        d = ift_derivatives(solve_cne(params, tol=1e-12))
+        for quantity in QUANTITIES:
+            for wrt in DERIVATIVE_WRT:
+                for side in Side:
+                    fd = fd_derivative(quantity, wrt, params, side)
+                    assert _close(d[quantity, wrt][side.index], fd, 1e-6), (quantity, wrt, side)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(envelope_markets(cross=0.0))
+    def test_decoupled_matches_closed_forms(self, params):
+        eq = solve_cne(params, tol=1e-12)
+        d = ift_derivatives(eq)
+        for (quantity, wrt), op in _ANALYTIC_OPS.items():
+            for side in Side:
+                exact = op(params, side, z_star=eq.z.side(side))
+                assert _close(d[quantity, wrt][side.index], exact, 1e-10), (quantity, wrt, side)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(wide_markets())
+    def test_finite_or_raises_far_out(self, params):
+        try:
+            eq = solve_cne(params)
+        except SolverError:
+            return
+        try:
+            d = ift_derivatives(eq)
+        except ArithmeticError:
+            event("ift_derivatives raised ArithmeticError")
+            return
+        assert np.isfinite(list(d.values())).all()
+
+    def test_collusive_matches_central_differences(self):
+        params = MarketParams(3, (1.0, 0.8), ((0.2, 0.03), (-0.04, 0.1)), (0.3, -0.5))
+        d = ift_derivatives(solve_ce(params, tol=1e-12))
+        h = 1e-5
+        hi, lo = (solve_ce(params.replace(u0=(0.3 + s, -0.5)), tol=1e-12) for s in (h, -h))
+        assert _close(d["price", "u0"][0], (hi.prices[0] - lo.prices[0]) / (2 * h), 1e-6)
+        h = 1e-4
+        hi, lo = (solve_ce(params, tol=1e-12, n=3 + s) for s in (h, -h))
+        assert _close(d["participation", "n_platforms"][1],
+                      (hi.participation[1] - lo.participation[1]) / (2 * h), 1e-6)
+
+    def test_non_finite_point_raises(self):
+        eq = solve_cne(MarketParams(3, (1.0, 1.0), ((0.2, 0.03), (0.03, 0.2))))
+        with pytest.raises(ArithmeticError):
+            ift_derivatives(dataclasses.replace(eq, z=ZPoint(float("nan"), 0.0)))
 
 
 class TestSignRegions:
