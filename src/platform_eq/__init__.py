@@ -24,11 +24,10 @@ from .model import (Cubic, MarketParams, Side, check_ce_existence,
 from .regions import (FIGURES, RegionGrid, RegionLabel, ThresholdKind, Verdict,
                       classify_direction, classify_existence, classify_sign_z,
                       eval_threshold, grid_agreement, region_grid)
-from .statics import (AnalyticDomainError, AsymptoticLimits, CoeffSeries,
-                      DerivativeBundle, asymptotic_limits, build_coeffs,
-                      dcs_dn, dcs_du0, derivative_bundle, dparticipation_dn,
-                      dprice_dn, dprice_du0, dprofit_dn, dprofit_du0, dz_du0,
-                      fd_derivative, ift_derivatives)
+from .statics import (AnalyticDomainError, AsymptoticLimits, DerivativeBundle,
+                      asymptotic_limits, closed_form, dcs_dn, dcs_du0,
+                      derivative_bundle, dparticipation_dn, dprice_dn, dprice_du0,
+                      dprofit_dn, dprofit_du0, dz_du0, fd_derivative, ift_derivatives)
 from .verify import (DeviationReport, SOCReport, deviation_profit, soc_ce_hessian,
                      soc_cne_diag, soc_report, verify_nash)
 

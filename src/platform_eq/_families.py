@@ -1,10 +1,13 @@
 """Closed-form polynomial coefficient families in e^z for the decoupled model.
 
 Each builder returns the coefficients (lowest power first) of a polynomial
-sum_m c_m e^{m z} whose index range is fixed per family; `M_START` records the
-lowest power.  All are polynomials in (beta, phi, N) -- and for the profit/N
-numerator also (u0, z) -- valid when the cross-side externalities are zero.
-np operations throughout so the builders broadcast over parameter arrays.
+sum_m c_m e^{m z} whose index range is fixed per family; `FAMILIES` records
+the lowest power.  All are polynomials in (beta, phi, N) -- and for the
+profit/N numerator "n_pik" also (u0, z) -- valid when the cross-side
+externalities are zero.  A family that serves several closed forms appears
+once: the slope family "a" is also the denominator of dp*/du0, dCS*/du0 and
+dp*/dN, and "d_piu" that of dpi*/du0, d(Nx*)/dN and dpi*/dN.  np operations
+throughout so the builders broadcast over parameter arrays.
 """
 
 from __future__ import annotations
@@ -62,11 +65,6 @@ def n_pu_coefficients(beta, phi, n):
     ])
 
 
-def d_pu_coefficients(beta, phi, n):
-    """Denominator of dp*/du0 (coincides with the slope family)."""
-    return a_coefficients(beta, phi, n)
-
-
 def n_piu_coefficients(beta, phi, n):
     """Numerator of -dpi*/du0; valid with u0 eliminated through the FOC."""
     b, f, N = beta, phi, n
@@ -110,10 +108,6 @@ def n_csu_coefficients(beta, phi, n):
     ])
 
 
-def d_csu_coefficients(beta, phi, n):
-    return d_pu_coefficients(beta, phi, n)
-
-
 def n_p_coefficients(beta, phi, n):
     """Numerator of dp*/dN."""
     b, f, N = beta, phi, n
@@ -124,11 +118,6 @@ def n_p_coefficients(beta, phi, n):
         -b * (4*b**3 * N**3 + b**2 * f * N**2 * (1 - 4*N) + b*f**2 * N * (2*N - 3) + f**3),
         b**3 * N**4 * (f - b),
     ])
-
-
-def d_coefficients(beta, phi, n):
-    """Denominator of dp*/dN (identical to the slope family)."""
-    return a_coefficients(beta, phi, n)
 
 
 def n_nx_coefficients(beta, phi, n):
@@ -143,10 +132,6 @@ def n_nx_coefficients(beta, phi, n):
         b*N * (b**2 * N * (5*N**2 - 4*N + 3) + 2*b*f * (-5*N**2 + 4*N - 1) + (4*N - 3) * f**2),
         b**2 * N**2 * (b*N * (N**2 - N + 1) - (2*N**2 - 2*N + 1) * f),
     ])
-
-
-def d_nx_coefficients(beta, phi, n):
-    return d_piu_coefficients(beta, phi, n)
 
 
 def n_csk_coefficients(beta, phi, n):
@@ -192,10 +177,6 @@ def n_pik_coefficients(beta, phi, n, u0, z):
     ])
 
 
-def d_pik_coefficients(beta, phi, n):
-    return d_piu_coefficients(beta, phi, n)
-
-
 def y_beta_coefficients(phi, n):
     """Cubic in beta bounding the dCS*/dN numerator; coefficients of beta^0..beta^3."""
     f, N = phi, n
@@ -207,24 +188,19 @@ def y_beta_coefficients(phi, n):
     ])
 
 
-# registry: name -> (start power of e^z, builder, whether (u0, z) extras are needed)
+# registry: name -> (lowest power of e^z, builder)
 FAMILIES = {
-    "a": (0, a_coefficients, False),
-    "s": (0, s_coefficients, False),
-    "n_pu": (1, n_pu_coefficients, False),
-    "d_pu": (0, d_pu_coefficients, False),
-    "n_piu": (1, n_piu_coefficients, False),
-    "d_piu": (0, d_piu_coefficients, False),
-    "n_csu": (1, n_csu_coefficients, False),
-    "d_csu": (0, d_csu_coefficients, False),
-    "n_p": (2, n_p_coefficients, False),
-    "d": (0, d_coefficients, False),
-    "n_nx": (1, n_nx_coefficients, False),
-    "d_nx": (0, d_nx_coefficients, False),
-    "n_csk": (0, n_csk_coefficients, False),
-    "d_csk": (0, d_csk_coefficients, False),
-    "n_pik": (2, n_pik_coefficients, True),
-    "d_pik": (0, d_pik_coefficients, False),
+    "a": (0, a_coefficients),
+    "s": (0, s_coefficients),
+    "n_pu": (1, n_pu_coefficients),
+    "n_piu": (1, n_piu_coefficients),
+    "d_piu": (0, d_piu_coefficients),
+    "n_csu": (1, n_csu_coefficients),
+    "n_p": (2, n_p_coefficients),
+    "n_nx": (1, n_nx_coefficients),
+    "n_csk": (0, n_csk_coefficients),
+    "d_csk": (0, d_csk_coefficients),
+    "n_pik": (2, n_pik_coefficients),
 }
 
 

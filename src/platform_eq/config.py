@@ -76,9 +76,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "tolerance": (float, 1e-6),
         "perturb_price": (float, 0.0),
     },
-    "mc": {
-        "samples": (int, 1_000_000),
-    },
     "output": {
         "dir": (str, ""),
         "seed": (int, 0),

@@ -11,9 +11,10 @@ matrices `h_matrix`/`hc_matrix` stay as the reference the tests compare against.
 One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
 safeguarded Newton-bisection over arrays of markets on a bracket worked out
 from the inputs.  A scalar solve is one batch of its two sides; with nonzero
-cross-side externalities a damped Newton on the two-equation system starts
-from the decoupled root.  All formulas accept a real-valued platform count so
-that derivatives with respect to N can be validated by central differences.
+cross-side externalities a damped Newton on the two-equation system, its
+Jacobian exact by complex step, starts from the decoupled root.  All formulas
+accept a real-valued platform count so that derivatives with respect to N can
+be validated by central differences.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ Z_BRACKET = 60.0
 # double precision.  The bracket reaches beyond it only when |u0|/beta is large.
 SLOPE_Z_CAP = 80.0
 
-# Relative central-difference step of the coupled Newton's Jacobian: the step
-# on z_j is this times max(1, |z_j|), so z_j +- step stays distinct from z_j
-# in double precision however far out z_j lies.
-NEWTON_FD_STEP = 1e-7
+# Imaginary step of `_complex_partials`: a complex step subtracts nothing, so
+# any step far below rounding size gives the derivative to full precision
+# (Squire & Trapp 1998), however far out z lies.
+COMPLEX_STEP = 1e-20
 
 
 class FOCSingularityError(ArithmeticError):
@@ -251,6 +252,29 @@ def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarr
     return _residual("ce", z, params, n)
 
 
+def _complex_partials(regime: str, params: MarketParams, z: np.ndarray, n: float,
+                      dz, dn) -> np.ndarray:
+    """Directional partials, along (z_b, z_s, N) = (dz, dn), of the FOC residual
+    F, the price p, the profit p omega, the consumer surplus, the participation
+    N omega and z itself, each (buyer, seller), stacked in that order.
+
+    One complex step through the share-space price: the shares omega and o
+    move along their exact tangents omega_z = omega o, o_z = -N omega o,
+    omega_N = -omega^2 and o_N = -omega o, so no e^z is formed in complex
+    arithmetic.
+    """
+    om, o = omega(z, n), _outside(z, n)
+    h = COMPLEX_STEP
+    zc, nc = z + 1j * h * dz, n + 1j * h * dn
+    omc = om + 1j * h * om * (o * dz - om * dn)
+    oc = o - 1j * h * om * o * (n * dz + dn)
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = _share_price(regime, omc, oc, params.beta_arr, params.phi_arr, nc)
+        F = params.phi_arr @ omc - p - params.u0_arr - params.beta_arr * zc
+        cs = consumer_surplus(params, p, omc, nc)
+    return np.concatenate([F, p, p * omc, cs, nc * omc, zc]).imag / h
+
+
 # --------------------------------------------------------------------------
 # decoupled (zero cross-externality) scalar forms
 # --------------------------------------------------------------------------
@@ -404,19 +428,20 @@ def _scan_roots(regime: str, beta: float, phi_kk: float, n: float, u0: float) ->
 # coupled 2D Newton
 # --------------------------------------------------------------------------
 
-def _newton2d(residual, z0: np.ndarray, tol: float, max_iter: int = 80) -> np.ndarray:
+def _newton2d(regime: str, params: MarketParams, n: float, z0: np.ndarray, tol: float,
+              max_iter: int = 80) -> np.ndarray:
+    """Damped Newton on the two-equation FOC of one regime, from z0, with the
+    exact Jacobian F_z of `_complex_partials`."""
+    residual = cne_foc_residual if regime == "cne" else ce_foc_residual
     z = z0.copy()
-    F = residual(z)
+    F = residual(z, params, n)
     trace: list[str] = []
     for it in range(max_iter):
         err = float(np.max(np.abs(F)))
         if err <= tol:
             return z
-        J = np.empty((2, 2))
-        for j in range(2):
-            dz = np.zeros(2)
-            dz[j] = NEWTON_FD_STEP * max(1.0, abs(z[j]))
-            J[:, j] = (residual(z + dz) - residual(z - dz)) / (2.0 * dz[j])
+        J = np.column_stack([_complex_partials(regime, params, z, n, dz, 0.0)[:2]
+                             for dz in np.eye(2)])
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -424,7 +449,7 @@ def _newton2d(residual, z0: np.ndarray, tol: float, max_iter: int = 80) -> np.nd
         lam = 1.0
         for _ in range(100):
             z_new = z - lam * step
-            F_new = residual(z_new)
+            F_new = residual(z_new, params, n)
             if np.all(np.isfinite(F_new)) and np.max(np.abs(F_new)) < err:
                 break
             lam *= 0.5
@@ -501,8 +526,7 @@ def _solve(regime: str, params: MarketParams, tol: float, n: float | None) -> Sy
         raise SolverError(f"no root in range for the decoupled {regime} FOC")
 
     if not params.cross_externalities_zero:
-        residual_fn = cne_foc_residual if regime == "cne" else ce_foc_residual
-        z = _newton2d(lambda zz: residual_fn(zz, params, n), z, tol=min(tol, 1e-12))
+        z = _newton2d(regime, params, n, z, tol=min(tol, 1e-12))
     return _assemble(regime, z, params, n, warnings)
 
 

@@ -1,87 +1,42 @@
-"""Comparative statics of the competitive equilibrium: closed forms at zero
-cross-side externalities, the implicit function theorem for any market, and a
-finite-difference oracle that tests both.
+"""Comparative statics of the competitive equilibrium: the paper's closed forms
+at zero cross-side externalities, the implicit function theorem for any market,
+and a finite-difference oracle that tests both.
 
-Every analytic derivative is a ratio of polynomial series in e^{z*} whose
-coefficients are polynomials in (beta_k, phi_kk, N) -- and, for the profit/N
-numerator, (u0_k, z*).  The analytic ops refuse to run when the cross-side
-externalities are nonzero: those closed forms simply do not apply there, and
-silently returning them would be a correctness trap.  `ift_derivatives` covers
-that regime from one 2x2 solve at z*.  A derivative that cannot be formed
-raises ArithmeticError; none returns NaN.
+The closed forms are one table, `CLOSED_FORMS`: each (quantity, wrt) names a
+numerator family, a denominator family and a sign.  Every family is a
+polynomial series in e^{z*} whose coefficients are polynomials in
+(beta_k, phi_kk, N) -- and, for the profit/N numerator, (u0_k, z*).  One
+evaluator, `closed_form`, turns an entry into a number; `dprice_du0`, ...,
+`dprofit_dn` are that evaluator with its key bound.  It refuses to run when
+the cross-side externalities are nonzero: those closed forms simply do not
+apply there, and silently returning them would be a correctness trap.
+`ift_derivatives` covers that regime from one 2x2 solve at z*.  A derivative
+that cannot be formed raises ArithmeticError; none returns NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import (SymmetricEquilibrium, _outside, _share_price, consumer_surplus,
-                          mk_slope, omega, solve_cne)
+from .equilibrium import SymmetricEquilibrium, _complex_partials, mk_slope, solve_cne
 from .model import MarketParams, Side
 
 QUANTITIES = ("price", "profit", "consumer_surplus", "participation", "z")
 DERIVATIVE_WRT = ("u0", "n_platforms")
 
-FD_STEP_U0 = 1e-5
-FD_STEP_N = 1e-4
-
-# Imaginary step of `ift_derivatives`: a complex step subtracts nothing, so
-# any step far below rounding size gives the derivative to full precision.
-COMPLEX_STEP = 1e-20
+# Central-difference step of `fd_derivative`, in u0 and in N alike.  Its solves
+# at tol 1e-12 put noise of order tol/h into a difference, so a smaller step
+# loses more to that noise than it gains in truncation error.
+FD_STEP = 1e-4
 
 
 class AnalyticDomainError(ValueError):
     """Analytic comparative statics requested outside their validity domain."""
-
-
-@dataclass(frozen=True)
-class CoeffSeries:
-    """One coefficient family evaluated for concrete parameters.
-
-    `coefficients[i]` multiplies e^{(m_start+i) z}.  Evaluation factors the
-    lowest power out and runs Horner on the rest, which keeps deep-negative z
-    from flushing the whole series to 0/0 cancellation.
-    """
-
-    name: str
-    m_start: int
-    coefficients: tuple[float, ...]
-    beta: float
-    phi_kk: float
-    n: float
-    u0: float | None = None
-    z: float | None = None
-
-    def eval_at_z(self, z) -> float | np.ndarray:
-        out = fam.eval_series(np.asarray(self.coefficients), self.m_start, z)
-        return float(out) if np.ndim(out) == 0 else out
-
-
-def build_coeffs(family: str, params: MarketParams, side: Side,
-                 extras: dict | None = None, n: float | None = None) -> CoeffSeries:
-    """Build the named coefficient family for one side's parameters.
-
-    `extras` must supply {"u0": ..., "z": ...} for the profit/N numerator
-    family ("n_pik"); every other family is determined by (beta, phi_kk, N).
-    """
-    if family not in fam.FAMILIES:
-        raise ValueError(f"unknown coefficient family {family!r}")
-    m_start, builder, needs_extras = fam.FAMILIES[family]
-    n = float(params.n_platforms if n is None else n)
-    beta = params.beta[side.index]
-    phi_kk = params.phi_own(side)
-    if needs_extras:
-        if not extras or "u0" not in extras or "z" not in extras:
-            raise ValueError(f"family {family!r} needs extras {{'u0', 'z'}}")
-        u0, z = float(extras["u0"]), float(extras["z"])
-        coeffs = builder(beta, phi_kk, n, u0, z)
-        return CoeffSeries(family, m_start, tuple(coeffs), beta, phi_kk, n, u0=u0, z=z)
-    coeffs = builder(beta, phi_kk, n)
-    return CoeffSeries(family, m_start, tuple(coeffs), beta, phi_kk, n)
 
 
 @dataclass(frozen=True)
@@ -125,107 +80,72 @@ def _z_star(params: MarketParams, side: Side, z_star: float | None, n: float | N
     return solve_cne(params, tol=1e-12, n=n).z.side(side)
 
 
-def _ratio(num: CoeffSeries, den: CoeffSeries, z: float, sign: float = 1.0) -> float:
-    d = den.eval_at_z(z)
-    scale = max(1.0, max(abs(c) for c in den.coefficients))
-    if abs(d) < 1e-300 * scale:
-        raise ArithmeticError(f"vanishing denominator in {den.name}")
-    n = num.eval_at_z(z)
-    out = sign * n / d
-    if not all(map(math.isfinite, (n, d, out))):  # a series overflowed at this z
-        raise ArithmeticError(f"non-finite {num.name}/{den.name} at z = {z:.17g}")
+# --------------------------------------------------------------------------
+# the paper's closed forms at zero cross-side externalities
+# --------------------------------------------------------------------------
+
+# (quantity, wrt) -> (numerator family, denominator family, sign): the
+# derivative is sign * num(e^{z*}) / den(e^{z*}) with both families named in
+# `_families.FAMILIES`.  dz*/du0 has no series of its own: `closed_form`
+# returns 1 / mk_slope for it.
+DZ_DU0 = ("z", "u0")
+CLOSED_FORMS = {
+    ("price", "u0"): ("n_pu", "a", -1.0),
+    ("profit", "u0"): ("n_piu", "d_piu", -1.0),
+    ("consumer_surplus", "u0"): ("n_csu", "a", 1.0),
+    ("price", "n_platforms"): ("n_p", "a", 1.0),
+    ("participation", "n_platforms"): ("n_nx", "d_piu", 1.0),
+    ("consumer_surplus", "n_platforms"): ("n_csk", "d_csk", 1.0),
+    ("profit", "n_platforms"): ("n_pik", "d_piu", 1.0),
+}
+
+
+def closed_form(quantity: str, wrt: str, params: MarketParams, side: Side,
+                z_star: float | None = None, n: float | None = None) -> float:
+    """d quantity* / d wrt on one side, from the paper's closed form at z*.
+
+    z* is solved unless given; `n` evaluates at a real-valued platform count.
+    Only the profit/N numerator "n_pik" takes (u0, z*) besides (beta, phi_kk,
+    N).  A vanishing denominator or a series that overflows at z* raises
+    ArithmeticError.
+    """
+    key = (quantity, wrt)
+    if key != DZ_DU0 and key not in CLOSED_FORMS:
+        raise ValueError(f"no closed form for d{quantity}/d{wrt}")
+    _require_decoupled(params)
+    n = float(params.n_platforms if n is None else n)
+    z = _z_star(params, side, z_star, n)
+    beta, phi_kk = params.beta[side.index], params.phi_own(side)
+    if key == DZ_DU0:
+        slope = mk_slope(z, beta, phi_kk, n)
+        if not np.isfinite(slope) or abs(slope) < 1e-14:
+            raise ArithmeticError("singular FOC derivative")
+        return 1.0 / slope
+    num_name, den_name, sign = CLOSED_FORMS[key]
+    m0, build = fam.FAMILIES[den_name]
+    coeffs = build(beta, phi_kk, n)
+    den = float(fam.eval_series(coeffs, m0, z))
+    if abs(den) < 1e-300 * max(1.0, float(np.abs(coeffs).max())):
+        raise ArithmeticError(f"vanishing denominator in {den_name}")
+    extras = (params.u0[side.index], z) if num_name == "n_pik" else ()
+    m0, build = fam.FAMILIES[num_name]
+    num = float(fam.eval_series(build(beta, phi_kk, n, *extras), m0, z))
+    out = sign * num / den
+    if not all(map(math.isfinite, (num, den, out))):  # a series overflowed at this z
+        raise ArithmeticError(f"non-finite {num_name}/{den_name} at z = {z:.17g}")
     return out
 
 
-# --------------------------------------------------------------------------
-# analytic derivatives w.r.t. the outside utility
-# --------------------------------------------------------------------------
-
-def dz_du0(params: MarketParams, side: Side, z_star: float | None = None,
-           n: float | None = None) -> float:
-    """dz*/du0 = 1 / (dM/dz at z*); strictly negative in the existence region."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    slope = mk_slope(z, params.beta[side.index], params.phi_own(side), n)
-    if not np.isfinite(slope) or abs(slope) < 1e-14:
-        raise ArithmeticError("singular FOC derivative")
-    return 1.0 / slope
-
-
-def dprice_du0(params: MarketParams, side: Side, z_star: float | None = None,
-               n: float | None = None) -> float:
-    """dp*/du0 = -n_pu(e^{z*}) / d_pu(e^{z*})."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    return _ratio(build_coeffs("n_pu", params, side, n=n),
-                  build_coeffs("d_pu", params, side, n=n), z, sign=-1.0)
-
-
-def dprofit_du0(params: MarketParams, side: Side, z_star: float | None = None,
-                n: float | None = None) -> float:
-    """dpi*/du0 = -n_piu(e^{z*}) / d_piu(e^{z*})."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    return _ratio(build_coeffs("n_piu", params, side, n=n),
-                  build_coeffs("d_piu", params, side, n=n), z, sign=-1.0)
-
-
-def dcs_du0(params: MarketParams, side: Side, z_star: float | None = None,
-            n: float | None = None) -> float:
-    """dCS*/du0 = +n_csu(e^{z*}) / d_csu(e^{z*}); no leading minus, unlike price and profit."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    return _ratio(build_coeffs("n_csu", params, side, n=n),
-                  build_coeffs("d_csu", params, side, n=n), z)
-
-
-# --------------------------------------------------------------------------
-# analytic derivatives w.r.t. the number of platforms
-# --------------------------------------------------------------------------
-
-def dprice_dn(params: MarketParams, side: Side, z_star: float | None = None,
-              n: float | None = None) -> float:
-    """dp*/dN = n_p(e^{z*}) / d(e^{z*}) at real-valued N."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    return _ratio(build_coeffs("n_p", params, side, n=n),
-                  build_coeffs("d", params, side, n=n), z)
-
-
-def dparticipation_dn(params: MarketParams, side: Side, z_star: float | None = None,
-                      n: float | None = None) -> float:
-    """d(N x*)/dN = n_nx(e^{z*}) / d_nx(e^{z*})."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    return _ratio(build_coeffs("n_nx", params, side, n=n),
-                  build_coeffs("d_nx", params, side, n=n), z)
-
-
-def dcs_dn(params: MarketParams, side: Side, z_star: float | None = None,
-           n: float | None = None) -> float:
-    """dCS*/dN = n_csk(e^{z*}) / d_csk(e^{z*})."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    return _ratio(build_coeffs("n_csk", params, side, n=n),
-                  build_coeffs("d_csk", params, side, n=n), z)
-
-
-def dprofit_dn(params: MarketParams, side: Side, z_star: float | None = None,
-               n: float | None = None) -> float:
-    """dpi*/dN = n_pik(e^{z*}) / d_pik(e^{z*}); the numerator consumes u0 and z*."""
-    _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    extras = {"u0": params.u0[side.index], "z": z}
-    return _ratio(build_coeffs("n_pik", params, side, extras=extras, n=n),
-                  build_coeffs("d_pik", params, side, n=n), z)
+# Each op takes (params, side, z_star=None, n=None).
+_ANALYTIC_OPS = {key: partial(closed_form, *key) for key in (DZ_DU0, *CLOSED_FORMS)}
+dprice_du0 = _ANALYTIC_OPS["price", "u0"]
+dprofit_du0 = _ANALYTIC_OPS["profit", "u0"]
+dcs_du0 = _ANALYTIC_OPS["consumer_surplus", "u0"]
+dz_du0 = _ANALYTIC_OPS[DZ_DU0]
+dprice_dn = _ANALYTIC_OPS["price", "n_platforms"]
+dparticipation_dn = _ANALYTIC_OPS["participation", "n_platforms"]
+dcs_dn = _ANALYTIC_OPS["consumer_surplus", "n_platforms"]
+dprofit_dn = _ANALYTIC_OPS["profit", "n_platforms"]
 
 
 # --------------------------------------------------------------------------
@@ -242,32 +162,15 @@ def ift_derivatives(eq: SymmetricEquilibrium) -> dict[tuple[str, str], tuple[flo
     p, vanishes at z*, so dz/du0 = -F_z^{-1} F_u0 = F_z^{-1} and
     dz/dN = -F_z^{-1} F_N.  Price, profit p omega, consumer surplus,
     participation N omega and z itself are explicit in (z, N):
-    dq/dtheta = q_z dz/dtheta + q_N dN/dtheta.  The
-    partials in z_b, z_s and N come from one complex step each through the
-    same share-space price: the shares omega and o are perturbed along their
-    exact tangents omega_z = omega o, o_z = -N omega o, omega_N = -omega^2 and
-    o_N = -omega o, so no e^z is formed in complex arithmetic.  A singular F_z
-    or a non-finite result raises ArithmeticError.
+    dq/dtheta = q_z dz/dtheta + q_N dN/dtheta.  The partials in z_b, z_s and
+    N are one complex step each through the same share-space price, the one
+    the coupled Newton takes its Jacobian from.  A singular F_z or a
+    non-finite result raises ArithmeticError.
     """
-    params, n = eq.params, eq.n
-    z = eq.z.as_array()
-    om, o = omega(z, n), _outside(z, n)
-    h = COMPLEX_STEP
-
-    def partials(dz, dn):
-        zc, nc = z + 1j * h * dz, n + 1j * h * dn
-        omc = om + 1j * h * om * (o * dz - om * dn)
-        oc = o - 1j * h * om * o * (n * dz + dn)
-        with np.errstate(invalid="ignore", over="ignore"):
-            p = _share_price(eq.regime, omc, oc, params.beta_arr, params.phi_arr, nc)
-            F = params.phi_arr @ omc - p - params.u0_arr - params.beta_arr * zc
-            cs = consumer_surplus(params, p, omc, nc)
-        return np.concatenate([F, p, p * omc, cs, nc * omc, zc]).imag / h
-
     eye = np.eye(2)
     # columns: the partials along z_b, z_s and N
-    J = np.column_stack([partials(eye[0], 0.0), partials(eye[1], 0.0),
-                         partials(0.0 * eye[0], 1.0)])
+    J = np.column_stack([_complex_partials(eq.regime, eq.params, eq.z.as_array(), eq.n, dz, dn)
+                         for dz, dn in ((eye[0], 0.0), (eye[1], 0.0), (0.0 * eye[0], 1.0))])
     Fz, FN = J[:2, :2], J[:2, 2]
     scale = abs(Fz[0, 0] * Fz[1, 1]) + abs(Fz[0, 1] * Fz[1, 0])
     if not np.isfinite(J).all() or abs(np.linalg.det(Fz)) <= 1e-14 * scale:
@@ -309,8 +212,8 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
     analytic forms are unavailable).  For wrt="n_platforms" the solver is
     evaluated at real N +- h.
     """
+    h = FD_STEP if h is None else h
     if wrt == "u0":
-        h = FD_STEP_U0 if h is None else h
         u0 = list(params.u0)
         u0_hi, u0_lo = list(u0), list(u0)
         u0_hi[side.index] += h
@@ -318,7 +221,6 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
         hi = solve_cne(params.replace(u0=tuple(u0_hi)), tol=tol)
         lo = solve_cne(params.replace(u0=tuple(u0_lo)), tol=tol)
     elif wrt == "n_platforms":
-        h = FD_STEP_N if h is None else h
         n = float(params.n_platforms)
         hi = solve_cne(params, tol=tol, n=n + h)
         lo = solve_cne(params, tol=tol, n=n - h)
@@ -327,18 +229,6 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
     q_hi = _equilibrium_quantity(hi, quantity, side)
     q_lo = _equilibrium_quantity(lo, quantity, side)
     return (q_hi - q_lo) / (2.0 * h)
-
-
-_ANALYTIC_OPS = {
-    ("price", "u0"): dprice_du0,
-    ("profit", "u0"): dprofit_du0,
-    ("consumer_surplus", "u0"): dcs_du0,
-    ("z", "u0"): dz_du0,
-    ("price", "n_platforms"): dprice_dn,
-    ("participation", "n_platforms"): dparticipation_dn,
-    ("consumer_surplus", "n_platforms"): dcs_dn,
-    ("profit", "n_platforms"): dprofit_dn,
-}
 
 
 def derivative_bundle(quantity: str, wrt: str, params: MarketParams, side: Side,

@@ -8,10 +8,12 @@ envelopes with fixed seeds, so the suite is deterministic.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from platform_eq.cli import main as cli_main
 from platform_eq.demand import (FixedPointError, fixed_point_multistart,
                                 logit_shares, monte_carlo_shares,
                                 contraction_margin, share_fixed_point)
@@ -491,9 +493,7 @@ def test_c11_monte_carlo_demand():
                f"E[max] deviation {emax_dev:.2f} sigma (<3), {dt:.1f}s (<30s)")
 
 
-def test_c12_determinism(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("""\
+C12_INI = """\
 [market]
 n_platforms = 3
 beta_b = 1.1
@@ -509,7 +509,13 @@ step = 0.25
 
 [output]
 seed = 11
-""")
+"""
+GOLDEN_C12 = Path(__file__).parent / "data" / "c12_sweep.csv"
+
+
+def test_c12_determinism(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(C12_INI)
     outputs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
@@ -522,3 +528,11 @@ seed = 11
     ok = outputs[0] == outputs[1]
     report("C12 determinism", ok,
            f"identical config + seed -> byte-identical CSV ({len(outputs[0])} bytes)")
+
+
+def test_c12_sweep_matches_golden(tmp_path):
+    """The C12 sweep reproduces, byte for byte, the CSV committed with the suite."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(C12_INI)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_C12.read_bytes()

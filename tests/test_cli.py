@@ -48,6 +48,8 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(BASE_INI + "\n[platforms]\nx = 1\n")
+        with pytest.raises(ConfigError, match="unknown section"):
+            parse_config(BASE_INI + "\n[mc]\nsamples = 10\n")
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required"):

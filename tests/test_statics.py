@@ -2,15 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from platform_eq import _families as fam
 from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side, cne_existence_bound
-from platform_eq.statics import (_ANALYTIC_OPS, DERIVATIVE_WRT, QUANTITIES,
-                                 AnalyticDomainError, asymptotic_limits,
-                                 build_coeffs, dcs_dn, dcs_du0, derivative_bundle,
+from platform_eq.statics import (_ANALYTIC_OPS, CLOSED_FORMS, DERIVATIVE_WRT, DZ_DU0,
+                                 QUANTITIES, AnalyticDomainError, asymptotic_limits,
+                                 closed_form, dcs_dn, dcs_du0, derivative_bundle,
                                  dparticipation_dn, dprice_dn, dprice_du0,
                                  dprofit_dn, dprofit_du0, dz_du0, fd_derivative,
                                  ift_derivatives)
@@ -48,27 +48,20 @@ class TestCoefficientFamilies:
         assert len(s) == 8
 
     def test_family_index_ranges(self):
-        p = MarketParams.uniform(3, 1.2, phi_own=0.4)
-        expect = {"a": (0, 7), "s": (0, 8), "n_pu": (1, 5), "d_pu": (0, 7),
-                  "n_piu": (1, 6), "d_piu": (0, 8), "n_csu": (1, 5), "d_csu": (0, 7),
-                  "n_p": (2, 5), "d": (0, 7), "n_nx": (1, 6), "d_nx": (0, 8),
-                  "n_csk": (0, 7), "d_csk": (0, 7), "n_pik": (2, 6), "d_pik": (0, 8)}
+        expect = {"a": (0, 7), "s": (0, 8), "n_pu": (1, 5), "n_piu": (1, 6),
+                  "d_piu": (0, 8), "n_csu": (1, 5), "n_p": (2, 5), "n_nx": (1, 6),
+                  "n_csk": (0, 7), "d_csk": (0, 7), "n_pik": (2, 6)}
+        assert set(fam.FAMILIES) == set(expect)
         for name, (m0, count) in expect.items():
-            extras = {"u0": 0.1, "z": -0.5} if name == "n_pik" else None
-            series = build_coeffs(name, p, Side.BUYER, extras=extras)
-            assert series.m_start == m0
-            assert len(series.coefficients) == count
+            m_start, build = fam.FAMILIES[name]
+            extras = (0.1, -0.5) if name == "n_pik" else ()
+            assert m_start == m0
+            assert len(build(1.2, 0.4, 3.0, *extras)) == count
 
     def test_shared_denominators(self):
-        # d_csu = d_pu = d = a; d_piu = d_nx = d_pik; d_csk = (N+1) a
+        # d_csk = (N+1) a
         args = (1.37, -0.62, 4.0)
         a = fam.a_coefficients(*args)
-        assert np.array_equal(fam.d_pu_coefficients(*args), a)
-        assert np.array_equal(fam.d_csu_coefficients(*args), a)
-        assert np.array_equal(fam.d_coefficients(*args), a)
-        d7 = fam.d_piu_coefficients(*args)
-        assert np.array_equal(fam.d_nx_coefficients(*args), d7)
-        assert np.array_equal(fam.d_pik_coefficients(*args), d7)
         assert np.allclose(fam.d_csk_coefficients(*args), 5.0 * a, rtol=1e-15)
 
     def test_degree7_denominator_is_shifted_slope_family(self):
@@ -86,9 +79,10 @@ class TestCoefficientFamilies:
         zs = np.linspace(-30, 30, 121)
         for _ in range(25):
             p = random_valid_params(rng)
-            for name in ("d", "d_pu", "d_piu", "d_nx", "d_csk", "d_pik"):
-                series = build_coeffs(name, p, Side.BUYER)
-                assert np.all(series.eval_at_z(zs) > 0)
+            for name in ("a", "d_piu", "d_csk"):
+                m_start, build = fam.FAMILIES[name]
+                coeffs = build(p.beta[0], p.phi[0][0], float(p.n_platforms))
+                assert np.all(fam.eval_series(coeffs, m_start, zs) > 0)
 
     def test_slope_negative_in_region(self):
         rng = np.random.default_rng(32)
@@ -97,13 +91,6 @@ class TestCoefficientFamilies:
             p = random_valid_params(rng)
             zs = np.linspace(-30, 30, 121)
             assert np.all(mk_slope(zs, p.beta[0], p.phi[0][0], float(p.n_platforms)) < 0)
-
-    def test_build_coeffs_errors(self):
-        p = MarketParams.uniform(2, 1.0)
-        with pytest.raises(ValueError, match="unknown coefficient family"):
-            build_coeffs("nope", p, Side.BUYER)
-        with pytest.raises(ValueError, match="extras"):
-            build_coeffs("n_pik", p, Side.BUYER)
 
 
 class TestAnalyticVsFiniteDifference:
@@ -138,6 +125,10 @@ class TestAnalyticVsFiniteDifference:
         assert np.isfinite(val) and val < 0
         b = derivative_bundle("price", "u0", params, Side.BUYER)
         assert b.analytic is None and np.isnan(b.agreement)
+
+    def test_closed_form_unknown_key(self):
+        with pytest.raises(ValueError, match="no closed form"):
+            closed_form("participation", "u0", MarketParams.uniform(2, 1.0), Side.BUYER)
 
     def test_analytic_refuses_cross_externalities(self):
         params = MarketParams(2, (1.0, 1.0), ((0.0, 0.1), (0.0, 0.0)))
@@ -198,12 +189,15 @@ class TestImplicitFunctionDerivatives:
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(envelope_markets(cross=0.0))
+    @example(MarketParams(12, (0.3, 2.5), ((0.1, 0.0), (0.0, -1.5)), (-6.0, 5.0)))  # z_b ~ 19
     def test_decoupled_matches_closed_forms(self, params):
+        # every entry of the closed-form table and dz*/du0, through the evaluator
+        assert set(_ANALYTIC_OPS) == {DZ_DU0, *CLOSED_FORMS}
         eq = solve_cne(params, tol=1e-12)
         d = ift_derivatives(eq)
-        for (quantity, wrt), op in _ANALYTIC_OPS.items():
+        for quantity, wrt in _ANALYTIC_OPS:
             for side in Side:
-                exact = op(params, side, z_star=eq.z.side(side))
+                exact = closed_form(quantity, wrt, params, side, z_star=eq.z.side(side))
                 assert _close(d[quantity, wrt][side.index], exact, 1e-10), (quantity, wrt, side)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
