@@ -15,8 +15,8 @@ from .demand import (FixedPointError, MarketState, MonteCarloShares, PriceProfil
                      share_fixed_point)
 from .equilibrium import (RegimeComparison, SolverError, SymmetricEquilibrium,
                           ZPoint, ce_foc_residual, cne_foc_residual,
-                          compare_regimes, consumer_surplus, h_matrix, hc_matrix,
-                          omega, solve_ce, solve_cne)
+                          compare_regimes, consumer_surplus, omega, solve_ce,
+                          solve_cne)
 from .limits import LimitCheck, outside_option_limit_check, perfect_competition_check
 from .model import (Cubic, MarketParams, Side, check_ce_existence,
                     check_cne_existence, ce_existence_bound, cne_existence_bound,

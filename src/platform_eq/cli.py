@@ -21,7 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import (MARKET_KEYS, REGIMES, SCHEMA, SWEEP_AXES, ConfigError, RunConfig,
+                     load_config)
 from .demand import FixedPointError
 from .equilibrium import SolverError, compare_regimes, solve_cne, solve_ce
 from .limits import outside_option_limit_check, perfect_competition_check
@@ -31,11 +32,10 @@ from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
                       region_grid)
 from . import __version__
 from .statics import _ANALYTIC_OPS, ift_derivatives
-from .svg import BLUE, GRAY, RED, region_svg
+from .svg import PAINT_FILL, region_svg
 from .verify import soc_report, verify_nash
 
-INPUT_COLS = ("n_platforms", "beta_b", "beta_s", "phi_bb", "phi_bs", "phi_sb",
-              "phi_ss", "u0_b", "u0_s", "mu_b", "mu_s")
+INPUT_COLS = MARKET_KEYS
 EQ_COLS = ("regime", "z_b", "z_s", "p_b", "p_s", "x_b", "x_s", "nx_b", "nx_s",
            "pi_b", "pi_s", "pi_platform", "pi_aggregate", "cs_b", "cs_s",
            "foc_residual", "price_check", "warnings")
@@ -51,6 +51,12 @@ CLASSIFIER_SPECS = (("price", "u0", "vprice_du0"), ("profit", "u0", "vprofit_du0
                     ("participation", "n_platforms", "vpart_dn"),
                     ("consumer_surplus", "n_platforms", "vcs_dn"),
                     ("profit", "n_platforms", "vprofit_dn"))
+DERIV_COLS = tuple(f"{name}_{side.label}" for _q, _w, name in DERIV_SPECS for side in Side)
+# a sweep row leaves empty every column its regime and settings do not fill
+SWEEP_COLS = (INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS
+              + ("vsign_z_b", "vsign_z_s")
+              + tuple(f"{name}_{side.label}" for _q, _w, name in CLASSIFIER_SPECS
+                      for side in Side))
 
 
 def _fmt(v) -> str:
@@ -88,9 +94,8 @@ def _comments(cfg: RunConfig, command: str) -> list[str]:
 
 
 def _input_row(params: MarketParams) -> list:
-    return [params.n_platforms, params.beta[0], params.beta[1],
-            params.phi[0][0], params.phi[0][1], params.phi[1][0], params.phi[1][1],
-            params.u0[0], params.u0[1], params.mu[0], params.mu[1]]
+    return [params.n_platforms, *params.beta, *params.phi[0], *params.phi[1],
+            *params.u0, *params.mu]
 
 
 def _eq_row(eq) -> list:
@@ -178,32 +183,13 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
-    phi = [list(params.phi[0]), list(params.phi[1])]
-    if axis == "n_platforms":
+    field, cells = SWEEP_AXES[axis]
+    if field == "n_platforms":
         return params.replace(n_platforms=int(round(value)))
-    if axis in ("u0", "u0_b", "u0_s"):
-        u0 = list(params.u0)
-        if axis in ("u0", "u0_b"):
-            u0[0] = value
-        if axis in ("u0", "u0_s"):
-            u0[1] = value
-        return params.replace(u0=tuple(u0))
-    if axis in ("beta", "beta_b", "beta_s"):
-        beta = list(params.beta)
-        if axis in ("beta", "beta_b"):
-            beta[0] = value
-        if axis in ("beta", "beta_s"):
-            beta[1] = value
-        return params.replace(beta=tuple(beta))
-    if axis in ("phi_own", "phi_bb"):
-        phi[0][0] = value
-    if axis in ("phi_own", "phi_ss"):
-        phi[1][1] = value
-    if axis == "phi_bs":
-        phi[0][1] = value
-    if axis == "phi_sb":
-        phi[1][0] = value
-    return params.replace(phi=(tuple(phi[0]), tuple(phi[1])))
+    entries = np.array(getattr(params, field))
+    for cell in cells:
+        entries[cell] = value
+    return params.replace(**{field: entries.tolist()})
 
 
 def _deriv_cells(params: MarketParams, eq) -> list:
@@ -232,37 +218,31 @@ def _sweep_row_worker(task) -> list[list]:
     params, regimes, tol, with_derivs = task
     rows = []
     for regime in regimes:
-        base = _input_row(params)
+        cells = dict(zip(INPUT_COLS, _input_row(params)), regime=regime)
         try:
             eq = (solve_cne if regime == "cne" else solve_ce)(params, tol=tol)
         except (SolverError, FixedPointError, ArithmeticError) as exc:
             # empty equilibrium cells, the message in the error column
-            rows.append(base + [regime] + [""] * (len(EQ_COLS) - 1)
-                        + [f"{type(exc).__name__}: {exc}"])
-            continue
-        row = base + _eq_row(eq) + [""]  # empty error column
-        if regime == "cne" and with_derivs:
-            row.append("analytic" if params.cross_externalities_zero else "ift")
-            row.extend(_deriv_cells(params, eq))
-            row.append(classify_sign_z("cne", params, Side.BUYER).verdict.value)
-            row.append(classify_sign_z("cne", params, Side.SELLER).verdict.value)
-            for quantity, wrt, _name in CLASSIFIER_SPECS:
-                for side in Side:
-                    try:
-                        lab = classify_direction(quantity, wrt, params, side,
-                                                 z_star=eq.z.side(side))
-                        row.append(lab.verdict.value)
-                    except ValueError:
-                        row.append("error")
+            cells["error"] = f"{type(exc).__name__}: {exc}"
         else:
-            row.append("")
-            row.extend([""] * 16)
-            row.append(classify_sign_z("ce", params, Side.BUYER).verdict.value
-                       if regime == "ce" else "")
-            row.append(classify_sign_z("ce", params, Side.SELLER).verdict.value
-                       if regime == "ce" else "")
-            row.extend([""] * 14)
-        rows.append(row)
+            cells.update(zip(EQ_COLS, _eq_row(eq)))
+            if regime == "cne" and with_derivs:
+                cells["deriv_method"] = ("analytic" if params.cross_externalities_zero
+                                         else "ift")
+                cells.update(zip(DERIV_COLS, _deriv_cells(params, eq)))
+                for quantity, wrt, name in CLASSIFIER_SPECS:
+                    for side in Side:
+                        try:
+                            verdict = classify_direction(quantity, wrt, params, side,
+                                                         z_star=eq.z.side(side)).verdict.value
+                        except ValueError:
+                            verdict = "error"
+                        cells[f"{name}_{side.label}"] = verdict
+            if regime == "ce" or with_derivs:
+                for side in Side:
+                    cells[f"vsign_z_{side.label}"] = \
+                        classify_sign_z(regime, params, side).verdict.value
+        rows.append([cells.get(col, "") for col in SWEEP_COLS])
     return rows
 
 
@@ -278,31 +258,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tol = cfg.get("solve", "tol")
     regimes = _regimes(cfg)
     sweep = cfg.values["sweep"]
-    with_derivs = sweep["derivatives"]
-    axis1 = sweep["axis"]
-    vals1 = _axis_values(sweep["start"], sweep["stop"], sweep["step"])
-    tasks = []
+    points = [_apply_axis(params0, sweep["axis"], v)
+              for v in _axis_values(sweep["start"], sweep["stop"], sweep["step"])]
     if sweep["axis2"]:
         vals2 = _axis_values(sweep["start2"], sweep["stop2"], sweep["step2"])
-        for v1 in vals1:
-            for v2 in vals2:
-                p = _apply_axis(_apply_axis(params0, axis1, v1), sweep["axis2"], v2)
-                tasks.append((p, regimes, tol, with_derivs))
-    else:
-        for v1 in vals1:
-            tasks.append((_apply_axis(params0, axis1, v1), regimes, tol, with_derivs))
-
-    jobs = cfg.get("output", "jobs")
-    results = _map_ordered(_sweep_row_worker, tasks, jobs)
-    header = INPUT_COLS + EQ_COLS + ("error", "deriv_method")
-    for _q, _w, name in DERIV_SPECS:
-        header += (f"{name}_b", f"{name}_s")
-    header += ("vsign_z_b", "vsign_z_s")
-    for _q, _w, name in CLASSIFIER_SPECS:
-        header += (f"{name}_b", f"{name}_s")
-    rows = [row + [""] * (len(header) - len(row))
-            for chunk in results for row in chunk]
-    text = csv_text(_comments(cfg, "sweep") + [f"sweep axis {axis1}"], header, rows)
+        points = [_apply_axis(p, sweep["axis2"], v) for p in points for v in vals2]
+    tasks = [(p, regimes, tol, sweep["derivatives"]) for p in points]
+    results = _map_ordered(_sweep_row_worker, tasks, cfg.get("output", "jobs"))
+    rows = [row for chunk in results for row in chunk]
+    text = csv_text(_comments(cfg, "sweep") + [f"sweep axis {sweep['axis']}"], SWEEP_COLS, rows)
     _emit(text, cfg.get("output", "dir"), "sweep.csv")
     return 0
 
@@ -353,14 +317,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         },
         "passed": bool(certified and soc_ok),
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    sys.stdout.write(text)
     out_dir = cfg.get("output", "dir")
+    _emit(json.dumps(doc, indent=2) + "\n", out_dir, "verify.json")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "verify.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(text)
         rows = [[report.base_profit, report.best_gain,
                  report.best_deviation_prices[0], report.best_deviation_prices[1],
                  report.grid_radius, report.grid_n, report.refined, certified]]
@@ -369,21 +328,6 @@ def cmd_verify(cfg: RunConfig) -> int:
                         "radius", "grid_n", "refined", "certified"), rows),
               out_dir, "verify.csv", echo=False)
     return 0 if doc["passed"] else 3
-
-
-_FIGURE_LEGENDS = {
-    "fig1": [(BLUE, "unique symmetric equilibrium certified"),
-             (RED, "no uniqueness certificate")],
-    "fig2": [(BLUE, "net utility above outside option (z*>0)"),
-             (RED, "net utility below outside option (z*<0)")],
-    "fig3": [(BLUE, "z*>0 in the many-platform limit"),
-             (RED, "z*<0 in the many-platform limit")],
-    "fig4": [(BLUE, "entry raises prices"), (RED, "entry lowers prices"),
-             (GRAY, "unclassified")],
-    "fig5": [(BLUE, "entry raises participation"), (GRAY, "unclassified")],
-    "fig6": [(BLUE, "entry raises consumer surplus"),
-             (RED, "decrease band (needs z* cap)"), (GRAY, "unclassified")],
-}
 
 
 def _figure_worker(task):
@@ -399,16 +343,16 @@ def _figure_worker(task):
     columns = (phi, beta, verdict, grid.margins, paint, grid.solved_signs)
     rows = list(zip(*(c.ravel().tolist() for c in columns)))
     title = f"{figure}: {spec.description} (N={n:g}, u0={panel_u0:g})"
-    svg = region_svg(grid.phis, grid.betas, paint, curve, title,
-                     _FIGURE_LEGENDS[figure], width=width, height=height)
+    legend = [(PAINT_FILL[paint_id], text) for paint_id, text in spec.legend]
+    svg = region_svg(grid.phis, grid.betas, paint, curve, title, legend,
+                     width=width, height=height)
     stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{panel_u0:g}"
     return stem, rows, svg, (agree, checked, frac), n, panel_u0
 
 
 def cmd_figures(cfg: RunConfig) -> int:
     fig_conf = cfg.values["figure"]
-    fig_id = cfg.overrides.get("figure") or fig_conf["id"]
-    ids = [fig_id] if fig_id else list(FIGURES)
+    ids = [fig_conf["id"]] if fig_conf["id"] else list(FIGURES)
     for f in ids:
         if f not in FIGURES:
             raise ConfigError(f"unknown figure {f!r}; choose from {sorted(FIGURES)}")
@@ -423,8 +367,7 @@ def cmd_figures(cfg: RunConfig) -> int:
                           (gconf["phi_min"], gconf["phi_max"]),
                           (gconf["beta_min"], gconf["beta_max"]),
                           cfg.get("output", "width"), cfg.get("output", "height")))
-    jobs = cfg.get("output", "jobs")
-    results = _map_ordered(_figure_worker, tasks, jobs)
+    results = _map_ordered(_figure_worker, tasks, cfg.get("output", "jobs"))
     out_dir = cfg.get("output", "dir")
     for stem, rows, svg, (agree, checked, frac), n, u0 in results:
         comments = _comments(cfg, "figures") + [
@@ -434,10 +377,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         text = csv_text(comments, ("phi", "beta", "verdict", "margin", "paint",
                                    "solved_sign"), rows)
         _emit(text, out_dir, f"{stem}.csv", echo=False)
-        if out_dir:
-            with open(os.path.join(out_dir, f"{stem}.svg"), "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write(svg)
+        _emit(svg, out_dir, f"{stem}.svg", echo=False)
         sys.stdout.write(f"{stem}: {len(rows)} cells, sign agreement "
                          f"{agree}/{checked} ({frac:.4f})\n")
     return 0
@@ -461,27 +401,34 @@ def cmd_limits(cfg: RunConfig) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+COMMANDS = {
+    "solve": (cmd_solve, "solve one parameter point"),
+    "compare": (cmd_compare, "competitive vs collusive outputs"),
+    "classify": (cmd_classify, "sign/direction region classifiers"),
+    "sweep": (cmd_sweep, "parameter sweeps to CSV"),
+    "verify": (cmd_verify, "deviation search and second-order checks"),
+    "figures": (cmd_figures, "region grids as CSV + SVG"),
+    "limits": (cmd_limits, "asymptotic limit checks"),
+}
+# flag -> the [section] key it overrides; --figure exists on `figures` only
+FLAGS = {"regime": ("solve", "regime"), "out": ("output", "dir"),
+         "seed": ("output", "seed"), "tol": ("solve", "tol"),
+         "jobs": ("output", "jobs"), "figure": ("figure", "id")}
+_CHOICES = {"regime": REGIMES, "figure": sorted(FIGURES)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="platform-eq",
         description="Two-sided platform market equilibria with an outside option")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("solve", "solve one parameter point"),
-                            ("compare", "competitive vs collusive outputs"),
-                            ("classify", "sign/direction region classifiers"),
-                            ("sweep", "parameter sweeps to CSV"),
-                            ("verify", "deviation search and second-order checks"),
-                            ("figures", "region grids as CSV + SVG"),
-                            ("limits", "asymptotic limit checks")):
+    for name, (_command, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to INI config")
-        p.add_argument("--regime", choices=("cne", "ce", "both"))
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--jobs", type=int)
-        if name == "figures":
-            p.add_argument("--figure", choices=sorted(FIGURES))
+        for flag, (section, key) in FLAGS.items():
+            if flag != "figure" or name == "figures":
+                p.add_argument(f"--{flag}", type=SCHEMA[section][key][0],
+                               choices=_CHOICES.get(flag), help=f"overrides [{section}] {key}")
     return parser
 
 
@@ -489,27 +436,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.regime:
-            cfg.values["solve"]["regime"] = args.regime
-        if args.out is not None:
-            cfg.values["output"]["dir"] = args.out
-        if args.seed is not None:
-            cfg.values["output"]["seed"] = args.seed
-        if args.tol is not None:
-            cfg.values["solve"]["tol"] = args.tol
-        if args.jobs is not None:
-            cfg.values["output"]["jobs"] = args.jobs
-        env_jobs = os.environ.get("PLATFORM_EQ_JOBS")
-        if env_jobs:
-            cfg.values["output"]["jobs"] = int(env_jobs)
-        if getattr(args, "figure", None):
-            cfg.overrides["figure"] = args.figure
-        command = {
-            "solve": cmd_solve, "compare": cmd_compare, "classify": cmd_classify,
-            "sweep": cmd_sweep, "verify": cmd_verify, "figures": cmd_figures,
-            "limits": cmd_limits,
-        }[args.command]
-        return command(cfg)
+        for flag, (section, key) in FLAGS.items():
+            value = getattr(args, flag, None)
+            if value is not None:
+                cfg.values[section][key] = value
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import MarketParams
 
@@ -30,18 +30,18 @@ def _bool(raw: str) -> bool:
 
 # section -> key -> (type converter, default); default None means required
 SCHEMA: dict[str, dict[str, tuple]] = {
-    "market": {
+    "market": {  # in the order of the parameter echo and the CSV input columns
         "n_platforms": (int, None),
         "beta_b": (float, None),
         "beta_s": (float, None),
-        "mu_b": (float, 0.0),
-        "mu_s": (float, 0.0),
         "phi_bb": (float, 0.0),
         "phi_bs": (float, 0.0),
         "phi_sb": (float, 0.0),
         "phi_ss": (float, 0.0),
         "u0_b": (float, 0.0),
         "u0_s": (float, 0.0),
+        "mu_b": (float, 0.0),
+        "mu_s": (float, 0.0),
     },
     "solve": {
         "regime": (str, "both"),
@@ -85,8 +85,17 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-SWEEP_AXES = ("u0", "u0_b", "u0_s", "beta", "beta_b", "beta_s",
-              "phi_own", "phi_bb", "phi_ss", "phi_bs", "phi_sb", "n_platforms")
+MARKET_KEYS = tuple(SCHEMA["market"])
+REGIMES = ("cne", "ce", "both")
+
+# sweep axis -> (MarketParams field, the cells of that field it sets)
+SWEEP_AXES = {
+    "u0": ("u0", (0, 1)), "u0_b": ("u0", (0,)), "u0_s": ("u0", (1,)),
+    "beta": ("beta", (0, 1)), "beta_b": ("beta", (0,)), "beta_s": ("beta", (1,)),
+    "phi_own": ("phi", ((0, 0), (1, 1))), "phi_bb": ("phi", ((0, 0),)),
+    "phi_ss": ("phi", ((1, 1),)), "phi_bs": ("phi", ((0, 1),)), "phi_sb": ("phi", ((1, 0),)),
+    "n_platforms": ("n_platforms", ()),
+}
 
 
 @dataclass
@@ -95,12 +104,8 @@ class RunConfig:
 
     values: dict[str, dict[str, object]]
     sha256: str
-    source: str = ""
-    overrides: dict = field(default_factory=dict)
 
     def get(self, section: str, key: str):
-        if key in self.overrides:
-            return self.overrides[key]
         return self.values[section][key]
 
     @property
@@ -119,13 +124,11 @@ class RunConfig:
 
     def echo(self) -> str:
         m = self.values["market"]
-        keys = ("n_platforms", "beta_b", "beta_s", "phi_bb", "phi_bs", "phi_sb",
-                "phi_ss", "u0_b", "u0_s", "mu_b", "mu_s")
         return " ".join(f"{k}={m[k]:g}" if isinstance(m[k], float) else f"{k}={m[k]}"
-                        for k in keys)
+                        for k in MARKET_KEYS)
 
 
-def parse_config(text: str, source: str = "") -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text against SCHEMA."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -159,16 +162,16 @@ def parse_config(text: str, source: str = "") -> RunConfig:
 
     axis = values["sweep"]["axis"]
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
     axis2 = values["sweep"]["axis2"]
     if axis2 and axis2 not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis2 {axis2!r}")
     regime = values["solve"]["regime"]
-    if regime not in ("cne", "ce", "both"):
+    if regime not in REGIMES:
         raise ConfigError(f"regime must be cne, ce or both, not {regime!r}")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return RunConfig(values=values, sha256=digest, source=source)
+    return RunConfig(values=values, sha256=digest)
 
 
 def load_config(path: str) -> RunConfig:
@@ -177,4 +180,4 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, source=path)
+    return parse_config(text)

@@ -6,7 +6,7 @@ One function evaluates both prices in share space: in the per-platform share
 omega = 1/(e^{-z}+N) and the outside share o = 1/(1+N e^z), each in (0, 1), so
 nothing of size e^z is formed and then cancelled.  Every FOC residual, the
 decoupled scalar forms and the reported prices go through it; the literal
-matrices `h_matrix`/`hc_matrix` stay as the reference the tests compare against.
+matrices H and H^C live in the tests, as the reference it is checked against.
 
 One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
 safeguarded Newton-bisection over arrays of markets on a bracket worked out
@@ -40,10 +40,6 @@ SLOPE_Z_CAP = 80.0
 # any step far below rounding size gives the derivative to full precision
 # (Squire & Trapp 1998), however far out z lies.
 COMPLEX_STEP = 1e-20
-
-
-class FOCSingularityError(ArithmeticError):
-    """The pricing-matrix denominator (J_phi or a K factor) vanished."""
 
 
 class SolverError(RuntimeError):
@@ -189,51 +185,8 @@ def _as_z_array(z) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# literal pricing matrices (reference) and FOC residuals
+# FOC residuals
 # --------------------------------------------------------------------------
-
-def h_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
-    """Competitive pricing matrix H(z).
-
-    Entries combine L_k = (N-1) beta_k (1+N e^{z_k}) / J_phi,
-    d_k = beta_k (1+N e^{z_k}), h_k = beta_k (1+e^{z_k})(e^{-z_k}+N),
-    K_k = phi_kk - beta_k (1+N e^{z_k})(e^{-z_k}+N-1) and
-    J_phi = K_b K_s - phi_sb phi_bs.
-    """
-    zv = _as_z_array(z)
-    n = float(params.n_platforms if n is None else n)
-    beta = params.beta_arr
-    phi = params.phi_arr
-    with np.errstate(over="ignore", invalid="ignore"):
-        ez = np.exp(zv)
-        emz = np.exp(-zv)
-        one_nez = 1.0 + n * ez
-        d = beta * one_nez
-        h = beta * (1.0 + ez) * (emz + n)
-        K = np.diag(phi) - beta * one_nez * (emz + n - 1.0)
-        j_phi = K[0] * K[1] - phi[1, 0] * phi[0, 1]
-        scale = abs(K[0] * K[1]) + abs(phi[1, 0] * phi[0, 1]) + 1.0
-        if abs(j_phi) < 1e-14 * scale:
-            raise FOCSingularityError("FOC singularity (J_phi or K_k vanishes)")
-        L = (n - 1.0) * beta * one_nez / j_phi
-        return np.array([
-            [L[0] * d[0] * K[1] + h[0] - phi[0, 0], -phi[1, 0] * (d[1] * L[0] + 1.0)],
-            [-phi[0, 1] * (d[0] * L[1] + 1.0), L[1] * d[1] * K[0] + h[1] - phi[1, 1]],
-        ])
-
-
-def hc_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
-    """Collusive pricing matrix H^C(z): diagonal beta_k (1+N e^{z_k})^2 / e^{z_k} - phi_kk,
-    off-diagonal -phi_sb / -phi_bs."""
-    zv = _as_z_array(z)
-    n = float(params.n_platforms if n is None else n)
-    beta = params.beta_arr
-    phi = params.phi_arr
-    # (1+N e^z)^2 / e^z expanded so neither exponential is squared
-    with np.errstate(over="ignore"):
-        diag = beta * (np.exp(-zv) + 2.0 * n + n * n * np.exp(zv)) - np.diag(phi)
-    return np.array([[diag[0], -phi[1, 0]], [-phi[0, 1], diag[1]]])
-
 
 def _residual(regime: str, z, params: MarketParams, n: float | None) -> np.ndarray:
     zv = _as_z_array(z)

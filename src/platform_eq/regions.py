@@ -146,64 +146,9 @@ _CUBIC_KINDS = {
     ThresholdKind.F_CS: (_fcs_cubic, "largest"),
 }
 
-_NEEDS_PHI = {ThresholdKind.GAMMA, ThresholdKind.GAMMA_C, ThresholdKind.U_TILDE,
-              ThresholdKind.U_TILDE_C} | set(_CUBIC_KINDS)
-_NEEDS_U0 = {ThresholdKind.GAMMA, ThresholdKind.GAMMA_C}
 
-
-def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
-                   u0: float | None = None) -> float:
-    """Evaluate one threshold.
-
-    N-only kinds return the multiplier of phi_kk (or the plain bound); cubic
-    kinds return the designated real root of their polynomial in beta built
-    with the actual phi_kk, i.e. a value directly comparable to beta_k.
-    GAMMA and GAMMA_C also take arrays of phi_kk.
-    """
-    n = float(n)
-    if n < 2:
-        raise ValueError("thresholds are defined for N >= 2")
-    if phi_kk is None and kind in _NEEDS_PHI:
-        raise ValueError(f"{kind.value} requires phi_kk")
-    if u0 is None and kind in _NEEDS_U0:
-        raise ValueError(f"{kind.value} requires u0")
-
-    if kind is ThresholdKind.F_EXISTENCE:
-        return cne_existence_bound(n)
-    if kind is ThresholdKind.CE_EXISTENCE:
-        return ce_existence_bound(n)
-    if kind is ThresholdKind.GAMMA:
-        a = 2.0 * phi_kk - n * u0
-        rad = a * a + 4.0 * phi_kk * (u0 - 2.0 * phi_kk / (n + 1.0))
-        return (a + np.sqrt(np.maximum(rad, 0.0))) / (2.0 * (n + 1.0))
-    if kind is ThresholdKind.GAMMA_C:
-        return (2.0 * phi_kk - u0 * (n + 1.0)) / (n + 1.0) ** 2
-    if kind is ThresholdKind.U_TILDE:
-        if phi_kk <= 0:
-            return 2.0 * phi_kk / (n + 1.0)
-        return -2.0 * (n**4 - 2.0 * n**3 - 2.0 * n**2 + 2.0 * n + 2.0) * phi_kk \
-            / (n**3 * (2.0 * n**3 + n**2 - 3.0 * n - 2.0))
-    if kind is ThresholdKind.U_TILDE_C:
-        if phi_kk <= 0:
-            return 2.0 * phi_kk / (n + 1.0)
-        return -2.0 * (n * (4.0 * n - 19.0) + 4.0) * phi_kk / (27.0 * n * (n + 1.0))
-    if kind is ThresholdKind.G_P_U:
-        return (n + math.sqrt((n - 1.0) * (n + 3.0)) + 1.0) / (2.0 * n)
-    if kind is ThresholdKind.F_P_U:
-        return 0.5 * (math.sqrt((n - 2.0) / n) + 1.0)
-    if kind is ThresholdKind.G_PI_U:
-        return math.sqrt((n - 1.0) / n**3) + 1.0 / n
-    if kind is ThresholdKind.G_X:
-        return (2.0 * n**2 - 2.0 * n + 1.0) / (n * (n**2 - n + 1.0))
-    if kind is ThresholdKind.G_CS:
-        return (2.0 * n**3 - n + 1.0) / (n**2 * (n**2 - n + 2.0))
-    if kind is ThresholdKind.H_PI:
-        return (2.0 * n - 1.0) / n**2
-    if kind is ThresholdKind.TWO_PHI:
-        return 2.0
-    if kind is ThresholdKind.PHI:
-        return 1.0
-
+def _cubic_root(kind: ThresholdKind, n: float, phi_kk: float) -> float:
+    """The designated real root of kind's cubic in beta, built with phi_kk."""
     if kind is ThresholdKind.F_P and n < 4:
         if n < 3:
             raise ValueError("f_p is defined for N >= 3")
@@ -224,6 +169,70 @@ def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
             return max(roots, key=lambda r: abs(cubic.derivative(r)))
         raise ValueError(f"threshold undefined here: {kind.value} expects a unique real root")
     return roots[-1]
+
+
+def _gamma(n, phi_kk, u0):
+    a = 2.0 * phi_kk - n * u0
+    rad = a * a + 4.0 * phi_kk * (u0 - 2.0 * phi_kk / (n + 1.0))
+    return (a + np.sqrt(np.maximum(rad, 0.0))) / (2.0 * (n + 1.0))
+
+
+def _u_tilde(n, phi_kk):
+    if phi_kk <= 0:
+        return 2.0 * phi_kk / (n + 1.0)
+    return -2.0 * (n**4 - 2.0 * n**3 - 2.0 * n**2 + 2.0 * n + 2.0) * phi_kk \
+        / (n**3 * (2.0 * n**3 + n**2 - 3.0 * n - 2.0))
+
+
+def _u_tilde_c(n, phi_kk):
+    if phi_kk <= 0:
+        return 2.0 * phi_kk / (n + 1.0)
+    return -2.0 * (n * (4.0 * n - 19.0) + 4.0) * phi_kk / (27.0 * n * (n + 1.0))
+
+
+# kind -> (evaluator, needs phi_kk, needs u0); the evaluator takes N, then
+# phi_kk and u0 where it needs them
+_THRESHOLDS = {
+    ThresholdKind.F_EXISTENCE: (cne_existence_bound, False, False),
+    ThresholdKind.CE_EXISTENCE: (ce_existence_bound, False, False),
+    ThresholdKind.GAMMA: (_gamma, True, True),
+    ThresholdKind.GAMMA_C: (
+        lambda n, phi, u0: (2.0 * phi - u0 * (n + 1.0)) / (n + 1.0) ** 2, True, True),
+    ThresholdKind.U_TILDE: (_u_tilde, True, False),
+    ThresholdKind.U_TILDE_C: (_u_tilde_c, True, False),
+    ThresholdKind.G_P_U: (
+        lambda n: (n + math.sqrt((n - 1.0) * (n + 3.0)) + 1.0) / (2.0 * n), False, False),
+    ThresholdKind.F_P_U: (lambda n: 0.5 * (math.sqrt((n - 2.0) / n) + 1.0), False, False),
+    ThresholdKind.G_PI_U: (lambda n: math.sqrt((n - 1.0) / n**3) + 1.0 / n, False, False),
+    ThresholdKind.G_X: (
+        lambda n: (2.0 * n**2 - 2.0 * n + 1.0) / (n * (n**2 - n + 1.0)), False, False),
+    ThresholdKind.G_CS: (
+        lambda n: (2.0 * n**3 - n + 1.0) / (n**2 * (n**2 - n + 2.0)), False, False),
+    ThresholdKind.H_PI: (lambda n: (2.0 * n - 1.0) / n**2, False, False),
+    ThresholdKind.TWO_PHI: (lambda n: 2.0, False, False),
+    ThresholdKind.PHI: (lambda n: 1.0, False, False),
+    **{kind: (partial(_cubic_root, kind), True, False) for kind in _CUBIC_KINDS},
+}
+
+
+def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
+                   u0: float | None = None) -> float:
+    """Evaluate one threshold.
+
+    N-only kinds return the multiplier of phi_kk (or the plain bound); cubic
+    kinds return the designated real root of their polynomial in beta built
+    with the actual phi_kk, i.e. a value directly comparable to beta_k.
+    GAMMA and GAMMA_C also take arrays of phi_kk.
+    """
+    n = float(n)
+    if n < 2:
+        raise ValueError("thresholds are defined for N >= 2")
+    evaluator, needs_phi, needs_u0 = _THRESHOLDS[kind]
+    if phi_kk is None and needs_phi:
+        raise ValueError(f"{kind.value} requires phi_kk")
+    if u0 is None and needs_u0:
+        raise ValueError(f"{kind.value} requires u0")
+    return evaluator(n, *(phi_kk,) * needs_phi, *(u0,) * needs_u0)
 
 
 # --------------------------------------------------------------------------
@@ -625,28 +634,41 @@ def grid_agreement(grid: RegionGrid, margin_min: float = 0.01) -> tuple[int, int
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Grid classifier, platform count and outside-utility panels for one figure."""
+    """Grid classifier, platform count, outside-utility panels and legend for one
+    figure; each legend entry is (paint id, text), see :func:`figure_paint`."""
 
     figure: str
     classifier: str
     n: int
     panel_u0: tuple[float, ...]
     description: str
+    legend: tuple[tuple[int, str], ...]
 
 
 FIGURES = {
     "fig1": FigureSpec("fig1", "existence_cne", 4, (0.0,),
-                       "region guaranteeing a unique symmetric competitive equilibrium"),
+                       "region guaranteeing a unique symmetric competitive equilibrium",
+                       ((1, "unique symmetric equilibrium certified"),
+                        (-1, "no uniqueness certificate"))),
     "fig2": FigureSpec("fig2", "sign_z_cne", 4, (-1.0, 0.5),
-                       "sign of the competitive net deterministic utility"),
+                       "sign of the competitive net deterministic utility",
+                       ((1, "net utility above outside option (z*>0)"),
+                        (-1, "net utility below outside option (z*<0)"))),
     "fig3": FigureSpec("fig3", "sign_z_cne", 200, (-1.0, 1.0),
-                       "sign of the competitive net utility under near-perfect competition"),
+                       "sign of the competitive net utility under near-perfect competition",
+                       ((1, "z*>0 in the many-platform limit"),
+                        (-1, "z*<0 in the many-platform limit"))),
     "fig4": FigureSpec("fig4", "price_dn", 4, (0.0,),
-                       "sign of the price response to entry"),
+                       "sign of the price response to entry",
+                       ((1, "entry raises prices"), (-1, "entry lowers prices"),
+                        (0, "unclassified"))),
     "fig5": FigureSpec("fig5", "participation_dn", 4, (0.0,),
-                       "region where entry raises market participation"),
+                       "region where entry raises market participation",
+                       ((1, "entry raises participation"), (0, "unclassified"))),
     "fig6": FigureSpec("fig6", "cs_dn", 4, (0.0,),
-                       "sign of the consumer-surplus response to entry"),
+                       "sign of the consumer-surplus response to entry",
+                       ((1, "entry raises consumer surplus"),
+                        (-1, "decrease band (needs z* cap)"), (0, "unclassified"))),
 }
 
 
@@ -660,8 +682,6 @@ def figure_paint(figure: str, grid: RegionGrid) -> np.ndarray:
     paint = grid.signs.astype(int)
     if figure == "fig1":
         return np.where(grid.verdicts == VERDICTS.index(Verdict.POSITIVE), 1, -1)
-    if figure == "fig5":
-        return np.maximum(paint, 0)
     if figure == "fig6":
         # demonstration band as conventionally drawn: the z*-related
         # conditions (the z* cap and beta < gamma, which merely signs z*)
@@ -670,7 +690,7 @@ def figure_paint(figure: str, grid: RegionGrid) -> np.ndarray:
         hi = _cubic_threshold(ThresholdKind.F_CS, grid.n, phi, phi > 0)
         paint[(paint == 0) & (phi > 0) & (cne_existence_bound(grid.n) * phi < grid.betas)
               & (grid.betas < hi)] = -1
-    elif figure not in ("fig2", "fig3", "fig4"):
+    elif figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}")
     return paint
 

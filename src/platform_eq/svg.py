@@ -14,7 +14,7 @@ BLUE = "#5b8dd9"
 GRAY = "#e8e8e8"
 CURVE = "#222222"
 
-_PAINT_FILL = {1: BLUE, -1: RED, 0: GRAY}
+PAINT_FILL = {1: BLUE, -1: RED, 0: GRAY}
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +70,7 @@ def region_svg(phis, betas, paint, curve, title: str,
             y_top = mt + (len(betas) - 1 - j2) * cell_h
             h = (j2 - j + 1) * cell_h
             parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y_top)}" width="{_fmt(cell_w + 0.35)}" '
-                         f'height="{_fmt(h + 0.35)}" fill="{_PAINT_FILL[v]}"/>')
+                         f'height="{_fmt(h + 0.35)}" fill="{PAINT_FILL[v]}"/>')
             j = j2 + 1
     # threshold curve, clipped to the plot box
     pts = [(sx(p), sy(min(max(b, b_lo), b_hi))) for p, b in curve if phi_lo <= p <= phi_hi]

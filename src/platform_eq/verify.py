@@ -23,6 +23,9 @@ from .model import MarketParams, Side
 # a polish step this small relative to the prices is the last one tried:
 # Newton's next step would sit below what the stage-2 tolerance resolves
 STEP_TOL = 1e-10
+POLISH_ITERS = 200      # Newton steps of the polish at most
+FP_TOL = 1e-12          # stage-2 fixed-point tolerance of the search
+GRID_MAX_ITER = 20_000  # stage-2 sweeps per grid or polish solve at most
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,11 @@ def _full_prices(params: MarketParams, others, deviation) -> np.ndarray:
 
 
 def deviation_profit(params: MarketParams, others_price, deviation,
-                     damping: float = 0.5, tol: float = 1e-12,
-                     x0=None) -> float:
+                     tol: float = 1e-12, x0=None) -> float:
     """Profit of platform 1 when platforms 2..N charge others_price and
     platform 1 charges deviation; shares from the full stage-2 fixed point."""
     prices = _full_prices(params, others_price, deviation)
-    state = share_fixed_point(params, prices, damping=damping, tol=tol, x0=x0)
+    state = share_fixed_point(params, prices, tol=tol, x0=x0)
     x1 = state.platform_shares[:, 0]
     return float(x1[0] * deviation[0] + x1[1] * deviation[1])
 
@@ -90,8 +92,8 @@ class ProfitDerivatives:
 
 
 def profit_derivatives(params: MarketParams, regime: str, q, others=None,
-                       damping: float = 0.5, tol: float = 1e-12,
-                       max_iter: int = 100_000, x0=None) -> ProfitDerivatives:
+                       tol: float = 1e-12, max_iter: int = 100_000,
+                       x0=None) -> ProfitDerivatives:
     """Solve stage 2 once at price pair q and differentiate the objective.
 
     regime "cne": platform 1 charges q while platforms 2..N charge `others`;
@@ -115,8 +117,7 @@ def profit_derivatives(params: MarketParams, regime: str, q, others=None,
         w = np.ones(n)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    state = share_fixed_point(params, prices, damping=damping, tol=tol,
-                              max_iter=max_iter, x0=x0)
+    state = share_fixed_point(params, prices, tol=tol, max_iter=max_iter, x0=x0)
     y = state.platform_shares
     beta = params.beta_arr
     phi = params.phi_arr
@@ -153,9 +154,9 @@ def _symmetric_state(eq: SymmetricEquilibrium) -> np.ndarray:
 
 
 def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,
-                   x0: np.ndarray, max_step: np.ndarray, iters: int,
-                   damping: float, tol: float, max_iter: int) -> ProfitDerivatives:
-    """Safeguarded Newton ascent on the deviator's profit from `start`.
+                   x0: np.ndarray, max_step: np.ndarray) -> ProfitDerivatives:
+    """Safeguarded Newton ascent on the deviator's profit from `start`, at most
+    POLISH_ITERS steps.
 
     The step is Newton's where the Hessian is negative definite and a gradient
     step scaled by the Hessian's largest |eigenvalue| otherwise, capped at
@@ -165,11 +166,11 @@ def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,
     from the last accepted fixed point, so the polish follows that branch.
     """
     def solve(q, x):
-        return profit_derivatives(params, "cne", q, p_star, damping=damping,
-                                  tol=tol, max_iter=max_iter, x0=x)
+        return profit_derivatives(params, "cne", q, p_star, tol=FP_TOL,
+                                  max_iter=GRID_MAX_ITER, x0=x)
 
     cur = solve(start, x0)
-    for _ in range(iters):
+    for _ in range(POLISH_ITERS):
         q = cur.prices
         eigs = np.linalg.eigvalsh(cur.hessian)
         if eigs[-1] < 0:
@@ -195,15 +196,13 @@ def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,
 
 
 def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
-                radius: float = 0.5, grid_n: int = 41,
-                polish_iters: int = 200, damping: float = 0.5,
-                fp_tol: float = 1e-12, grid_max_iter: int = 20_000) -> DeviationReport:
+                radius: float = 0.5, grid_n: int = 41) -> DeviationReport:
     """Grid search over deviating prices in [p* - r|p*|, p* + r|p*|]^2, then a
     safeguarded Newton polish from the best cell on exact price derivatives.
 
     The symmetric point itself sits in the search set, so best_gain >= -1e-12
     by construction; a materially positive gain falsifies the equilibrium and
-    is reported, not raised.  Polish solves are capped at grid_max_iter and a
+    is reported, not raised.  Polish solves are capped at GRID_MAX_ITER and a
     trial whose stage-2 solve does not converge is rejected, never raised.
     """
     if eq.regime != "cne":
@@ -222,13 +221,12 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
 
     x_sym = _symmetric_state(eq)
     x0 = np.broadcast_to(x_sym, (m, 2, params.n_platforms + 1)).copy()
-    shares, resid = fixed_point_batch(params, prices, damping=damping,
-                                      tol=fp_tol, max_iter=grid_max_iter, x0=x0)
+    shares, resid = fixed_point_batch(params, prices, tol=FP_TOL,
+                                      max_iter=GRID_MAX_ITER, x0=x0)
     profits = shares[:, 0, 1] * prices[:, 0, 0] + shares[:, 1, 1] * prices[:, 1, 0]
-    profits = np.where(resid <= fp_tol, profits, -np.inf)
+    profits = np.where(resid <= FP_TOL, profits, -np.inf)
 
-    base_profit = deviation_profit(params, p_star, p_star,
-                                   damping=damping, tol=fp_tol, x0=x_sym)
+    base_profit = deviation_profit(params, p_star, p_star, tol=FP_TOL, x0=x_sym)
     best_idx = int(np.argmax(profits))
     best_prices = np.array([prices[best_idx, 0, 0], prices[best_idx, 1, 0]])
     best_profit = float(profits[best_idx])
@@ -238,13 +236,12 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
 
     try:
         polished = _newton_polish(params, p_star, best_prices, x_start,
-                                  radius * np.maximum(1.0, np.abs(p_star)),
-                                  polish_iters, damping, fp_tol, grid_max_iter)
+                                  radius * np.maximum(1.0, np.abs(p_star)))
     except FixedPointError:
         polished = None
     # a gain below what the stage-2 tolerance resolves in profit is noise
     refined = polished is not None and polished.profit - best_profit > \
-        fp_tol * max(1.0, float(np.sum(np.abs(polished.prices))))
+        FP_TOL * max(1.0, float(np.sum(np.abs(polished.prices))))
     if refined:
         best_profit, best_prices = polished.profit, polished.prices
 

@@ -5,6 +5,8 @@ and asserts the criterion.  Samplers draw from the documented parameter
 envelopes with fixed seeds, so the suite is deterministic.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -536,3 +538,28 @@ def test_c12_sweep_matches_golden(tmp_path):
     cfg.write_text(C12_INI)
     assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_C12.read_bytes()
+
+
+FIGURES_INI = """\
+[market]
+n_platforms = 2
+beta_b = 1.0
+beta_s = 1.0
+
+[grid]
+resolution = 24
+
+[output]
+seed = 1
+"""
+GOLDEN_FIGURES = Path(__file__).parent / "data" / "figures_sha256.json"
+
+
+def test_figures_match_golden(tmp_path):
+    """All eight panels' CSV and SVG reproduce the sha256 digests committed with the suite."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FIGURES_INI)
+    out = tmp_path / "out"
+    assert cli_main(["figures", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == json.loads(GOLDEN_FIGURES.read_text())

@@ -7,7 +7,7 @@ import pytest
 import platform_eq.cli as cli
 import platform_eq.statics as statics
 from platform_eq.cli import DERIV_SPECS, main
-from platform_eq.config import ConfigError, parse_config
+from platform_eq.config import SWEEP_AXES, ConfigError, parse_config
 from platform_eq.model import MarketParams, Side
 
 BASE_INI = """\
@@ -68,6 +68,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sweep axis"):
             parse_config(BASE_INI + "\n[sweep]\naxis = gamma\n")
 
+    # flag, its argument, the [section] key it sets, the parsed value, the file's value
+    @pytest.mark.parametrize("flag, arg, section, key, value, file_value", [
+        ("--regime", "ce", "solve", "regime", "ce", "cne"),
+        ("--out", "flag-dir", "output", "dir", "flag-dir", "file-dir"),
+        ("--seed", "7", "output", "seed", 7, "3"),
+        ("--tol", "1e-08", "solve", "tol", 1e-8, "1e-09"),
+        ("--jobs", "2", "output", "jobs", 2, "1"),
+        ("--figure", "fig3", "figure", "id", "fig3", "fig1"),
+    ])
+    def test_flag_overrides_file(self, tmp_path, monkeypatch, flag, arg, section, key,
+                                 value, file_value):
+        if section == "output":
+            text = BASE_INI.replace("seed = 0", f"{key} = {file_value}")
+        else:
+            text = BASE_INI + f"\n[{section}]\n{key} = {file_value}\n"
+        ini = tmp_path / "f.ini"
+        ini.write_text(text)
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "figures", (lambda cfg: seen.append(cfg) or 0, ""))
+        assert main(["figures", "--config", str(ini), flag, arg]) == 0
+        expected = parse_config(text).values
+        assert expected[section][key] != value
+        expected[section][key] = value
+        assert seen[0].values == expected
+        assert type(seen[0].values[section][key]) is type(value)
+
 
 class TestSolveCommand:
     def test_base_case_row(self, base_cfg, capsys):
@@ -118,14 +144,6 @@ class TestDeterminism:
         assert main(["sweep", "--config", str(ini), "--out", str(d2), "--jobs", "2"]) == 0
         assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
 
-    def test_env_jobs_override(self, tmp_path, monkeypatch):
-        ini = tmp_path / "sweep.ini"
-        ini.write_text(BASE_INI + "\n[sweep]\naxis = u0\nstart = 0.0\nstop = 0.5\nstep = 0.5\n")
-        monkeypatch.setenv("PLATFORM_EQ_JOBS", "2")
-        d = tmp_path / "env"
-        assert main(["sweep", "--config", str(ini), "--out", str(d), "--jobs", "1"]) == 0
-        assert (d / "sweep.csv").exists()
-
 
 class TestSweepCommand:
     def test_price_monotone_in_u0(self, tmp_path):
@@ -166,7 +184,6 @@ class TestSweepCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.delenv("PLATFORM_EQ_JOBS", raising=False)  # counts need one process
         monkeypatch.setattr(cli, "solve_cne", counting("solve", cli.solve_cne))
         monkeypatch.setattr(statics, "solve_cne", counting("solve", statics.solve_cne))
         monkeypatch.setattr(statics, "fd_derivative", counting("fd", statics.fd_derivative))
@@ -218,6 +235,51 @@ class TestSweepCommand:
         assert len(rows) == 6
         assert {(r["phi_bb"], r["beta_b"]) for r in rows} == {
             ("-0.5", "0.5"), ("-0.5", "1"), ("0", "0.5"), ("0", "1"), ("0.5", "0.5"), ("0.5", "1")}
+
+
+# sweep axis -> the input columns it sets
+AXIS_CELLS = {
+    "u0": {"u0_b", "u0_s"}, "u0_b": {"u0_b"}, "u0_s": {"u0_s"},
+    "beta": {"beta_b", "beta_s"}, "beta_b": {"beta_b"}, "beta_s": {"beta_s"},
+    "phi_own": {"phi_bb", "phi_ss"}, "phi_bb": {"phi_bb"}, "phi_ss": {"phi_ss"},
+    "phi_bs": {"phi_bs"}, "phi_sb": {"phi_sb"}, "n_platforms": {"n_platforms"},
+}
+# every input cell distinct, so a cell set by mistake shows
+AXIS_INI = """\
+[market]
+n_platforms = 3
+beta_b = 1.1
+beta_s = 0.9
+phi_bb = 0.2
+phi_bs = 0.01
+phi_sb = 0.02
+phi_ss = -0.1
+u0_b = 0.3
+u0_s = -0.2
+mu_b = 0.4
+mu_s = -0.4
+
+[solve]
+regime = cne
+"""
+
+
+class TestSweepAxes:
+    @pytest.mark.parametrize("axis", sorted(AXIS_CELLS))
+    def test_axis_sets_exactly_its_cells(self, tmp_path, axis):
+        assert set(AXIS_CELLS) == set(SWEEP_AXES)
+        value = 5.0 if axis == "n_platforms" else 0.05
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(AXIS_INI + f"\n[sweep]\naxis = {axis}\nstart = {value}\n"
+                       f"stop = {value}\nstep = 1.0\nderivatives = false\n")
+        d = tmp_path / "out"
+        assert main(["sweep", "--config", str(ini), "--out", str(d)]) == 0
+        _, rows = read_rows(d / "sweep.csv")
+        (row,) = rows
+        base = parse_config(AXIS_INI).values["market"]
+        changed = {c for c in cli.INPUT_COLS if float(row[c]) != base[c]}
+        assert changed == AXIS_CELLS[axis]
+        assert all(float(row[c]) == value for c in changed)
 
 
 class TestVerifyCommand:

@@ -2,12 +2,61 @@ import numpy as np
 import pytest
 
 import platform_eq.equilibrium as equilibrium
-from platform_eq.equilibrium import (SolverError, ZPoint, _price, ce_foc_residual,
-                                     cne_foc_residual, compare_regimes,
-                                     consumer_surplus, h_matrix, hc_matrix,
-                                     mk_value, mkc_value, omega, solve_ce,
-                                     solve_cne, solve_decoupled_batch)
+from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array, _price,
+                                     ce_foc_residual, cne_foc_residual, compare_regimes,
+                                     consumer_surplus, mk_value, mkc_value, omega,
+                                     solve_ce, solve_cne, solve_decoupled_batch)
 from platform_eq.model import EULER_GAMMA, MarketParams, Side, check_cne_existence
+
+
+# the paper's literal pricing matrices: the reference the share-space price
+# `_price` is checked against
+
+class FOCSingularityError(ArithmeticError):
+    """The pricing-matrix denominator (J_phi or a K factor) vanished."""
+
+
+def h_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
+    """Competitive pricing matrix H(z).
+
+    Entries combine L_k = (N-1) beta_k (1+N e^{z_k}) / J_phi,
+    d_k = beta_k (1+N e^{z_k}), h_k = beta_k (1+e^{z_k})(e^{-z_k}+N),
+    K_k = phi_kk - beta_k (1+N e^{z_k})(e^{-z_k}+N-1) and
+    J_phi = K_b K_s - phi_sb phi_bs.
+    """
+    zv = _as_z_array(z)
+    n = float(params.n_platforms if n is None else n)
+    beta = params.beta_arr
+    phi = params.phi_arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(zv)
+        emz = np.exp(-zv)
+        one_nez = 1.0 + n * ez
+        d = beta * one_nez
+        h = beta * (1.0 + ez) * (emz + n)
+        K = np.diag(phi) - beta * one_nez * (emz + n - 1.0)
+        j_phi = K[0] * K[1] - phi[1, 0] * phi[0, 1]
+        scale = abs(K[0] * K[1]) + abs(phi[1, 0] * phi[0, 1]) + 1.0
+        if abs(j_phi) < 1e-14 * scale:
+            raise FOCSingularityError("FOC singularity (J_phi or K_k vanishes)")
+        L = (n - 1.0) * beta * one_nez / j_phi
+        return np.array([
+            [L[0] * d[0] * K[1] + h[0] - phi[0, 0], -phi[1, 0] * (d[1] * L[0] + 1.0)],
+            [-phi[0, 1] * (d[0] * L[1] + 1.0), L[1] * d[1] * K[0] + h[1] - phi[1, 1]],
+        ])
+
+
+def hc_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
+    """Collusive pricing matrix H^C(z): diagonal beta_k (1+N e^{z_k})^2 / e^{z_k} - phi_kk,
+    off-diagonal -phi_sb / -phi_bs."""
+    zv = _as_z_array(z)
+    n = float(params.n_platforms if n is None else n)
+    beta = params.beta_arr
+    phi = params.phi_arr
+    # (1+N e^z)^2 / e^z expanded so neither exponential is squared
+    with np.errstate(over="ignore"):
+        diag = beta * (np.exp(-zv) + 2.0 * n + n * n * np.exp(zv)) - np.diag(phi)
+    return np.array([[diag[0], -phi[1, 0]], [-phi[0, 1], diag[1]]])
 
 
 def bisect(f, lo=-60.0, hi=60.0, iters=200):
@@ -242,7 +291,6 @@ class TestSolvers:
     def test_foc_singularity_guard(self):
         # K_b vanishes once beta is small enough relative to phi_kk; J_phi
         # crosses zero there and the pricing matrix must refuse to evaluate
-        from platform_eq.equilibrium import FOCSingularityError, h_matrix
         beta, phi, n = 0.05, 1.0, 2.0
         params = MarketParams.uniform(2, beta, phi_own=phi)
 

@@ -148,7 +148,7 @@ class TestVerifyNash:
 
     @pytest.mark.parametrize("failing, refined", [(0, False), (1, True)])
     def test_failed_polish_solves_are_rejected(self, base_eq, monkeypatch, failing, refined):
-        # polish solves carry max_iter = grid_max_iter.  If the one at the
+        # polish solves carry max_iter = GRID_MAX_ITER.  If the one at the
         # start fails, the grid result is reported; if the first trial fails,
         # the step is halved and the polish goes on.
         import platform_eq.verify as verify
