@@ -24,8 +24,10 @@ print(logit_shares([0.0, -1.0, -0.5], beta=1.0))
 
 # %% [markdown]
 # Now a two-sided market: two platforms, buyers like a crowded seller side
-# (phi_bs = 0.1) and crowd each other (phi_bb = 0.3).  The damped iteration
-# x <- (1-d) x + d Sigma(x) converges to the share fixed point.
+# (phi_bs = 0.1) and crowd each other (phi_bb = 0.3).  The iteration
+# x <- (1-d) x + d Sigma(x) converges to the share fixed point.  Its step d
+# comes from the contraction margin below: d = 1 (undamped) when the margin is
+# positive, d = 0.5 when it is not.
 
 # %%
 params = MarketParams(

@@ -2,8 +2,11 @@
 
 Shares live on a per-side probability simplex over N+1 options (index 0 is the
 outside option, indices 1..N the platforms).  The fixed-point map feeds each
-side's externality-adjusted utilities back through the logit formula; a damped
-iteration solves it for arbitrary, possibly asymmetric, price profiles.
+side's externality-adjusted utilities back through the logit formula; the
+iteration x <- (1-d) x + d Sigma(x) solves it for arbitrary, possibly
+asymmetric, price profiles.  By default d comes from the contraction margin:
+undamped (d = 1) where a positive margin certifies Sigma a contraction, d = 0.5
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ SIMPLEX_TOL = 1e-10
 
 
 class FixedPointError(RuntimeError):
-    """Raised when the damped share iteration fails to reach tolerance."""
+    """Raised when the share iteration fails to reach tolerance."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
@@ -141,16 +144,14 @@ def logit_shares(det_utilities, beta: float) -> np.ndarray:
 
 def _sigma(x: np.ndarray, params: MarketParams, prices: np.ndarray) -> np.ndarray:
     """One application of the share map; x has shape (..., 2, N+1), prices (..., 2, N)."""
-    phi = params.phi_arr
-    beta = params.beta_arr
-    ext = np.einsum("kl,...ln->...kn", phi, x[..., :, 1:])
-    u_in = ext - prices
-    u0 = np.broadcast_to(params.u0_arr[:, None], u_in.shape[:-1] + (1,))
-    u = np.concatenate([u0, u_in], axis=-1)
-    scaled = u / beta[:, None]
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=-1, keepdims=True)
+    u = np.empty(x.shape)
+    u[..., 0] = params.u0_arr
+    np.subtract(np.matmul(params.phi_arr, x[..., :, 1:]), prices, out=u[..., 1:])
+    u /= params.beta_arr[:, None]
+    u -= u.max(axis=-1, keepdims=True)
+    np.exp(u, out=u)
+    u /= u.sum(axis=-1, keepdims=True)
+    return u
 
 
 def _coerce_prices(params: MarketParams, prices) -> np.ndarray:
@@ -165,7 +166,7 @@ def _coerce_prices(params: MarketParams, prices) -> np.ndarray:
     return arr
 
 
-def share_fixed_point(params: MarketParams, prices, damping: float = 0.5,
+def share_fixed_point(params: MarketParams, prices, damping: float | None = None,
                       tol: float = 1e-12, max_iter: int = 100_000,
                       x0: MarketState | np.ndarray | None = None) -> MarketState:
     """Solve x = Sigma(x) for the per-side share vectors at the given prices.
@@ -173,19 +174,17 @@ def share_fixed_point(params: MarketParams, prices, damping: float = 0.5,
     Args:
         params: market parameters.
         prices: PriceProfile or array of shape (2, N).
-        damping: step size d in x <- (1-d) x + d Sigma(x), in (0, 1].
+        damping: step size d in x <- (1-d) x + d Sigma(x), in (0, 1]; None
+            takes d = 1 where contraction_margin(params) > 0 and 0.5 otherwise.
         tol: sup-norm tolerance on Sigma(x) - x.
         max_iter: iteration cap.
         x0: optional warm start.
 
     Raises:
         FixedPointError: no convergence within max_iter; the exception carries
-            the last residual so callers can retry with smaller damping.
+            the last residual so callers can retry with an explicit, smaller
+            damping.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if x0 is not None:
         x0 = x0.shares if isinstance(x0, MarketState) else np.asarray(x0, dtype=float)
     x, resid = fixed_point_batch(params, prices, damping, tol, max_iter, x0=x0)
@@ -195,29 +194,52 @@ def share_fixed_point(params: MarketParams, prices, damping: float = 0.5,
 
 
 def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
-                      damping: float = 0.5, tol: float = 1e-12,
+                      damping: float | None = None, tol: float = 1e-12,
                       max_iter: int = 100_000, x0: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized fixed point over a leading batch of price profiles.
 
-    Each sweep applies x <- (1-d) x + d Sigma(x) to every cell until all
-    cells meet tol.  Returns (shares, residuals) with shares of shape
-    (..., 2, N+1); cells that failed to converge keep their last iterate and
-    a residual above tol.  A single profile is the batch of shape ().
+    Each sweep applies x <- (1-d) x + d Sigma(x) to every cell that has not
+    yet met tol; a cell leaves the batch with the iterate at which its
+    residual first fell to tol.  damping=None takes d = 1 where
+    contraction_margin(params) > 0 certifies a contraction, and d = 0.5
+    otherwise; an explicit damping in (0, 1] is used as given.  Returns
+    (shares, residuals) with shares of shape (..., 2, N+1); cells that failed
+    to converge keep their last iterate and a residual above tol.  A single
+    profile is the batch of shape ().
     """
+    if damping is None:
+        damping = 1.0 if contraction_margin(params) > 0 else 0.5
+    elif not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     p = _coerce_prices(params, prices_batch)
     n = params.n_platforms
     if x0 is None:
-        x0 = np.broadcast_to(np.full((2, n + 1), 1.0 / (n + 1)), p.shape[:-1] + (n + 1,)).copy()
-    x = x0
-    resid = np.full(p.shape[:-2], np.inf)
+        x0 = np.full((2, n + 1), 1.0 / (n + 1))
+    batch = np.broadcast_shapes(p.shape[:-2], np.shape(x0)[:-2])
+    x = np.broadcast_to(x0, batch + (2, n + 1)).reshape(-1, 2, n + 1).copy()
+    p = np.broadcast_to(p, batch + (2, n)).reshape(-1, 2, n)
+    resid = np.full(x.shape[0], np.inf)
+    # the live cells: their batch index, iterate, prices and last residual
+    idx, xa, pa, ra = np.arange(x.shape[0]), x, p, resid
     for _ in range(max_iter):
-        s = _sigma(x, params, p)
-        resid = np.max(np.abs(s - x), axis=(-2, -1))
-        if np.all(resid <= tol):
-            return x, resid
-        x = (1.0 - damping) * x + damping * s
-    return x, resid
+        s = _sigma(xa, params, pa)
+        ra = np.max(np.abs(s - xa), axis=(-2, -1))
+        done = ra <= tol
+        if done.any():
+            x[idx[done]] = xa[done]
+            resid[idx[done]] = ra[done]
+            live = ~done
+            idx, xa, pa, ra, s = idx[live], xa[live], pa[live], ra[live], s[live]
+            if idx.size == 0:
+                break
+        xa = (1.0 - damping) * xa + damping * s
+    else:
+        x[idx] = xa
+        resid[idx] = ra
+    return x.reshape(batch + (2, n + 1)), resid.reshape(batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,12 +255,13 @@ class MultiStartResult:
 
 
 def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
-                           seed: int = 0, damping: float = 0.5, tol: float = 1e-12,
+                           seed: int = 0, damping: float | None = None, tol: float = 1e-12,
                            max_iter: int = 100_000, dedupe_tol: float = 1e-9
                            ) -> MultiStartResult:
     """Run the fixed point from `starts` random interior starts and report all
     distinct limits.  With a positive contraction margin the result must be a
     single point; otherwise multiplicity is reported rather than hidden.
+    damping is fixed_point_batch's: by default d = 0.5 at a margin <= 0.
     """
     rng = np.random.default_rng(seed)
     p = _coerce_prices(params, prices)

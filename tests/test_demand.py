@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from platform_eq import demand
 from platform_eq.demand import (FixedPointError, MarketState, PriceProfile,
-                                contraction_margin, fixed_point_multistart,
-                                logit_shares, monte_carlo_shares, sensitivities,
-                                share_fixed_point)
+                                contraction_margin, fixed_point_batch,
+                                fixed_point_multistart, logit_shares,
+                                monte_carlo_shares, sensitivities, share_fixed_point)
 from platform_eq.model import MarketParams, Side
 
 
@@ -122,6 +125,87 @@ class TestFixedPoint:
             share_fixed_point(params, np.zeros((2, 3)))
         with pytest.raises(ValueError):
             share_fixed_point(params, np.zeros((2, 2)), damping=0.0)
+
+    @pytest.mark.parametrize("solve", [fixed_point_batch, fixed_point_multistart])
+    @pytest.mark.parametrize("bad", [{"damping": 0.0}, {"damping": 1.5},
+                                     {"damping": np.nan}, {"tol": 0.0}, {"tol": -1e-12}])
+    def test_every_entry_point_validates(self, solve, bad):
+        # damping 0 would run max_iter no-op sweeps before failing
+        params = MarketParams.uniform(2, 1.0)
+        with pytest.raises(ValueError):
+            solve(params, np.zeros((4, 2, 2)) if solve is fixed_point_batch
+                  else np.zeros((2, 2)), **bad)
+
+
+def _deviation_grid(n, half, grid_n=41):
+    """grid_n^2 profiles: platform 1's two prices on [-half, half], the rest at 0."""
+    g = np.linspace(-half, half, grid_n)
+    prices = np.zeros((grid_n, grid_n, 2, n))
+    prices[..., 0, 0], prices[..., 1, 0] = np.meshgrid(g, g, indexing="ij")
+    return prices
+
+
+class TestFixedPointBatch:
+    def test_converged_cells_frozen_in_place(self):
+        # margin -0.5: after 100 sweeps 529 of the 1681 cells have met tol
+        params = MarketParams.uniform(3, 0.1, phi_own=0.3, u0=-1)
+        assert contraction_margin(params) <= 0
+        prices = _deviation_grid(3, 0.05)
+        x0 = np.full((41, 41, 2, 4), 0.25)
+        x0_before = x0.copy()
+        x, resid = fixed_point_batch(params, prices, max_iter=100, x0=x0)
+        assert x.shape == (41, 41, 2, 4) and resid.shape == (41, 41)
+        assert np.array_equal(x0, x0_before)
+        done = resid <= 1e-12
+        assert 0 < done.sum() < done.size
+        # converged cells hold the iterate whose residual met tol; the rest
+        # report a residual above it
+        recheck = np.max(np.abs(demand._sigma(x, params, prices) - x), axis=(-2, -1))
+        assert np.array_equal(recheck[done], resid[done])
+        assert np.all(resid[~done] > 1e-12)
+        # every cell comes back where it was, as its own shape-() solve
+        for i, j in [(20, 20), *map(tuple, np.argwhere(done)[::97]),
+                     *map(tuple, np.argwhere(~done)[::211])]:
+            xi, ri = fixed_point_batch(params, prices[i, j], max_iter=100, x0=x0[i, j])
+            assert xi.shape == (2, 4) and ri.shape == ()
+            assert np.array_equal(xi, x[i, j]) and ri == resid[i, j]
+
+    def test_zero_sweeps_return_the_start(self):
+        params = MarketParams.uniform(2, 1.0)
+        x0 = np.full((2, 3), 1.0 / 3)
+        x, resid = fixed_point_batch(params, np.zeros((2, 2)), max_iter=0, x0=x0)
+        assert np.array_equal(x, x0) and resid == np.inf
+
+
+@st.composite
+def stage2_cases(draw):
+    """Envelope markets (N 2..6, beta 0.2..3, |phi_own| <= 1, |cross| <= 0.05)
+    of either sign of the contraction margin, and a seed for a price batch."""
+    n = draw(st.integers(2, 6))
+    beta = tuple(draw(st.floats(0.2, 3.0)) for _ in range(2))
+    own = [draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+    cross = [draw(st.floats(-0.05, 0.05)) for _ in range(2)]
+    u0 = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    params = MarketParams(n, beta, ((own[0], cross[0]), (cross[1], own[1])), u0)
+    return params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(stage2_cases())
+@example((MarketParams(3, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1)), 1))
+@example((MarketParams.uniform(3, 0.2, phi_own=0.8, u0=-1), 2))
+def test_default_damping_finds_the_same_fixed_point(case):
+    params, seed = case
+    prices = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, 2, params.n_platforms))
+    x_default, r_default = fixed_point_batch(params, prices, max_iter=3000)
+    x_half, r_half = fixed_point_batch(params, prices, damping=0.5, max_iter=3000)
+    if contraction_margin(params) > 0:
+        # a contraction: the unique fixed point, whatever the step
+        assert np.all(r_default <= 1e-12) and np.all(r_half <= 1e-12)
+        assert np.max(np.abs(x_default - x_half)) <= 1e-11
+    else:
+        both = (r_default <= 1e-12) & (r_half <= 1e-12)
+        assert np.array_equal(x_default[both], x_half[both])
 
 
 class TestContractionMargin:

@@ -168,6 +168,37 @@ class TestVerifyNash:
         assert len(polish_calls) > failing
         assert report.refined is refined and report.best_gain > 1e-4
 
+    def test_grid_sweep_count(self, monkeypatch):
+        # counts, not time: at margin 0.85 the undamped grid meets tol in 11
+        # sweeps (d = 0.5 took 42), and converged cells leave the batch
+        import platform_eq.demand as demand
+        import platform_eq.verify as verify
+        params = MarketParams.uniform(3, 1.0, phi_own=0.3)
+        assert contraction_margin(params) > 0
+        eq = solve_cne(params)
+        in_grid, cells = [False], []    # cells: live cells per grid sweep
+        real_sigma, real_batch = demand._sigma, verify.fixed_point_batch
+
+        def sigma(x, *args):
+            if in_grid[0]:
+                cells.append(int(np.prod(x.shape[:-2])))
+            return real_sigma(x, *args)
+
+        def batch(*args, **kwargs):
+            in_grid[0] = True
+            try:
+                return real_batch(*args, **kwargs)
+            finally:
+                in_grid[0] = False
+
+        monkeypatch.setattr(demand, "_sigma", sigma)
+        monkeypatch.setattr(verify, "fixed_point_batch", batch)
+        report = verify_nash(params, eq, grid_n=41)
+        assert report.certified(1e-6)
+        assert cells[0] == 41 * 41
+        assert len(cells) <= 20
+        assert sum(cells) < len(cells) * 41 * 41
+
     def test_rejects_ce_point(self):
         eq = solve_ce(BASE)
         with pytest.raises(ValueError):
