@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -417,7 +418,9 @@ FLAGS = {"regime": ("solve", "regime"), "out": ("output", "dir"),
 _CHOICES = {"regime": REGIMES, "figure": sorted(FIGURES)}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="platform-eq",
         description="Two-sided platform market equilibria with an outside option")

@@ -7,6 +7,15 @@ iteration x <- (1-d) x + d Sigma(x) solves it for arbitrary, possibly
 asymmetric, price profiles.  By default d comes from the contraction margin:
 undamped (d = 1) where a positive margin certifies Sigma a contraction, d = 0.5
 otherwise.
+
+One kernel (_sigma) and one loop (class_fixed_point) run every solve.  They
+work on platform classes: the m_c platforms of class c charge one price and
+hold one share, so the logit denominator is e^{u0/beta} + sum_c m_c
+e^{u_c/beta}.  The state is laid out batch-last, (C+1 options, 2 sides,
+cells), so each reduction runs over whole rows of cells.  share_fixed_point,
+fixed_point_batch and fixed_point_multistart take one platform per class and
+keep their (..., 2, N+1) shapes, transposing only at their boundary; the
+deviation search solves two classes (deviator, rivals) whatever N is.
 """
 
 from __future__ import annotations
@@ -142,15 +151,22 @@ def logit_shares(det_utilities, beta: float) -> np.ndarray:
     return e / e.sum()
 
 
-def _sigma(x: np.ndarray, params: MarketParams, prices: np.ndarray) -> np.ndarray:
-    """One application of the share map; x has shape (..., 2, N+1), prices (..., 2, N)."""
+def _sigma(x: np.ndarray, params: MarketParams, prices: np.ndarray,
+           mult: np.ndarray) -> np.ndarray:
+    """One application of the share map on a class state laid out batch-last.
+
+    x has shape (C+1, 2, cells): row 0 is the outside option and row c the
+    share each platform of class c holds; prices are (C, 2, cells).  mult is
+    (C+1, 1, 1), the outside option's 1 then the class sizes, which weight the
+    logit denominator e^{u0/beta} + sum_c m_c e^{u_c/beta}.
+    """
     u = np.empty(x.shape)
-    u[..., 0] = params.u0_arr
-    np.subtract(np.matmul(params.phi_arr, x[..., :, 1:]), prices, out=u[..., 1:])
+    u[0] = params.u0_arr[:, None]
+    np.subtract(np.matmul(params.phi_arr, x[1:]), prices, out=u[1:])
     u /= params.beta_arr[:, None]
-    u -= u.max(axis=-1, keepdims=True)
+    u -= u.max(axis=0)
     np.exp(u, out=u)
-    u /= u.sum(axis=-1, keepdims=True)
+    u /= (mult * u).sum(axis=0)
     return u
 
 
@@ -197,16 +213,41 @@ def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
                       damping: float | None = None, tol: float = 1e-12,
                       max_iter: int = 100_000, x0: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized fixed point over a leading batch of price profiles.
+    """Vectorized fixed point over a leading batch of price profiles:
+    class_fixed_point with every platform its own class.
 
-    Each sweep applies x <- (1-d) x + d Sigma(x) to every cell that has not
-    yet met tol; a cell leaves the batch with the iterate at which its
-    residual first fell to tol.  damping=None takes d = 1 where
-    contraction_margin(params) > 0 certifies a contraction, and d = 0.5
-    otherwise; an explicit damping in (0, 1] is used as given.  Returns
-    (shares, residuals) with shares of shape (..., 2, N+1); cells that failed
-    to converge keep their last iterate and a residual above tol.  A single
-    profile is the batch of shape ().
+    Returns (shares, residuals) with shares of shape (..., 2, N+1); cells that
+    failed to converge keep their last iterate and a residual above tol.  A
+    single profile is the batch of shape ().
+    """
+    p = _coerce_prices(params, prices_batch)
+    n = params.n_platforms
+    if x0 is None:
+        x0 = np.full((2, n + 1), 1.0 / (n + 1))
+    batch = np.broadcast_shapes(p.shape[:-2], np.shape(x0)[:-2])
+    # to the kernel's (options, sides, cells) and back
+    x0 = np.broadcast_to(x0, batch + (2, n + 1)).reshape(-1, 2, n + 1).T
+    p = np.broadcast_to(p, batch + (2, n)).reshape(-1, 2, n).T
+    x, resid = class_fixed_point(params, p, np.ones(n), x0, damping, tol, max_iter)
+    return x.T.reshape(batch + (2, n + 1)), resid.reshape(batch)
+
+
+def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray,
+                      x0: np.ndarray, damping: float | None = None, tol: float = 1e-12,
+                      max_iter: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """The stage-2 fixed point on platform classes, batch-last.
+
+    The N platforms fall into C classes of mult[c] platforms each, and the
+    platforms of a class charge one price and hold one share.  prices have
+    shape (C, 2, cells) and x0 (C+1, 2, cells), row 0 the outside option;
+    x0 is copied, never written.  Each sweep applies x <- (1-d) x + d Sigma(x)
+    to the cells that have not yet met tol; a cell leaves the batch with the
+    iterate at which its sup-norm residual first fell to tol.  damping=None
+    takes d = 1 where contraction_margin(params) > 0 certifies a contraction,
+    and d = 0.5 otherwise; an explicit damping in (0, 1] is used as given.
+    Returns (shares, residuals) of shapes (C+1, 2, cells) and (cells,); an
+    unconverged cell keeps its last iterate and a residual above tol, and
+    max_iter = 0 returns x0 with residual inf.
     """
     if damping is None:
         damping = 1.0 if contraction_margin(params) > 0 else 0.5
@@ -214,32 +255,29 @@ def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
         raise ValueError("damping must lie in (0, 1]")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    p = _coerce_prices(params, prices_batch)
-    n = params.n_platforms
-    if x0 is None:
-        x0 = np.full((2, n + 1), 1.0 / (n + 1))
-    batch = np.broadcast_shapes(p.shape[:-2], np.shape(x0)[:-2])
-    x = np.broadcast_to(x0, batch + (2, n + 1)).reshape(-1, 2, n + 1).copy()
-    p = np.broadcast_to(p, batch + (2, n)).reshape(-1, 2, n)
-    resid = np.full(x.shape[0], np.inf)
+    x = np.array(x0, dtype=float, order="C")
+    p = np.ascontiguousarray(prices, dtype=float)
+    m = np.concatenate(([1.0], mult))[:, None, None]
+    resid = np.full(x.shape[-1], np.inf)
     # the live cells: their batch index, iterate, prices and last residual
-    idx, xa, pa, ra = np.arange(x.shape[0]), x, p, resid
+    idx, xa, pa, ra = np.arange(x.shape[-1]), x, p, resid
     for _ in range(max_iter):
-        s = _sigma(xa, params, pa)
-        ra = np.max(np.abs(s - xa), axis=(-2, -1))
+        s = _sigma(xa, params, pa, m)
+        ra = np.max(np.abs(s - xa), axis=(0, 1))
         done = ra <= tol
         if done.any():
-            x[idx[done]] = xa[done]
+            x[..., idx[done]] = xa[..., done]
             resid[idx[done]] = ra[done]
             live = ~done
-            idx, xa, pa, ra, s = idx[live], xa[live], pa[live], ra[live], s[live]
+            idx, ra = idx[live], ra[live]
+            xa, pa, s = xa[..., live], pa[..., live], s[..., live]
             if idx.size == 0:
                 break
         xa = (1.0 - damping) * xa + damping * s
     else:
-        x[idx] = xa
+        x[..., idx] = xa
         resid[idx] = ra
-    return x.reshape(batch + (2, n + 1)), resid.reshape(batch)
+    return x, resid
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +299,7 @@ def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
     """Run the fixed point from `starts` random interior starts and report all
     distinct limits.  With a positive contraction margin the result must be a
     single point; otherwise multiplicity is reported rather than hidden.
-    damping is fixed_point_batch's: by default d = 0.5 at a margin <= 0.
+    damping is class_fixed_point's: by default d = 0.5 at a margin <= 0.
     """
     rng = np.random.default_rng(seed)
     p = _coerce_prices(params, prices)

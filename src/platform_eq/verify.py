@@ -7,6 +7,12 @@ over the symmetric profit should be numerically zero.  The polish and the
 price-space second-order check use exact profit gradients and Hessians from the
 implicit function theorem on the stage-2 fixed point.  Second-order conditions
 also come in closed form at zero cross-side externalities.
+
+The rivals share one price, so stage 2 runs on two platform classes, the
+deviator x1 and the rivals x(N-1), and the collusive objective on one class
+xN: the search and the derivatives cost the same at any N.  That reduction
+cannot see the rivals splitting among themselves; those modes of the share
+map's Jacobian have the closed-form 2x2 block of _rival_split_block.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._families import eval_series, s_coefficients
-from .demand import FixedPointError, MarketState, fixed_point_batch, share_fixed_point
+from .demand import FixedPointError, MarketState, class_fixed_point, share_fixed_point
 from .equilibrium import SymmetricEquilibrium, ZPoint
 from .model import MarketParams, Side
 
@@ -25,7 +31,7 @@ from .model import MarketParams, Side
 STEP_TOL = 1e-10
 POLISH_ITERS = 200      # Newton steps of the polish at most
 FP_TOL = 1e-12          # stage-2 fixed-point tolerance of the search
-GRID_MAX_ITER = 20_000  # stage-2 sweeps per grid or polish solve at most
+GRID_MAX_ITER = 20_000  # stage-2 sweeps per grid, base or polish solve at most
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,18 @@ class DeviationReport:
     grid_radius: float
     grid_n: int
     refined: bool
+    # stage-2 residual at the symmetric prices; above FP_TOL the base solve
+    # did not converge, base_profit is the candidate's own, and the point is
+    # not certified
+    base_residual: float
+    # max Re eigenvalue of the share map's Jacobian on the modes where the
+    # rivals split among themselves, at the best deviation's fixed point
+    # (-inf at N = 2, where there are no such modes)
+    rival_split_max_re: float
 
     def certified(self, rel_tol: float = 1e-6) -> bool:
-        return self.best_gain <= rel_tol * max(1.0, abs(self.base_profit))
+        return self.base_residual <= FP_TOL and \
+            self.best_gain <= rel_tol * max(1.0, abs(self.base_profit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +106,38 @@ class ProfitDerivatives:
     state: MarketState
 
 
+def _classes(params: MarketParams, regime: str, q, others):
+    """The regime's platform classes: their prices (C, 2), sizes (C,) and
+    which of them charge q (C,).  cne: the deviator x1 and its rivals
+    x(N-1); ce: all N platforms as one class."""
+    n = params.n_platforms
+    if regime == "cne":
+        return (np.array([q, others], dtype=float), np.array([1.0, n - 1.0]),
+                np.array([1.0, 0.0]))
+    if regime == "ce":
+        return np.array([q], dtype=float), np.array([float(n)]), np.ones(1)
+    raise ValueError(f"unknown regime {regime!r}")
+
+
+def _fold(x, mult: np.ndarray) -> np.ndarray:
+    """(C+1, 2) class shares of a full-width (2, N+1) state; raises ValueError
+    unless the platforms of each class hold equal shares."""
+    full = x.shares if isinstance(x, MarketState) else np.asarray(x, dtype=float)
+    counts = np.concatenate(([1], mult)).astype(int)
+    if full.shape != (2, counts.sum()):
+        raise ValueError(f"x0 must have shape (2, {counts.sum()})")
+    folded = full[:, np.cumsum(counts) - counts]
+    if not np.array_equal(np.repeat(folded, counts, axis=1), full):
+        raise ValueError("x0 must give the platforms of a class equal shares "
+                         "(the rivals' columns must be equal)")
+    return folded.T
+
+
+def _expand(xc: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The full-width (2, N+1) state of (C+1, 2) class shares."""
+    return np.repeat(xc.T, np.concatenate(([1], mult)).astype(int), axis=1)
+
+
 def profit_derivatives(params: MarketParams, regime: str, q, others=None,
                        tol: float = 1e-12, max_iter: int = 100_000,
                        x0=None) -> ProfitDerivatives:
@@ -98,50 +145,65 @@ def profit_derivatives(params: MarketParams, regime: str, q, others=None,
 
     regime "cne": platform 1 charges q while platforms 2..N charge `others`;
     the objective is platform 1's profit.  regime "ce": every platform charges
-    q (`others` is unused); the objective is total profit.  Either way
-    pi = sum_k q_k w.y_k over the inside shares y_k, with w the platforms that
-    move (platform 1, or all).  The derivatives come from the fixed point
-    y = Sigma(y, p) by the implicit function theorem: with
-    J_k = (diag(y_k) - y_k y_k^T)/beta_k and M = I - [phi_kl J_k],
-    dy = M^-1 (-J E) and d2y = M^-1 sigma''[du, du], where du = Phi dy - E
-    and E places w on each side.
+    q (`others` is unused); the objective is total profit.  Stage 2 runs on
+    platform classes of equal price: the deviator x1 and the rivals x(N-1)
+    (cne), or all N platforms as one class (ce), with class sizes m.  Then
+    pi = sum_k q_k w.y_k over the per-platform class shares y_k, where w is m
+    on the classes that charge q and 0 elsewhere.  The derivatives come from
+    the fixed point y = Sigma(y, p) by the implicit function theorem: with
+    J_k = (diag(y_k) - y_k (m o y_k)^T)/beta_k and M = I - [phi_kl J_k]
+    (4x4 for cne, 2x2 for ce), dy = M^-1 (-J E) and d2y = M^-1 sigma''[du, du],
+    where du = Phi dy - E, E places 1 on the classes that charge q, and the
+    inner products in sigma'' are m-weighted.  x0, a full-width (2, N+1)
+    warm start, is folded into the classes only if the platforms of each
+    class hold equal shares; otherwise ValueError.  `.state` is full width.
     """
-    n = params.n_platforms
     q = np.asarray(q, dtype=float)
-    if regime == "cne":
-        prices = _full_prices(params, others, q)
-        w = np.zeros(n)
-        w[0] = 1.0
-    elif regime == "ce":
-        prices = np.repeat(q[:, None], n, axis=1)
-        w = np.ones(n)
+    prices, mult, moving = _classes(params, regime, q, others)
+    if x0 is None:
+        x0 = np.full((len(mult) + 1, 2), 1.0 / (params.n_platforms + 1))
     else:
-        raise ValueError(f"unknown regime {regime!r}")
-    state = share_fixed_point(params, prices, tol=tol, max_iter=max_iter, x0=x0)
-    y = state.platform_shares
+        x0 = _fold(x0, mult)
+    x, resid = class_fixed_point(params, prices[..., None], mult, x0[..., None],
+                                 tol=tol, max_iter=max_iter)
+    if resid[0] > tol:
+        raise FixedPointError("share fixed point did not converge", float(resid[0]))
+    xc = x[..., 0]
+    y = xc[1:].T                                               # (k, c)
+    my = mult * y
     beta = params.beta_arr
     phi = params.phi_arr
+    c_n = len(mult)
 
-    # (k, n, m) logit Jacobians, the (2N, 2N) map derivative and M
-    jac = (y[:, :, None] * np.eye(n) - y[:, :, None] * y[:, None, :]) / beta[:, None, None]
-    a_map = (phi[:, None, :, None] * jac[:, :, None, :]).reshape(2 * n, 2 * n)
-    m_mat = np.eye(2 * n) - a_map
-    e = np.eye(2)[:, None, :] * w[None, :, None]               # (k, n, a)
-    dy = np.linalg.solve(m_mat, -(jac @ e).reshape(2 * n, 2)).reshape(2, n, 2)
-    du = np.einsum("kl,lna->kna", phi, dy) - e
-    yu = np.einsum("kn,kna->ka", y, du)                        # y_k . du_a
+    # (k, c, d) class logit Jacobians, the (2C, 2C) map derivative and M
+    jac = (y[:, :, None] * np.eye(c_n) - y[:, :, None] * my[:, None, :]) / beta[:, None, None]
+    a_map = (phi[:, None, :, None] * jac[:, :, None, :]).reshape(2 * c_n, 2 * c_n)
+    m_mat = np.eye(2 * c_n) - a_map
+    e = np.eye(2)[:, None, :] * moving[None, :, None]          # (k, c, a)
+    dy = np.linalg.solve(m_mat, -(jac @ e).reshape(2 * c_n, 2)).reshape(2, c_n, 2)
+    du = np.einsum("kl,lca->kca", phi, dy) - e
+    yu = np.einsum("kc,kca->ka", my, du)                       # m-weighted y_k . du_a
     c = du - yu[:, None, :]                                    # du_a - y.du_a
-    cross = np.einsum("kn,kna,knb->kab", y, du, du) - yu[:, :, None] * yu[:, None, :]
+    cross = np.einsum("kc,kca,kcb->kab", my, du, du) - yu[:, :, None] * yu[:, None, :]
     rhs = y[:, :, None, None] * (c[:, :, :, None] * c[:, :, None, :] - cross[:, None]) \
         / (beta ** 2)[:, None, None, None]
-    d2y = np.linalg.solve(m_mat, rhs.reshape(2 * n, 4)).reshape(2, n, 2, 2)
+    d2y = np.linalg.solve(m_mat, rhs.reshape(2 * c_n, 4)).reshape(2, c_n, 2, 2)
 
+    w = moving * mult
     wy = y @ w                                                 # (k,)
-    wdy = np.einsum("n,kna->ka", w, dy)                        # (k, a)
+    wdy = np.einsum("c,kca->ka", w, dy)                        # (k, a)
     grad = wy + q @ wdy
-    hess = wdy.T + wdy + np.einsum("k,n,knab->ab", q, w, d2y)
+    hess = wdy.T + wdy + np.einsum("k,c,kcab->ab", q, w, d2y)
     return ProfitDerivatives(prices=q, profit=float(q @ wy), gradient=grad,
-                             hessian=hess, state=state)
+                             hessian=hess, state=MarketState(_expand(xc, mult)))
+
+
+def _rival_split_block(params: MarketParams, y_rival) -> np.ndarray:
+    """The 2x2 block A_kl = phi_kl y_r,k / beta_k of the share map's Jacobian
+    on the modes the class reduction cannot see: rivals splitting their
+    shares among themselves (a zero-sum vector over the rivals on each side).
+    These modes have multiplicity N-2."""
+    return params.phi_arr * (np.asarray(y_rival) / params.beta_arr)[:, None]
 
 
 def _symmetric_state(eq: SymmetricEquilibrium) -> np.ndarray:
@@ -200,10 +262,14 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     """Grid search over deviating prices in [p* - r|p*|, p* + r|p*|]^2, then a
     safeguarded Newton polish from the best cell on exact price derivatives.
 
-    The symmetric point itself sits in the search set, so best_gain >= -1e-12
-    by construction; a materially positive gain falsifies the equilibrium and
-    is reported, not raised.  Polish solves are capped at GRID_MAX_ITER and a
-    trial whose stage-2 solve does not converge is rejected, never raised.
+    Every stage-2 solve runs on two classes, the deviator and its N-1 rivals
+    at p*, so its cost does not grow with N.  The symmetric point itself sits
+    in the search set, so best_gain >= -1e-12 by construction; a materially
+    positive gain falsifies the equilibrium and is reported, not raised.
+    Every solve is capped at GRID_MAX_ITER.  A grid cell or polish trial
+    whose stage-2 solve does not converge is rejected, never raised; where
+    the solve at p* itself does not converge, the report carries its residual
+    and is not certified.
     """
     if eq.regime != "cne":
         raise ValueError("verify_nash certifies competitive points")
@@ -213,29 +279,35 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
              for k in (0, 1)]
     pb, ps = np.meshgrid(grids[0], grids[1], indexing="ij")
     m = grid_n * grid_n
-    prices = np.empty((m, 2, params.n_platforms))
-    prices[:, 0, :] = p_star[0]
-    prices[:, 1, :] = p_star[1]
-    prices[:, 0, 0] = pb.ravel()
-    prices[:, 1, 0] = ps.ravel()
+    base_prices, mult, _ = _classes(params, "cne", p_star, p_star)
+    # (deviator, rivals) x sides x cells
+    prices = np.repeat(base_prices[..., None], m, axis=-1)
+    prices[0, 0] = pb.ravel()
+    prices[0, 1] = ps.ravel()
 
     x_sym = _symmetric_state(eq)
-    x0 = np.broadcast_to(x_sym, (m, 2, params.n_platforms + 1)).copy()
-    shares, resid = fixed_point_batch(params, prices, tol=FP_TOL,
-                                      max_iter=GRID_MAX_ITER, x0=x0)
-    profits = shares[:, 0, 1] * prices[:, 0, 0] + shares[:, 1, 1] * prices[:, 1, 0]
+    xc_sym = _fold(x_sym, mult)
+    shares, resid = class_fixed_point(params, prices, mult,
+                                      np.broadcast_to(xc_sym[..., None], (3, 2, m)),
+                                      tol=FP_TOL, max_iter=GRID_MAX_ITER)
+    profits = shares[1, 0] * prices[0, 0] + shares[1, 1] * prices[0, 1]
     profits = np.where(resid <= FP_TOL, profits, -np.inf)
 
-    base_profit = deviation_profit(params, p_star, p_star, tol=FP_TOL, x0=x_sym)
+    x_base, base_resid = class_fixed_point(params, base_prices[..., None], mult,
+                                           xc_sym[..., None], tol=FP_TOL,
+                                           max_iter=GRID_MAX_ITER)
+    # where stage 2 does not converge at p*, the candidate's own shares stand in
+    x_base = x_base[..., 0] if base_resid[0] <= FP_TOL else xc_sym
+    base_profit = float(x_base[1, 0] * p_star[0] + x_base[1, 1] * p_star[1])
     best_idx = int(np.argmax(profits))
-    best_prices = np.array([prices[best_idx, 0, 0], prices[best_idx, 1, 0]])
+    best_prices = prices[0, :, best_idx]
     best_profit = float(profits[best_idx])
-    x_start = shares[best_idx]
+    x_best = _expand(shares[..., best_idx], mult)
     if not best_profit >= base_profit:
-        best_prices, best_profit, x_start = p_star, base_profit, x_sym
+        best_prices, best_profit, x_best = p_star, base_profit, x_sym
 
     try:
-        polished = _newton_polish(params, p_star, best_prices, x_start,
+        polished = _newton_polish(params, p_star, best_prices, x_best,
                                   radius * np.maximum(1.0, np.abs(p_star)))
     except FixedPointError:
         polished = None
@@ -244,6 +316,9 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
         FP_TOL * max(1.0, float(np.sum(np.abs(polished.prices))))
     if refined:
         best_profit, best_prices = polished.profit, polished.prices
+        x_best = polished.state.shares
+    split = -np.inf if params.n_platforms < 3 else float(
+        np.max(np.linalg.eigvals(_rival_split_block(params, x_best[:, -1])).real))
 
     return DeviationReport(
         base=eq,
@@ -253,6 +328,8 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
         grid_radius=radius,
         grid_n=grid_n,
         refined=refined,
+        base_residual=float(base_resid[0]),
+        rival_split_max_re=split,
     )
 
 

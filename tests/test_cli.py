@@ -95,6 +95,20 @@ class TestConfig:
         assert type(seen[0].values[section][key]) is type(value)
 
 
+    def test_parser_built_once_and_flags_do_not_leak(self, tmp_path, monkeypatch):
+        # main keeps one parser per process; a flag of one call must not
+        # reach the next call, which takes the file's value
+        ini = tmp_path / "f.ini"
+        ini.write_text(BASE_INI + "\n[solve]\ntol = 1e-09\n")
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "solve", (lambda cfg: seen.append(cfg) or 0, ""))
+        assert main(["solve", "--config", str(ini), "--tol", "1e-08"]) == 0
+        parser = cli._build_parser()
+        assert main(["solve", "--config", str(ini)]) == 0
+        assert cli._build_parser() is parser
+        assert [cfg.get("solve", "tol") for cfg in seen] == [1e-8, 1e-9]
+
+
 class TestSolveCommand:
     def test_base_case_row(self, base_cfg, capsys):
         assert main(["solve", "--config", base_cfg]) == 0

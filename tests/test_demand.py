@@ -159,8 +159,11 @@ class TestFixedPointBatch:
         done = resid <= 1e-12
         assert 0 < done.sum() < done.size
         # converged cells hold the iterate whose residual met tol; the rest
-        # report a residual above it
-        recheck = np.max(np.abs(demand._sigma(x, params, prices) - x), axis=(-2, -1))
+        # report a residual above it (the kernel runs batch-last, all-ones classes)
+        xt = np.ascontiguousarray(x.reshape(-1, 2, 4).T)
+        pt = np.ascontiguousarray(prices.reshape(-1, 2, 3).T)
+        s = demand._sigma(xt, params, pt, np.ones((4, 1, 1)))
+        recheck = np.max(np.abs(s - xt), axis=(0, 1)).reshape(41, 41)
         assert np.array_equal(recheck[done], resid[done])
         assert np.all(resid[~done] > 1e-12)
         # every cell comes back where it was, as its own shape-() solve

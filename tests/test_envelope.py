@@ -1,10 +1,12 @@
-"""Property tests for the stage-1 solvers far outside the sampled envelope.
+"""Property tests for the stage-1 solvers and the deviation search far
+outside the sampled envelope.
 
 Markets reach |u0| <= 1e3, N from 2 to 1e4, beta from just above the
 competitive existence bound and |cross| <= 0.05.  Every solve must either
 return finite prices whose residuals meet the 1e-10 gate or raise
-SolverError; a silent bad number fails.  Examples are derandomized so the
-suite is deterministic.
+SolverError; a silent bad number fails.  verify_nash must report on every
+competitive point that solves.  Examples are derandomized so the suite is
+deterministic.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from platform_eq.equilibrium import SolverError, solve_ce, solve_cne
 from platform_eq.model import MarketParams, cne_existence_bound
+from platform_eq.verify import verify_nash
 
 
 @st.composite
@@ -42,3 +45,15 @@ def test_solvers_right_or_flagged(params):
         assert np.all(np.isfinite(eq.prices)) and np.all(np.isfinite(eq.z.as_array()))
         assert eq.foc_residual <= 1e-10, (solver.__name__, eq.foc_residual)
         assert eq.price_check <= 1e-10, (solver.__name__, eq.price_check)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(wide_markets())
+def test_verify_nash_always_returns(params):
+    # whatever stage 2 does at these prices, the search reports a finite gain
+    try:
+        eq = solve_cne(params)
+    except SolverError:
+        return
+    report = verify_nash(params, eq, grid_n=11)
+    assert np.isfinite(report.best_gain) and report.best_gain >= -1e-12, report

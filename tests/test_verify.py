@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from platform_eq.equilibrium import solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
 from platform_eq.demand import FixedPointError, contraction_margin, share_fixed_point
-from platform_eq.verify import (DeviationReport, _symmetric_state, deviation_profit,
-                                profit_derivatives, soc_ce_hessian, soc_cne_diag,
-                                soc_report, verify_nash)
+from platform_eq.verify import (DeviationReport, _rival_split_block, _symmetric_state,
+                                deviation_profit, profit_derivatives, soc_ce_hessian,
+                                soc_cne_diag, soc_report, verify_nash)
 
 BASE = MarketParams.uniform(2, 1.0)
 
@@ -90,6 +90,31 @@ class TestDeviationProfit:
         assert best[1] == 0.0 and best[2] == 0.0
 
 
+def grid_sweeps(monkeypatch, params, grid_n=41):
+    """verify_nash at params' competitive point, and the shape of the stage-2
+    state at each sweep of its grid solve."""
+    import platform_eq.demand as demand
+    import platform_eq.verify as verify
+    in_grid, shapes = [False], []
+    real_sigma, real_loop = demand._sigma, verify.class_fixed_point
+
+    def sigma(x, *args):
+        if in_grid[0]:
+            shapes.append(x.shape)
+        return real_sigma(x, *args)
+
+    def loop(params, prices, *args, **kwargs):
+        in_grid[0] = prices.shape[-1] == grid_n * grid_n
+        try:
+            return real_loop(params, prices, *args, **kwargs)
+        finally:
+            in_grid[0] = False
+
+    monkeypatch.setattr(demand, "_sigma", sigma)
+    monkeypatch.setattr(verify, "class_fixed_point", loop)
+    return verify_nash(params, solve_cne(params), grid_n=grid_n), shapes
+
+
 class TestVerifyNash:
     def test_base_case_certified(self, base_eq):
         report = verify_nash(BASE, base_eq, radius=0.5, grid_n=41)
@@ -109,6 +134,13 @@ class TestVerifyNash:
         eq = solve_cne(params)
         report = verify_nash(params, eq, radius=0.5, grid_n=21)
         assert report.certified(1e-6)
+        # the rival-split modes, at the fixed point of the best deviation
+        at = profit_derivatives(params, "cne", report.best_deviation_prices, eq.prices,
+                                x0=_symmetric_state(eq))
+        block = _rival_split_block(params, at.state.platform_shares[:, -1])
+        assert report.rival_split_max_re == pytest.approx(
+            np.max(np.linalg.eigvals(block).real), abs=1e-12)
+        assert verify_nash(BASE, solve_cne(BASE), grid_n=5).rival_split_max_re == -np.inf
 
     # gains the Nelder-Mead polish reported before the Newton polish replaced
     # it (grid_n = 41): perturbed points, then markets outside the existence
@@ -148,61 +180,99 @@ class TestVerifyNash:
 
     @pytest.mark.parametrize("failing, refined", [(0, False), (1, True)])
     def test_failed_polish_solves_are_rejected(self, base_eq, monkeypatch, failing, refined):
-        # polish solves carry max_iter = GRID_MAX_ITER.  If the one at the
-        # start fails, the grid result is reported; if the first trial fails,
-        # the step is halved and the polish goes on.
+        # after the grid, the one-cell stage-2 solves are the base at p* and
+        # then the polish's, all capped at GRID_MAX_ITER.  If the polish's
+        # solve at its start fails, the grid result is reported; if its first
+        # trial fails, the step is halved and the polish goes on.
         import platform_eq.verify as verify
-        real, polish_calls = verify.share_fixed_point, []
+        real, solves = verify.class_fixed_point, []
 
-        def flaky(params, prices, **kwargs):
-            if kwargs.get("max_iter") == 20_000:
-                polish_calls.append(prices)
-                if len(polish_calls) == failing + 1:
+        def flaky(params, prices, *args, **kwargs):
+            if kwargs.get("max_iter") == 20_000 and prices.shape[-1] == 1:
+                solves.append(prices)
+                if len(solves) == failing + 2:
                     raise FixedPointError("injected", 1.0)
-            return real(params, prices, **kwargs)
+            return real(params, prices, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "share_fixed_point", flaky)
+        monkeypatch.setattr(verify, "class_fixed_point", flaky)
         fake = dataclasses.replace(base_eq, prices=(base_eq.prices[0] + 0.1,
                                                     base_eq.prices[1] + 0.1))
         report = verify_nash(BASE, fake, radius=0.5, grid_n=21)
-        assert len(polish_calls) > failing
+        assert len(solves) > failing + 1
         assert report.refined is refined and report.best_gain > 1e-4
+
+    def test_unsolved_base_reports_uncertified(self):
+        # beta = 3e-7 against phi_bb = -0.48: the share map's Jacobian at p*
+        # has eigenvalues near -28, so damped Picard leaves the fixed point and
+        # stage 2 is not solved there.  The search still reports, on the
+        # candidate's own shares, and does not certify (it used to raise)
+        params = MarketParams(359, (3e-7, 3e-7), ((-0.4765679223469482, 0.04301240601626209),
+                                                  (-0.03772836721894721, 0.0)),
+                              (1e-6, -0.03772836721894721))
+        report = verify_nash(params, solve_cne(params), grid_n=5)
+        assert report.base_residual > 1e-12 and not report.certified(1e-6)
+        assert np.isfinite(report.best_gain) and report.best_gain >= 0.0
 
     def test_grid_sweep_count(self, monkeypatch):
         # counts, not time: at margin 0.85 the undamped grid meets tol in 11
         # sweeps (d = 0.5 took 42), and converged cells leave the batch
-        import platform_eq.demand as demand
-        import platform_eq.verify as verify
         params = MarketParams.uniform(3, 1.0, phi_own=0.3)
         assert contraction_margin(params) > 0
-        eq = solve_cne(params)
-        in_grid, cells = [False], []    # cells: live cells per grid sweep
-        real_sigma, real_batch = demand._sigma, verify.fixed_point_batch
-
-        def sigma(x, *args):
-            if in_grid[0]:
-                cells.append(int(np.prod(x.shape[:-2])))
-            return real_sigma(x, *args)
-
-        def batch(*args, **kwargs):
-            in_grid[0] = True
-            try:
-                return real_batch(*args, **kwargs)
-            finally:
-                in_grid[0] = False
-
-        monkeypatch.setattr(demand, "_sigma", sigma)
-        monkeypatch.setattr(verify, "fixed_point_batch", batch)
-        report = verify_nash(params, eq, grid_n=41)
+        report, shapes = grid_sweeps(monkeypatch, params)
+        cells = [shape[-1] for shape in shapes]     # live cells per grid sweep
         assert report.certified(1e-6)
         assert cells[0] == 41 * 41
         assert len(cells) <= 20
         assert sum(cells) < len(cells) * 41 * 41
 
+    def test_grid_entries_independent_of_n(self, monkeypatch):
+        # the deviator and its N-1 rivals are two classes, so every grid
+        # sweep holds (outside, deviator, rival) x 2 sides per live cell
+        runs = [grid_sweeps(monkeypatch, MarketParams.uniform(n, 1.0, phi_own=0.3))[1]
+                for n in (3, 1000)]
+        assert runs[0][0] == runs[1][0] == (3, 2, 41 * 41)
+        assert {shape[:-1] for run in runs for shape in run} == {(3, 2)}
+
     def test_rejects_ce_point(self):
         eq = solve_ce(BASE)
         with pytest.raises(ValueError):
             verify_nash(BASE, eq)
+
+
+class TestClassReduction:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_rival_split_modes_in_full_spectrum(self, n):
+        # at a rival-symmetric fixed point the full (2N)x(2N) map Jacobian
+        # [phi_kl J_k] carries each eigenvalue of the rival-split block N-2 times
+        params = MarketParams(n, (0.8, 0.6), ((0.5, 0.2), (-0.1, 0.3)), (0.2, -0.3))
+        prices = np.full((2, n), 0.4)
+        prices[:, 0] = (0.7, 0.1)
+        y = share_fixed_point(params, prices).platform_shares
+        assert np.all(y[:, 1:] == y[:, -1:])    # the rivals hold equal shares
+        jac = (y[:, :, None] * np.eye(n) - y[:, :, None] * y[:, None, :]) \
+            / params.beta_arr[:, None, None]
+        a_map = (params.phi_arr[:, None, :, None] * jac[:, :, None, :]).reshape(2 * n, 2 * n)
+        full = np.linalg.eigvals(a_map)
+        for lam in np.linalg.eigvals(_rival_split_block(params, y[:, -1])):
+            assert np.sum(np.abs(full - lam) <= 1e-12) >= n - 2
+
+    def test_full_width_x0_folds_only_when_rivals_agree(self):
+        params = MarketParams(4, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1))
+        q, others = np.array([0.8, 0.3]), np.array([0.6, 0.5])
+        cold = profit_derivatives(params, "cne", q, others)
+        x = cold.state.shares
+        assert x.shape == (2, 5) and np.all(x[:, 2:] == x[:, 2:3])
+        # a warm start whose rival columns agree is folded into the classes
+        warm = profit_derivatives(params, "cne", q + 0.01, others, x0=cold.state)
+        ref = profit_derivatives(params, "cne", q + 0.01, others)
+        assert warm.profit == pytest.approx(ref.profit, abs=1e-12)
+        assert np.max(np.abs(warm.hessian - ref.hessian)) <= 1e-9
+        # rivals that split, a deviator apart from the one ce class, a wrong width
+        split = share_fixed_point(params, np.array([[0.8, 0.6, 0.5, 0.6],
+                                                    [0.3, 0.5, 0.5, 0.4]]))
+        for regime, x0 in (("cne", split), ("ce", x), ("cne", x[:, :4])):
+            with pytest.raises(ValueError):
+                profit_derivatives(params, regime, q, others, x0=x0)
 
 
 class TestSecondOrderConditions:
