@@ -12,17 +12,28 @@ throughout so the builders broadcast over parameter arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def _stack(cols):
-    return np.stack([np.asarray(c, dtype=float) for c in np.broadcast_arrays(*cols)], axis=-1)
+def _family(terms):
+    """The builder of a family from the function listing its coefficients:
+    those coefficients stacked on a trailing axis.  `builder.terms` is the
+    plain list, which on floats stays in Python floats."""
+    @functools.wraps(terms)
+    def builder(*args):
+        cols = np.broadcast_arrays(*terms(*args))
+        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+    builder.terms = terms
+    return builder
 
 
+@_family
 def a_coefficients(beta, phi, n):
     """Slope family: dM/dz = -sum a_m e^{mz} / [(1+Ne^z)^2 (beta(1+(N-1)e^z)(1+Ne^z) - e^z phi)^2]."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**3,
         b**2 * (b * (6*N - 1) - 4*f),
         b * (b**2 * (15*N**2 - 6*N + 1) + 4*b * (1 - 4*N) * f + 5*f**2),
@@ -31,13 +42,14 @@ def a_coefficients(beta, phi, n):
         b*N * (N*b**2 * (15*N**2 - 16*N + 6) + b*f * (-16*N**2 + 10*N - 2) + (5*N - 2) * f**2),
         b*N**2 * (N*b**2 * (6*N**2 - 9*N + 4) + b*f * (-4*N**2 + 3*N - 1) + f**2),
         b**3 * (N - 1)**2 * N**4,
-    ])
+    ]
 
 
+@_family
 def s_coefficients(beta, phi, n):
     """Own-price second-order-condition numerator; negative in the existence region."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         -b**4,
         b**3 * (5*f + b * (1 - 7*N)),
         -3*b**2 * (b**2 * N * (7*N - 2) + b*f * (2 - 9*N) + 3*f**2),
@@ -50,38 +62,41 @@ def s_coefficients(beta, phi, n):
         b*N * (b**3 * (6 - 7*N) * N**4 + b**2 * (N * (15*N - 22) + 10) * N**2 * f
                + b * (-6*N**2 + 8*N - 5) * N * f**2 + f**3),
         -b**3 * (N - 1) * N**4 * (b * N**2 + 2 * (1 - N) * f),
-    ])
+    ]
 
 
+@_family
 def n_pu_coefficients(beta, phi, n):
     """Numerator of -dp*/du0."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**2 * (b - f),
         2*b * (2*b**2 * N - 2*b*N*f + f**2),
         6*b**3 * N**2 - N*b**2 * (6*N + 1) * f + f**2 * b * (4*N - 1) - f**3,
         2*b*N**2 * (b - f) * (2*b*N - f),
         b*N**2 * (b**2 * N**2 - f*N*b * (N + 1) + f**2),
-    ])
+    ]
 
 
+@_family
 def n_piu_coefficients(beta, phi, n):
     """Numerator of -dpi*/du0; valid with u0 eliminated through the FOC."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**3,
         b**2 * (5*b*N - 4*f),
         b * (10*b**2 * N**2 + 2*b * (1 - 7*N) * f + 5*f**2),
         10*b**3 * N**3 + 2*N*b**2 * (2 - 9*N) * f + b * (9*N - 2) * f**2 - 2*f**3,
         b*N * (5*b**2 * N**3 + 2*N*b * (1 - 5*N) * f + (4*N - 1) * f**2),
         b*N**2 * (b**2 * N**3 - 2*b*N**2 * f + f**2),
-    ])
+    ]
 
 
+@_family
 def d_piu_coefficients(beta, phi, n):
     """Shared degree-7 denominator of dpi*/du0, d(Nx*)/dN and dpi*/dN."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**3,
         b**2 * (b * (7*N - 1) - 4*f),
         b * (b**2 * (21*N**2 - 7*N + 1) + 4*b * (1 - 5*N) * f + 5*f**2),
@@ -93,37 +108,40 @@ def d_piu_coefficients(beta, phi, n):
                   + (5*N - 1) * f**2),
         b*N**3 * (N*b**2 * (7*N**2 - 11*N + 5) + b * (-4*N**2 + 3*N - 1) * f + f**2),
         b**3 * (N - 1)**2 * N**5,
-    ])
+    ]
 
 
+@_family
 def n_csu_coefficients(beta, phi, n):
     """Numerator of +dCS*/du0."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**2 * (b - 2*f),
         2*b * (2*b**2 * N + b * (1 - 4*N) * f + 2*f**2),
         6*b**3 * N**2 + b**2 * (-12*N**2 + 5*N - 1) * f + b * (8*N - 3) * f**2 - 2*f**3,
         2*b*N * (2*b**2 * N**2 + b * (-4*N**2 + 2*N - 1) * f + (2*N - 1) * f**2),
         b*N**2 * (b**2 * N**2 + b * (-2*N**2 + N - 1) * f + f**2),
-    ])
+    ]
 
 
+@_family
 def n_p_coefficients(beta, phi, n):
     """Numerator of dp*/dN."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**3 * (f - b),
         -b**2 * (4*b**2 * N + b*f * (1 - 4*N) + 2*f**2),
         b * (-6*b**3 * N**2 + 2*b**2 * f * N * (3*N - 1) + b*f**2 * (3 - 4*N) + f**3),
         -b * (4*b**3 * N**3 + b**2 * f * N**2 * (1 - 4*N) + b*f**2 * N * (2*N - 3) + f**3),
         b**3 * N**4 * (f - b),
-    ])
+    ]
 
 
+@_family
 def n_nx_coefficients(beta, phi, n):
     """Numerator of d(N x*)/dN."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**3,
         b**2 * (b * (5*N - 1) - 4*f),
         b * (b**2 * (10*N**2 - 4*N + 1) + 2*b * (2 - 7*N) * f + 5*f**2),
@@ -131,13 +149,14 @@ def n_nx_coefficients(beta, phi, n):
         + 3*b*f**2 * (3*N - 1) - 2*f**3,
         b*N * (b**2 * N * (5*N**2 - 4*N + 3) + 2*b*f * (-5*N**2 + 4*N - 1) + (4*N - 3) * f**2),
         b**2 * N**2 * (b*N * (N**2 - N + 1) - (2*N**2 - 2*N + 1) * f),
-    ])
+    ]
 
 
+@_family
 def n_csk_coefficients(beta, phi, n):
     """Numerator of dCS*/dN."""
     b, f, N = beta, phi, n
-    return _stack([
+    return [
         b**4,
         b**3 * (b * (6*N - 1) - 4*f),
         b**2 * (b**2 * (15*N**2 - 5*N + 2) + 2*b * (1 - 9*N) * f + 5*f**2),
@@ -148,19 +167,21 @@ def n_csk_coefficients(beta, phi, n):
         b**2 * N * (b**2 * N**2 * (6*N**2 - 5*N + 8) + b*f * (-12*N**3 + 2*N**2 + 4*N - 2)
                     + f**2 * (4*N**2 + N - 4)),
         b**3 * N**2 * (b*N**2 * (N**2 - N + 2) + (N - 1 - 2*N**3) * f),
-    ])
+    ]
 
 
+@_family
 def d_csk_coefficients(beta, phi, n):
     """Denominator of dCS*/dN: (N+1) times the slope family."""
     factor = np.asarray(n, dtype=float) + 1.0
-    return a_coefficients(beta, phi, n) * factor[..., None]
+    return [c * factor for c in a_coefficients.terms(beta, phi, n)]
 
 
+@_family
 def n_pik_coefficients(beta, phi, n, u0, z):
     """Numerator of dpi*/dN; carries u0 and the solved z inside its coefficients."""
     b, f, N, u, zs = beta, phi, n, u0, z
-    return _stack([
+    return [
         b**3 * (u + b*zs),
         b**2 * (b**2 * ((5*N - 2) * zs - 1) + b * ((5*N - 2) * u - 2*zs*f) - 2*u*f),
         b * (b**3 * (10*N**2 * zs - 2*N * (4*zs + 2) + zs)
@@ -174,18 +195,19 @@ def n_pik_coefficients(beta, phi, n, u0, z):
         + b * (b*f*N * (-2*N**2 * u + N*u + (zs + 2) * f) + (N*u - 2*f) * f**2),
         b**3 * N**2 * (b*N * (N**2 * zs - 2*N*zs + zs - N)
                        + N*u + 2*N*f - f + N**3 * u - 2*N**2 * u),
-    ])
+    ]
 
 
+@_family
 def y_beta_coefficients(phi, n):
     """Cubic in beta bounding the dCS*/dN numerator; coefficients of beta^0..beta^3."""
     f, N = phi, n
-    return _stack([
+    return [
         -4 * (N + 2) * f**3,
         4 * (2*N**3 + 7*N**2 + 6*N + 1) * f**2,
         -(2*N**5 + 24*N**4 + 51*N**3 + 45*N**2 + 18*N + 2) * f,
         (N**6 + 11*N**5 + 22*N**4 + 36*N**3 + 34*N**2 + 18*N + 3),
-    ])
+    ]
 
 
 # registry: name -> (lowest power of e^z, builder)

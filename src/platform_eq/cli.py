@@ -18,21 +18,20 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .config import (MARKET_KEYS, REGIMES, SCHEMA, SWEEP_AXES, ConfigError, RunConfig,
                      load_config)
 from .demand import FixedPointError
-from .equilibrium import SolverError, compare_regimes, solve_cne, solve_ce
+from .equilibrium import SolverError, compare_regimes, solve_ce, solve_cne, solve_markets
 from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
 from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
                       figure_paint, figure_threshold_curve, grid_agreement,
                       region_grid)
 from . import __version__
-from .statics import _ANALYTIC_OPS, ift_derivatives
+from .statics import closed_form_columns, ift_derivatives
 from .svg import PAINT_FILL, region_svg
 from .verify import soc_report, verify_nash
 
@@ -60,18 +59,24 @@ SWEEP_COLS = (INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS
                       for side in Side))
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return f"{float(v):.17g}"
-    return str(v)
+@functools.cache
+def _row_format(signature: tuple[type, ...]) -> tuple[str, bool]:
+    """One %-format for the rows whose cells have these types: floats as
+    %.17g, everything else through str.  The flag says a cell is a bool,
+    which csv_text spells true/false before formatting."""
+    fmt = ",".join("%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in signature)
+    return fmt, bool in signature
 
 
 def csv_text(comments: list[str], header: tuple | list, rows: list) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    for row in rows:
+        row = tuple(row)
+        fmt, has_bool = _row_format(tuple(map(type, row)))
+        if has_bool:
+            row = tuple(("true" if v else "false") if type(v) is bool else v for v in row)
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 
@@ -193,44 +198,53 @@ def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
     return params.replace(**{field: entries.tolist()})
 
 
-def _deriv_cells(params: MarketParams, eq) -> list:
-    """The 16 derivative cells of a cne sweep row: the closed forms at zero
-    cross externalities, otherwise one implicit-function solve.  A derivative
-    that cannot be formed writes error:<exception type>."""
-    if not params.cross_externalities_zero:
+def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
+    """The 16 derivative cells of each solved cne row, keyed by point: the
+    closed forms over columns at zero cross externalities, otherwise one
+    implicit-function solve per point.  A derivative that cannot be formed
+    writes error:<exception type>."""
+    decoupled = [i for i in eqs if points[i].cross_externalities_zero]
+    coupled = [i for i in eqs if not points[i].cross_externalities_zero]
+    table = closed_form_columns([points[i] for i in decoupled], [eqs[i].z for i in decoupled])
+    out = {}
+    for row, i in enumerate(decoupled):
+        out[i] = []
+        for quantity, wrt, _name in DERIV_SPECS:
+            values, errors = table[quantity, wrt]
+            for side in Side:
+                exc = errors.get((row, side.index))
+                out[i].append(float(values[row, side.index]) if exc is None
+                              else f"error:{type(exc).__name__}")
+    for i in coupled:
         try:
-            d = ift_derivatives(eq)
+            d = ift_derivatives(eqs[i])
         except ArithmeticError as exc:
-            return [f"error:{type(exc).__name__}"] * (2 * len(DERIV_SPECS))
-        return [d[quantity, wrt][side.index]
-                for quantity, wrt, _name in DERIV_SPECS for side in Side]
-    cells = []
-    for quantity, wrt, _name in DERIV_SPECS:
-        for side in Side:
-            try:
-                cells.append(_ANALYTIC_OPS[(quantity, wrt)](params, side,
-                                                            z_star=eq.z.side(side)))
-            except ArithmeticError as exc:
-                cells.append(f"error:{type(exc).__name__}")
-    return cells
+            out[i] = [f"error:{type(exc).__name__}"] * (2 * len(DERIV_SPECS))
+        else:
+            out[i] = [d[quantity, wrt][side.index]
+                      for quantity, wrt, _name in DERIV_SPECS for side in Side]
+    return out
 
 
-def _sweep_row_worker(task) -> list[list]:
-    params, regimes, tol, with_derivs = task
+def _sweep_rows(points: list[MarketParams], regime: str, tol: float,
+                with_derivs: bool) -> list[list]:
+    """One regime's sweep row for every point: one stage-1 solve of all of
+    them, the closed forms evaluated as columns."""
+    solved = solve_markets(regime, points, tol)
+    eqs = {i: eq for i, eq in enumerate(solved) if not isinstance(eq, Exception)}
+    derivs = _deriv_cells(points, eqs) if regime == "cne" and with_derivs else {}
     rows = []
-    for regime in regimes:
+    for i, (params, eq) in enumerate(zip(points, solved)):
         cells = dict(zip(INPUT_COLS, _input_row(params)), regime=regime)
-        try:
-            eq = (solve_cne if regime == "cne" else solve_ce)(params, tol=tol)
-        except (SolverError, FixedPointError, ArithmeticError) as exc:
+        if i not in eqs:
             # empty equilibrium cells, the message in the error column
-            cells["error"] = f"{type(exc).__name__}: {exc}"
+            cells["error"] = f"{type(eq).__name__}: {eq}"
         else:
             cells.update(zip(EQ_COLS, _eq_row(eq)))
-            if regime == "cne" and with_derivs:
+            if i in derivs:
                 cells["deriv_method"] = ("analytic" if params.cross_externalities_zero
                                          else "ift")
-                cells.update(zip(DERIV_COLS, _deriv_cells(params, eq)))
+                cells.update(zip(DERIV_COLS, derivs[i]))
                 for quantity, wrt, name in CLASSIFIER_SPECS:
                     for side in Side:
                         try:
@@ -250,23 +264,23 @@ def _sweep_row_worker(task) -> list[list]:
 def _map_ordered(fn, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: a serial run never pays for the process pool's import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     params0 = cfg.market
-    tol = cfg.get("solve", "tol")
-    regimes = _regimes(cfg)
     sweep = cfg.values["sweep"]
     points = [_apply_axis(params0, sweep["axis"], v)
               for v in _axis_values(sweep["start"], sweep["stop"], sweep["step"])]
     if sweep["axis2"]:
         vals2 = _axis_values(sweep["start2"], sweep["stop2"], sweep["step2"])
         points = [_apply_axis(p, sweep["axis2"], v) for p in points for v in vals2]
-    tasks = [(p, regimes, tol, sweep["derivatives"]) for p in points]
-    results = _map_ordered(_sweep_row_worker, tasks, cfg.get("output", "jobs"))
-    rows = [row for chunk in results for row in chunk]
+    per_regime = [_sweep_rows(points, regime, cfg.get("solve", "tol"), sweep["derivatives"])
+                  for regime in _regimes(cfg)]
+    rows = [row for point_rows in zip(*per_regime) for row in point_rows]
     text = csv_text(_comments(cfg, "sweep") + [f"sweep axis {sweep['axis']}"], SWEEP_COLS, rows)
     _emit(text, cfg.get("output", "dir"), "sweep.csv")
     return 0

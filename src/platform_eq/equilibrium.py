@@ -10,11 +10,12 @@ matrices H and H^C live in the tests, as the reference it is checked against.
 
 One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
 safeguarded Newton-bisection over arrays of markets on a bracket worked out
-from the inputs.  A scalar solve is one batch of its two sides; with nonzero
-cross-side externalities a damped Newton on the two-equation system, its
-Jacobian exact by complex step, starts from the decoupled root.  All formulas
-accept a real-valued platform count so that derivatives with respect to N can
-be validated by central differences.
+from the inputs.  One solver, `solve_markets`, runs it once per platform
+count over markets x sides; `solve_cne` and `solve_ce` are its one-market
+case.  With nonzero cross-side externalities a damped Newton on the
+two-equation system, its Jacobian exact by complex step, starts from the
+decoupled root.  All formulas accept a real-valued platform count so that
+derivatives with respect to N can be validated by central differences.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ Z_BRACKET = 60.0
 # overflow further out, and past this z the slope equals its limit -beta to
 # double precision.  The bracket reaches beyond it only when |u0|/beta is large.
 SLOPE_Z_CAP = 80.0
+
+# A stalled coupled Newton names its Jacobian near-singular at or below this
+# relative determinant det J / (|J00 J11| + |J01 J10|), a condition number of
+# about 1e6 or more: the Newton step is then ill-determined, and the line
+# search can run out on a residual far above rounding size.
+NEAR_SINGULAR = 1e-6
 
 # Imaginary step of `_complex_partials`: a complex step subtracts nothing, so
 # any step far below rounding size gives the derivative to full precision
@@ -251,13 +258,17 @@ def mk_value(z, beta, phi_kk, n, u0):
 def mk_slope(z, beta, phi_kk, n):
     """dM_k/dz via the slope coefficient family; strictly negative in the existence region."""
     z = np.minimum(np.asarray(z, dtype=float), SLOPE_Z_CAP)
-    coeffs = a_coefficients(beta, phi_kk, n)
-    num = eval_series(coeffs, 0, z)
-    ez = np.exp(z)
-    den = (1.0 + n * ez) ** 2 * (beta * (1.0 + (n - 1.0) * ez) * (1.0 + n * ez) - ez * phi_kk) ** 2
+    num = eval_series(a_coefficients(beta, phi_kk, n), 0, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = -num / den
+        out = -num / _slope_denominator(np.exp(z), beta, phi_kk, n)
     return out if out.ndim else float(out)
+
+
+def _slope_denominator(ez, beta, phi_kk, n):
+    """The denominator of `mk_slope` at e^z.  On a float e^z both squares
+    are scalar powers, which differ from an array's squares in the last bit
+    for some inputs; the columnar closed forms call it per cell for that."""
+    return (1.0 + n * ez) ** 2 * (beta * (1.0 + (n - 1.0) * ez) * (1.0 + n * ez) - ez * phi_kk) ** 2
 
 
 def mkc_value(z, beta, phi_kk, n, u0):
@@ -408,7 +419,12 @@ def _newton2d(regime: str, params: MarketParams, n: float, z0: np.ndarray, tol: 
             lam *= 0.5
         else:
             trace.append(f"iter {it}: stalled at residual {err:.3e}")
-            raise SolverError("coupled Newton diverged (line search exhausted)", trace)
+            rel_det = (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) / (
+                abs(J[0, 0] * J[1, 1]) + abs(J[0, 1] * J[1, 0]))
+            why = ("near-singular Jacobian" if abs(rel_det) <= NEAR_SINGULAR
+                   else "line search exhausted")
+            raise SolverError(f"coupled Newton stalled ({why}): relative determinant "
+                              f"{rel_det:.2e} at residual {err:.2e}", trace)
         trace.append(f"iter {it}: residual {err:.3e} -> {np.max(np.abs(F_new)):.3e}")
         z, F = z_new, F_new
     if float(np.max(np.abs(F))) <= tol:
@@ -458,13 +474,44 @@ def _assemble(regime: str, zv: np.ndarray, params: MarketParams, n: float,
     )
 
 
-def _solve(regime: str, params: MarketParams, tol: float, n: float | None) -> SymmetricEquilibrium:
-    n = float(params.n_platforms if n is None else n)
+def solve_markets(regime: str, markets, tol: float = 1e-10, n: float | None = None) -> list:
+    """Solve one regime ("cne" or "ce") on many markets at once.
+
+    The markets are grouped by platform count, so N stays one float per
+    group, and each group's decoupled FOCs run as one batch of
+    :func:`solve_decoupled_batch` over markets x sides.  Only two kinds of
+    market take further work, each started from its batched root: a side
+    that fails the existence check scans its bracket for every root and
+    keeps the max-profit one, and nonzero cross-side externalities run the
+    damped Newton on the two-equation system.  Returns, per market, its
+    SymmetricEquilibrium or the SolverError or ArithmeticError it raised.
+    `n` evaluates every market at one real-valued platform count.
+    """
+    ns = [float(p.n_platforms if n is None else n) for p in markets]
+    groups: dict[float, list[int]] = {}
+    for i, nk in enumerate(ns):
+        groups.setdefault(nk, []).append(i)
+    z = np.empty((len(markets), 2))
+    for nk, rows in groups.items():
+        cols = np.array([(markets[i].beta, (markets[i].phi[0][0], markets[i].phi[1][1]),
+                          markets[i].u0) for i in rows])
+        z[rows] = solve_decoupled_batch(regime, cols[:, 0], cols[:, 1], nk, cols[:, 2])
+    out = []
+    for params, nk, zk in zip(markets, ns, z):
+        try:
+            out.append(_finish(regime, params, nk, zk.copy(), tol))
+        except (SolverError, ArithmeticError) as exc:
+            out.append(exc)
+    return out
+
+
+def _finish(regime: str, params: MarketParams, n: float, z: np.ndarray,
+            tol: float) -> SymmetricEquilibrium:
+    """One market's equilibrium from its batched decoupled root z."""
     exists = (check_cne_existence if regime == "cne" else check_ce_existence)(params, n)
     warnings = [f"{regime} existence condition fails on side {side.label}"
                 for side, ok in zip(Side, exists) if not ok]
     beta, phi_kk, u0 = params.beta_arr, np.diag(params.phi_arr), params.u0_arr
-    z = solve_decoupled_batch(regime, beta, phi_kk, n, u0)
     for k in (0, 1):
         if exists[k]:
             continue
@@ -483,6 +530,13 @@ def _solve(regime: str, params: MarketParams, tol: float, n: float | None) -> Sy
     return _assemble(regime, z, params, n, warnings)
 
 
+def _one(result):
+    """A one-market solve's equilibrium, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
     """Solve the symmetric competitive equilibrium.
 
@@ -496,12 +550,12 @@ def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) 
     the certified region).  `foc_residual` and `price_check` keep their
     absolute meaning and are evaluated in share space, without cancellation.
     """
-    return _solve("cne", params, tol, n)
+    return _one(solve_markets("cne", [params], tol, n)[0])
 
 
 def solve_ce(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
     """Solve the collusive equilibrium; same contract as :func:`solve_cne`."""
-    return _solve("ce", params, tol, n)
+    return _one(solve_markets("ce", [params], tol, n)[0])
 
 
 def compare_regimes(params: MarketParams, tol: float = 1e-10) -> RegimeComparison:

@@ -6,10 +6,12 @@ The closed forms are one table, `CLOSED_FORMS`: each (quantity, wrt) names a
 numerator family, a denominator family and a sign.  Every family is a
 polynomial series in e^{z*} whose coefficients are polynomials in
 (beta_k, phi_kk, N) -- and, for the profit/N numerator, (u0_k, z*).  One
-evaluator, `closed_form`, turns an entry into a number; `dprice_du0`, ...,
-`dprofit_dn` are that evaluator with its key bound.  It refuses to run when
-the cross-side externalities are nonzero: those closed forms simply do not
-apply there, and silently returning them would be a correctness trap.
+evaluator, `closed_form_columns`, runs every entry over the market sides of
+many markets at once, one series evaluation per column; `closed_form` is its
+one-cell case and `dprice_du0`, ..., `dprofit_dn` are that with its key
+bound.  It refuses to run when the cross-side externalities are nonzero:
+those closed forms simply do not apply there, and silently returning them
+would be a correctness trap.
 `ift_derivatives` covers that regime from one 2x2 solve at z*.  A derivative
 that cannot be formed raises ArithmeticError; none returns NaN.
 """
@@ -23,7 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import SymmetricEquilibrium, _complex_partials, mk_slope, solve_cne
+from .equilibrium import (SLOPE_Z_CAP, SymmetricEquilibrium, _complex_partials,
+                          _slope_denominator, solve_cne)
 from .model import MarketParams, Side
 
 QUANTITIES = ("price", "profit", "consumer_surplus", "participation", "z")
@@ -100,6 +103,76 @@ CLOSED_FORMS = {
 }
 
 
+class _Cells:
+    """Cells (one market side each) at one N, columns of floats: each family's
+    coefficients are built per cell from those floats, as on one cell, and
+    stacked once; each series is evaluated once over the column of z*."""
+
+    def __init__(self, n: float, beta, phi_kk, u0, z):
+        self.n, self.beta, self.phi_kk, self.u0, self.z = n, beta, phi_kk, u0, z
+        self.z_col = np.array(z, dtype=float)
+        self._families: dict[str, tuple] = {}
+
+    def family(self, name: str):
+        """(coefficients, series at z*, max(1, max |c|), {cell: OverflowError})."""
+        if name not in self._families:
+            m0, build = fam.FAMILIES[name]
+            extras = (self.u0, self.z) if name == "n_pik" else ()
+            rows, errors = [], {}
+            for i, args in enumerate(zip(self.beta, self.phi_kk, *extras)):
+                try:
+                    rows.append(build.terms(args[0], args[1], self.n, *args[2:]))
+                except OverflowError as exc:  # a float power out of range
+                    rows.append(None)
+                    errors[i] = exc
+            width = next((len(r) for r in rows if r is not None), 1)
+            coeffs = np.array([[math.nan] * width if r is None else r for r in rows], dtype=float)
+            self._families[name] = (coeffs, fam.eval_series(coeffs, m0, self.z_col),
+                                    np.fmax(1.0, np.abs(coeffs).max(axis=-1)), errors)
+        return self._families[name]
+
+
+def _evaluate(key: tuple[str, str], cells: _Cells) -> tuple[np.ndarray, dict[int, Exception]]:
+    """One closed form over the cells: (values, {cell: the exception it raises}).
+
+    The checks run per cell and in order: the denominator's build, a
+    vanishing denominator, the numerator's build, a non-finite value (a
+    series overflowed at z*).
+    """
+    if key == DZ_DU0:  # 1 / mk_slope, its two squares per cell
+        coeffs, _, _, errors = cells.family("a")
+        z = np.minimum(cells.z_col, SLOPE_Z_CAP)
+        num = fam.eval_series(coeffs, 0, z)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = np.array([_slope_denominator(ez, b, f, cells.n)
+                            for ez, b, f in zip(np.exp(z), cells.beta, cells.phi_kk)])
+            slope = -num / den
+            out = 1.0 / slope
+        errors = dict(errors)
+        for i in np.flatnonzero(~np.isfinite(slope) | (np.abs(slope) < 1e-14)).tolist():
+            errors.setdefault(i, ArithmeticError("singular FOC derivative"))
+        return out, errors
+    num_name, den_name, sign = CLOSED_FORMS[key]
+    _, den, scale, den_errors = cells.family(den_name)
+    _, num, _, num_errors = cells.family(num_name)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = sign * num / den
+    vanishing = np.abs(den) < 1e-300 * scale
+    failed = vanishing | ~(np.isfinite(num) & np.isfinite(den) & np.isfinite(out))
+    errors = {}
+    for i in sorted({*den_errors, *num_errors, *np.flatnonzero(failed).tolist()}):
+        if i in den_errors:
+            errors[i] = den_errors[i]
+        elif vanishing[i]:
+            errors[i] = ArithmeticError(f"vanishing denominator in {den_name}")
+        elif i in num_errors:
+            errors[i] = num_errors[i]
+        else:
+            errors[i] = ArithmeticError(
+                f"non-finite {num_name}/{den_name} at z = {cells.z[i]:.17g}")
+    return out, errors
+
+
 def closed_form(quantity: str, wrt: str, params: MarketParams, side: Side,
                 z_star: float | None = None, n: float | None = None) -> float:
     """d quantity* / d wrt on one side, from the paper's closed form at z*.
@@ -107,32 +180,48 @@ def closed_form(quantity: str, wrt: str, params: MarketParams, side: Side,
     z* is solved unless given; `n` evaluates at a real-valued platform count.
     Only the profit/N numerator "n_pik" takes (u0, z*) besides (beta, phi_kk,
     N).  A vanishing denominator or a series that overflows at z* raises
-    ArithmeticError.
+    ArithmeticError.  It is the one-cell case of :func:`closed_form_columns`.
     """
     key = (quantity, wrt)
     if key != DZ_DU0 and key not in CLOSED_FORMS:
         raise ValueError(f"no closed form for d{quantity}/d{wrt}")
     _require_decoupled(params)
     n = float(params.n_platforms if n is None else n)
-    z = _z_star(params, side, z_star, n)
-    beta, phi_kk = params.beta[side.index], params.phi_own(side)
-    if key == DZ_DU0:
-        slope = mk_slope(z, beta, phi_kk, n)
-        if not np.isfinite(slope) or abs(slope) < 1e-14:
-            raise ArithmeticError("singular FOC derivative")
-        return 1.0 / slope
-    num_name, den_name, sign = CLOSED_FORMS[key]
-    m0, build = fam.FAMILIES[den_name]
-    coeffs = build(beta, phi_kk, n)
-    den = float(fam.eval_series(coeffs, m0, z))
-    if abs(den) < 1e-300 * max(1.0, float(np.abs(coeffs).max())):
-        raise ArithmeticError(f"vanishing denominator in {den_name}")
-    extras = (params.u0[side.index], z) if num_name == "n_pik" else ()
-    m0, build = fam.FAMILIES[num_name]
-    num = float(fam.eval_series(build(beta, phi_kk, n, *extras), m0, z))
-    out = sign * num / den
-    if not all(map(math.isfinite, (num, den, out))):  # a series overflowed at this z
-        raise ArithmeticError(f"non-finite {num_name}/{den_name} at z = {z:.17g}")
+    k = side.index
+    values, errors = _evaluate(key, _Cells(n, [params.beta[k]], [params.phi[k][k]],
+                                           [params.u0[k]], [_z_star(params, side, z_star, n)]))
+    if errors:
+        raise errors[0]
+    return float(values[0])
+
+
+def closed_form_columns(markets, z_star) -> dict[tuple[str, str], tuple[np.ndarray, dict]]:
+    """Every closed form of the table and dz*/du0, on both sides of many
+    zero-cross markets at their solved z* (one (z_b, z_s) pair per market).
+
+    Returns (quantity, wrt) -> (values, errors): values of shape
+    (markets, 2), and errors mapping (market, side index) to the exception
+    :func:`closed_form` raises at that cell, whose value is then not a
+    result.  The markets are grouped by N, so that N stays one float in
+    every coefficient, and each cell has the bits it has evaluated alone.
+    """
+    keys = (DZ_DU0, *CLOSED_FORMS)
+    out = {key: (np.empty((len(markets), 2)), {}) for key in keys}
+    z_star = [tuple(map(float, z)) for z in z_star]
+    groups: dict[float, list[int]] = {}
+    for i, params in enumerate(markets):
+        _require_decoupled(params)
+        groups.setdefault(float(params.n_platforms), []).append(i)
+    for n, rows in groups.items():
+        cells = [(i, k) for i in rows for k in (0, 1)]
+        group = _Cells(n, [markets[i].beta[k] for i, k in cells],
+                       [markets[i].phi[k][k] for i, k in cells],
+                       [markets[i].u0[k] for i, k in cells],
+                       [z_star[i][k] for i, k in cells])
+        for key in keys:
+            values, errors = _evaluate(key, group)
+            out[key][0][rows] = values.reshape(-1, 2)
+            out[key][1].update((cells[c], exc) for c, exc in errors.items())
     return out
 
 

@@ -53,6 +53,9 @@ class DeviationReport:
     # rivals split among themselves, at the best deviation's fixed point
     # (-inf at N = 2, where there are no such modes)
     rival_split_max_re: float
+    # grid cells, of grid_n^2, whose stage-2 solve met FP_TOL; the others
+    # were left out of the search
+    grid_converged: int
 
     def certified(self, rel_tol: float = 1e-6) -> bool:
         return self.base_residual <= FP_TOL and \
@@ -330,6 +333,7 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
         refined=refined,
         base_residual=float(base_resid[0]),
         rival_split_max_re=split,
+        grid_converged=int(np.count_nonzero(resid <= FP_TOL)),
     )
 
 

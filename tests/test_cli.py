@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import platform_eq.cli as cli
+import platform_eq.equilibrium as equilibrium
 import platform_eq.statics as statics
 from platform_eq.cli import DERIV_SPECS, main
 from platform_eq.config import SWEEP_AXES, ConfigError, parse_config
@@ -143,6 +144,20 @@ def _parse_csv_text(text):
     return header, [dict(zip(header, l.split(","))) for l in lines[1:]]
 
 
+def test_csv_text_cell_rules():
+    # bools true/false, any float %.17g, everything else str; rows of one
+    # type signature share a format, rows of another get their own
+    rows = [(True, 0.1, np.float64(1 / 3), np.float32(0.1), 7, np.int64(-2), "a b", None),
+            [False, -0.0, np.float64("nan"), np.float32("inf"), 0, np.bool_(True), "", 1e300],
+            ("x", 2.5)]
+    text = cli.csv_text(["note"], ("a", "b"), rows)
+    assert text.splitlines() == [
+        "# note", "a,b",
+        "true,0.10000000000000001,0.33333333333333331,0.10000000149011612,7,-2,a b,None",
+        "false,-0,nan,inf,0,True,,1.0000000000000001e+300",
+        "x,2.5"]
+
+
 class TestDeterminism:
     def test_solve_byte_identical(self, base_cfg, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -190,22 +205,28 @@ class TestSweepCommand:
                        "phi_bb = 0.2\nphi_bs = 0.03\nphi_sb = 0.03\nphi_ss = 0.2\n"
                        "\n[sweep]\naxis = u0\nstart = -1.0\nstop = 1.0\nstep = 1.0\n"
                        "\n[solve]\nregime = cne\n")
-        calls = {"solve": 0, "fd": 0}
+        calls = {"solved": 0, "newton": 0, "solve_cne": 0, "fd": 0}
 
-        def counting(name, fn):
+        def counting(name, fn, weight=lambda *args: 1):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += weight(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "solve_cne", counting("solve", cli.solve_cne))
-        monkeypatch.setattr(statics, "solve_cne", counting("solve", statics.solve_cne))
+        def markets(regime, markets, *args):
+            return len(markets)
+
+        # the batched entry point counts the markets it solves
+        monkeypatch.setattr(cli, "solve_markets", counting("solved", cli.solve_markets, markets))
+        monkeypatch.setattr(equilibrium, "_newton2d", counting("newton", equilibrium._newton2d))
+        monkeypatch.setattr(cli, "solve_cne", counting("solve_cne", cli.solve_cne))
+        monkeypatch.setattr(statics, "solve_cne", counting("solve_cne", statics.solve_cne))
         monkeypatch.setattr(statics, "fd_derivative", counting("fd", statics.fd_derivative))
         d = tmp_path / "out"
         assert main(["sweep", "--config", str(ini), "--out", str(d), "--jobs", "1"]) == 0
         _, rows = read_rows(d / "sweep.csv")
         assert len(rows) == 3
-        assert calls == {"solve": 3, "fd": 0}
+        assert calls == {"solved": 3, "newton": 3, "solve_cne": 0, "fd": 0}
         monkeypatch.undo()
         for r in rows:
             assert r["deriv_method"] == "ift"

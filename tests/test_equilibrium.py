@@ -369,6 +369,45 @@ class TestStableResidual:
         assert eq.z.z_b == pytest.approx(1.66675e9, rel=1e-5)
 
 
+def test_solve_markets_matches_one_market_solves():
+    # one batch per N over markets x sides; failing, out-of-region and coupled
+    # markets keep their per-market work and give what one-market solves give
+    markets = [MarketParams.uniform(2, 1.0), MarketParams.uniform(3, 0.05, phi_own=2.0),
+               MarketParams.uniform(2, 0.4, phi_own=0.3, phi_cross=0.03, u0=-1.0),
+               TestCoupledNewtonStall.PARAMS, MarketParams.uniform(3, 1.2, u0=4.0),
+               MarketParams(2, (1e80, 1.0), ((1e79, 0.0), (0.0, 0.0)))]
+    for regime, solver in (("cne", solve_cne), ("ce", solve_ce)):
+        results = equilibrium.solve_markets(regime, markets)
+        assert len(results) == len(markets)
+        for params, result in zip(markets, results):
+            try:
+                expected = solver(params)
+            except SolverError as exc:
+                assert type(result) is SolverError and str(result) == str(exc)
+            else:
+                assert result == expected
+        assert sum(isinstance(r, SolverError) for r in results) == 2
+        assert any(r.warnings for r in results if not isinstance(r, Exception))
+
+
+class TestCoupledNewtonStall:
+    # not a rounding floor: the residual is 3.4e-6 against eps max|term| ~ 7e-22,
+    # and the Newton step is ~4e9 on a Jacobian with det J / (|J00 J11| + |J01 J10|)
+    # ~ 1e-9: the stall message names that Jacobian
+    PARAMS = MarketParams(61, (3e-7, 3e-7), ((0, 0.0226), (4e-134, 4e-134)), (0, -3.5e-62))
+
+    @pytest.mark.parametrize("solver", [solve_cne, solve_ce])
+    def test_names_near_singular_jacobian(self, solver):
+        with pytest.raises(SolverError, match=r"near-singular Jacobian") as info:
+            solver(self.PARAMS)
+        message = str(info.value)
+        rel_det = float(message.split("relative determinant ")[1].split()[0])
+        residual = float(message.split("at residual ")[1])
+        assert 0 < abs(rel_det) <= equilibrium.NEAR_SINGULAR
+        assert residual == pytest.approx(3.4e-6, rel=0.05)
+        assert "," not in message  # it lands in a CSV error cell
+
+
 class TestCompareRegimes:
     def test_base_case(self):
         cmp_ = compare_regimes(MarketParams.uniform(2, 1.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side, cne_existence_bound
 from platform_eq.statics import (_ANALYTIC_OPS, CLOSED_FORMS, DERIVATIVE_WRT, DZ_DU0,
                                  QUANTITIES, AnalyticDomainError, asymptotic_limits,
-                                 closed_form, dcs_dn, dcs_du0, derivative_bundle,
-                                 dparticipation_dn, dprice_dn, dprice_du0,
+                                 closed_form, closed_form_columns, dcs_dn, dcs_du0,
+                                 derivative_bundle, dparticipation_dn, dprice_dn, dprice_du0,
                                  dprofit_dn, dprofit_du0, dz_du0, fd_derivative,
                                  ift_derivatives)
 
@@ -136,6 +137,57 @@ class TestAnalyticVsFiniteDifference:
                    dparticipation_dn, dcs_dn, dprofit_dn):
             with pytest.raises(AnalyticDomainError):
                 op(params, Side.BUYER)
+
+
+def test_closed_form_columns_match_closed_form():
+    # several N in one call, a series that overflows at z* (u0 = -500), a
+    # float power out of range while building n_csk (beta = 1e80), and an
+    # out-of-region side: value for value and error for error, bit for bit
+    markets = [MarketParams.uniform(2, 1.0), MarketParams.uniform(3, 1.0, phi_own=0.3, u0=-500),
+               MarketParams(4, (0.3, 0.05), ((0.2, 0.0), (0.0, 2.0)), (1.0, -3.0)),
+               MarketParams(2, (1e80, 0.7), ((0.1, 0.0), (0.0, -0.4)), (0.5, 0.5)),
+               MarketParams.uniform(3, 0.8, phi_own=-0.5, u0=2.0)]
+    z_star = [(-1.2, -1.2), (498.75, 498.75), (0.3, 2.0), (0.0, 0.1), (-2.5, 0.7)]
+    table = closed_form_columns(markets, z_star)
+    assert set(table) == {DZ_DU0, *CLOSED_FORMS}
+    kinds = set()
+    for (quantity, wrt), (values, errors) in table.items():
+        assert values.shape == (len(markets), 2)
+        for i, (params, z) in enumerate(zip(markets, z_star)):
+            for side in Side:
+                try:
+                    expected = closed_form(quantity, wrt, params, side, z_star=z[side.index])
+                except ArithmeticError as exc:
+                    got = errors[i, side.index]
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                    kinds.add(type(exc))
+                else:
+                    assert (i, side.index) not in errors
+                    assert values[i, side.index] == expected
+    assert kinds == {ArithmeticError, OverflowError}
+    with pytest.raises(AnalyticDomainError):
+        closed_form_columns([MarketParams(2, (1.0, 1.0), ((0.0, 0.1), (0.0, 0.0)))], [(0.0, 0.0)])
+
+
+# sha256 of the 8 closed forms x 1250 markets x 2 sides below, as float64
+# bytes, from the per-cell evaluator before the sweep went columnar: array
+# powers differ from float powers in the last bit for a few percent of
+# inputs, so building a family on arrays, or squaring mk_slope's
+# denominator as an array, moves this hash
+PINNED_CLOSED_FORMS = "8c7fadacb23a43f869f7ef6adda5012b7ecce23b1437e0c618a176c6e1f3f3dc"
+
+
+def test_closed_form_columns_pinned_bits():
+    rng = np.random.default_rng(2024)
+    markets, z = [], rng.uniform(-4.0, 4.0, (1250, 2))
+    for _ in range(1250):
+        markets.append(MarketParams(int(rng.integers(2, 7)), tuple(rng.uniform(0.2, 3.0, 2)),
+                                    ((rng.uniform(-1.0, 1.0), 0.0), (0.0, rng.uniform(-1.0, 1.0))),
+                                    tuple(rng.uniform(-2.0, 2.0, 2))))
+    table = closed_form_columns(markets, z)
+    assert not any(errors for _values, errors in table.values())
+    values = np.stack([table[key][0] for key in (DZ_DU0, *CLOSED_FORMS)])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_CLOSED_FORMS
 
 
 class TestNoSilentNaN:

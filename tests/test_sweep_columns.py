@@ -1,0 +1,190 @@
+"""The columnar sweep against a per-point reference.
+
+`platform-eq sweep` solves all of a regime's points in one stage-1 batch per
+platform count and evaluates the closed forms over columns.  The reference
+here builds every row alone, from `solve_cne`/`solve_ce`, `closed_form`,
+`ift_derivatives` and the classifiers, and formats each cell by the CSV rules
+(bools true/false, floats %.17g, everything else str).  The two CSVs must
+agree bit for bit.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import platform_eq.cli as cli
+import platform_eq.equilibrium as equilibrium
+from platform_eq.config import SWEEP_AXES, parse_config
+from platform_eq.equilibrium import SolverError, solve_ce, solve_cne
+from platform_eq.model import Side
+from platform_eq.regions import classify_direction, classify_sign_z
+from platform_eq.statics import closed_form, ift_derivatives
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    return str(v)
+
+
+def _reference_row(params, regime, tol, with_derivs) -> str:
+    cells = dict(zip(cli.INPUT_COLS, cli._input_row(params)), regime=regime)
+    try:
+        eq = (solve_cne if regime == "cne" else solve_ce)(params, tol=tol)
+    except (SolverError, ArithmeticError) as exc:
+        cells["error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        cells.update(zip(cli.EQ_COLS, cli._eq_row(eq)))
+        if regime == "cne" and with_derivs:
+            cells["deriv_method"] = "analytic" if params.cross_externalities_zero else "ift"
+            d = None
+            if not params.cross_externalities_zero:
+                try:
+                    d = ift_derivatives(eq)
+                except ArithmeticError as exc:
+                    d = f"error:{type(exc).__name__}"
+            for quantity, wrt, name in cli.DERIV_SPECS:
+                for side in Side:
+                    if params.cross_externalities_zero:
+                        try:
+                            value = closed_form(quantity, wrt, params, side,
+                                                z_star=eq.z.side(side))
+                        except ArithmeticError as exc:
+                            value = f"error:{type(exc).__name__}"
+                    else:
+                        value = d if isinstance(d, str) else d[quantity, wrt][side.index]
+                    cells[f"{name}_{side.label}"] = value
+            for quantity, wrt, name in cli.CLASSIFIER_SPECS:
+                for side in Side:
+                    try:
+                        verdict = classify_direction(quantity, wrt, params, side,
+                                                     z_star=eq.z.side(side)).verdict.value
+                    except ValueError:
+                        verdict = "error"
+                    cells[f"{name}_{side.label}"] = verdict
+        if regime == "ce" or with_derivs:
+            for side in Side:
+                cells[f"vsign_z_{side.label}"] = classify_sign_z(regime, params, side).verdict.value
+    return ",".join(_fmt(cells.get(col, "")) for col in cli.SWEEP_COLS)
+
+
+def _run_sweep(text: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cmd_sweep(parse_config(text)) == 0
+    return out.getvalue()
+
+
+def _reference_csv(text: str) -> str:
+    cfg = parse_config(text)
+    sweep = cfg.values["sweep"]
+    points = [cli._apply_axis(cfg.market, sweep["axis"], v)
+              for v in cli._axis_values(sweep["start"], sweep["stop"], sweep["step"])]
+    if sweep["axis2"]:
+        points = [cli._apply_axis(p, sweep["axis2"], v) for p in points
+                  for v in cli._axis_values(sweep["start2"], sweep["stop2"], sweep["step2"])]
+    rows = [_reference_row(p, regime, cfg.get("solve", "tol"), sweep["derivatives"])
+            for p in points for regime in cli._regimes(cfg)]
+    comments = cli._comments(cfg, "sweep") + [f"sweep axis {sweep['axis']}"]
+    return "\n".join([f"# {c}" for c in comments] + [",".join(cli.SWEEP_COLS)] + rows) + "\n"
+
+
+def _ini(market: dict, sweep: dict, regime: str) -> str:
+    lines = ["[market]", *(f"{k} = {v!r}" for k, v in market.items()), "", "[sweep]",
+             *(f"{k} = {v}" for k, v in sweep.items()), "", "[solve]", f"regime = {regime}"]
+    return "\n".join(lines) + "\n"
+
+
+# MarketParams field -> the range a sweep over it draws from
+AXIS_RANGES = {"u0": (-6.0, 6.0), "beta": (0.02, 2.0), "phi": (-1.5, 2.0)}
+
+
+def _axis_range(draw, axis):
+    """(start, stop, step) giving one to three values inside the axis's range."""
+    count = draw(st.integers(1, 3))
+    if axis == "n_platforms":
+        start = draw(st.integers(2, 9))
+        return start, start + 3 * (count - 1), 3
+    lo, hi = (-0.05, 0.05) if axis in ("phi_bs", "phi_sb") else AXIS_RANGES[SWEEP_AXES[axis][0]]
+    step = (hi - lo) / 4
+    start = draw(st.floats(lo, lo + 2 * step))
+    return start, start + step * (count - 1), step
+
+
+@st.composite
+def sweep_configs(draw, axis):
+    cross = draw(st.sampled_from([0.0, 0.0, 0.03]))
+    market = {
+        "n_platforms": draw(st.integers(2, 8)),
+        "beta_b": draw(st.floats(0.02, 2.0)), "beta_s": draw(st.floats(0.02, 2.0)),
+        # phi_kk up to 2 with beta down to 0.02 leaves the existence region
+        "phi_bb": draw(st.floats(-1.5, 2.0)), "phi_bs": cross,
+        "phi_sb": draw(st.sampled_from([0.0, -cross])), "phi_ss": draw(st.floats(-1.5, 2.0)),
+        "u0_b": draw(st.floats(-6.0, 6.0)), "u0_s": draw(st.floats(-6.0, 6.0)),
+    }
+    start, stop, step = _axis_range(draw, axis)
+    sweep = {"axis": axis, "start": repr(float(start)), "stop": repr(float(stop)),
+             "step": repr(float(step)), "derivatives": draw(st.sampled_from(["true", "false"]))}
+    if draw(st.booleans()):
+        axis2 = draw(st.sampled_from(sorted(set(SWEEP_AXES) - {axis})))
+        start2, stop2, step2 = _axis_range(draw, axis2)
+        sweep.update(axis2=axis2, start2=repr(float(start2)), stop2=repr(float(stop2)),
+                     step2=repr(float(step2)))
+    return _ini(market, sweep, draw(st.sampled_from(["cne", "ce", "both"])))
+
+
+# the coupled Newton stalls on a near-singular Jacobian: error rows
+STALL = _ini({"n_platforms": 61, "beta_b": 3e-7, "beta_s": 3e-7, "phi_bb": 0.0,
+              "phi_bs": 0.0226, "phi_sb": 4e-134, "phi_ss": 4e-134, "u0_b": 0.0,
+              "u0_s": -3.5e-62},
+             {"axis": "phi_bs", "start": "0.0", "stop": "0.0226", "step": "0.0226"}, "both")
+# the degree-7 series overflow at u0 = -500 (error cells), N from 2 to 8002,
+# and phi_ss = 2 against beta_s = 0.05 leaves the existence region
+FAR = _ini({"n_platforms": 3, "beta_b": 1.0, "beta_s": 0.05, "phi_bb": 0.3, "phi_ss": 2.0},
+           {"axis": "u0", "start": "-500.0", "stop": "500.0", "step": "250.0",
+            "axis2": "n_platforms", "start2": "2", "stop2": "8002", "step2": "4000"}, "both")
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_columnar_sweep_matches_per_point_reference(axis, data):
+    text = data.draw(sweep_configs(axis))
+    assert _run_sweep(text) == _reference_csv(text)
+
+
+@pytest.mark.parametrize("text, present", [
+    (STALL, ("near-singular Jacobian", ",ift,")),
+    (FAR, (",error:ArithmeticError,", "existence condition fails", ",analytic,"))],
+    ids=["stall", "far"])
+def test_error_rows_and_cells_match_reference(text, present):
+    out = _run_sweep(text)
+    assert all(p in out for p in present)
+    assert out == _reference_csv(text)
+
+
+@pytest.mark.parametrize("u0_values", [2, 7])
+def test_one_stage1_batch_per_regime_and_platform_count(monkeypatch, u0_values):
+    # N in {2, 4} x u0_values points: the stage-1 batch runs regimes x distinct N
+    # times, however many points there are
+    calls = []
+    real = equilibrium.solve_decoupled_batch
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_decoupled_batch", counting)
+    text = _ini({"n_platforms": 2, "beta_b": 1.0, "beta_s": 0.7, "phi_bb": 0.2},
+                {"axis": "n_platforms", "start": "2", "stop": "4", "step": "2",
+                 "axis2": "u0", "start2": "-1.0", "stop2": "1.0",
+                 "step2": repr(2.0 / (u0_values - 1))}, "both")
+    _run_sweep(text)
+    assert len(calls) == 2 * 2
+    assert calls == [(u0_values, 2)] * 4

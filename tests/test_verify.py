@@ -213,6 +213,27 @@ class TestVerifyNash:
         assert report.base_residual > 1e-12 and not report.certified(1e-6)
         assert np.isfinite(report.best_gain) and report.best_gain >= 0.0
 
+    def test_grid_converged_counts_solved_cells(self, monkeypatch):
+        # contraction margin -0.5: some grid cells' stage-2 solves never meet
+        # FP_TOL; the report counts the ones that did, as the grid solve saw them
+        import platform_eq.verify as verify
+        resids = []
+
+        def recording(*args, **kwargs):
+            shares, resid = real(*args, **kwargs)
+            resids.append(resid)
+            return shares, resid
+
+        real = verify.class_fixed_point
+        monkeypatch.setattr(verify, "class_fixed_point", recording)
+        params = MarketParams.uniform(3, 0.1, phi_own=0.3, u0=-1.0)
+        report = verify_nash(params, solve_cne(params), grid_n=5)
+        grid = resids[0]
+        assert grid.shape == (25,)
+        assert report.grid_converged == int(np.sum(grid <= verify.FP_TOL))
+        assert 0 < report.grid_converged < 25
+        assert verify_nash(BASE, solve_cne(BASE), grid_n=5).grid_converged == 25
+
     def test_grid_sweep_count(self, monkeypatch):
         # counts, not time: at margin 0.85 the undamped grid meets tol in 11
         # sweeps (d = 0.5 took 42), and converged cells leave the batch
