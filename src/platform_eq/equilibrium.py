@@ -10,12 +10,14 @@ matrices H and H^C live in the tests, as the reference it is checked against.
 
 One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
 safeguarded Newton-bisection over arrays of markets on a bracket worked out
-from the inputs.  One solver, `solve_markets`, runs it once per platform
-count over markets x sides; `solve_cne` and `solve_ce` are its one-market
-case.  With nonzero cross-side externalities a damped Newton on the
-two-equation system, its Jacobian exact by complex step, starts from the
-decoupled root.  All formulas accept a real-valued platform count so that
-derivatives with respect to N can be validated by central differences.
+from the inputs.  A cell ends as soon as its Newton step falls below rounding
+size, so a root met to the last bit is kept, not bisected away from.  One
+solver, `solve_markets`, runs it once per platform count over markets x
+sides; `solve_cne` and `solve_ce` are its one-market case.  With nonzero
+cross-side externalities a damped Newton on the two-equation system, its
+Jacobian exact by complex step, starts from the decoupled root.  All
+formulas accept a real-valued platform count so that derivatives with respect
+to N can be validated by central differences.
 """
 
 from __future__ import annotations
@@ -151,8 +153,9 @@ def _price(regime: str, z, beta, phi, n):
     """Symmetric prices (H(z) Omega(z))_k ("cne") or (H^C(z) Omega(z))_k ("ce").
 
     z and beta hold (buyer, seller) on axis 0 and phi is the 2x2 matrix on
-    axes 0-1, each with any trailing grid axes.  With l the other side,
-    B = o + omega, K = phi_kk o omega - beta (1 - omega), c = phi_bs phi_sb:
+    axes 0-1 (or its rows as nested pairs), each with any trailing grid axes.
+    With l the other side, B = o + omega, K = phi_kk o omega - beta (1 - omega),
+    c = phi_bs phi_sb:
 
         (H Omega)_k   = beta_k [K_l (B_k omega_k phi_kk - beta_k) - c omega_k o_l omega_l B_k
                         - (N-1) phi_lk beta_l omega_k omega_l^2] / (K_b K_s - c o_b omega_b o_s omega_s)
@@ -244,8 +247,11 @@ def _decoupled_value(regime: str, z, beta, phi_kk, n, u0):
     not depend on side l, so side l mirrors side k."""
     scalar = all(np.ndim(a) == 0 for a in (z, beta, phi_kk, u0))
     z, b, f, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, beta, phi_kk, u0)))
-    zero = np.zeros_like(f)
-    p = _price(regime, np.stack([z, z]), np.stack([b, b]), np.array([[f, zero], [zero, f]]), n)[0]
+    # beta goes in as a view and phi as nested pairs around one broadcast
+    # zero, so z is the only input stacked into a copy
+    zero = np.zeros((1,) * f.ndim)
+    p = _price(regime, np.stack([z, z]), np.broadcast_to(b, (2,) + b.shape),
+               ((f, zero), (zero, f)), n)[0]
     out = f * omega(z, n) - p - u - b * z
     return float(out) if scalar else out
 
@@ -257,8 +263,14 @@ def mk_value(z, beta, phi_kk, n, u0):
 
 def mk_slope(z, beta, phi_kk, n):
     """dM_k/dz via the slope coefficient family; strictly negative in the existence region."""
+    return mk_slope_from(z, a_coefficients(beta, phi_kk, n), beta, phi_kk, n)
+
+
+def mk_slope_from(z, a, beta, phi_kk, n):
+    """`mk_slope` from its coefficient family a = a_coefficients(beta, phi_kk, n),
+    so a loop over z builds the family once."""
     z = np.minimum(np.asarray(z, dtype=float), SLOPE_Z_CAP)
-    num = eval_series(a_coefficients(beta, phi_kk, n), 0, z)
+    num = eval_series(a, 0, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -num / _slope_denominator(np.exp(z), beta, phi_kk, n)
     return out if out.ndim else float(out)
@@ -323,13 +335,21 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
 
     A cell takes the Newton step with the analytic slope when it lands inside
     the bracket and is at most half the step before last, and bisects
-    otherwise.  A non-finite value (a pole) counts as negative.  Cells freeze
-    once the step falls to rounding size.  Returns (z, FOC value at z).
+    otherwise.  A non-finite value (a pole) counts as negative.  A cell ends
+    once its Newton step falls to rounding size, |f/f'| <= 4e-16 max(1, |z|),
+    whether or not that step lands inside the bracket: on the root a sub-ulp
+    step rounds back to z itself, and bisecting from there would only walk
+    back to the same z.  It also ends when its bisection step is that small
+    or its value is exactly zero.  Near a pole the Newton step points at the
+    pole, so a pole cell still ends beside it, with a large value the caller
+    rejects.  Returns (z, FOC value at z).
     """
-    value, slope = (mk_value, mk_slope) if regime == "cne" else (mkc_value, mkc_slope)
     pos, neg = np.array(pos, dtype=float), np.array(neg, dtype=float)
     beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=float), pos.shape)
                         for a in (beta, phi_kk, u0))
+    cne = regime == "cne"
+    value = mk_value if cne else mkc_value
+    a = a_coefficients(beta, phi_kk, n) if cne else None  # slope family, built once per batch
     z, fz = 0.5 * (pos + neg), np.full(pos.shape, np.nan)
     step = np.abs(pos - neg)
     step_old = step.copy()
@@ -338,7 +358,8 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
         if not act.size:
             break
         x, b, f, u = z[act], beta[act], phi_kk[act], u0[act]
-        fx, dfx = value(x, b, f, n, u), slope(x, b, f, n)
+        fx = value(x, b, f, n, u)
+        dfx = mk_slope_from(x, a, b, f, n) if cne else mkc_slope(x, b, f, n)
         up = fx > 0
         p, q = np.where(up, x, pos[act]), np.where(up, neg[act], x)
         pos[act], neg[act], fz[act] = p, q, fx
@@ -348,9 +369,12 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
         delta = np.where(use, newton, x - 0.5 * (p + q))
         step_old[act] = step[act]
         step[act] = np.abs(delta)
-        done = (np.abs(delta) <= 4e-16 * np.maximum(1.0, np.abs(x))) | (fx == 0)
+        floor = 4e-16 * np.maximum(1.0, np.abs(x))
+        done = (np.abs(newton) <= floor) | (np.abs(delta) <= floor) | (fx == 0)
         z[act] = np.where(done, x, x - delta)
         act = act[~done]
+        if cne:
+            a = a[~done]  # keep the rows of the live cells, in the order of act
     return z, fz
 
 
@@ -366,7 +390,8 @@ def solve_decoupled_batch(regime: str, beta, phi_kk, n, u0):
     beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
                         for a in (beta, phi_kk, u0))
     lo, hi = _bracket(regime, beta, phi_kk, n, u0)
-    ok = (value(lo, beta, phi_kk, n, u0) > 0) & (value(hi, beta, phi_kk, n, u0) < 0)
+    v_lo, v_hi = value(np.stack([lo, hi]), beta, phi_kk, n, u0)
+    ok = (v_lo > 0) & (v_hi < 0)
     z, fz = _rtsafe(regime, lo[ok], hi[ok], beta[ok], phi_kk[ok], n, u0[ok])
     out = np.full(beta.shape, np.nan)
     out[ok] = np.where(np.abs(fz) <= 1e-6, z, np.nan)  # a pole's value is not small

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import mk_slope, mkc_slope, omega, solve_decoupled_batch
+from .equilibrium import mk_slope_from, mkc_slope, omega, solve_decoupled_batch
 from .model import (Cubic, MarketParams, Side, ce_existence_bound,
                     cne_existence_bound, solve_cubic_real)
 
@@ -588,10 +588,12 @@ def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float,
         return np.where(np.isnan(z_grid), 0, np.sign(z_grid)).astype(int)
     if classifier in ("existence_cne", "existence_ce"):
         # certificate of a unique root: the FOC slope stays negative on a z grid
-        slope_fn = mk_slope if classifier == "existence_cne" else mkc_slope
+        # (the competitive slope family is built once for the whole grid)
+        slope_at = (partial(mk_slope_from, a=fam.a_coefficients(bb, pp, n), beta=bb, phi_kk=pp, n=n)
+                    if classifier == "existence_cne" else partial(mkc_slope, beta=bb, phi_kk=pp, n=n))
         ok = np.ones(pp.shape, dtype=bool)
         for z in np.linspace(-30.0, 30.0, 41):
-            slope = slope_fn(np.full(pp.shape, z), bb, pp, n)
+            slope = slope_at(np.full(pp.shape, z))
             ok &= np.isfinite(slope) & (slope < 0)
         return np.where(ok, 1, -1)
     # direction grids: centered difference of the solved quantity across N +- h

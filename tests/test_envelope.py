@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platform_eq.equilibrium import SolverError, solve_ce, solve_cne
+from platform_eq.equilibrium import (SolverError, mk_value, mkc_value, solve_ce, solve_cne,
+                                     solve_decoupled_batch)
 from platform_eq.model import MarketParams, cne_existence_bound
 from platform_eq.verify import verify_nash
 
@@ -45,6 +46,22 @@ def test_solvers_right_or_flagged(params):
         assert np.all(np.isfinite(eq.prices)) and np.all(np.isfinite(eq.z.as_array()))
         assert eq.foc_residual <= 1e-10, (solver.__name__, eq.foc_residual)
         assert eq.price_check <= 1e-10, (solver.__name__, eq.price_check)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(wide_markets())
+def test_decoupled_stop_is_not_early(params):
+    # a root-finder that stops at the rounding floor still brackets its root:
+    # the FOC keeps its sign change across z -+ 16 rounding steps
+    n = float(params.n_platforms)
+    beta, phi_kk, u0 = params.beta_arr, np.diag(params.phi_arr), params.u0_arr
+    for regime, value in (("cne", mk_value), ("ce", mkc_value)):
+        z = solve_decoupled_batch(regime, beta, phi_kk, n, u0)
+        ok = np.isfinite(z)
+        h = 16 * 4e-16 * np.maximum(1.0, np.abs(z[ok]))
+        b, f, u = beta[ok], phi_kk[ok], u0[ok]
+        assert np.all(value(z[ok] - h, b, f, n, u) >= 0), (regime, z)
+        assert np.all(value(z[ok] + h, b, f, n, u) <= 0), (regime, z)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)

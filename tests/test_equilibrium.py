@@ -324,6 +324,25 @@ class TestSolvers:
                 eq = solver(MarketParams.uniform(3, bb[i, j], phi_own=pp[i, j], u0=0.4))
                 assert zij == pytest.approx(eq.z.z_b, abs=1e-12)
 
+    @pytest.mark.parametrize("regime,beta,phi_kk,n,u0", [
+        ("ce", [1.1, 0.9], [0.2, -0.1], 3, [-1, -1]),  # the C12 sweep's u0 = -1 row
+        ("cne", 0.42, -1.88, 4, -1.0),
+        ("cne", 0.02, -1.88, 4, 0.0),
+        ("cne", 0.9, -1.8, 4, 0.5),
+        ("cne", 0.78, -1.32, 4, -1.0),
+    ])
+    def test_root_on_rounding_floor_ends_the_solve(self, monkeypatch, regime, beta, phi_kk, n, u0):
+        # a cell whose Newton step is below an ulp is on its root and ends
+        # there; bisecting away from it and back costs 30-50 more value calls
+        calls = []
+        for name in ("mk_value", "mkc_value"):
+            fn = getattr(equilibrium, name)
+            monkeypatch.setattr(equilibrium, name,
+                                lambda *args, fn=fn: calls.append(1) or fn(*args))
+        z = solve_decoupled_batch(regime, beta, phi_kk, n, u0)
+        assert np.all(np.isfinite(z))
+        assert len(calls) <= 10, len(calls)
+
 
 class TestStableResidual:
     """Repros where the literal H Omega form lost the answer to cancellation."""
