@@ -23,7 +23,8 @@ from .model import (Cubic, MarketParams, Side, check_ce_existence,
                     solve_cubic_real)
 from .regions import (FIGURES, RegionGrid, RegionLabel, ThresholdKind, Verdict,
                       classify_direction, classify_existence, classify_sign_z,
-                      eval_threshold, grid_agreement, region_grid)
+                      eval_threshold, grid_agreement, region_grid,
+                      region_grids)
 from .statics import (AnalyticDomainError, AsymptoticLimits, DerivativeBundle,
                       asymptotic_limits, closed_form, closed_form_columns, dcs_dn,
                       dcs_du0, derivative_bundle, dparticipation_dn, dprice_dn,

@@ -29,7 +29,7 @@ from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
 from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
                       figure_paint, figure_threshold_curve, grid_agreement,
-                      region_grid)
+                      region_grids)
 from . import __version__
 from .statics import closed_form_columns, ift_derivatives
 from .svg import PAINT_FILL, region_svg
@@ -346,23 +346,34 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _figure_worker(task):
-    figure, panel_u0, n, res, phi_range, beta_range, width, height = task
-    spec = FIGURES[figure]
-    grid = region_grid(spec.classifier, phi_range=phi_range, beta_range=beta_range,
-                       resolution=res, n=n, u0=panel_u0, solve_signs=True)
-    agree, checked, frac = grid_agreement(grid)
-    paint = figure_paint(figure, grid)
-    curve = figure_threshold_curve(figure, grid)
-    phi, beta = np.meshgrid(grid.phis, grid.betas, indexing="ij")
-    verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
-    columns = (phi, beta, verdict, grid.margins, paint, grid.solved_signs)
-    rows = list(zip(*(c.ravel().tolist() for c in columns)))
-    title = f"{figure}: {spec.description} (N={n:g}, u0={panel_u0:g})"
-    legend = [(PAINT_FILL[paint_id], text) for paint_id, text in spec.legend]
-    svg = region_svg(grid.phis, grid.betas, paint, curve, title, legend,
-                     width=width, height=height)
-    stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{panel_u0:g}"
-    return stem, rows, svg, (agree, checked, frac), n, panel_u0
+    """The panels of one (N, u0) group: their grids come from one
+    region_grids call, so each stage-1 z-grid is solved once for them all."""
+    figures, panel_u0, n, res, phi_range, beta_range, width, height = task
+    grids = region_grids([FIGURES[f].classifier for f in figures], phi_range=phi_range,
+                         beta_range=beta_range, resolution=res, n=n, u0=panel_u0,
+                         solve_signs=True)
+    # each coordinate is formatted once, not once per cell; csv_text writes
+    # strings as they are
+    phis = ["%.17g" % v for v in grids[0].phis.tolist()]
+    betas = ["%.17g" % v for v in grids[0].betas.tolist()]
+    out = []
+    for figure, grid in zip(figures, grids):
+        spec = FIGURES[figure]
+        agree, checked, frac = grid_agreement(grid)
+        paint = figure_paint(figure, grid)
+        curve = figure_threshold_curve(figure, grid)
+        verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
+        cells = zip(*(c.ravel().tolist() for c in (verdict, grid.margins, paint,
+                                                   grid.solved_signs)))
+        coords = ((phi, beta) for phi in phis for beta in betas)
+        rows = [coord + cell for coord, cell in zip(coords, cells)]
+        title = f"{figure}: {spec.description} (N={n:g}, u0={panel_u0:g})"
+        legend = [(PAINT_FILL[paint_id], text) for paint_id, text in spec.legend]
+        svg = region_svg(grid.phis, grid.betas, paint, curve, title, legend,
+                         width=width, height=height)
+        stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{panel_u0:g}"
+        out.append((stem, rows, svg, (agree, checked, frac), n, panel_u0))
+    return out
 
 
 def cmd_figures(cfg: RunConfig) -> int:
@@ -372,19 +383,24 @@ def cmd_figures(cfg: RunConfig) -> int:
         if f not in FIGURES:
             raise ConfigError(f"unknown figure {f!r}; choose from {sorted(FIGURES)}")
     gconf = cfg.values["grid"]
-    tasks = []
+    # the panels in output order, and the figures of each (N, u0) group
+    panels, groups = [], {}
     for f in ids:
         spec = FIGURES[f]
         n = fig_conf["n_platforms"] or spec.n
-        panels = [float(fig_conf["u0"])] if fig_conf["u0"] else list(spec.panel_u0)
-        for u0 in panels:
-            tasks.append((f, u0, n, gconf["resolution"],
-                          (gconf["phi_min"], gconf["phi_max"]),
-                          (gconf["beta_min"], gconf["beta_max"]),
-                          cfg.get("output", "width"), cfg.get("output", "height")))
-    results = _map_ordered(_figure_worker, tasks, cfg.get("output", "jobs"))
+        for u0 in [float(fig_conf["u0"])] if fig_conf["u0"] else spec.panel_u0:
+            panels.append((f, n, u0))
+            groups.setdefault((n, u0), []).append(f)
+    tasks = [(tuple(figs), u0, n, gconf["resolution"],
+              (gconf["phi_min"], gconf["phi_max"]), (gconf["beta_min"], gconf["beta_max"]),
+              cfg.get("output", "width"), cfg.get("output", "height"))
+             for (n, u0), figs in groups.items()]
+    outputs = _map_ordered(_figure_worker, tasks, cfg.get("output", "jobs"))
+    results = {(f, n, u0): panel for ((n, u0), figs), group in zip(groups.items(), outputs)
+               for f, panel in zip(figs, group)}
     out_dir = cfg.get("output", "dir")
-    for stem, rows, svg, (agree, checked, frac), n, u0 in results:
+    for panel in panels:
+        stem, rows, svg, (agree, checked, frac), n, u0 = results[panel]
         comments = _comments(cfg, "figures") + [
             f"figure {stem} n {n:g} u0 {u0:.17g}",
             f"sign agreement {agree}/{checked} = {frac:.17g} (margin > 0.01)",

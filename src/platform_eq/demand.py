@@ -259,24 +259,31 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     p = np.ascontiguousarray(prices, dtype=float)
     m = np.concatenate(([1.0], mult))[:, None, None]
     resid = np.full(x.shape[-1], np.inf)
-    # the live cells: their batch index, iterate, prices and last residual
+    # the swept cells: their batch index, iterate, prices and last residual,
+    # and which of them have already met tol and been written out
     idx, xa, pa, ra = np.arange(x.shape[-1]), x, p, resid
+    met = np.zeros(idx.size, dtype=bool)
     for _ in range(max_iter):
         s = _sigma(xa, params, pa, m)
         ra = np.max(np.abs(s - xa), axis=(0, 1))
-        done = ra <= tol
-        if done.any():
-            x[..., idx[done]] = xa[..., done]
-            resid[idx[done]] = ra[done]
-            live = ~done
-            idx, ra = idx[live], ra[live]
-            xa, pa, s = xa[..., live], pa[..., live], s[..., live]
-            if idx.size == 0:
+        new = (ra <= tol) & ~met
+        if new.any():
+            x[..., idx[new]] = xa[..., new]
+            resid[idx[new]] = ra[new]
+            met |= new
+            if met.all():
                 break
-        xa = (1.0 - damping) * xa + damping * s
+            # met cells are dropped only in bulk: compacting costs a copy of
+            # the whole live state
+            if 4 * met.sum() >= met.size:
+                live = ~met
+                idx, ra, met = idx[live], ra[live], met[live]
+                xa, pa, s = xa[..., live], pa[..., live], s[..., live]
+        xa = s if damping == 1.0 else (1.0 - damping) * xa + damping * s
     else:
-        x[..., idx] = xa
-        resid[idx] = ra
+        live = ~met
+        x[..., idx[live]] = xa[..., live]
+        resid[idx[live]] = ra[live]
     return x, resid
 
 

@@ -5,8 +5,9 @@ with the competitive price p = H(z) Omega(z) or the collusive p = H^C(z) Omega(z
 One function evaluates both prices in share space: in the per-platform share
 omega = 1/(e^{-z}+N) and the outside share o = 1/(1+N e^z), each in (0, 1), so
 nothing of size e^z is formed and then cancelled.  Every FOC residual, the
-decoupled scalar forms and the reported prices go through it; the literal
-matrices H and H^C live in the tests, as the reference it is checked against.
+decoupled scalar forms and the reported prices go through it; a decoupled
+side is one row that mirrors itself.  The literal matrices H and H^C live in
+the tests, as the reference it is checked against.
 
 One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
 safeguarded Newton-bisection over arrays of markets on a bracket worked out
@@ -15,9 +16,9 @@ size, so a root met to the last bit is kept, not bisected away from.  One
 solver, `solve_markets`, runs it once per platform count over markets x
 sides; `solve_cne` and `solve_ce` are its one-market case.  With nonzero
 cross-side externalities a damped Newton on the two-equation system, its
-Jacobian exact by complex step, starts from the decoupled root.  All
-formulas accept a real-valued platform count so that derivatives with respect
-to N can be validated by central differences.
+Jacobian exact by one complex-step call over both directions, starts from
+the decoupled root.  All formulas accept a real-valued platform count so
+that derivatives with respect to N can be validated by central differences.
 """
 
 from __future__ import annotations
@@ -164,25 +165,26 @@ def _price(regime: str, z, beta, phi, n):
 
     A pole of the competitive price reads as a non-finite value.
     """
-    return _share_price(regime, omega(z, n), _outside(z, n), beta, phi, n)
+    return _share_price(regime, omega(z, n), _outside(z, n), beta,
+                        np.stack([phi[0][0], phi[1][1]]), np.stack([phi[1][0], phi[0][1]]), n)
 
 
-def _share_price(regime: str, om, o, beta, phi, n):
-    """`_price` from the shares omega and o themselves.  Only + - * / act on
-    them, so complex shares and a complex N carry a complex step through."""
-    own = np.stack([phi[0][0], phi[1][1]])
-    lk = np.stack([phi[1][0], phi[0][1]])
+def _share_price(regime: str, om, o, beta, own, lk, n):
+    """`_price` from the shares omega and o themselves, with own = phi_kk and
+    lk = phi_lk on the side axis.  Only + - * / act on them, so complex
+    shares and a complex N carry a complex step through.  A side axis of
+    length 1 is a decoupled side that mirrors itself: l is k there."""
     base = own * om + lk * om[::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if regime == "ce":
             return beta / o - base
         B = o + om
         K = own * o * om - beta * (1.0 - om)
-        c = phi[0][1] * phi[1][0]
+        c = lk[0] * lk[-1]
         q = o * om
         num = (K[::-1] * (B * om * own - beta) - c * om * q[::-1] * B
                - (n - 1.0) * lk * beta[::-1] * om * om[::-1] ** 2)
-        return beta * num / (K[0] * K[1] - c * q[0] * q[1]) - base
+        return beta * num / (K[0] * K[-1] - c * q[0] * q[-1]) - base
 
 
 def _as_z_array(z) -> np.ndarray:
@@ -215,25 +217,36 @@ def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarr
     return _residual("ce", z, params, n)
 
 
+def _phi_times(phi, x):
+    """Phi x over the side axis of x, as one matrix-vector product per
+    trailing index, so each column carries the bits of that product alone
+    (a matrix-matrix product may round the sums differently)."""
+    return np.matmul(phi, x.T[..., None])[..., 0].T
+
+
 def _complex_partials(regime: str, params: MarketParams, z: np.ndarray, n: float,
-                      dz, dn) -> np.ndarray:
-    """Directional partials, along (z_b, z_s, N) = (dz, dn), of the FOC residual
-    F, the price p, the profit p omega, the consumer surplus, the participation
-    N omega and z itself, each (buyer, seller), stacked in that order.
+                      dz: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Directional partials of the FOC residual F, the price p, the profit
+    p omega, the consumer surplus, the participation N omega and z itself,
+    each (buyer, seller), stacked in that order on axis 0.  Direction j moves
+    (z_b, z_s, N) along (dz[:, j], dn[j]) and is column j of the result.
 
     One complex step through the share-space price: the shares omega and o
     move along their exact tangents omega_z = omega o, o_z = -N omega o,
     omega_N = -omega^2 and o_N = -omega o, so no e^z is formed in complex
     arithmetic.
     """
-    om, o = omega(z, n), _outside(z, n)
+    om, o = omega(z, n)[:, None], _outside(z, n)[:, None]
     h = COMPLEX_STEP
-    zc, nc = z + 1j * h * dz, n + 1j * h * dn
+    zc, nc = z[:, None] + 1j * h * dz, n + 1j * h * dn
     omc = om + 1j * h * om * (o * dz - om * dn)
     oc = o - 1j * h * om * o * (n * dz + dn)
+    phi = params.phi_arr
+    col = (slice(None), None)  # the side axis, ahead of the directions
     with np.errstate(invalid="ignore", over="ignore"):
-        p = _share_price(regime, omc, oc, params.beta_arr, params.phi_arr, nc)
-        F = params.phi_arr @ omc - p - params.u0_arr - params.beta_arr * zc
+        p = _share_price(regime, omc, oc, params.beta_arr[col], np.diag(phi)[col],
+                         np.diag(phi[::-1])[col], nc)
+        F = _phi_times(phi, omc) - p - params.u0_arr[col] - params.beta_arr[col] * zc
         cs = consumer_surplus(params, p, omc, nc)
     return np.concatenate([F, p, p * omc, cs, nc * omc, zc]).imag / h
 
@@ -247,12 +260,10 @@ def _decoupled_value(regime: str, z, beta, phi_kk, n, u0):
     not depend on side l, so side l mirrors side k."""
     scalar = all(np.ndim(a) == 0 for a in (z, beta, phi_kk, u0))
     z, b, f, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, beta, phi_kk, u0)))
-    # beta goes in as a view and phi as nested pairs around one broadcast
-    # zero, so z is the only input stacked into a copy
-    zero = np.zeros((1,) * f.ndim)
-    p = _price(regime, np.stack([z, z]), np.broadcast_to(b, (2,) + b.shape),
-               ((f, zero), (zero, f)), n)[0]
-    out = f * omega(z, n) - p - u - b * z
+    # one side row, which is its own mirror, with zero cross coefficients
+    om, o = omega(z[None], n), _outside(z[None], n)
+    p = _share_price(regime, om, o, b[None], f[None], np.zeros((1,) * om.ndim), n)[0]
+    out = f * om[0] - p - u - b * z
     return float(out) if scalar else out
 
 
@@ -429,8 +440,7 @@ def _newton2d(regime: str, params: MarketParams, n: float, z0: np.ndarray, tol: 
         err = float(np.max(np.abs(F)))
         if err <= tol:
             return z
-        J = np.column_stack([_complex_partials(regime, params, z, n, dz, 0.0)[:2]
-                             for dz in np.eye(2)])
+        J = _complex_partials(regime, params, z, n, np.eye(2), np.zeros(2))[:2]
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -470,8 +480,9 @@ def consumer_surplus(params: MarketParams, prices, shares, n: float | None = Non
     n = params.n_platforms if n is None else n
     p = np.asarray(prices)
     x = np.asarray(shares)
-    emax = params.mu_arr + params.beta_arr * (np.log(n + 1.0) + EULER_GAMMA)
-    return emax - p + params.phi_arr @ x
+    col = (slice(None),) + (None,) * (x.ndim - 1)  # sides ahead of any trailing axes
+    emax = params.mu_arr[col] + params.beta_arr[col] * (np.log(n + 1.0) + EULER_GAMMA)
+    return emax - p + _phi_times(params.phi_arr, x)
 
 
 def _assemble(regime: str, zv: np.ndarray, params: MarketParams, n: float,

@@ -6,9 +6,10 @@ the margin to them, all numpy expressions in (N, beta_k, phi_kk, u0, z*).
 The first rule that holds decides.  The scalar classifiers walk the list on
 floats and stop at that rule, so later thresholds are never evaluated;
 :func:`region_grid` evaluates the whole list over a (phi_kk, beta_k) mesh at
-once.  The rules apply each proposition's hypotheses literally: a definite
-verdict only inside the stated sufficient region, Indeterminate in the gaps
-the analysis leaves open.  Cubic-root thresholds are built from the actual
+once, and :func:`region_grids` does so for several classifiers over one mesh,
+solving each stage-1 z-grid they read once per call.  The rules apply each
+proposition's hypotheses literally: a definite verdict only inside the stated
+sufficient region, Indeterminate in the gaps the analysis leaves open.  Cubic-root thresholds are built from the actual
 (N, phi_kk) pair and resolved through the shared cubic solver with a
 table-driven branch choice (largest vs unique real root).
 """
@@ -549,10 +550,24 @@ def region_grid(classifier: str, phi_range: tuple[float, float] = (-2.0, 2.0),
 
     The classifier's rule list is evaluated once over the whole mesh.  With
     solve_signs=True a companion grid of numerically solved quantity signs
-    is attached for agreement scoring (see :func:`grid_agreement`).
+    is attached for agreement scoring (see :func:`grid_agreement`).  This is
+    the one-classifier case of :func:`region_grids`.
     """
-    if classifier not in _GRID_RULES:
-        raise ValueError(f"unknown grid classifier {classifier!r}")
+    return region_grids((classifier,), phi_range, beta_range, resolution, n, u0, solve_signs)[0]
+
+
+def region_grids(classifiers, phi_range: tuple[float, float] = (-2.0, 2.0),
+                 beta_range: tuple[float, float] = (0.0, 2.0), resolution: int = 200,
+                 n: int = 4, u0: float = 0.0, solve_signs: bool = False) -> list[RegionGrid]:
+    """:func:`region_grid` of each classifier over one mesh, in order.
+
+    A stage-1 z-grid is solved only where a grid reads it, and each distinct
+    (regime, platform count) grid once per call, so the direction grids'
+    solved signs share their N +- h solves.  Nothing outlives the call.
+    """
+    for classifier in classifiers:
+        if classifier not in _GRID_RULES:
+            raise ValueError(f"unknown grid classifier {classifier!r}")
     if resolution < 1:
         raise ValueError("resolution must be positive")
     if not all(np.isfinite(v) for v in (*phi_range, *beta_range)):
@@ -563,28 +578,35 @@ def region_grid(classifier: str, phi_range: tuple[float, float] = (-2.0, 2.0),
     betas = beta_range[0] + (np.arange(resolution) + 0.5) * (beta_range[1] - beta_range[0]) / resolution
 
     pp, bb = np.meshgrid(phis, betas, indexing="ij")
-    z_grid = None
-    if (classifier == "cs_dn" and n >= 7) or solve_signs:
-        z_grid = solve_decoupled_batch("cne", bb, pp, float(n), u0)
-    rules = _GRID_RULES[classifier](float(n), bb, pp, float(u0),
-                                    math.nan if z_grid is None else z_grid)
-    verdicts, margins = _decide(rules, bb)
-    # beta <= 0 is no market: no proposition applies there
-    verdicts[bb <= 0] = _INDETERMINATE
-    margins[bb <= 0] = math.inf
-    solved = _solved_sign_grid(classifier, pp, bb, float(n), u0, z_grid) if solve_signs else None
-    return RegionGrid(classifier=classifier, n=float(n), u0=u0, phis=phis, betas=betas,
-                      verdicts=verdicts, margins=margins, signs=_SIGNS[verdicts],
-                      solved_signs=solved)
+    solved: dict[tuple[str, float], np.ndarray] = {}
+
+    def z_at(regime: str, n_at: float) -> np.ndarray:
+        if (regime, n_at) not in solved:
+            solved[regime, n_at] = solve_decoupled_batch(regime, bb, pp, n_at, u0)
+        return solved[regime, n_at]
+
+    grids = []
+    for classifier in classifiers:
+        # the N >= 7 consumer-surplus band is the only rule that reads z*
+        z = z_at("cne", float(n)) if classifier == "cs_dn" and n >= 7 else math.nan
+        verdicts, margins = _decide(_GRID_RULES[classifier](float(n), bb, pp, float(u0), z), bb)
+        # beta <= 0 is no market: no proposition applies there
+        verdicts[bb <= 0] = _INDETERMINATE
+        margins[bb <= 0] = math.inf
+        truth = _solved_sign_grid(classifier, pp, bb, float(n), u0, z_at) if solve_signs else None
+        grids.append(RegionGrid(classifier=classifier, n=float(n), u0=u0, phis=phis, betas=betas,
+                                verdicts=verdicts, margins=margins, signs=_SIGNS[verdicts],
+                                solved_signs=truth))
+    return grids
 
 
 def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float, u0: float,
-                      z_grid: np.ndarray) -> np.ndarray:
+                      z_at) -> np.ndarray:
     """Numeric ground truth per cell: solved z sign, FD quantity sign, or a
-    monotonicity certificate for the existence grids."""
+    monotonicity certificate for the existence grids.  z_at(regime, N) gives
+    the solved z-grid of a regime at platform count N."""
     if classifier in ("sign_z_cne", "sign_z_ce"):
-        if classifier == "sign_z_ce":
-            z_grid = solve_decoupled_batch("ce", bb, pp, n, u0)
+        z_grid = z_at("cne" if classifier == "sign_z_cne" else "ce", n)
         return np.where(np.isnan(z_grid), 0, np.sign(z_grid)).astype(int)
     if classifier in ("existence_cne", "existence_ce"):
         # certificate of a unique root: the FOC slope stays negative on a z grid
@@ -598,8 +620,7 @@ def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float,
         return np.where(ok, 1, -1)
     # direction grids: centered difference of the solved quantity across N +- h
     h = 1e-4 * n
-    z_hi = solve_decoupled_batch("cne", bb, pp, n + h, u0)
-    z_lo = solve_decoupled_batch("cne", bb, pp, n - h, u0)
+    z_hi, z_lo = z_at("cne", n + h), z_at("cne", n - h)
     if classifier == "price_dn":
         q_hi = pp * omega(z_hi, n + h) - bb * z_hi - u0
         q_lo = pp * omega(z_lo, n - h) - bb * z_lo - u0

@@ -258,8 +258,8 @@ def ift_derivatives(eq: SymmetricEquilibrium) -> dict[tuple[str, str], tuple[flo
     """
     eye = np.eye(2)
     # columns: the partials along z_b, z_s and N
-    J = np.column_stack([_complex_partials(eq.regime, eq.params, eq.z.as_array(), eq.n, dz, dn)
-                         for dz, dn in ((eye[0], 0.0), (eye[1], 0.0), (0.0 * eye[0], 1.0))])
+    J = _complex_partials(eq.regime, eq.params, eq.z.as_array(), eq.n,
+                          np.eye(2, 3), np.array([0.0, 0.0, 1.0]))
     Fz, FN = J[:2, :2], J[:2, 2]
     scale = abs(Fz[0, 0] * Fz[1, 1]) + abs(Fz[0, 1] * Fz[1, 0])
     if not np.isfinite(J).all() or abs(np.linalg.det(Fz)) <= 1e-14 * scale:

@@ -395,6 +395,27 @@ class TestFiguresCommand:
             if phi > 0.1 and beta < gx4 * phi - 0.05:
                 assert r["paint"] == "0"
 
+    def test_each_z_grid_solved_once_per_command(self, tmp_path, capsys, monkeypatch):
+        # 8 panels read 6 distinct z-grids: fig2's and fig3's two panels
+        # one each, and fig4-fig6 share z*(N +- h) at N = 4, u0 = 0; fig1
+        # reads none.  A second command solves them again.
+        import platform_eq.regions as regions
+        solves = []
+        solve = regions.solve_decoupled_batch
+        monkeypatch.setattr(regions, "solve_decoupled_batch",
+                            lambda regime, beta, phi, n, u0:
+                            solves.append((regime, n, u0)) or solve(regime, beta, phi, n, u0))
+        ini = tmp_path / "f.ini"
+        ini.write_text(BASE_INI + "\n[grid]\nresolution = 10\n")
+        for run in (1, 2):
+            assert main(["figures", "--config", str(ini), "--out", str(tmp_path / "figs"),
+                         "--jobs", "1"]) == 0
+            assert len(solves) == 6 * run
+            assert len(set(solves[-6:])) == 6
+        stems = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert stems == 2 * ["fig1", "fig2_u0_-1", "fig2_u0_0.5", "fig3_u0_-1", "fig3_u0_1",
+                             "fig4", "fig5", "fig6"]
+
     def test_unknown_figure_exit_1(self, tmp_path):
         # argparse rejects bad --figure values itself; a bad config id is ours
         ini = tmp_path / "f.ini"

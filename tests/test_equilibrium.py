@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import platform_eq.equilibrium as equilibrium
 from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array, _price,
@@ -129,6 +131,28 @@ class TestBaseCaseOracles:
         se = draws.std() / np.sqrt(m)
         expected = mu + beta * (np.log(n + 1.0) + EULER_GAMMA)
         assert abs(draws.mean() - expected) < 3 * se
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(regime=st.sampled_from(["cne", "ce"]), n=st.integers(2, 12),
+       beta=st.floats(1e-3, 5.0), phi=st.floats(-3.0, 3.0), u0=st.floats(-5.0, 5.0))
+@example(regime="cne", n=4, beta=0.05, phi=2.0, u0=0.3)  # D < 0: a pole in the bracket
+@example(regime="cne", n=2, beta=0.01, phi=3.0, u0=-4.0)
+def test_decoupled_value_is_row_zero_of_the_residual(regime, n, beta, phi, u0):
+    """mk_value / mkc_value carry the bits of row 0 of the two-sided FOC
+    residual at z_b = z_s on the side-symmetric market, on arrays and on
+    floats, non-finite values in the same places."""
+    value, residual = ((mk_value, cne_foc_residual) if regime == "cne"
+                       else (mkc_value, ce_foc_residual))
+    lo, hi = equilibrium._bracket(regime, beta, phi, float(n), u0)
+    zs = np.concatenate([np.linspace(lo, hi, 41), [-800.0, 800.0, -np.inf, np.inf, np.nan]])
+    params = MarketParams.uniform(n, beta, phi_own=phi, u0=u0)
+    with np.errstate(all="ignore"):
+        rows = np.array([residual(np.array([z, z]), params)[0] for z in zs])
+        assert np.array_equal(value(zs, beta, phi, n, u0), rows, equal_nan=True)
+        assert np.array_equal([value(float(z), beta, phi, n, u0) for z in zs], rows,
+                              equal_nan=True)
+    assert not np.isfinite(rows[-3:]).any()
 
 
 class TestFocForms:

@@ -7,7 +7,7 @@ from platform_eq.model import MarketParams, Side, check_cne_existence, cne_exist
 from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, ThresholdKind, Verdict,
                                  classify_direction, classify_existence, classify_sign_z,
                                  eval_threshold, figure_paint, figure_threshold_curve,
-                                 grid_agreement, region_grid)
+                                 grid_agreement, region_grid, region_grids)
 from platform_eq.equilibrium import solve_cne, solve_decoupled_batch
 from platform_eq.statics import fd_derivative
 
@@ -306,6 +306,22 @@ class TestRegionGrids:
                     continue
                 assert VERDICTS[grid.verdicts[i, j]] is label.verdict
         assert raised > 0
+
+    @pytest.mark.parametrize("n, u0, solve_signs", [(4, 0.0, True), (8, -1.0, True),
+                                                     (8, -1.0, False)])
+    def test_region_grids_match_one_classifier_grids(self, n, u0, solve_signs):
+        # every classifier over one mesh, sharing z-grids, equals each alone
+        # (at N = 8 the cs_dn rules read z* from the shared grid)
+        kwargs = dict(phi_range=(-1.5, 2.5), beta_range=(0.1, 1.7), resolution=30,
+                      n=n, u0=u0, solve_signs=solve_signs)
+        classifiers = GRID_CLASSIFIERS[::-1]
+        grids = region_grids(classifiers, **kwargs)
+        assert [g.classifier for g in grids] == list(classifiers)
+        for grid in grids:
+            alone = region_grid(grid.classifier, **kwargs)
+            assert (grid.n, grid.u0) == (alone.n, alone.u0)
+            for field in ("phis", "betas", "verdicts", "margins", "signs", "solved_signs"):
+                assert np.array_equal(getattr(grid, field), getattr(alone, field)), field
 
     def test_figure_specs_cover_panels(self):
         assert set(FIGURES) == {"fig1", "fig2", "fig3", "fig4", "fig5", "fig6"}
