@@ -29,7 +29,7 @@ from .statics import (AnalyticDomainError, AsymptoticLimits, DerivativeBundle,
                       asymptotic_limits, closed_form, closed_form_columns, dcs_dn,
                       dcs_du0, derivative_bundle, dparticipation_dn, dprice_dn,
                       dprice_du0, dprofit_dn, dprofit_du0, dz_du0, fd_derivative,
-                      ift_derivatives)
+                      ift_columns, ift_derivatives)
 from .verify import (DeviationReport, SOCReport, deviation_profit, soc_ce_hessian,
                      soc_cne_diag, soc_report, verify_nash)
 

@@ -31,7 +31,7 @@ from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
                       figure_paint, figure_threshold_curve, grid_agreement,
                       region_grids)
 from . import __version__
-from .statics import closed_form_columns, ift_derivatives
+from .statics import closed_form_columns, ift_columns
 from .svg import PAINT_FILL, region_svg
 from .verify import soc_report, verify_nash
 
@@ -57,6 +57,9 @@ SWEEP_COLS = (INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS
               + ("vsign_z_b", "vsign_z_s")
               + tuple(f"{name}_{side.label}" for _q, _w, name in CLASSIFIER_SPECS
                       for side in Side))
+
+# a figure row: the formatted phi and beta, verdict, margin, paint, solved sign
+FIGURE_ROW = "%s,%s,%s,%.17g,%d,%d\n"
 
 
 @functools.cache
@@ -200,29 +203,23 @@ def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
 
 def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
     """The 16 derivative cells of each solved cne row, keyed by point: the
-    closed forms over columns at zero cross externalities, otherwise one
-    implicit-function solve per point.  A derivative that cannot be formed
-    writes error:<exception type>."""
+    closed forms over columns at zero cross externalities, otherwise the
+    implicit-function solve over columns.  A derivative that cannot be
+    formed writes error:<exception type>."""
     decoupled = [i for i in eqs if points[i].cross_externalities_zero]
     coupled = [i for i in eqs if not points[i].cross_externalities_zero]
-    table = closed_form_columns([points[i] for i in decoupled], [eqs[i].z for i in decoupled])
     out = {}
-    for row, i in enumerate(decoupled):
-        out[i] = []
-        for quantity, wrt, _name in DERIV_SPECS:
-            values, errors = table[quantity, wrt]
-            for side in Side:
-                exc = errors.get((row, side.index))
-                out[i].append(float(values[row, side.index]) if exc is None
-                              else f"error:{type(exc).__name__}")
-    for i in coupled:
-        try:
-            d = ift_derivatives(eqs[i])
-        except ArithmeticError as exc:
-            out[i] = [f"error:{type(exc).__name__}"] * (2 * len(DERIV_SPECS))
-        else:
-            out[i] = [d[quantity, wrt][side.index]
-                      for quantity, wrt, _name in DERIV_SPECS for side in Side]
+    for rows, table in ((decoupled, closed_form_columns([points[i] for i in decoupled],
+                                                        [eqs[i].z for i in decoupled])),
+                        (coupled, ift_columns([eqs[i] for i in coupled]))):
+        for row, i in enumerate(rows):
+            out[i] = []
+            for quantity, wrt, _name in DERIV_SPECS:
+                values, errors = table[quantity, wrt]
+                for side in Side:
+                    exc = errors.get((row, side.index))
+                    out[i].append(float(values[row, side.index]) if exc is None
+                                  else f"error:{type(exc).__name__}")
     return out
 
 
@@ -352,10 +349,10 @@ def _figure_worker(task):
     grids = region_grids([FIGURES[f].classifier for f in figures], phi_range=phi_range,
                          beta_range=beta_range, resolution=res, n=n, u0=panel_u0,
                          solve_signs=True)
-    # each coordinate is formatted once, not once per cell; csv_text writes
-    # strings as they are
-    phis = ["%.17g" % v for v in grids[0].phis.tolist()]
-    betas = ["%.17g" % v for v in grids[0].betas.tolist()]
+    # the phi and beta columns of every panel, each coordinate formatted once
+    phis, betas = (["%.17g" % v for v in a.tolist()] for a in (grids[0].phis, grids[0].betas))
+    phi_col = [phi for phi in phis for _beta in betas]
+    beta_col = betas * len(phis)
     out = []
     for figure, grid in zip(figures, grids):
         spec = FIGURES[figure]
@@ -363,10 +360,8 @@ def _figure_worker(task):
         paint = figure_paint(figure, grid)
         curve = figure_threshold_curve(figure, grid)
         verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
-        cells = zip(*(c.ravel().tolist() for c in (verdict, grid.margins, paint,
-                                                   grid.solved_signs)))
-        coords = ((phi, beta) for phi in phis for beta in betas)
-        rows = [coord + cell for coord, cell in zip(coords, cells)]
+        rows = list(zip(phi_col, beta_col, *(c.ravel().tolist() for c in (
+            verdict, grid.margins, paint, grid.solved_signs))))
         title = f"{figure}: {spec.description} (N={n:g}, u0={panel_u0:g})"
         legend = [(PAINT_FILL[paint_id], text) for paint_id, text in spec.legend]
         svg = region_svg(grid.phis, grid.betas, paint, curve, title, legend,
@@ -405,8 +400,9 @@ def cmd_figures(cfg: RunConfig) -> int:
             f"figure {stem} n {n:g} u0 {u0:.17g}",
             f"sign agreement {agree}/{checked} = {frac:.17g} (margin > 0.01)",
         ]
-        text = csv_text(comments, ("phi", "beta", "verdict", "margin", "paint",
-                                   "solved_sign"), rows)
+        # every panel column holds one type, so the rows share one format
+        text = (csv_text(comments, ("phi", "beta", "verdict", "margin", "paint", "solved_sign"),
+                         []) + "".join(map(FIGURE_ROW.__mod__, rows)))
         _emit(text, out_dir, f"{stem}.csv", echo=False)
         _emit(svg, out_dir, f"{stem}.svg", echo=False)
         sys.stdout.write(f"{stem}: {len(rows)} cells, sign agreement "

@@ -151,19 +151,21 @@ def logit_shares(det_utilities, beta: float) -> np.ndarray:
     return e / e.sum()
 
 
-def _sigma(x: np.ndarray, params: MarketParams, prices: np.ndarray,
-           mult: np.ndarray) -> np.ndarray:
+def _sigma(x: np.ndarray, phi: np.ndarray, beta: np.ndarray, u0_beta: np.ndarray,
+           prices: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """One application of the share map on a class state laid out batch-last.
 
     x has shape (C+1, 2, cells): row 0 is the outside option and row c the
     share each platform of class c holds; prices are (C, 2, cells).  mult is
     (C+1, 1, 1), the outside option's 1 then the class sizes, which weight the
-    logit denominator e^{u0/beta} + sum_c m_c e^{u_c/beta}.
+    logit denominator e^{u0/beta} + sum_c m_c e^{u_c/beta}.  The market's
+    constants come as the loop builds them once: phi (2, 2), and beta and
+    u0/beta as (2, 1) columns.
     """
     u = np.empty(x.shape)
-    u[0] = params.u0_arr[:, None]
-    np.subtract(np.matmul(params.phi_arr, x[1:]), prices, out=u[1:])
-    u /= params.beta_arr[:, None]
+    u[0] = u0_beta
+    np.subtract(np.matmul(phi, x[1:]), prices, out=u[1:])
+    u[1:] /= beta
     u -= u.max(axis=0)
     np.exp(u, out=u)
     u /= (mult * u).sum(axis=0)
@@ -258,13 +260,15 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     x = np.array(x0, dtype=float, order="C")
     p = np.ascontiguousarray(prices, dtype=float)
     m = np.concatenate(([1.0], mult))[:, None, None]
+    phi, beta = params.phi_arr, params.beta_arr[:, None]
+    u0_beta = params.u0_arr[:, None] / beta
     resid = np.full(x.shape[-1], np.inf)
     # the swept cells: their batch index, iterate, prices and last residual,
     # and which of them have already met tol and been written out
     idx, xa, pa, ra = np.arange(x.shape[-1]), x, p, resid
     met = np.zeros(idx.size, dtype=bool)
     for _ in range(max_iter):
-        s = _sigma(xa, params, pa, m)
+        s = _sigma(xa, phi, beta, u0_beta, pa, m)
         ra = np.max(np.abs(s - xa), axis=(0, 1))
         new = (ra <= tol) & ~met
         if new.any():

@@ -15,15 +15,18 @@ from the inputs.  A cell ends as soon as its Newton step falls below rounding
 size, so a root met to the last bit is kept, not bisected away from.  One
 solver, `solve_markets`, runs it once per platform count over markets x
 sides; `solve_cne` and `solve_ce` are its one-market case.  With nonzero
-cross-side externalities a damped Newton on the two-equation system, its
-Jacobian exact by one complex-step call over both directions, starts from
-the decoupled root.  All formulas accept a real-valued platform count so
-that derivatives with respect to N can be validated by central differences.
+cross-side externalities a damped Newton on the two-equation system starts
+from the decoupled root, over all such markets of the batch at once: one
+complex-step call gives every exact Jacobian and one stacked solve every
+step.  The equilibria are then assembled over columns.  All formulas accept
+a real-valued platform count so that derivatives with respect to N can be
+validated by central differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,12 +153,11 @@ def _outside(z, n):
         return 1.0 / (1.0 + n * np.exp(z))
 
 
-def _price(regime: str, z, beta, phi, n):
-    """Symmetric prices (H(z) Omega(z))_k ("cne") or (H^C(z) Omega(z))_k ("ce").
-
-    z and beta hold (buyer, seller) on axis 0 and phi is the 2x2 matrix on
-    axes 0-1 (or its rows as nested pairs), each with any trailing grid axes.
-    With l the other side, B = o + omega, K = phi_kk o omega - beta (1 - omega),
+def _share_price(regime: str, om, o, beta, own, lk, n):
+    """Symmetric prices (H(z) Omega(z))_k ("cne") or (H^C(z) Omega(z))_k ("ce")
+    from the shares omega and o at z, with beta, own = phi_kk and lk = phi_lk
+    holding (buyer, seller) on axis 0 ahead of any trailing axes.  With l the
+    other side, B = o + omega, K = phi_kk o omega - beta (1 - omega),
     c = phi_bs phi_sb:
 
         (H Omega)_k   = beta_k [K_l (B_k omega_k phi_kk - beta_k) - c omega_k o_l omega_l B_k
@@ -163,17 +165,11 @@ def _price(regime: str, z, beta, phi, n):
                         - phi_kk omega_k - phi_lk omega_l
         (H^C Omega)_k = beta_k / o_k - phi_kk omega_k - phi_lk omega_l
 
-    A pole of the competitive price reads as a non-finite value.
+    A pole of the competitive price reads as a non-finite value.  Only
+    + - * / act on the shares, so complex shares and a complex N carry a
+    complex step through.  A side axis of length 1 is a decoupled side that
+    mirrors itself: l is k there.
     """
-    return _share_price(regime, omega(z, n), _outside(z, n), beta,
-                        np.stack([phi[0][0], phi[1][1]]), np.stack([phi[1][0], phi[0][1]]), n)
-
-
-def _share_price(regime: str, om, o, beta, own, lk, n):
-    """`_price` from the shares omega and o themselves, with own = phi_kk and
-    lk = phi_lk on the side axis.  Only + - * / act on them, so complex
-    shares and a complex N carry a complex step through.  A side axis of
-    length 1 is a decoupled side that mirrors itself: l is k there."""
     base = own * om + lk * om[::-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if regime == "ce":
@@ -197,14 +193,43 @@ def _as_z_array(z) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# FOC residuals
+# FOC residuals over columns of markets
 # --------------------------------------------------------------------------
 
+class _Columns(NamedTuple):
+    """A batch of markets' constants, one column each: beta, u0, mu, phi_kk
+    and phi_lk with the side axis first, then the stacked Phi matrices."""
+
+    beta: np.ndarray
+    u0: np.ndarray
+    mu: np.ndarray
+    own: np.ndarray
+    lk: np.ndarray
+    phis: np.ndarray
+
+    @classmethod
+    def of(cls, markets) -> "_Columns":
+        # per market: beta, u0, mu, then Phi's rows (phi_bb, phi_bs, phi_sb, phi_ss)
+        a = np.array([(*p.beta, *p.u0, *p.mu, *p.phi[0], *p.phi[1])
+                      for p in markets]).reshape(-1, 10)
+        return cls(a[:, 0:2].T, a[:, 2:4].T, a[:, 4:6].T, a[:, 6::3].T, a[:, 8:6:-1].T,
+                   a[:, 6:].reshape(-1, 2, 2))
+
+    def take(self, cols) -> "_Columns":
+        """The columns cols."""
+        return _Columns(*(a[:, cols] for a in self[:5]), self.phis[cols])
+
+
+def _foc(regime: str, c: _Columns, z: np.ndarray, n: float) -> np.ndarray:
+    """The FOC residual Phi omega - p - u0 - beta z at every column of z (2, cells)."""
+    om = omega(z, n)
+    return (_phi_times(c.phis, om) - _share_price(regime, om, _outside(z, n), c.beta, c.own,
+                                                   c.lk, n) - c.u0 - c.beta * z)
+
+
 def _residual(regime: str, z, params: MarketParams, n: float | None) -> np.ndarray:
-    zv = _as_z_array(z)
     n = float(params.n_platforms if n is None else n)
-    return (params.phi_arr @ omega(zv, n) - _price(regime, zv, params.beta_arr, params.phi_arr, n)
-            - params.u0_arr - params.beta_arr * zv)
+    return _foc(regime, _Columns.of([params]), _as_z_array(z)[:, None], n)[:, 0]
 
 
 def cne_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
@@ -220,34 +245,34 @@ def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarr
 def _phi_times(phi, x):
     """Phi x over the side axis of x, as one matrix-vector product per
     trailing index, so each column carries the bits of that product alone
-    (a matrix-matrix product may round the sums differently)."""
+    (a matrix-matrix product may round the sums differently).  phi is one
+    2x2 matrix or a stack of them, one per column of x's second axis."""
     return np.matmul(phi, x.T[..., None])[..., 0].T
 
 
-def _complex_partials(regime: str, params: MarketParams, z: np.ndarray, n: float,
+def _complex_partials(regime: str, c: _Columns, z: np.ndarray, n: float,
                       dz: np.ndarray, dn: np.ndarray) -> np.ndarray:
     """Directional partials of the FOC residual F, the price p, the profit
     p omega, the consumer surplus, the participation N omega and z itself,
-    each (buyer, seller), stacked in that order on axis 0.  Direction j moves
-    (z_b, z_s, N) along (dz[:, j], dn[j]) and is column j of the result.
+    each (buyer, seller), stacked in that order on axis 0, at every column
+    of z (2, cells).  Direction j moves (z_b, z_s, N) along (dz[:, j], dn[j])
+    and is the last axis of the result, of shape (12, cells, directions).
 
     One complex step through the share-space price: the shares omega and o
     move along their exact tangents omega_z = omega o, o_z = -N omega o,
     omega_N = -omega^2 and o_N = -omega o, so no e^z is formed in complex
     arithmetic.
     """
-    om, o = omega(z, n)[:, None], _outside(z, n)[:, None]
-    h = COMPLEX_STEP
-    zc, nc = z[:, None] + 1j * h * dz, n + 1j * h * dn
+    om, o = omega(z, n)[..., None], _outside(z, n)[..., None]
+    h, dz = COMPLEX_STEP, dz[:, None]
+    zc, nc = z[..., None] + 1j * h * dz, n + 1j * h * dn
     omc = om + 1j * h * om * (o * dz - om * dn)
     oc = o - 1j * h * om * o * (n * dz + dn)
-    phi = params.phi_arr
-    col = (slice(None), None)  # the side axis, ahead of the directions
+    beta = c.beta[..., None]
     with np.errstate(invalid="ignore", over="ignore"):
-        p = _share_price(regime, omc, oc, params.beta_arr[col], np.diag(phi)[col],
-                         np.diag(phi[::-1])[col], nc)
-        F = _phi_times(phi, omc) - p - params.u0_arr[col] - params.beta_arr[col] * zc
-        cs = consumer_surplus(params, p, omc, nc)
+        p = _share_price(regime, omc, oc, beta, c.own[..., None], c.lk[..., None], nc)
+        F = _phi_times(c.phis, omc) - p - c.u0[..., None] - beta * zc
+        cs = _surplus(c.mu[..., None], beta, c.phis, p, omc, nc)
     return np.concatenate([F, p, p * omc, cs, nc * omc, zc]).imag / h
 
 
@@ -425,51 +450,86 @@ def _scan_roots(regime: str, beta: float, phi_kk: float, n: float, u0: float) ->
 
 
 # --------------------------------------------------------------------------
-# coupled 2D Newton
+# coupled 2D Newton over columns
 # --------------------------------------------------------------------------
 
-def _newton2d(regime: str, params: MarketParams, n: float, z0: np.ndarray, tol: float,
-              max_iter: int = 80) -> np.ndarray:
-    """Damped Newton on the two-equation FOC of one regime, from z0, with the
-    exact Jacobian F_z of `_complex_partials`."""
-    residual = cne_foc_residual if regime == "cne" else ce_foc_residual
-    z = z0.copy()
-    F = residual(z, params, n)
-    trace: list[str] = []
-    for it in range(max_iter):
-        err = float(np.max(np.abs(F)))
-        if err <= tol:
-            return z
-        J = _complex_partials(regime, params, z, n, np.eye(2), np.zeros(2))[:2]
+def _solve_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton steps J^-1 F of every column by one stacked solve, and a
+    mask of the columns whose J is singular: one singular J fails the
+    stacked call, so then each column solves alone."""
+    singular = np.zeros(len(J), dtype=bool)
+    try:
+        return np.linalg.solve(J, F.T[..., None])[..., 0].T, singular
+    except np.linalg.LinAlgError:
+        step = np.full(F.shape, np.nan)
+    for j in range(len(J)):
         try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Jacobian in coupled Newton", trace) from exc
-        lam = 1.0
+            step[:, j] = np.linalg.solve(J[j], F[:, j])
+        except np.linalg.LinAlgError:
+            singular[j] = True
+    return step, singular
+
+
+def _newton(regime: str, c: _Columns, n: float, z: np.ndarray, tol: float,
+            max_iter: int = 80) -> tuple[np.ndarray, dict[int, SolverError]]:
+    """Damped Newton on the two-equation FOC of one regime at every column
+    of z (2, cells), with the exact Jacobians F_z of `_complex_partials`.
+    Each column has its own residual, up to 100 step halvings and trace; one
+    complex-step call and one stacked solve serve all live columns per
+    iteration.  Returns z and, per column that failed, its SolverError."""
+    z = np.array(z, dtype=float)
+    F = _foc(regime, c, z, n)
+    err = np.max(np.abs(F), axis=0)
+    live = np.arange(z.shape[1])
+    traces, failed = [[] for _ in live], {}
+    for it in range(max_iter):
+        live = live[~(err[live] <= tol)]  # a NaN residual has not converged
+        if not live.size:
+            break
+        cl, zl, e = c.take(live), z[:, live], err[live]
+        J = _complex_partials(regime, cl, zl, n, np.eye(2), np.zeros(2))[:2].transpose(1, 0, 2)
+        step, drop = _solve_steps(J, F[:, live])
+        for j in np.flatnonzero(drop):
+            failed[live[j]] = SolverError("singular Jacobian in coupled Newton", traces[live[j]])
+        lam = np.ones(live.size)
+        todo = np.flatnonzero(~drop)
         for _ in range(100):
-            z_new = z - lam * step
-            F_new = residual(z_new, params, n)
-            if np.all(np.isfinite(F_new)) and np.max(np.abs(F_new)) < err:
+            if not todo.size:
                 break
-            lam *= 0.5
-        else:
-            trace.append(f"iter {it}: stalled at residual {err:.3e}")
-            rel_det = (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]) / (
-                abs(J[0, 0] * J[1, 1]) + abs(J[0, 1] * J[1, 0]))
+            zt = zl[:, todo] - lam[todo] * step[:, todo]
+            Ft = _foc(regime, cl.take(todo), zt, n)
+            et = np.max(np.abs(Ft), axis=0)
+            ok = np.isfinite(Ft).all(axis=0) & (et < e[todo])
+            for j, after in zip(todo[ok], et[ok]):
+                traces[live[j]].append(f"iter {it}: residual {e[j]:.3e} -> {after:.3e}")
+            cols = live[todo[ok]]
+            z[:, cols], F[:, cols], err[cols] = zt[:, ok], Ft[:, ok], et[ok]
+            todo = todo[~ok]
+            lam[todo] *= 0.5
+        for j in todo:
+            a, b = J[j, 0, 0] * J[j, 1, 1], J[j, 0, 1] * J[j, 1, 0]
+            rel_det = (a - b) / (abs(a) + abs(b))
             why = ("near-singular Jacobian" if abs(rel_det) <= NEAR_SINGULAR
                    else "line search exhausted")
-            raise SolverError(f"coupled Newton stalled ({why}): relative determinant "
-                              f"{rel_det:.2e} at residual {err:.2e}", trace)
-        trace.append(f"iter {it}: residual {err:.3e} -> {np.max(np.abs(F_new)):.3e}")
-        z, F = z_new, F_new
-    if float(np.max(np.abs(F))) <= tol:
-        return z
-    raise SolverError("coupled Newton did not reach tolerance", trace)
+            traces[live[j]].append(f"iter {it}: stalled at residual {e[j]:.3e}")
+            failed[live[j]] = SolverError(f"coupled Newton stalled ({why}): relative determinant "
+                                          f"{rel_det:.2e} at residual {e[j]:.2e}", traces[live[j]])
+        drop[todo] = True
+        live = live[~drop]
+    for col in live[~(err[live] <= tol)]:
+        failed[col] = SolverError("coupled Newton did not reach tolerance", traces[col])
+    return z, failed
 
 
 # --------------------------------------------------------------------------
 # public solvers
 # --------------------------------------------------------------------------
+
+def _surplus(mu, beta, phi, p, x, n):
+    """mu + beta (ln(N+1) + gamma_EM) - p + (Phi x)_k, everything on the side
+    axis of x; phi is one matrix or a stack, as in `_phi_times`."""
+    return mu + beta * (np.log(n + 1.0) + EULER_GAMMA) - p + _phi_times(phi, x)
+
 
 def consumer_surplus(params: MarketParams, prices, shares, n: float | None = None) -> np.ndarray:
     """Per-side consumer surplus mu + beta (ln(N+1) + gamma_EM) - p + (Phi x)_k.
@@ -478,72 +538,78 @@ def consumer_surplus(params: MarketParams, prices, shares, n: float | None = Non
     Nothing is cast to float, so a complex step passes through.
     """
     n = params.n_platforms if n is None else n
-    p = np.asarray(prices)
     x = np.asarray(shares)
     col = (slice(None),) + (None,) * (x.ndim - 1)  # sides ahead of any trailing axes
-    emax = params.mu_arr[col] + params.beta_arr[col] * (np.log(n + 1.0) + EULER_GAMMA)
-    return emax - p + _phi_times(params.phi_arr, x)
+    return _surplus(params.mu_arr[col], params.beta_arr[col], params.phi_arr,
+                    np.asarray(prices), x, n)
 
 
-def _assemble(regime: str, zv: np.ndarray, params: MarketParams, n: float,
-              warnings: list[str]) -> SymmetricEquilibrium:
-    om = omega(zv, n)
-    prices = _price(regime, zv, params.beta_arr, params.phi_arr, n)
-    implied = params.phi_arr @ om - params.beta_arr * zv - params.u0_arr
-    gap = float(np.max(np.abs(implied - prices)))
-    cs = consumer_surplus(params, prices, om, n)
+def _assemble(regime: str, markets: list, c: _Columns, z: np.ndarray, n: float,
+              warnings: list) -> list[SymmetricEquilibrium]:
+    """The equilibria at the columns of z (2, cells), evaluated over columns."""
+    om = omega(z, n)
+    prices = _share_price(regime, om, _outside(z, n), c.beta, c.own, c.lk, n)
+    implied = _phi_times(c.phis, om) - c.beta * z - c.u0
+    gap = np.max(np.abs(implied - prices), axis=0)
+    cs = _surplus(c.mu, c.beta, c.phis, prices, om, n)
     per_side = prices * om
-    return SymmetricEquilibrium(
-        regime=regime,
-        z=ZPoint(float(zv[0]), float(zv[1])),
-        prices=(float(prices[0]), float(prices[1])),
-        shares=(float(om[0]), float(om[1])),
-        participation=(float(n * om[0]), float(n * om[1])),
-        profit_per_side=(float(per_side[0]), float(per_side[1])),
-        total_profit=float(per_side.sum()),
-        consumer_surplus=(float(cs[0]), float(cs[1])),
-        foc_residual=gap,
-        price_check=gap,
-        n=n,
-        params=params,
-        warnings=tuple(warnings),
-    )
+    cols = zip(*(a.tolist() for a in (*z, *prices, *om, *(n * om), *per_side,
+                                      per_side[0] + per_side[1], *cs, gap)))
+    return [SymmetricEquilibrium(
+        regime=regime, z=ZPoint(zb, zs), prices=(pb, ps), shares=(xb, xs),
+        participation=(nxb, nxs), profit_per_side=(pib, pis), total_profit=pi,
+        consumer_surplus=(csb, css), foc_residual=g, price_check=g, n=n, params=params,
+        warnings=tuple(w))
+        for params, w, (zb, zs, pb, ps, xb, xs, nxb, nxs, pib, pis, pi, csb, css, g)
+        in zip(markets, warnings, cols)]
 
 
 def solve_markets(regime: str, markets, tol: float = 1e-10, n: float | None = None) -> list:
     """Solve one regime ("cne" or "ce") on many markets at once.
 
     The markets are grouped by platform count, so N stays one float per
-    group, and each group's decoupled FOCs run as one batch of
-    :func:`solve_decoupled_batch` over markets x sides.  Only two kinds of
-    market take further work, each started from its batched root: a side
-    that fails the existence check scans its bracket for every root and
-    keeps the max-profit one, and nonzero cross-side externalities run the
-    damped Newton on the two-equation system.  Returns, per market, its
-    SymmetricEquilibrium or the SolverError or ArithmeticError it raised.
-    `n` evaluates every market at one real-valued platform count.
+    group, and each group runs in columns: its decoupled FOCs as one batch
+    of :func:`solve_decoupled_batch` over markets x sides, then one damped
+    Newton on the two-equation system over every market with nonzero
+    cross-side externalities, started from its batched root, and one
+    assembly of the equilibria.  Only a side that fails the existence check
+    takes work of its own: it scans its bracket for every root and keeps the
+    max-profit one.  Returns, per market, its SymmetricEquilibrium or the
+    SolverError or ArithmeticError it raised.  `n` evaluates every market at
+    one real-valued platform count.
     """
-    ns = [float(p.n_platforms if n is None else n) for p in markets]
     groups: dict[float, list[int]] = {}
-    for i, nk in enumerate(ns):
-        groups.setdefault(nk, []).append(i)
-    z = np.empty((len(markets), 2))
+    for i, p in enumerate(markets):
+        groups.setdefault(float(p.n_platforms if n is None else n), []).append(i)
+    out = [None] * len(markets)
     for nk, rows in groups.items():
-        cols = np.array([(markets[i].beta, (markets[i].phi[0][0], markets[i].phi[1][1]),
-                          markets[i].u0) for i in rows])
-        z[rows] = solve_decoupled_batch(regime, cols[:, 0], cols[:, 1], nk, cols[:, 2])
-    out = []
-    for params, nk, zk in zip(markets, ns, z):
-        try:
-            out.append(_finish(regime, params, nk, zk.copy(), tol))
-        except (SolverError, ArithmeticError) as exc:
-            out.append(exc)
+        group = [markets[i] for i in rows]
+        c = _Columns.of(group)
+        z = np.ascontiguousarray(solve_decoupled_batch(regime, c.beta.T, c.own.T, nk, c.u0.T).T)
+        warnings = {}  # per market still solving, in order
+        for j, params in enumerate(group):
+            try:
+                warnings[j] = _finish(regime, params, nk, z[:, j])
+            except (SolverError, ArithmeticError) as exc:
+                out[rows[j]] = exc
+        coupled = [j for j in warnings if not group[j].cross_externalities_zero]
+        if coupled:
+            z[:, coupled], failed = _newton(regime, c.take(coupled), nk, z[:, coupled],
+                                            tol=min(tol, 1e-12))
+            for col, exc in failed.items():
+                out[rows[coupled[col]]] = exc
+                del warnings[coupled[col]]
+        ok = list(warnings)
+        eqs = _assemble(regime, [group[j] for j in ok], c.take(ok), z[:, ok], nk,
+                        list(warnings.values()))
+        for j, eq in zip(ok, eqs):
+            out[rows[j]] = eq
     return out
 
 
-def _finish(regime: str, params: MarketParams, n: float, z: np.ndarray,
-            tol: float) -> SymmetricEquilibrium:
-    """One market's equilibrium from its batched decoupled root z."""
+def _finish(regime: str, params: MarketParams, n: float, z: np.ndarray) -> list[str]:
+    """One market's existence check and root scan on its batched decoupled
+    root z, replaced in place; returns the warnings."""
     exists = (check_cne_existence if regime == "cne" else check_ce_existence)(params, n)
     warnings = [f"{regime} existence condition fails on side {side.label}"
                 for side, ok in zip(Side, exists) if not ok]
@@ -560,10 +626,7 @@ def _finish(regime: str, params: MarketParams, n: float, z: np.ndarray,
             z[k] = roots[np.argmax((phi_kk[k] * om - beta[k] * roots - u0[k]) * om)]
     if np.isnan(z).any():
         raise SolverError(f"no root in range for the decoupled {regime} FOC")
-
-    if not params.cross_externalities_zero:
-        z = _newton2d(regime, params, n, z, tol=min(tol, 1e-12))
-    return _assemble(regime, z, params, n, warnings)
+    return warnings
 
 
 def _one(result):

@@ -12,8 +12,10 @@ one-cell case and `dprice_du0`, ..., `dprofit_dn` are that with its key
 bound.  It refuses to run when the cross-side externalities are nonzero:
 those closed forms simply do not apply there, and silently returning them
 would be a correctness trap.
-`ift_derivatives` covers that regime from one 2x2 solve at z*.  A derivative
-that cannot be formed raises ArithmeticError; none returns NaN.
+`ift_columns` covers that regime from one 2x2 solve at z* per market, over
+many markets at once; `ift_derivatives` is its one-market case.  A
+derivative that cannot be formed is an ArithmeticError, raised by the
+one-cell forms and kept per cell by the column forms; none returns NaN.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import (SLOPE_Z_CAP, SymmetricEquilibrium, _complex_partials,
+from .equilibrium import (SLOPE_Z_CAP, SymmetricEquilibrium, _Columns, _complex_partials,
                           _slope_denominator, solve_cne)
 from .model import MarketParams, Side
 
@@ -241,37 +243,63 @@ dprofit_dn = _ANALYTIC_OPS["profit", "n_platforms"]
 # implicit-function derivatives for any market
 # --------------------------------------------------------------------------
 
-def ift_derivatives(eq: SymmetricEquilibrium) -> dict[tuple[str, str], tuple[float, float]]:
-    """d q_k / d u0_k and d q_k / dN of every quantity in QUANTITIES, on both
-    sides k of a solved equilibrium, keyed (quantity, wrt) with (buyer, seller)
-    values.  The sweep uses it for competitive rows with nonzero cross-side
-    externalities; it holds for any market and for either regime.
+def ift_columns(eqs: list) -> dict[tuple[str, str], tuple[np.ndarray, dict]]:
+    """d q_k / d u0_k and d q_k / dN of every quantity in QUANTITIES on both
+    sides k of many solved equilibria, in the layout of `closed_form_columns`:
+    (quantity, wrt) -> (values of shape (len(eqs), 2), errors keyed (row,
+    side index)).  The sweep uses it for competitive rows with nonzero
+    cross-side externalities; it holds for any market and either regime.
 
     The FOC F(z; u0, N) = Phi omega - p - u0 - beta z, with the regime's price
     p, vanishes at z*, so dz/du0 = -F_z^{-1} F_u0 = F_z^{-1} and
     dz/dN = -F_z^{-1} F_N.  Price, profit p omega, consumer surplus,
     participation N omega and z itself are explicit in (z, N):
     dq/dtheta = q_z dz/dtheta + q_N dN/dtheta.  The partials in z_b, z_s and
-    N are one complex step each through the same share-space price, the one
-    the coupled Newton takes its Jacobian from.  A singular F_z or a
-    non-finite result raises ArithmeticError.
+    N are one complex-step call per (regime, N) group, through the price the
+    coupled Newton takes its Jacobian from; one stacked determinant, solve and
+    product then serve every row.  A row with a singular F_z or a non-finite
+    result has its ArithmeticError on both sides of every key.
     """
-    eye = np.eye(2)
-    # columns: the partials along z_b, z_s and N
-    J = _complex_partials(eq.regime, eq.params, eq.z.as_array(), eq.n,
-                          np.eye(2, 3), np.array([0.0, 0.0, 1.0]))
-    Fz, FN = J[:2, :2], J[:2, 2]
-    scale = abs(Fz[0, 0] * Fz[1, 1]) + abs(Fz[0, 1] * Fz[1, 0])
-    if not np.isfinite(J).all() or abs(np.linalg.det(Fz)) <= 1e-14 * scale:
-        raise ArithmeticError("singular or non-finite FOC Jacobian F_z at z*")
-    # columns: (dz_b, dz_s, dN) along u0_b, u0_s and N
-    dz = np.linalg.solve(Fz, np.column_stack([eye, -FN]))
-    D = J[2:] @ np.vstack([dz, [0.0, 0.0, 1.0]])
-    if not np.isfinite(D).all():
-        raise ArithmeticError("non-finite implicit-function derivative")
-    return {(q, wrt): (float(D[2 * i, col[0]]), float(D[2 * i + 1, col[1]]))
-            for i, q in enumerate(QUANTITIES)
+    d = np.full((len(eqs), 10, 3), np.nan)
+    errors: dict[int, ArithmeticError] = {}
+    groups: dict[tuple[str, float], list[int]] = {}
+    for i, eq in enumerate(eqs):
+        groups.setdefault((eq.regime, eq.n), []).append(i)
+    for (regime, n), rows in groups.items():
+        z = np.array([[eqs[i].z.z_b for i in rows], [eqs[i].z.z_s for i in rows]])
+        # per row, columns the partials along z_b, z_s and N
+        J = np.ascontiguousarray(_complex_partials(
+            regime, _Columns.of([eqs[i].params for i in rows]), z, n, np.eye(2, 3),
+            np.array([0.0, 0.0, 1.0])).transpose(1, 0, 2))
+        ok = np.isfinite(J).all(axis=(1, 2))
+        Fz = J[ok, :2, :2]
+        scale = np.abs(Fz[:, 0, 0] * Fz[:, 1, 1]) + np.abs(Fz[:, 0, 1] * Fz[:, 1, 0])
+        ok[ok] = ~(np.abs(np.linalg.det(Fz)) <= 1e-14 * scale)  # NaN passes
+        for i in np.flatnonzero(~ok):
+            errors[rows[i]] = ArithmeticError("singular or non-finite FOC Jacobian F_z at z*")
+        # rows (dz_b, dz_s, dN), columns along u0_b, u0_s and N
+        v = np.tile(np.eye(3), (ok.sum(), 1, 1))
+        v[:, :2, 2] = -J[ok, :2, 2]
+        v[:, :2] = np.linalg.solve(J[ok, :2, :2], v[:, :2])
+        good = np.asarray(rows)[ok]
+        d[good] = np.matmul(J[ok, 2:], v)
+        for i in good[~np.isfinite(d[good]).all(axis=(1, 2))]:
+            errors[i] = ArithmeticError("non-finite implicit-function derivative")
+    side_errors = {(i, k): exc for i, exc in errors.items() for k in (0, 1)}
+    return {(q, wrt): (np.stack([d[:, 2 * j, col[0]], d[:, 2 * j + 1, col[1]]], axis=1),
+                       side_errors)
+            for j, q in enumerate(QUANTITIES)
             for wrt, col in (("u0", (0, 1)), ("n_platforms", (2, 2)))}
+
+
+def ift_derivatives(eq: SymmetricEquilibrium) -> dict[tuple[str, str], tuple[float, float]]:
+    """`ift_columns` of one solved equilibrium: (quantity, wrt) -> (buyer,
+    seller) values; a singular F_z or a non-finite result raises
+    ArithmeticError."""
+    table = ift_columns([eq])
+    if table["z", "u0"][1]:
+        raise table["z", "u0"][1][0, 0]
+    return {key: tuple(values[0].tolist()) for key, (values, _errors) in table.items()}
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,16 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [float(t) for t in raw]
 
 
+def _runs(paint):
+    """(column i, first row j, end row, value) of each run of one value along
+    the columns of paint, rows j to end - 1, split where np.diff is nonzero."""
+    paint = np.asarray(paint)
+    for i, (column, steps) in enumerate(zip(paint.tolist(), np.diff(paint, axis=1))):
+        cuts = (np.flatnonzero(steps) + 1).tolist()
+        for j, end in zip([0, *cuts], [*cuts, len(column)]):
+            yield i, j, end, column[j]
+
+
 def region_svg(phis, betas, paint, curve, title: str,
                legend: list[tuple[str, str]], xlabel: str = "phi_kk",
                ylabel: str = "beta_k", width: int = 640, height: int = 480) -> str:
@@ -59,19 +69,12 @@ def region_svg(phis, betas, paint, curve, title: str,
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     # cells, run-length merged along beta within each phi column
-    for i in range(len(phis)):
+    for i, j, end, v in _runs(paint):
         x = ml + i * cell_w
-        j = 0
-        while j < len(betas):
-            v = int(paint[i, j])
-            j2 = j
-            while j2 + 1 < len(betas) and int(paint[i, j2 + 1]) == v:
-                j2 += 1
-            y_top = mt + (len(betas) - 1 - j2) * cell_h
-            h = (j2 - j + 1) * cell_h
-            parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y_top)}" width="{_fmt(cell_w + 0.35)}" '
-                         f'height="{_fmt(h + 0.35)}" fill="{PAINT_FILL[v]}"/>')
-            j = j2 + 1
+        y_top = mt + (len(betas) - end) * cell_h
+        h = (end - j) * cell_h
+        parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y_top)}" width="{_fmt(cell_w + 0.35)}" '
+                     f'height="{_fmt(h + 0.35)}" fill="{PAINT_FILL[v]}"/>')
     # threshold curve, clipped to the plot box
     pts = [(sx(p), sy(min(max(b, b_lo), b_hi))) for p, b in curve if phi_lo <= p <= phi_hi]
     if len(pts) >= 2:

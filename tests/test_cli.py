@@ -205,7 +205,7 @@ class TestSweepCommand:
                        "phi_bb = 0.2\nphi_bs = 0.03\nphi_sb = 0.03\nphi_ss = 0.2\n"
                        "\n[sweep]\naxis = u0\nstart = -1.0\nstop = 1.0\nstep = 1.0\n"
                        "\n[solve]\nregime = cne\n")
-        calls = {"solved": 0, "newton": 0, "solve_cne": 0, "fd": 0}
+        calls = {"solved": 0, "newton": [], "ift": [], "solve_cne": 0, "fd": 0}
 
         def counting(name, fn, weight=lambda *args: 1):
             def wrapper(*args, **kwargs):
@@ -218,7 +218,19 @@ class TestSweepCommand:
 
         # the batched entry point counts the markets it solves
         monkeypatch.setattr(cli, "solve_markets", counting("solved", cli.solve_markets, markets))
-        monkeypatch.setattr(equilibrium, "_newton2d", counting("newton", equilibrium._newton2d))
+        real_newton, real_ift = equilibrium._newton, cli.ift_columns
+
+        def newton(regime, c, n, z, *args, **kwargs):
+            calls["newton"].append(z.shape[1])
+            return real_newton(regime, c, n, z, *args, **kwargs)
+
+        def ift(eqs):
+            calls["ift"].append(len(eqs))
+            return real_ift(eqs)
+
+        # one Newton batch and one implicit-function batch over the 3 coupled points
+        monkeypatch.setattr(equilibrium, "_newton", newton)
+        monkeypatch.setattr(cli, "ift_columns", ift)
         monkeypatch.setattr(cli, "solve_cne", counting("solve_cne", cli.solve_cne))
         monkeypatch.setattr(statics, "solve_cne", counting("solve_cne", statics.solve_cne))
         monkeypatch.setattr(statics, "fd_derivative", counting("fd", statics.fd_derivative))
@@ -226,7 +238,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(ini), "--out", str(d), "--jobs", "1"]) == 0
         _, rows = read_rows(d / "sweep.csv")
         assert len(rows) == 3
-        assert calls == {"solved": 3, "newton": 3, "solve_cne": 0, "fd": 0}
+        assert calls == {"solved": 3, "newton": [3], "ift": [3], "solve_cne": 0, "fd": 0}
         monkeypatch.undo()
         for r in rows:
             assert r["deriv_method"] == "ift"

@@ -162,7 +162,9 @@ class TestFixedPointBatch:
         # report a residual above it (the kernel runs batch-last, all-ones classes)
         xt = np.ascontiguousarray(x.reshape(-1, 2, 4).T)
         pt = np.ascontiguousarray(prices.reshape(-1, 2, 3).T)
-        s = demand._sigma(xt, params, pt, np.ones((4, 1, 1)))
+        beta = params.beta_arr[:, None]
+        s = demand._sigma(xt, params.phi_arr, beta, params.u0_arr[:, None] / beta, pt,
+                          np.ones((4, 1, 1)))
         recheck = np.max(np.abs(s - xt), axis=(0, 1)).reshape(41, 41)
         assert np.array_equal(recheck[done], resid[done])
         assert np.all(resid[~done] > 1e-12)

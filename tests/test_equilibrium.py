@@ -1,14 +1,26 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import platform_eq.equilibrium as equilibrium
-from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array, _price,
+from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array,
                                      ce_foc_residual, cne_foc_residual, compare_regimes,
                                      consumer_surplus, mk_value, mkc_value, omega,
                                      solve_ce, solve_cne, solve_decoupled_batch)
 from platform_eq.model import EULER_GAMMA, MarketParams, Side, check_cne_existence
+from platform_eq.statics import ift_derivatives
+
+
+def _price(regime: str, z, beta, phi, n):
+    """The share-space price at z, with phi the 2x2 matrix on axes 0-1 (or its
+    rows as nested pairs), each input with any trailing grid axes."""
+    return equilibrium._share_price(regime, omega(z, n), equilibrium._outside(z, n), beta,
+                                    np.stack([phi[0][0], phi[1][1]]),
+                                    np.stack([phi[1][0], phi[0][1]]), n)
 
 
 # the paper's literal pricing matrices: the reference the share-space price
@@ -450,6 +462,106 @@ class TestCoupledNewtonStall:
         assert residual == pytest.approx(3.4e-6, rel=0.05)
         assert "," not in message  # it lands in a CSV error cell
 
+
+def _bits(result) -> str:
+    """A stage-1 result with every float spelled exactly: repr round-trips
+    a double and tells -0.0 from 0.0; an error by its type, message and trace."""
+    if isinstance(result, Exception):
+        return repr((type(result).__name__, str(result), getattr(result, "trace", ())))
+    return repr(dataclasses.astuple(dataclasses.replace(result, params=None)))
+
+
+@st.composite
+def batch_markets(draw):
+    """2 to 8 markets over a few platform counts, so they share N groups:
+    coupled ones and sides outside the existence region (phi_kk up to 2
+    against beta down to 0.05)."""
+    markets = []
+    for _ in range(draw(st.integers(2, 8))):
+        cross = draw(st.sampled_from([0.0, 0.05]))
+        markets.append(MarketParams(
+            draw(st.sampled_from([2, 3, 5])),
+            (draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))),
+            ((draw(st.floats(-1.0, 2.0)), draw(st.floats(-cross, cross))),
+             (draw(st.floats(-cross, cross)), draw(st.floats(-1.0, 2.0)))),
+            (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))))
+    return markets
+
+
+# finite inputs whose competitive FOC is NaN at the decoupled start: c = phi_bs
+# phi_sb overflows, so the share price reads -inf / -inf
+NAN_START = MarketParams(2, 1.0, ((0.1, 1e200), (1e200, 0.1)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(batch_markets())
+@example([MarketParams.uniform(61, 0.5, phi_own=0.2, phi_cross=0.03, u0=-1.0),
+          TestCoupledNewtonStall.PARAMS, MarketParams(61, (0.4, 1.0), ((0.3, 0.0), (0.0, 0.2))),
+          MarketParams(61, (1e-3, 1.0), ((0.5, -0.02), (0.04, 0.2)), (1.0, -2.0)),
+          MarketParams(61, (1e-6, 1e-6), ((0.0, 0.03), (4e-134, 4e-134)), (0.0, -3.5e-62))])
+@example([MarketParams.uniform(2, 1.0, phi_own=0.1, phi_cross=0.03),
+          NAN_START, MarketParams.uniform(2, 0.5, phi_own=0.2, phi_cross=-0.02, u0=1.0)])
+def test_batch_is_one_market_solves_bit_for_bit(markets):
+    # one Newton, one assembly per (regime, N) group: each market's result,
+    # error message and trace are those of its own one-market solve.  The
+    # coupled-Newton stall keeps its message beside healthy markets and beside
+    # a near copy that stalls at a larger residual, so a step is accepted or
+    # halved on its own market's residual alone
+    for regime, solver in (("cne", solve_cne), ("ce", solve_ce)):
+        expected = []
+        for params in markets:
+            try:
+                expected.append(_bits(solver(params)))
+            except SolverError as exc:
+                expected.append(_bits(exc))
+        assert [_bits(r) for r in equilibrium.solve_markets(regime, markets)] == expected
+        for params, result in zip(markets, expected):
+            if params is TestCoupledNewtonStall.PARAMS:
+                assert "near-singular Jacobian" in result
+            if params is NAN_START and regime == "cne":
+                # a NaN residual is not converged: the line search runs out on it
+                assert "line search exhausted" in result and "residual nan" in result
+
+
+# sha256 of the coupled stage-1 results and their implicit-function
+# derivatives on `_coupled_markets`, as the per-market damped Newton gave them
+PINNED_COUPLED = "3f3e51fdb03cca53ace690a9e623a4380bc8125db5ff6544593ab61d76f5d122"
+
+
+def _coupled_markets():
+    rng = np.random.default_rng(2025)
+    markets = [MarketParams(int(rng.integers(2, 8)), tuple(rng.uniform(0.1, 3.0, 2)),
+                            ((rng.uniform(-1.0, 1.5), rng.uniform(-0.05, 0.05)),
+                             (rng.uniform(-0.05, 0.05), rng.uniform(-1.0, 1.5))),
+                            tuple(rng.uniform(-5.0, 5.0, 2))) for _ in range(150)]
+    return markets + [TestCoupledNewtonStall.PARAMS,
+                      MarketParams.uniform(3, 3e-7, phi_cross=0.03, u0=-500.0)]
+
+
+def test_coupled_batch_pinned_bits():
+    digest = hashlib.sha256()
+    for regime in ("cne", "ce"):
+        for result in equilibrium.solve_markets(regime, _coupled_markets()):
+            record = _bits(result)
+            if not isinstance(result, Exception):
+                record += repr(sorted(ift_derivatives(result).items()))
+            digest.update(record.encode())
+    assert digest.hexdigest() == PINNED_COUPLED
+
+
+def test_stacked_steps_set_singular_columns_aside():
+    # a stacked solve raises on one singular item; the others keep the bits
+    # of their own solve and only the singular column is flagged
+    rng = np.random.default_rng(11)
+    J, F = rng.normal(size=(5, 2, 2)), rng.normal(size=(2, 5))
+    J[2] = [[1.0, 2.0], [2.0, 4.0]]
+    step, singular = equilibrium._solve_steps(J, F)
+    assert singular.tolist() == [False, False, True, False, False]
+    for j in (0, 1, 3, 4):
+        assert np.array_equal(step[:, j], np.linalg.solve(J[j], F[:, j]))
+    step, singular = equilibrium._solve_steps(np.delete(J, 2, axis=0), np.delete(F, 2, axis=1))
+    assert not singular.any()
+    assert np.array_equal(step[:, 2], np.linalg.solve(J[3], F[:, 3]))
 
 class TestCompareRegimes:
     def test_base_case(self):

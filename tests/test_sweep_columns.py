@@ -9,6 +9,7 @@ agree bit for bit.
 """
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 import platform_eq.cli as cli
 import platform_eq.equilibrium as equilibrium
 from platform_eq.config import SWEEP_AXES, parse_config
-from platform_eq.equilibrium import SolverError, solve_ce, solve_cne
-from platform_eq.model import Side
+from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
+from platform_eq.model import MarketParams, Side
 from platform_eq.regions import classify_direction, classify_sign_z
-from platform_eq.statics import closed_form, ift_derivatives
+from platform_eq.statics import closed_form, ift_columns, ift_derivatives
 
 
 def _fmt(v) -> str:
@@ -188,3 +189,30 @@ def test_one_stage1_batch_per_regime_and_platform_count(monkeypatch, u0_values):
     _run_sweep(text)
     assert len(calls) == 2 * 2
     assert calls == [(u0_values, 2)] * 4
+
+
+def test_ift_columns_match_one_point_solves():
+    # one complex-step call and one stacked solve per (regime, N) group: each
+    # row carries the bits of its own `ift_derivatives`, and a row whose F_z
+    # is not finite holds that ArithmeticError on both sides of every key
+    rng = np.random.default_rng(7)
+    eqs = [solver(MarketParams(int(rng.integers(2, 5)), tuple(rng.uniform(0.3, 2.0, 2)),
+                               ((rng.uniform(-1.0, 1.0), rng.uniform(-0.05, 0.05)),
+                                (rng.uniform(-0.05, 0.05), rng.uniform(-1.0, 1.0))),
+                               tuple(rng.uniform(-3.0, 3.0, 2))))
+           for solver in (solve_cne, solve_ce) for _ in range(12)]
+    eqs.insert(5, dataclasses.replace(eqs[4], z=ZPoint(float("nan"), 0.0)))
+    table = ift_columns(eqs)
+    assert len({(eq.regime, eq.n) for eq in eqs}) > 2
+    for row, eq in enumerate(eqs):
+        try:
+            expected = ift_derivatives(eq)
+        except ArithmeticError as exc:
+            assert row == 5
+            for _values, errors in table.values():
+                assert str(errors[row, 0]) == str(exc) and errors[row, 1] is errors[row, 0]
+            continue
+        assert table.keys() == expected.keys()
+        for key, (values, errors) in table.items():
+            assert (row, 0) not in errors and (row, 1) not in errors
+            assert repr(values[row].tolist()) == repr(list(expected[key]))
