@@ -258,15 +258,6 @@ def _sweep_rows(points: list[MarketParams], regime: str, tol: float,
     return rows
 
 
-def _map_ordered(fn, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    # imported here: a serial run never pays for the process pool's import
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
     params0 = cfg.market
     sweep = cfg.values["sweep"]
@@ -342,35 +333,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if doc["passed"] else 3
 
 
-def _figure_worker(task):
-    """The panels of one (N, u0) group: their grids come from one
-    region_grids call, so each stage-1 z-grid is solved once for them all."""
-    figures, panel_u0, n, res, phi_range, beta_range, width, height = task
-    grids = region_grids([FIGURES[f].classifier for f in figures], phi_range=phi_range,
-                         beta_range=beta_range, resolution=res, n=n, u0=panel_u0,
-                         solve_signs=True)
-    # the phi and beta columns of every panel, each coordinate formatted once
-    phis, betas = (["%.17g" % v for v in a.tolist()] for a in (grids[0].phis, grids[0].betas))
-    phi_col = [phi for phi in phis for _beta in betas]
-    beta_col = betas * len(phis)
-    out = []
-    for figure, grid in zip(figures, grids):
-        spec = FIGURES[figure]
-        agree, checked, frac = grid_agreement(grid)
-        paint = figure_paint(figure, grid)
-        curve = figure_threshold_curve(figure, grid)
-        verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
-        rows = list(zip(phi_col, beta_col, *(c.ravel().tolist() for c in (
-            verdict, grid.margins, paint, grid.solved_signs))))
-        title = f"{figure}: {spec.description} (N={n:g}, u0={panel_u0:g})"
-        legend = [(PAINT_FILL[paint_id], text) for paint_id, text in spec.legend]
-        svg = region_svg(grid.phis, grid.betas, paint, curve, title, legend,
-                         width=width, height=height)
-        stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{panel_u0:g}"
-        out.append((stem, rows, svg, (agree, checked, frac), n, panel_u0))
-    return out
-
-
 def cmd_figures(cfg: RunConfig) -> int:
     fig_conf = cfg.values["figure"]
     ids = [fig_conf["id"]] if fig_conf["id"] else list(FIGURES)
@@ -378,24 +340,33 @@ def cmd_figures(cfg: RunConfig) -> int:
         if f not in FIGURES:
             raise ConfigError(f"unknown figure {f!r}; choose from {sorted(FIGURES)}")
     gconf = cfg.values["grid"]
-    # the panels in output order, and the figures of each (N, u0) group
-    panels, groups = [], {}
+    # every panel in output order (its grid filled in below), the figures of each (N, u0) group
+    grids, groups = {}, {}
     for f in ids:
         spec = FIGURES[f]
         n = fig_conf["n_platforms"] or spec.n
         for u0 in [float(fig_conf["u0"])] if fig_conf["u0"] else spec.panel_u0:
-            panels.append((f, n, u0))
+            grids[f, n, u0] = None
             groups.setdefault((n, u0), []).append(f)
-    tasks = [(tuple(figs), u0, n, gconf["resolution"],
-              (gconf["phi_min"], gconf["phi_max"]), (gconf["beta_min"], gconf["beta_max"]),
-              cfg.get("output", "width"), cfg.get("output", "height"))
-             for (n, u0), figs in groups.items()]
-    outputs = _map_ordered(_figure_worker, tasks, cfg.get("output", "jobs"))
-    results = {(f, n, u0): panel for ((n, u0), figs), group in zip(groups.items(), outputs)
-               for f, panel in zip(figs, group)}
+    # one region_grids call per group, so each stage-1 z-grid is solved once
+    for (n, u0), figs in groups.items():
+        group = region_grids([FIGURES[f].classifier for f in figs],
+                             phi_range=(gconf["phi_min"], gconf["phi_max"]),
+                             beta_range=(gconf["beta_min"], gconf["beta_max"]),
+                             resolution=gconf["resolution"], n=n, u0=u0, solve_signs=True)
+        grids.update(((f, n, u0), grid) for f, grid in zip(figs, group))
     out_dir = cfg.get("output", "dir")
-    for panel in panels:
-        stem, rows, svg, (agree, checked, frac), n, u0 = results[panel]
+    for (figure, n, u0), grid in grids.items():
+        spec = FIGURES[figure]
+        # each phi and beta coordinate formatted once per panel
+        phis, betas = (["%.17g" % v for v in a.tolist()] for a in (grid.phis, grid.betas))
+        agree, checked, frac = grid_agreement(grid)
+        paint = figure_paint(figure, grid)
+        verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
+        rows = list(zip([phi for phi in phis for _beta in betas], betas * len(phis),
+                        *(c.ravel().tolist() for c in (verdict, grid.margins, paint,
+                                                       grid.solved_signs))))
+        stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{u0:g}"
         comments = _comments(cfg, "figures") + [
             f"figure {stem} n {n:g} u0 {u0:.17g}",
             f"sign agreement {agree}/{checked} = {frac:.17g} (margin > 0.01)",
@@ -404,6 +375,11 @@ def cmd_figures(cfg: RunConfig) -> int:
         text = (csv_text(comments, ("phi", "beta", "verdict", "margin", "paint", "solved_sign"),
                          []) + "".join(map(FIGURE_ROW.__mod__, rows)))
         _emit(text, out_dir, f"{stem}.csv", echo=False)
+        title = f"{figure}: {spec.description} (N={n:g}, u0={u0:g})"
+        legend = [(PAINT_FILL[paint_id], label) for paint_id, label in spec.legend]
+        svg = region_svg(grid.phis, grid.betas, paint, figure_threshold_curve(figure, grid),
+                         title, legend, width=cfg.get("output", "width"),
+                         height=cfg.get("output", "height"))
         _emit(svg, out_dir, f"{stem}.svg", echo=False)
         sys.stdout.write(f"{stem}: {len(rows)} cells, sign agreement "
                          f"{agree}/{checked} ({frac:.4f})\n")
@@ -437,7 +413,8 @@ COMMANDS = {
     "figures": (cmd_figures, "region grids as CSV + SVG"),
     "limits": (cmd_limits, "asymptotic limit checks"),
 }
-# flag -> the [section] key it overrides; --figure exists on `figures` only
+# flag -> the [section] key it overrides; --figure exists on `figures` only.
+# Every command runs in one process: --jobs parses, and nothing reads it.
 FLAGS = {"regime": ("solve", "regime"), "out": ("output", "dir"),
          "seed": ("output", "seed"), "tol": ("solve", "tol"),
          "jobs": ("output", "jobs"), "figure": ("figure", "id")}

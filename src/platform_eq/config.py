@@ -79,7 +79,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "output": {
         "dir": (str, ""),
         "seed": (int, 0),
-        "jobs": (int, 1),
+        "jobs": (int, 1),  # accepted and ignored: existing configs and scripts still set it
         "width": (int, 640),
         "height": (int, 480),
     },

@@ -227,19 +227,16 @@ def _foc(regime: str, c: _Columns, z: np.ndarray, n: float) -> np.ndarray:
                                                    c.lk, n) - c.u0 - c.beta * z)
 
 
-def _residual(regime: str, z, params: MarketParams, n: float | None) -> np.ndarray:
-    n = float(params.n_platforms if n is None else n)
-    return _foc(regime, _Columns.of([params]), _as_z_array(z)[:, None], n)[:, 0]
-
-
 def cne_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
     """(Phi - H(z)) Omega(z) - u0 - beta z in share space; zero exactly at the competitive z*."""
-    return _residual("cne", z, params, n)
+    n = float(params.n_platforms if n is None else n)
+    return _foc("cne", _Columns.of([params]), _as_z_array(z)[:, None], n)[:, 0]
 
 
 def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
     """(Phi - H^C(z)) Omega(z) - u0 - beta z in share space; zero exactly at the collusive z."""
-    return _residual("ce", z, params, n)
+    n = float(params.n_platforms if n is None else n)
+    return _foc("ce", _Columns.of([params]), _as_z_array(z)[:, None], n)[:, 0]
 
 
 def _phi_times(phi, x):
@@ -297,14 +294,10 @@ def mk_value(z, beta, phi_kk, n, u0):
     return _decoupled_value("cne", z, beta, phi_kk, n, u0)
 
 
-def mk_slope(z, beta, phi_kk, n):
-    """dM_k/dz via the slope coefficient family; strictly negative in the existence region."""
-    return mk_slope_from(z, a_coefficients(beta, phi_kk, n), beta, phi_kk, n)
-
-
-def mk_slope_from(z, a, beta, phi_kk, n):
-    """`mk_slope` from its coefficient family a = a_coefficients(beta, phi_kk, n),
-    so a loop over z builds the family once."""
+def mk_slope(z, beta, phi_kk, n, a=None):
+    """dM_k/dz via the slope coefficient family a = a_coefficients(beta, phi_kk, n),
+    built here unless given; strictly negative in the existence region."""
+    a = a_coefficients(beta, phi_kk, n) if a is None else a
     z = np.minimum(np.asarray(z, dtype=float), SLOPE_Z_CAP)
     num = eval_series(a, 0, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -395,7 +388,7 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
             break
         x, b, f, u = z[act], beta[act], phi_kk[act], u0[act]
         fx = value(x, b, f, n, u)
-        dfx = mk_slope_from(x, a, b, f, n) if cne else mkc_slope(x, b, f, n)
+        dfx = mk_slope(x, b, f, n, a) if cne else mkc_slope(x, b, f, n)
         up = fx > 0
         p, q = np.where(up, x, pos[act]), np.where(up, neg[act], x)
         pos[act], neg[act], fz[act] = p, q, fx
@@ -455,18 +448,13 @@ def _scan_roots(regime: str, beta: float, phi_kk: float, n: float, u0: float) ->
 
 def _solve_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Newton steps J^-1 F of every column by one stacked solve, and a
-    mask of the columns whose J is singular: one singular J fails the
-    stacked call, so then each column solves alone."""
-    singular = np.zeros(len(J), dtype=bool)
-    try:
-        return np.linalg.solve(J, F.T[..., None])[..., 0].T, singular
-    except np.linalg.LinAlgError:
-        step = np.full(F.shape, np.nan)
-    for j in range(len(J)):
-        try:
-            step[:, j] = np.linalg.solve(J[j], F[:, j])
-        except np.linalg.LinAlgError:
-            singular[j] = True
+    mask of the columns whose J is singular (NaN steps): slogdet's sign is 0
+    where a solve would raise, while a det underflows to 0 on a tiny J."""
+    with np.errstate(invalid="ignore"):  # a non-finite J has no sign
+        singular = np.linalg.slogdet(J)[0] == 0
+    step = np.linalg.solve(np.where(singular[:, None, None], np.eye(2), J),
+                           F.T[..., None])[..., 0].T
+    step[:, singular] = np.nan
     return step, singular
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import mk_slope_from, mkc_slope, omega, solve_decoupled_batch
+from .equilibrium import mk_slope, mkc_slope, omega, solve_decoupled_batch
 from .model import (Cubic, MarketParams, Side, ce_existence_bound,
                     cne_existence_bound, solve_cubic_real)
 
@@ -611,7 +611,7 @@ def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float,
     if classifier in ("existence_cne", "existence_ce"):
         # certificate of a unique root: the FOC slope stays negative on a z grid
         # (the competitive slope family is built once for the whole grid)
-        slope_at = (partial(mk_slope_from, a=fam.a_coefficients(bb, pp, n), beta=bb, phi_kk=pp, n=n)
+        slope_at = (partial(mk_slope, a=fam.a_coefficients(bb, pp, n), beta=bb, phi_kk=pp, n=n)
                     if classifier == "existence_cne" else partial(mkc_slope, beta=bb, phi_kk=pp, n=n))
         ok = np.ones(pp.shape, dtype=bool)
         for z in np.linspace(-30.0, 30.0, 41):

@@ -36,6 +36,12 @@ def report(name: str, ok: bool, detail: str):
     assert ok, line
 
 
+def fold_max(*values) -> float:
+    """The largest value, NaN if any value is NaN.  Gates fold with this and
+    not with max: max(0.0, nan) is 0.0, so a NaN would pass unseen."""
+    return float(np.max(values))
+
+
 def random_valid_params(rng, n_range=(2, 7), cross=0.05, beta_range=(0.2, 3.0),
                         phi_range=(-1.0, 1.0), u0_range=(-2.0, 2.0), margin=0.05):
     n = int(rng.integers(*n_range))
@@ -70,15 +76,15 @@ def test_c01_stage2_correctness():
             except FixedPointError:
                 continue
         assert state is not None, f"fixed point failed for {params}"
-        worst_simplex = max(worst_simplex,
-                            float(np.max(np.abs(state.shares.sum(axis=1) - 1.0))),
-                            float(-min(0.0, state.shares.min())))
+        worst_simplex = fold_max(worst_simplex,
+                                 np.max(np.abs(state.shares.sum(axis=1) - 1.0)),
+                                 -np.minimum(0.0, state.shares.min()))
         if decoupled:
             for k in (0, 1):
                 direct = logit_shares(np.concatenate([[params.u0[k]], -prices[k]]),
                                       params.beta[k])
-                worst_closed = max(worst_closed,
-                                   float(np.max(np.abs(state.shares[k] - direct))))
+                worst_closed = fold_max(worst_closed,
+                                        np.max(np.abs(state.shares[k] - direct)))
     dt = time.perf_counter() - t0
     ok = worst_simplex <= 1e-10 and worst_closed <= 1e-12 and dt < 10
     report("C1 stage-2 correctness",
@@ -100,7 +106,7 @@ def test_c02_contraction_uniqueness():
             continue
         prices = rng.uniform(-2.0, 2.0, (2, n))
         res = fixed_point_multistart(params, prices, starts=10, seed=done)
-        worst = max(worst, res.max_distance)
+        worst = fold_max(worst, res.max_distance)
         assert not res.multiple
         done += 1
     dt = time.perf_counter() - t0
@@ -117,8 +123,8 @@ def test_c03_solver_fidelity():
         params = random_valid_params(rng)
         for solver in (solve_cne, solve_ce):
             eq = solver(params, tol=1e-10)
-            worst_resid = max(worst_resid, eq.foc_residual)
-            worst_price = max(worst_price, eq.price_check)
+            worst_resid = fold_max(worst_resid, eq.foc_residual)
+            worst_price = fold_max(worst_price, eq.price_check)
     dt = time.perf_counter() - t0
     ok = worst_resid <= 1e-10 and worst_price <= 1e-10 and dt < 20
     report("C3 CNE/CE solver fidelity",
@@ -137,7 +143,7 @@ def test_c04_nash_certification():
         eq = solve_cne(params)
         rep = verify_nash(params, eq, radius=0.5, grid_n=41)
         rel = rep.best_gain / max(1.0, abs(rep.base_profit))
-        worst_rel = max(worst_rel, rel)
+        worst_rel = fold_max(worst_rel, rel)
         assert rep.best_gain >= -1e-12
     dt = time.perf_counter() - t0
     ok = worst_rel <= 1e-6 and dt < 120
@@ -166,7 +172,7 @@ def test_c05_collusion_vs_competition():
         good = all(cmp_.dz[k] > 0 and cmp_.d_participation[k] > 0
                    and cmp_.d_price[k] < 0 for k in (0, 1))
         holds += int(good)
-        worst_decomp = max(worst_decomp, cmp_.decomposition_residual)
+        worst_decomp = fold_max(worst_decomp, cmp_.decomposition_residual)
     dt = time.perf_counter() - t0
     ok = holds == 200 and worst_decomp <= 1e-9 and dt < 30
     report("C5 collusion vs competition",
@@ -186,7 +192,7 @@ def test_c06_analytic_comparative_statics():
         side = Side.BUYER if rng.integers(2) else Side.SELLER
         for quantity, wrt in ops:
             b = derivative_bundle(quantity, wrt, params, side)
-            worst = max(worst, b.agreement)
+            worst = fold_max(worst, b.agreement)
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and dt < 60
     report("C6 analytic comparative statics",
@@ -431,7 +437,7 @@ def test_c09_threshold_arithmetic():
         (eval_threshold(ThresholdKind.GAMMA, 4, 0.0, -1.0), 0.8),
         (eval_threshold(ThresholdKind.GAMMA_C, 4, 0.0, -1.0), 0.2),
     ]
-    worst_exact = max(abs(a - b) for a, b in exact)
+    worst_exact = fold_max(*(abs(a - b) for a, b in exact))
     from platform_eq.regions import _CUBIC_KINDS
     worst_resid = 0.0
     iso_ok = True
@@ -444,7 +450,7 @@ def test_c09_threshold_arithmetic():
             except ValueError:
                 continue
             cubic = builder(float(n), phi)
-            worst_resid = max(worst_resid, abs(cubic(value)) / cubic.scale)
+            worst_resid = fold_max(worst_resid, abs(cubic(value)) / cubic.scale)
             iso = bisect_isolate(lambda x: cubic(x), lo=-25, hi=25, n=40001)
             expected = max(iso) if which == "largest" else \
                 max(iso, key=lambda r: abs(cubic.derivative(r)))

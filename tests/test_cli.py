@@ -165,13 +165,17 @@ class TestDeterminism:
             assert main(["solve", "--config", base_cfg, "--out", str(d), "--seed", "3"]) == 0
         assert (d1 / "solve.csv").read_bytes() == (d2 / "solve.csv").read_bytes()
 
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        ini = tmp_path / "sweep.ini"
-        ini.write_text(BASE_INI + "\n[sweep]\naxis = u0\nstart = -1.0\nstop = 1.0\nstep = 0.5\n")
-        d1, d2 = tmp_path / "serial", tmp_path / "par"
-        assert main(["sweep", "--config", str(ini), "--out", str(d1), "--jobs", "1"]) == 0
-        assert main(["sweep", "--config", str(ini), "--out", str(d2), "--jobs", "2"]) == 0
-        assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+    def test_figures_jobs_flag_is_inert(self, tmp_path):
+        # --jobs still parses, for scripts that pass it, and changes nothing
+        ini = tmp_path / "f.ini"
+        ini.write_text(BASE_INI + "\n[grid]\nresolution = 6\n")
+        d1, d2 = tmp_path / "jobs1", tmp_path / "jobs2"
+        assert main(["figures", "--config", str(ini), "--out", str(d1), "--jobs", "1"]) == 0
+        assert main(["figures", "--config", str(ini), "--out", str(d2), "--jobs", "2"]) == 0
+        names = sorted(os.listdir(d1))
+        assert len(names) == 16 and names == sorted(os.listdir(d2))
+        for name in names:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 class TestSweepCommand:

@@ -550,8 +550,8 @@ def test_coupled_batch_pinned_bits():
 
 
 def test_stacked_steps_set_singular_columns_aside():
-    # a stacked solve raises on one singular item; the others keep the bits
-    # of their own solve and only the singular column is flagged
+    # one singular item would make a stacked solve raise; the others keep the
+    # bits of their own solve and only the singular column is flagged
     rng = np.random.default_rng(11)
     J, F = rng.normal(size=(5, 2, 2)), rng.normal(size=(2, 5))
     J[2] = [[1.0, 2.0], [2.0, 4.0]]
@@ -562,6 +562,16 @@ def test_stacked_steps_set_singular_columns_aside():
     step, singular = equilibrium._solve_steps(np.delete(J, 2, axis=0), np.delete(F, 2, axis=1))
     assert not singular.any()
     assert np.array_equal(step[:, 2], np.linalg.solve(J[3], F[:, 3]))
+    # a tiny nonsingular J (its determinant underflows to 0) is no singular
+    # one, and a J with a NaN entry is not flagged: its step is what the
+    # solve gives, NaN
+    J[0] *= 1e-170
+    J[4, 1, 0] = np.nan
+    step, singular = equilibrium._solve_steps(J, F)
+    assert np.linalg.det(J[0]) == 0.0
+    assert singular.tolist() == [False, False, True, False, False]
+    assert np.array_equal(step[:, 0], np.linalg.solve(J[0], F[:, 0]))
+    assert np.isnan(step[:, 2]).all() and np.isnan(step[:, 4]).all()
 
 class TestCompareRegimes:
     def test_base_case(self):
