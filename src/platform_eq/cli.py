@@ -24,7 +24,7 @@ import numpy as np
 from .config import (MARKET_KEYS, REGIMES, SCHEMA, SWEEP_AXES, ConfigError, RunConfig,
                      load_config)
 from .demand import FixedPointError
-from .equilibrium import SolverError, compare_regimes, solve_ce, solve_cne, solve_markets
+from .equilibrium import SolverError, _one, compare_regimes, solve_ce, solve_cne, solve_markets
 from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
 from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
@@ -223,11 +223,10 @@ def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
     return out
 
 
-def _sweep_rows(points: list[MarketParams], regime: str, tol: float,
+def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
                 with_derivs: bool) -> list[list]:
-    """One regime's sweep row for every point: one stage-1 solve of all of
-    them, the closed forms evaluated as columns."""
-    solved = solve_markets(regime, points, tol)
+    """One regime's sweep row for every point from its stage-1 results, the
+    closed forms evaluated as columns."""
     eqs = {i: eq for i, eq in enumerate(solved) if not isinstance(eq, Exception)}
     derivs = _deriv_cells(points, eqs) if regime == "cne" and with_derivs else {}
     rows = []
@@ -266,8 +265,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if sweep["axis2"]:
         vals2 = _axis_values(sweep["start2"], sweep["stop2"], sweep["step2"])
         points = [_apply_axis(p, sweep["axis2"], v) for p in points for v in vals2]
-    per_regime = [_sweep_rows(points, regime, cfg.get("solve", "tol"), sweep["derivatives"])
-                  for regime in _regimes(cfg)]
+    regimes = _regimes(cfg)
+    per_regime = [_sweep_rows(points, regime, solved, sweep["derivatives"]) for regime, solved
+                  in zip(regimes, solve_markets(regimes, points, cfg.get("solve", "tol")))]
     rows = [row for point_rows in zip(*per_regime) for row in point_rows]
     text = csv_text(_comments(cfg, "sweep") + [f"sweep axis {sweep['axis']}"], SWEEP_COLS, rows)
     _emit(text, cfg.get("output", "dir"), "sweep.csv")
@@ -278,16 +278,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.market
     tol = cfg.get("solve", "tol")
     vconf = cfg.values["verify"]
-    eq = solve_cne(params, tol=tol)
-    target = eq
+    # one stage-1 batch; each regime's failure is raised where its result is first used
+    eq, eq_ce = (results[0] for results in solve_markets(("cne", "ce"), [params], tol))
+    eq = target = _one(eq)
     if vconf["perturb_price"]:
         target = dataclasses.replace(
             eq, prices=(eq.prices[0] + vconf["perturb_price"],
                         eq.prices[1] + vconf["perturb_price"]))
     report = verify_nash(params, target, radius=vconf["radius"], grid_n=vconf["grid_n"])
     soc_cne = soc_report(params, eq)
-    eq_ce = solve_ce(params, tol=tol)
-    soc_ce = soc_report(params, eq_ce)
+    soc_ce = soc_report(params, _one(eq_ce))
 
     certified = report.certified(vconf["tolerance"])
     soc_ok = soc_cne.numeric_negative_definite and soc_ce.numeric_negative_definite

@@ -236,7 +236,8 @@ def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
 
 def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray,
                       x0: np.ndarray, damping: float | None = None, tol: float = 1e-12,
-                      max_iter: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+                      max_iter: int = 100_000, maximize: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """The stage-2 fixed point on platform classes, batch-last.
 
     The N platforms fall into C classes of mult[c] platforms each, and the
@@ -250,6 +251,13 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     Returns (shares, residuals) of shapes (C+1, 2, cells) and (cells,); an
     unconverged cell keeps its last iterate and a residual above tol, and
     max_iter = 0 returns x0 with residual inf.
+
+    maximize names a class c whose profit pi = sum_k prices[c, k] x[c+1, k]
+    the caller maximizes over the cells.  At d = 1 and L = max_k sum_l
+    |phi_kl| / (2 beta_k) < 1, Sigma is an L-contraction in the sup norm: a
+    cell at residual r whose sweep gives s meets tol below pi(s) +
+    |prices[c]|_1 (L r + tol + 2 delta) / (1 - L), delta a sweep's rounding,
+    and leaves with residual -inf once that falls below the best met cell's.
     """
     if damping is None:
         damping = 1.0 if contraction_margin(params) > 0 else 0.5
@@ -267,10 +275,26 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     # and which of them have already met tol and been written out
     idx, xa, pa, ra = np.arange(x.shape[-1]), x, p, resid
     met = np.zeros(idx.size, dtype=bool)
+    lip = 1.0 if maximize is None else np.max(np.abs(phi).sum(axis=1) / (2.0 * params.beta_arr))
+    bounded = damping == 1.0 and lip < 1.0
+    if bounded:
+        c, best = maximize, -np.inf
+        # 2 delta: a few ulps of the largest utility |u|/beta a sweep forms
+        u_max = (np.abs(params.u0_arr).max() + np.abs(phi).sum(axis=1).max()
+                 + np.abs(p).max(initial=0.0)) / params.beta_arr.min()
+        slack = tol + 32.0 * np.finfo(float).eps * (1.0 + u_max)
     for _ in range(max_iter):
         s = _sigma(xa, phi, beta, u0_beta, pa, m)
         ra = np.max(np.abs(s - xa), axis=(0, 1))
         new = (ra <= tol) & ~met
+        if bounded:
+            if new.any():
+                best = max(best, (xa[c + 1] * pa[c])[:, new].sum(axis=0).max())
+            reach = ((s[c + 1] * pa[c]).sum(axis=0)
+                     + np.abs(pa[c]).sum(axis=0) * (lip * ra + slack) / (1.0 - lip))
+            beaten = (reach < best) & ~met & ~new
+            ra[beaten] = -np.inf
+            new |= beaten
         if new.any():
             x[..., idx[new]] = xa[..., new]
             resid[idx[new]] = ra[new]

@@ -13,14 +13,16 @@ One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
 safeguarded Newton-bisection over arrays of markets on a bracket worked out
 from the inputs.  A cell ends as soon as its Newton step falls below rounding
 size, so a root met to the last bit is kept, not bisected away from.  One
-solver, `solve_markets`, runs it once per platform count over markets x
-sides; `solve_cne` and `solve_ce` are its one-market case.  With nonzero
-cross-side externalities a damped Newton on the two-equation system starts
-from the decoupled root, over all such markets of the batch at once: one
-complex-step call gives every exact Jacobian and one stacked solve every
-step.  The equilibria are then assembled over columns.  All formulas accept
-a real-valued platform count so that derivatives with respect to N can be
-validated by central differences.
+solver, `solve_markets`, runs it once per platform count over regimes x
+markets x sides; `solve_cne` and `solve_ce` are its one-market case.  A mask
+marks a batch's collusive columns, and every kernel takes each column's
+regime from it.  With nonzero cross-side externalities a damped Newton on
+the two-equation system starts from the decoupled root, over all such
+columns of the batch at once: one complex-step call gives every exact
+Jacobian and one stacked solve every step.  The equilibria are then
+assembled over columns.  Only the public entry points enter an errstate.
+All formulas accept a real-valued platform count so that derivatives with
+respect to N can be validated by central differences.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ NEAR_SINGULAR = 1e-6
 # any step far below rounding size gives the derivative to full precision
 # (Squire & Trapp 1998), however far out z lies.
 COMPLEX_STEP = 1e-20
+
+# the floating-point state of every stage-1 kernel; as a decorator it nests safely
+_quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 class SolverError(RuntimeError):
@@ -147,16 +152,26 @@ def omega(z, n):
     return out if out.ndim else float(out)
 
 
-def _outside(z, n):
-    """Outside share 1/(1 + N e^z), formed directly rather than as 1 - N omega."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + n * np.exp(z))
+def _shares(z, n):
+    """omega(z) and the outside share 1/(1 + N e^z), formed directly rather
+    than as 1 - N omega."""
+    return 1.0 / (np.exp(-z) + n), 1.0 / (1.0 + n * np.exp(z))
 
 
-def _share_price(regime: str, om, o, beta, own, lk, n):
-    """Symmetric prices (H(z) Omega(z))_k ("cne") or (H^C(z) Omega(z))_k ("ce")
-    from the shares omega and o at z, with beta, own = phi_kk and lk = phi_lk
-    holding (buyer, seller) on axis 0 ahead of any trailing axes.  With l the
+def _pick(ce, collusive, competitive):
+    """collusive() where the mask ce holds, competitive() elsewhere, each only if needed."""
+    if ce.all():
+        return collusive()
+    if not ce.any():
+        return competitive()
+    return np.where(ce, collusive(), competitive())
+
+
+def _share_price(ce, om, o, beta, own, lk, n):
+    """Symmetric prices (H(z) Omega(z))_k ("cne") or, where the mask ce
+    holds, (H^C(z) Omega(z))_k ("ce") from the shares omega and o at z, with
+    beta, own = phi_kk and lk = phi_lk holding (buyer, seller) on axis 0
+    ahead of any trailing axes, which ce spans.  With l the
     other side, B = o + omega, K = phi_kk o omega - beta (1 - omega),
     c = phi_bs phi_sb:
 
@@ -171,9 +186,8 @@ def _share_price(regime: str, om, o, beta, own, lk, n):
     mirrors itself: l is k there.
     """
     base = own * om + lk * om[::-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if regime == "ce":
-            return beta / o - base
+
+    def competitive():
         B = o + om
         K = own * o * om - beta * (1.0 - om)
         c = lk[0] * lk[-1]
@@ -181,6 +195,7 @@ def _share_price(regime: str, om, o, beta, own, lk, n):
         num = (K[::-1] * (B * om * own - beta) - c * om * q[::-1] * B
                - (n - 1.0) * lk * beta[::-1] * om * om[::-1] ** 2)
         return beta * num / (K[0] * K[-1] - c * q[0] * q[-1]) - base
+    return _pick(ce, lambda: beta / o - base, competitive)
 
 
 def _as_z_array(z) -> np.ndarray:
@@ -198,7 +213,8 @@ def _as_z_array(z) -> np.ndarray:
 
 class _Columns(NamedTuple):
     """A batch of markets' constants, one column each: beta, u0, mu, phi_kk
-    and phi_lk with the side axis first, then the stacked Phi matrices."""
+    and phi_lk with the side axis first, the stacked Phi matrices, and the
+    mask of the collusive columns."""
 
     beta: np.ndarray
     u0: np.ndarray
@@ -206,37 +222,40 @@ class _Columns(NamedTuple):
     own: np.ndarray
     lk: np.ndarray
     phis: np.ndarray
+    ce: np.ndarray
 
     @classmethod
-    def of(cls, markets) -> "_Columns":
+    def of(cls, markets, ce) -> "_Columns":
         # per market: beta, u0, mu, then Phi's rows (phi_bb, phi_bs, phi_sb, phi_ss)
         a = np.array([(*p.beta, *p.u0, *p.mu, *p.phi[0], *p.phi[1])
                       for p in markets]).reshape(-1, 10)
         return cls(a[:, 0:2].T, a[:, 2:4].T, a[:, 4:6].T, a[:, 6::3].T, a[:, 8:6:-1].T,
-                   a[:, 6:].reshape(-1, 2, 2))
+                   a[:, 6:].reshape(-1, 2, 2), np.broadcast_to(np.asarray(ce, bool), len(a)))
 
     def take(self, cols) -> "_Columns":
         """The columns cols."""
-        return _Columns(*(a[:, cols] for a in self[:5]), self.phis[cols])
+        return _Columns(*(a[:, cols] for a in self[:5]), self.phis[cols], self.ce[cols])
 
 
-def _foc(regime: str, c: _Columns, z: np.ndarray, n: float) -> np.ndarray:
+def _foc(c: _Columns, z: np.ndarray, n: float) -> np.ndarray:
     """The FOC residual Phi omega - p - u0 - beta z at every column of z (2, cells)."""
-    om = omega(z, n)
-    return (_phi_times(c.phis, om) - _share_price(regime, om, _outside(z, n), c.beta, c.own,
-                                                   c.lk, n) - c.u0 - c.beta * z)
+    om, o = _shares(z, n)
+    return (_phi_times(c.phis, om) - _share_price(c.ce, om, o, c.beta, c.own, c.lk, n)
+            - c.u0 - c.beta * z)
 
 
+@_quiet
 def cne_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
     """(Phi - H(z)) Omega(z) - u0 - beta z in share space; zero exactly at the competitive z*."""
     n = float(params.n_platforms if n is None else n)
-    return _foc("cne", _Columns.of([params]), _as_z_array(z)[:, None], n)[:, 0]
+    return _foc(_Columns.of([params], False), _as_z_array(z)[:, None], n)[:, 0]
 
 
+@_quiet
 def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
     """(Phi - H^C(z)) Omega(z) - u0 - beta z in share space; zero exactly at the collusive z."""
     n = float(params.n_platforms if n is None else n)
-    return _foc("ce", _Columns.of([params]), _as_z_array(z)[:, None], n)[:, 0]
+    return _foc(_Columns.of([params], True), _as_z_array(z)[:, None], n)[:, 0]
 
 
 def _phi_times(phi, x):
@@ -247,29 +266,31 @@ def _phi_times(phi, x):
     return np.matmul(phi, x.T[..., None])[..., 0].T
 
 
-def _complex_partials(regime: str, c: _Columns, z: np.ndarray, n: float,
-                      dz: np.ndarray, dn: np.ndarray) -> np.ndarray:
+def _complex_partials(c: _Columns, z: np.ndarray, n: float, dz: np.ndarray,
+                      dn: np.ndarray, foc_only: bool = False) -> np.ndarray:
     """Directional partials of the FOC residual F, the price p, the profit
     p omega, the consumer surplus, the participation N omega and z itself,
     each (buyer, seller), stacked in that order on axis 0, at every column
     of z (2, cells).  Direction j moves (z_b, z_s, N) along (dz[:, j], dn[j])
-    and is the last axis of the result, of shape (12, cells, directions).
+    and is the last axis of the result, of shape (12, cells, directions);
+    foc_only keeps F's two rows and forms nothing else.
 
     One complex step through the share-space price: the shares omega and o
     move along their exact tangents omega_z = omega o, o_z = -N omega o,
     omega_N = -omega^2 and o_N = -omega o, so no e^z is formed in complex
     arithmetic.
     """
-    om, o = omega(z, n)[..., None], _outside(z, n)[..., None]
+    om, o = (a[..., None] for a in _shares(z, n))
     h, dz = COMPLEX_STEP, dz[:, None]
     zc, nc = z[..., None] + 1j * h * dz, n + 1j * h * dn
     omc = om + 1j * h * om * (o * dz - om * dn)
     oc = o - 1j * h * om * o * (n * dz + dn)
     beta = c.beta[..., None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        p = _share_price(regime, omc, oc, beta, c.own[..., None], c.lk[..., None], nc)
-        F = _phi_times(c.phis, omc) - p - c.u0[..., None] - beta * zc
-        cs = _surplus(c.mu[..., None], beta, c.phis, p, omc, nc)
+    p = _share_price(c.ce[:, None], omc, oc, beta, c.own[..., None], c.lk[..., None], nc)
+    F = _phi_times(c.phis, omc) - p - c.u0[..., None] - beta * zc
+    if foc_only:
+        return F.imag / h
+    cs = _surplus(c.mu[..., None], beta, c.phis, p, omc, nc)
     return np.concatenate([F, p, p * omc, cs, nc * omc, zc]).imag / h
 
 
@@ -277,31 +298,32 @@ def _complex_partials(regime: str, c: _Columns, z: np.ndarray, n: float,
 # decoupled (zero cross-externality) scalar forms
 # --------------------------------------------------------------------------
 
-def _decoupled_value(regime: str, z, beta, phi_kk, n, u0):
-    """Row k of the FOC residual with zero cross externalities.  That row does
-    not depend on side l, so side l mirrors side k."""
+def _decoupled_value(ce, z, beta, phi_kk, n, u0):
+    """Row k of the FOC residual with zero cross externalities, of the
+    collusive regime where the mask ce holds.  That row does not depend on
+    side l, so side l mirrors side k."""
     scalar = all(np.ndim(a) == 0 for a in (z, beta, phi_kk, u0))
     z, b, f, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, beta, phi_kk, u0)))
     # one side row, which is its own mirror, with zero cross coefficients
-    om, o = omega(z[None], n), _outside(z[None], n)
-    p = _share_price(regime, om, o, b[None], f[None], np.zeros((1,) * om.ndim), n)[0]
+    om, o = _shares(z[None], n)
+    p = _share_price(np.asarray(ce), om, o, b[None], f[None], np.zeros((1,) * om.ndim), n)[0]
     out = f * om[0] - p - u - b * z
     return float(out) if scalar else out
 
 
+@_quiet
 def mk_value(z, beta, phi_kk, n, u0):
     """Decoupled competitive FOC residual M_k(z); strictly decreasing in the existence region."""
-    return _decoupled_value("cne", z, beta, phi_kk, n, u0)
+    return _decoupled_value(False, z, beta, phi_kk, n, u0)
 
 
+@_quiet
 def mk_slope(z, beta, phi_kk, n, a=None):
     """dM_k/dz via the slope coefficient family a = a_coefficients(beta, phi_kk, n),
     built here unless given; strictly negative in the existence region."""
     a = a_coefficients(beta, phi_kk, n) if a is None else a
     z = np.minimum(np.asarray(z, dtype=float), SLOPE_Z_CAP)
-    num = eval_series(a, 0, z)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = -num / _slope_denominator(np.exp(z), beta, phi_kk, n)
+    out = -eval_series(a, 0, z) / _slope_denominator(np.exp(z), beta, phi_kk, n)
     return out if out.ndim else float(out)
 
 
@@ -312,17 +334,17 @@ def _slope_denominator(ez, beta, phi_kk, n):
     return (1.0 + n * ez) ** 2 * (beta * (1.0 + (n - 1.0) * ez) * (1.0 + n * ez) - ez * phi_kk) ** 2
 
 
+@_quiet
 def mkc_value(z, beta, phi_kk, n, u0):
     """Decoupled collusive FOC residual 2 phi omega(z) - beta (1+N e^z) - u0 - beta z."""
-    return _decoupled_value("ce", z, beta, phi_kk, n, u0)
+    return _decoupled_value(True, z, beta, phi_kk, n, u0)
 
 
+@_quiet
 def mkc_slope(z, beta, phi_kk, n):
     """dM_k^C/dz = 2 phi omega o - beta / o, from omega' = omega o."""
-    z = np.asarray(z, dtype=float)
-    o = _outside(z, n)
-    with np.errstate(divide="ignore"):
-        out = 2.0 * phi_kk * omega(z, n) * o - beta / o
+    om, o = _shares(np.asarray(z, dtype=float), n)
+    out = 2.0 * phi_kk * om * o - beta / o
     return out if np.ndim(out) else float(out)
 
 
@@ -330,8 +352,9 @@ def mkc_slope(z, beta, phi_kk, n):
 # the decoupled root-finder
 # --------------------------------------------------------------------------
 
-def _bracket(regime: str, beta, phi_kk, n, u0):
-    """Ends (lo, hi) with value(lo) > 0 > value(hi), worked out from the inputs.
+def _bracket(ce, beta, phi_kk, n, u0):
+    """Ends (lo, hi), stacked on axis 0, with value(lo) > 0 > value(hi),
+    worked out from the inputs; collusive where the mask ce holds.
 
     Each decoupled FOC reads g(z) - u0 - beta z, so the root lies where
     beta z = g - u0 for some value g takes.  The competitive g is bounded by
@@ -345,22 +368,24 @@ def _bracket(regime: str, beta, phi_kk, n, u0):
     so the root lies below both a/beta and, for z >= 0, ln(a/(beta N)); g is
     at least -2|phi|/N - 2 beta for z <= -ln N.
     """
-    if regime == "ce":
+    def collusive():
         lo = np.minimum((-2.0 * np.abs(phi_kk) / n - 2.0 * beta - u0) / beta, -np.log(n)) - 1.0
         a = 2.0 * np.maximum(phi_kk, 0.0) / n - beta - u0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return lo, np.fmin(a / beta, np.maximum(np.log(a / (beta * n)), 0.0)) + 1.0
-    d = beta * (n - 1.0) / n - np.maximum(phi_kk, 0.0) / (4.0 * n)
-    g_inf = 3.0 * phi_kk / n - (beta * n * n - phi_kk) / (n * (n - 1.0))
-    with np.errstate(divide="ignore"):
+        return np.stack([lo, np.fmin(a / beta, np.maximum(np.log(a / (beta * n)), 0.0)) + 1.0])
+
+    def competitive():
+        d = beta * (n - 1.0) / n - np.maximum(phi_kk, 0.0) / (4.0 * n)
+        g_inf = 3.0 * phi_kk / n - (beta * n * n - phi_kk) / (n * (n - 1.0))
         g = np.where(d > 0, 2.0 * np.abs(phi_kk) / n + beta * (beta + np.abs(phi_kk) / n) / d,
                      np.maximum(beta, np.abs(g_inf)) + beta * Z_BRACKET)
-    return (-g - u0) / beta - 1.0, (g - u0) / beta + 1.0
+        return np.stack([(-g - u0) / beta - 1.0, (g - u0) / beta + 1.0])
+    return _pick(ce, collusive, competitive)
 
 
-def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
+def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
     """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on 1-D
-    arrays of brackets whose ends `pos`/`neg` have positive/negative FOC values.
+    arrays of brackets whose ends `pos`/`neg` have positive/negative FOC
+    values, of the collusive FOC where the mask ce holds.
 
     A cell takes the Newton step with the analytic slope when it lands inside
     the bracket and is at most half the step before last, and bisects
@@ -374,11 +399,9 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
     rejects.  Returns (z, FOC value at z).
     """
     pos, neg = np.array(pos, dtype=float), np.array(neg, dtype=float)
-    beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=float), pos.shape)
-                        for a in (beta, phi_kk, u0))
-    cne = regime == "cne"
-    value = mk_value if cne else mkc_value
-    a = a_coefficients(beta, phi_kk, n) if cne else None  # slope family, built once per batch
+    ce, beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=t), pos.shape)
+                            for a, t in ((ce, bool), (beta, float), (phi_kk, float), (u0, float)))
+    a = None if ce.all() else a_coefficients(beta, phi_kk, n)  # cne slope family, once
     z, fz = 0.5 * (pos + neg), np.full(pos.shape, np.nan)
     step = np.abs(pos - neg)
     step_old = step.copy()
@@ -386,15 +409,14 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
     for _ in range(200):  # enough for bisection alone on a bracket up to ~1e40 wide
         if not act.size:
             break
-        x, b, f, u = z[act], beta[act], phi_kk[act], u0[act]
-        fx = value(x, b, f, n, u)
-        dfx = mk_slope(x, b, f, n, a) if cne else mkc_slope(x, b, f, n)
+        x, b, f, u, c = z[act], beta[act], phi_kk[act], u0[act], ce[act]
+        fx = _decoupled_value(c, x, b, f, n, u)
+        dfx = _pick(c, lambda: mkc_slope(x, b, f, n), lambda: mk_slope(x, b, f, n, a))
         up = fx > 0
         p, q = np.where(up, x, pos[act]), np.where(up, neg[act], x)
         pos[act], neg[act], fz[act] = p, q, fx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = fx / dfx
-            use = ((x - newton - p) * (x - newton - q) < 0) & (2.0 * np.abs(newton) <= step_old[act])
+        newton = fx / dfx
+        use = ((x - newton - p) * (x - newton - q) < 0) & (2.0 * np.abs(newton) <= step_old[act])
         delta = np.where(use, newton, x - 0.5 * (p + q))
         step_old[act] = step[act]
         step[act] = np.abs(delta)
@@ -402,41 +424,42 @@ def _rtsafe(regime: str, pos, neg, beta, phi_kk, n, u0):
         done = (np.abs(newton) <= floor) | (np.abs(delta) <= floor) | (fx == 0)
         z[act] = np.where(done, x, x - delta)
         act = act[~done]
-        if cne:
+        if a is not None:
             a = a[~done]  # keep the rows of the live cells, in the order of act
     return z, fz
 
 
-def solve_decoupled_batch(regime: str, beta, phi_kk, n, u0):
-    """Roots of the decoupled FOCs of one regime ("cne" or "ce") over arrays
-    of markets, by one safeguarded Newton-bisection.
+@_quiet
+def solve_decoupled_batch(regime, beta, phi_kk, n, u0):
+    """Roots of the decoupled FOCs over arrays of markets, by one safeguarded
+    Newton-bisection.  regime is "cne", "ce", or a boolean mask, broadcast
+    with the inputs, that holds on the collusive cells.
 
     Returns z with NaN where the bracket never sign-changes or the solve lands
     on a pole instead of a root (possible outside the existence region).
     """
-    value = mk_value if regime == "cne" else mkc_value
-    shape = np.broadcast_shapes(np.shape(beta), np.shape(phi_kk), np.shape(u0))
-    beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
-                        for a in (beta, phi_kk, u0))
-    lo, hi = _bracket(regime, beta, phi_kk, n, u0)
-    v_lo, v_hi = value(np.stack([lo, hi]), beta, phi_kk, n, u0)
+    ce = np.asarray(regime == "ce" if isinstance(regime, str) else regime, dtype=bool)
+    shape = np.broadcast_shapes(ce.shape, np.shape(beta), np.shape(phi_kk), np.shape(u0))
+    ce, beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=t), shape).ravel()
+                            for a, t in ((ce, bool), (beta, float), (phi_kk, float), (u0, float)))
+    ends = _bracket(ce, beta, phi_kk, n, u0)
+    (lo, hi), (v_lo, v_hi) = ends, _decoupled_value(ce, ends, beta, phi_kk, n, u0)
     ok = (v_lo > 0) & (v_hi < 0)
-    z, fz = _rtsafe(regime, lo[ok], hi[ok], beta[ok], phi_kk[ok], n, u0[ok])
+    z, fz = _rtsafe(ce[ok], lo[ok], hi[ok], beta[ok], phi_kk[ok], n, u0[ok])
     out = np.full(beta.shape, np.nan)
     out[ok] = np.where(np.abs(fz) <= 1e-6, z, np.nan)  # a pole's value is not small
     return out.reshape(shape)
 
 
-def _scan_roots(regime: str, beta: float, phi_kk: float, n: float, u0: float) -> np.ndarray:
-    """Every root of one side's decoupled FOC at a sign change of a 601-point
-    scan of its bracket, solved as one batch; ascending."""
-    value = mk_value if regime == "cne" else mkc_value
-    zs = np.linspace(*_bracket(regime, beta, phi_kk, n, u0), 601)
-    v = value(zs, beta, phi_kk, n, u0)
+def _scan_roots(ce, beta: float, phi_kk: float, n: float, u0: float) -> np.ndarray:
+    """Every root of one side's decoupled FOC, collusive if ce, at a sign
+    change of a 601-point scan of its bracket, solved as one batch; ascending."""
+    zs = np.linspace(*_bracket(ce, beta, phi_kk, n, u0), 601)
+    v = _decoupled_value(ce, zs, beta, phi_kk, n, u0)
     a, b = v[:-1], v[1:]
     i = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a > 0) != (b > 0)))
     up = a[i] > 0
-    z, fz = _rtsafe(regime, np.where(up, zs[i], zs[i + 1]), np.where(up, zs[i + 1], zs[i]),
+    z, fz = _rtsafe(ce, np.where(up, zs[i], zs[i + 1]), np.where(up, zs[i + 1], zs[i]),
                     beta, phi_kk, n, u0)
     z = z[np.abs(fz) < 1e-8]
     return z[np.r_[True, np.diff(z) >= 1e-8]] if z.size else z
@@ -450,23 +473,22 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Newton steps J^-1 F of every column by one stacked solve, and a
     mask of the columns whose J is singular (NaN steps): slogdet's sign is 0
     where a solve would raise, while a det underflows to 0 on a tiny J."""
-    with np.errstate(invalid="ignore"):  # a non-finite J has no sign
-        singular = np.linalg.slogdet(J)[0] == 0
+    singular = np.linalg.slogdet(J)[0] == 0  # a non-finite J has no sign
     step = np.linalg.solve(np.where(singular[:, None, None], np.eye(2), J),
                            F.T[..., None])[..., 0].T
     step[:, singular] = np.nan
     return step, singular
 
 
-def _newton(regime: str, c: _Columns, n: float, z: np.ndarray, tol: float,
+def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
             max_iter: int = 80) -> tuple[np.ndarray, dict[int, SolverError]]:
-    """Damped Newton on the two-equation FOC of one regime at every column
-    of z (2, cells), with the exact Jacobians F_z of `_complex_partials`.
+    """Damped Newton on the two-equation FOC of each column's regime at every
+    column of z (2, cells), with the exact Jacobians F_z of `_complex_partials`.
     Each column has its own residual, up to 100 step halvings and trace; one
     complex-step call and one stacked solve serve all live columns per
     iteration.  Returns z and, per column that failed, its SolverError."""
     z = np.array(z, dtype=float)
-    F = _foc(regime, c, z, n)
+    F = _foc(c, z, n)
     err = np.max(np.abs(F), axis=0)
     live = np.arange(z.shape[1])
     traces, failed = [[] for _ in live], {}
@@ -475,7 +497,7 @@ def _newton(regime: str, c: _Columns, n: float, z: np.ndarray, tol: float,
         if not live.size:
             break
         cl, zl, e = c.take(live), z[:, live], err[live]
-        J = _complex_partials(regime, cl, zl, n, np.eye(2), np.zeros(2))[:2].transpose(1, 0, 2)
+        J = _complex_partials(cl, zl, n, np.eye(2), np.zeros(2), foc_only=True).transpose(1, 0, 2)
         step, drop = _solve_steps(J, F[:, live])
         for j in np.flatnonzero(drop):
             failed[live[j]] = SolverError("singular Jacobian in coupled Newton", traces[live[j]])
@@ -485,7 +507,7 @@ def _newton(regime: str, c: _Columns, n: float, z: np.ndarray, tol: float,
             if not todo.size:
                 break
             zt = zl[:, todo] - lam[todo] * step[:, todo]
-            Ft = _foc(regime, cl.take(todo), zt, n)
+            Ft = _foc(cl.take(todo), zt, n)
             et = np.max(np.abs(Ft), axis=0)
             ok = np.isfinite(Ft).all(axis=0) & (et < e[todo])
             for j, after in zip(todo[ok], et[ok]):
@@ -532,11 +554,11 @@ def consumer_surplus(params: MarketParams, prices, shares, n: float | None = Non
                     np.asarray(prices), x, n)
 
 
-def _assemble(regime: str, markets: list, c: _Columns, z: np.ndarray, n: float,
+def _assemble(markets: list, c: _Columns, z: np.ndarray, n: float,
               warnings: list) -> list[SymmetricEquilibrium]:
     """The equilibria at the columns of z (2, cells), evaluated over columns."""
-    om = omega(z, n)
-    prices = _share_price(regime, om, _outside(z, n), c.beta, c.own, c.lk, n)
+    om, o = _shares(z, n)
+    prices = _share_price(c.ce, om, o, c.beta, c.own, c.lk, n)
     implied = _phi_times(c.phis, om) - c.beta * z - c.u0
     gap = np.max(np.abs(implied - prices), axis=0)
     cs = _surplus(c.mu, c.beta, c.phis, prices, om, n)
@@ -544,61 +566,67 @@ def _assemble(regime: str, markets: list, c: _Columns, z: np.ndarray, n: float,
     cols = zip(*(a.tolist() for a in (*z, *prices, *om, *(n * om), *per_side,
                                       per_side[0] + per_side[1], *cs, gap)))
     return [SymmetricEquilibrium(
-        regime=regime, z=ZPoint(zb, zs), prices=(pb, ps), shares=(xb, xs),
+        regime="ce" if ce else "cne", z=ZPoint(zb, zs), prices=(pb, ps), shares=(xb, xs),
         participation=(nxb, nxs), profit_per_side=(pib, pis), total_profit=pi,
         consumer_surplus=(csb, css), foc_residual=g, price_check=g, n=n, params=params,
         warnings=tuple(w))
-        for params, w, (zb, zs, pb, ps, xb, xs, nxb, nxs, pib, pis, pi, csb, css, g)
-        in zip(markets, warnings, cols)]
+        for params, w, ce, (zb, zs, pb, ps, xb, xs, nxb, nxs, pib, pis, pi, csb, css, g)
+        in zip(markets, warnings, c.ce.tolist(), cols)]
 
 
-def solve_markets(regime: str, markets, tol: float = 1e-10, n: float | None = None) -> list:
-    """Solve one regime ("cne" or "ce") on many markets at once.
+@_quiet
+def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) -> list:
+    """Solve each of the regimes ("cne", "ce") on many markets at once.
 
     The markets are grouped by platform count, so N stays one float per
-    group, and each group runs in columns: its decoupled FOCs as one batch
-    of :func:`solve_decoupled_batch` over markets x sides, then one damped
-    Newton on the two-equation system over every market with nonzero
+    group, and each group runs in columns, one per (regime, market), the
+    collusive ones marked by a mask: its decoupled FOCs as one batch of
+    :func:`solve_decoupled_batch` over columns x sides, then one damped
+    Newton on the two-equation system over every column with nonzero
     cross-side externalities, started from its batched root, and one
     assembly of the equilibria.  Only a side that fails the existence check
     takes work of its own: it scans its bracket for every root and keeps the
-    max-profit one.  Returns, per market, its SymmetricEquilibrium or the
-    SolverError or ArithmeticError it raised.  `n` evaluates every market at
-    one real-valued platform count.
+    max-profit one.  Returns one list per regime holding, per market, its
+    SymmetricEquilibrium or the SolverError or ArithmeticError it raised.
+    `n` evaluates every market at one real-valued platform count.
     """
+    m = len(markets)
     groups: dict[float, list[int]] = {}
     for i, p in enumerate(markets):
         groups.setdefault(float(p.n_platforms if n is None else n), []).append(i)
-    out = [None] * len(markets)
+    out = [None] * (len(regimes) * m)  # regime r, market i at r m + i
     for nk, rows in groups.items():
-        group = [markets[i] for i in rows]
-        c = _Columns.of(group)
-        z = np.ascontiguousarray(solve_decoupled_batch(regime, c.beta.T, c.own.T, nk, c.u0.T).T)
-        warnings = {}  # per market still solving, in order
+        rows = [r * m + i for r in range(len(regimes)) for i in rows]
+        group = [markets[i % m] for i in rows]
+        c = _Columns.of(group, [regimes[i // m] == "ce" for i in rows])
+        z = np.ascontiguousarray(solve_decoupled_batch(c.ce[:, None], c.beta.T, c.own.T, nk,
+                                                       c.u0.T).T)
+        warnings = {}  # per column still solving, in order
         for j, params in enumerate(group):
             try:
-                warnings[j] = _finish(regime, params, nk, z[:, j])
+                warnings[j] = _finish(c.ce[j], params, nk, z[:, j])
             except (SolverError, ArithmeticError) as exc:
                 out[rows[j]] = exc
         coupled = [j for j in warnings if not group[j].cross_externalities_zero]
         if coupled:
-            z[:, coupled], failed = _newton(regime, c.take(coupled), nk, z[:, coupled],
+            z[:, coupled], failed = _newton(c.take(coupled), nk, z[:, coupled],
                                             tol=min(tol, 1e-12))
             for col, exc in failed.items():
                 out[rows[coupled[col]]] = exc
                 del warnings[coupled[col]]
         ok = list(warnings)
-        eqs = _assemble(regime, [group[j] for j in ok], c.take(ok), z[:, ok], nk,
-                        list(warnings.values()))
+        eqs = _assemble([group[j] for j in ok], c.take(ok), z[:, ok], nk, list(warnings.values()))
         for j, eq in zip(ok, eqs):
             out[rows[j]] = eq
-    return out
+    return [out[r * m:(r + 1) * m] for r in range(len(regimes))]
 
 
-def _finish(regime: str, params: MarketParams, n: float, z: np.ndarray) -> list[str]:
+def _finish(ce, params: MarketParams, n: float, z: np.ndarray) -> list[str]:
     """One market's existence check and root scan on its batched decoupled
-    root z, replaced in place; returns the warnings."""
-    exists = (check_cne_existence if regime == "cne" else check_ce_existence)(params, n)
+    root z, replaced in place, in the collusive regime if ce; returns the
+    warnings."""
+    regime = "ce" if ce else "cne"
+    exists = (check_ce_existence if ce else check_cne_existence)(params, n)
     warnings = [f"{regime} existence condition fails on side {side.label}"
                 for side, ok in zip(Side, exists) if not ok]
     beta, phi_kk, u0 = params.beta_arr, np.diag(params.phi_arr), params.u0_arr
@@ -606,7 +634,7 @@ def _finish(regime: str, params: MarketParams, n: float, z: np.ndarray) -> list[
         if exists[k]:
             continue
         # the FOC may turn non-monotone: keep the max-profit root of the scan
-        roots = _scan_roots(regime, beta[k], phi_kk[k], n, u0[k])
+        roots = _scan_roots(ce, beta[k], phi_kk[k], n, u0[k])
         if roots.size > 1:
             warnings.append(f"multiple FOC roots ({roots.size}); selected max-profit root")
         if roots.size:
@@ -637,18 +665,18 @@ def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) 
     the certified region).  `foc_residual` and `price_check` keep their
     absolute meaning and are evaluated in share space, without cancellation.
     """
-    return _one(solve_markets("cne", [params], tol, n)[0])
+    return _one(solve_markets(("cne",), [params], tol, n)[0][0])
 
 
 def solve_ce(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
     """Solve the collusive equilibrium; same contract as :func:`solve_cne`."""
-    return _one(solve_markets("ce", [params], tol, n)[0])
+    return _one(solve_markets(("ce",), [params], tol, n)[0][0])
 
 
 def compare_regimes(params: MarketParams, tol: float = 1e-10) -> RegimeComparison:
-    """Solve both regimes and decompose the collusion-minus-competition price gap."""
-    cne = solve_cne(params, tol)
-    ce = solve_ce(params, tol)
+    """Solve both regimes in one stage-1 batch and decompose the
+    collusion-minus-competition price gap; a cne failure is raised first."""
+    cne, ce = (_one(results[0]) for results in solve_markets(("cne", "ce"), [params], tol))
     z_star = cne.z.as_array()
     z_c = ce.z.as_array()
     x_star = np.array(cne.shares)

@@ -255,22 +255,24 @@ def ift_columns(eqs: list) -> dict[tuple[str, str], tuple[np.ndarray, dict]]:
     dz/dN = -F_z^{-1} F_N.  Price, profit p omega, consumer surplus,
     participation N omega and z itself are explicit in (z, N):
     dq/dtheta = q_z dz/dtheta + q_N dN/dtheta.  The partials in z_b, z_s and
-    N are one complex-step call per (regime, N) group, through the price the
-    coupled Newton takes its Jacobian from; one stacked determinant, solve and
-    product then serve every row.  A row with a singular F_z or a non-finite
-    result has its ArithmeticError on both sides of every key.
+    N are one complex-step call per N group, each row in its own regime,
+    through the price the coupled Newton takes its Jacobian from; one stacked
+    determinant, solve and product then serve every row.  A row with a
+    singular F_z or a non-finite result has its ArithmeticError on both sides
+    of every key.
     """
     d = np.full((len(eqs), 10, 3), np.nan)
     errors: dict[int, ArithmeticError] = {}
-    groups: dict[tuple[str, float], list[int]] = {}
+    groups: dict[float, list[int]] = {}
     for i, eq in enumerate(eqs):
-        groups.setdefault((eq.regime, eq.n), []).append(i)
-    for (regime, n), rows in groups.items():
+        groups.setdefault(eq.n, []).append(i)
+    for n, rows in groups.items():
         z = np.array([[eqs[i].z.z_b for i in rows], [eqs[i].z.z_s for i in rows]])
+        c = _Columns.of([eqs[i].params for i in rows], [eqs[i].regime == "ce" for i in rows])
         # per row, columns the partials along z_b, z_s and N
-        J = np.ascontiguousarray(_complex_partials(
-            regime, _Columns.of([eqs[i].params for i in rows]), z, n, np.eye(2, 3),
-            np.array([0.0, 0.0, 1.0])).transpose(1, 0, 2))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            J = np.ascontiguousarray(_complex_partials(c, z, n, np.eye(2, 3),
+                                                       np.array([0.0, 0.0, 1.0])).transpose(1, 0, 2))
         ok = np.isfinite(J).all(axis=(1, 2))
         Fz = J[ok, :2, :2]
         scale = np.abs(Fz[:, 0, 0] * Fz[:, 1, 1]) + np.abs(Fz[:, 0, 1] * Fz[:, 1, 0])

@@ -12,7 +12,9 @@ The rivals share one price, so stage 2 runs on two platform classes, the
 deviator x1 and the rivals x(N-1), and the collusive objective on one class
 xN: the search and the derivatives cost the same at any N.  That reduction
 cannot see the rivals splitting among themselves; those modes of the share
-map's Jacobian have the closed-form 2x2 block of _rival_split_block.
+map's Jacobian have the closed-form 2x2 block of _rival_split_block.  At a
+positive contraction margin the grid solve drops each cell the contraction
+bound proves below the best converged one, which leaves every report field.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class DeviationReport:
     # rivals split among themselves, at the best deviation's fixed point
     # (-inf at N = 2, where there are no such modes)
     rival_split_max_re: float
-    # grid cells, of grid_n^2, whose stage-2 solve met FP_TOL; the others
-    # were left out of the search
+    # grid cells, of grid_n^2, whose stage-2 solve met FP_TOL or proved them
+    # below the best cell (a positive margin's bound); the rest were left out
     grid_converged: int
 
     def certified(self, rel_tol: float = 1e-6) -> bool:
@@ -77,21 +79,13 @@ class SOCReport:
 # deviation search
 # --------------------------------------------------------------------------
 
-def _full_prices(params: MarketParams, others, deviation) -> np.ndarray:
-    n = params.n_platforms
-    prices = np.empty((2, n))
-    prices[0, :] = others[0]
-    prices[1, :] = others[1]
-    prices[0, 0] = deviation[0]
-    prices[1, 0] = deviation[1]
-    return prices
-
-
 def deviation_profit(params: MarketParams, others_price, deviation,
                      tol: float = 1e-12, x0=None) -> float:
     """Profit of platform 1 when platforms 2..N charge others_price and
     platform 1 charges deviation; shares from the full stage-2 fixed point."""
-    prices = _full_prices(params, others_price, deviation)
+    prices = np.empty((2, params.n_platforms))
+    prices[:, 1:] = np.asarray(others_price, dtype=float)[:, None]
+    prices[:, 0] = deviation
     state = share_fixed_point(params, prices, tol=tol, x0=x0)
     x1 = state.platform_shares[:, 0]
     return float(x1[0] * deviation[0] + x1[1] * deviation[1])
@@ -292,9 +286,10 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     xc_sym = _fold(x_sym, mult)
     shares, resid = class_fixed_point(params, prices, mult,
                                       np.broadcast_to(xc_sym[..., None], (3, 2, m)),
-                                      tol=FP_TOL, max_iter=GRID_MAX_ITER)
+                                      tol=FP_TOL, max_iter=GRID_MAX_ITER, maximize=0)
     profits = shares[1, 0] * prices[0, 0] + shares[1, 1] * prices[0, 1]
-    profits = np.where(resid <= FP_TOL, profits, -np.inf)
+    # a cell proven below the best reads residual -inf: resolved, never the best
+    profits = np.where(np.abs(resid) <= FP_TOL, profits, -np.inf)
 
     x_base, base_resid = class_fixed_point(params, base_prices[..., None], mult,
                                            xc_sym[..., None], tol=FP_TOL,

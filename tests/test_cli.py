@@ -224,9 +224,9 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "solve_markets", counting("solved", cli.solve_markets, markets))
         real_newton, real_ift = equilibrium._newton, cli.ift_columns
 
-        def newton(regime, c, n, z, *args, **kwargs):
+        def newton(c, n, z, *args, **kwargs):
             calls["newton"].append(z.shape[1])
-            return real_newton(regime, c, n, z, *args, **kwargs)
+            return real_newton(c, n, z, *args, **kwargs)
 
         def ift(eqs):
             calls["ift"].append(len(eqs))
@@ -343,6 +343,24 @@ class TestVerifyCommand:
         ini = tmp_path / "v.ini"
         ini.write_text(BASE_INI + "\n[verify]\nperturb_price = 0.1\ngrid_n = 21\n")
         assert main(["verify", "--config", str(ini)]) == 3
+
+    def test_one_stage1_call_reports_cne_failure_first(self, tmp_path, monkeypatch, capsys):
+        # both regimes come from one stage-1 batch; on a market where both
+        # stall, the competitive failure is the one reported, with exit 2
+        calls = []
+        for name in ("solve_markets", "solve_cne", "solve_ce"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        ini = tmp_path / "v.ini"
+        ini.write_text("[market]\nn_platforms = 61\nbeta_b = 3e-7\nbeta_s = 3e-7\n"
+                       "phi_bs = 0.0226\nphi_sb = 4e-134\nphi_ss = 4e-134\nu0_s = -3.5e-62\n")
+        assert main(["verify", "--config", str(ini)]) == 2
+        assert calls == ["solve_markets"]
+        with pytest.raises(equilibrium.SolverError) as cne:
+            equilibrium.solve_cne(MarketParams(61, (3e-7, 3e-7), ((0, 0.0226), (4e-134, 4e-134)),
+                                               (0, -3.5e-62)))
+        assert capsys.readouterr().err == f"solver failure: {cne.value}\n"
 
     @pytest.mark.parametrize("n, beta, phi_own, u0", [
         (3, 0.1, 0.3, -1.0), (5, 0.2, 0.8, -1.0), (5, 0.2, 0.8, 0.0)])

@@ -8,6 +8,7 @@ from platform_eq.demand import (FixedPointError, MarketState, PriceProfile,
                                 contraction_margin, fixed_point_batch,
                                 fixed_point_multistart, logit_shares,
                                 monte_carlo_shares, sensitivities, share_fixed_point)
+from platform_eq.equilibrium import solve_cne
 from platform_eq.model import MarketParams, Side
 
 
@@ -174,6 +175,27 @@ class TestFixedPointBatch:
             xi, ri = fixed_point_batch(params, prices[i, j], max_iter=100, x0=x0[i, j])
             assert xi.shape == (2, 4) and ri.shape == ()
             assert np.array_equal(xi, x[i, j]) and ri == resid[i, j]
+
+    def test_bound_keeps_a_best_cell_that_starts_far_behind(self):
+        # margin 0.1 (L = 0.9): the best cell, the deviator at p*, starts with
+        # almost no shares, while a worse one (the deviator 1% above p*)
+        # starts on its fixed point and meets tol at once.  The best cell's
+        # early profit lies far below, but the bound holds it in the race;
+        # leaving out its L r / (1 - L) term would drop it
+        params = MarketParams.uniform(3, 1.0, phi_own=1.8)
+        assert contraction_margin(params) == pytest.approx(0.1)
+        p_star = np.array(solve_cne(params).prices)
+        prices = np.stack([np.stack([p_star, 1.01 * p_star], axis=-1),
+                           np.repeat(p_star[:, None], 2, axis=1)])   # (class, side, cell)
+        mult = np.array([1.0, 2.0])
+        x_full, r_full = demand.class_fixed_point(params, prices, mult, np.full((3, 2, 2), 0.25))
+        x0 = np.full((3, 2, 2), 1e-3)
+        x0[0, :, 0] = 1.0 - 3e-3
+        x0[..., 1] = x_full[..., 1]
+        x, resid = demand.class_fixed_point(params, prices, mult, x0, maximize=0)
+        profit = (x[1] * prices[0]).sum(axis=0)
+        assert resid[0] <= 1e-12 and profit[0] > profit[1]
+        assert profit[0] == pytest.approx((x_full[1, :, 0] * p_star).sum(), abs=1e-11)
 
     def test_zero_sweeps_return_the_start(self):
         params = MarketParams.uniform(2, 1.0)

@@ -18,7 +18,7 @@ from platform_eq.statics import ift_derivatives
 def _price(regime: str, z, beta, phi, n):
     """The share-space price at z, with phi the 2x2 matrix on axes 0-1 (or its
     rows as nested pairs), each input with any trailing grid axes."""
-    return equilibrium._share_price(regime, omega(z, n), equilibrium._outside(z, n), beta,
+    return equilibrium._share_price(np.asarray(regime == "ce"), *equilibrium._shares(z, n), beta,
                                     np.stack([phi[0][0], phi[1][1]]),
                                     np.stack([phi[1][0], phi[0][1]]), n)
 
@@ -156,10 +156,10 @@ def test_decoupled_value_is_row_zero_of_the_residual(regime, n, beta, phi, u0):
     floats, non-finite values in the same places."""
     value, residual = ((mk_value, cne_foc_residual) if regime == "cne"
                        else (mkc_value, ce_foc_residual))
-    lo, hi = equilibrium._bracket(regime, beta, phi, float(n), u0)
-    zs = np.concatenate([np.linspace(lo, hi, 41), [-800.0, 800.0, -np.inf, np.inf, np.nan]])
     params = MarketParams.uniform(n, beta, phi_own=phi, u0=u0)
     with np.errstate(all="ignore"):
+        lo, hi = equilibrium._bracket(np.asarray(regime == "ce"), beta, phi, float(n), u0)
+        zs = np.concatenate([np.linspace(lo, hi, 41), [-800.0, 800.0, -np.inf, np.inf, np.nan]])
         rows = np.array([residual(np.array([z, z]), params)[0] for z in zs])
         assert np.array_equal(value(zs, beta, phi, n, u0), rows, equal_nan=True)
         assert np.array_equal([value(float(z), beta, phi, n, u0) for z in zs], rows,
@@ -345,8 +345,10 @@ class TestSolvers:
 
     def test_bracket_exhaustion_error(self, monkeypatch):
         # a FOC with no sign change anywhere: the batch reports NaN and the
-        # scalar solve raises instead of returning a number
-        monkeypatch.setattr(equilibrium, "mk_value", lambda z, *args: np.full(np.shape(z), -1.0))
+        # scalar solve raises instead of returning a number.  The batch reads
+        # both regimes' values through one function
+        monkeypatch.setattr(equilibrium, "_decoupled_value",
+                            lambda ce, z, *args: np.full(np.shape(z), -1.0))
         assert np.isnan(solve_decoupled_batch("cne", [1.0, 2.0], [0.0, 0.5], 2.0, 0.0)).all()
         with pytest.raises(SolverError, match="no root in range"):
             solve_cne(MarketParams.uniform(2, 1.0))
@@ -371,10 +373,9 @@ class TestSolvers:
         # a cell whose Newton step is below an ulp is on its root and ends
         # there; bisecting away from it and back costs 30-50 more value calls
         calls = []
-        for name in ("mk_value", "mkc_value"):
-            fn = getattr(equilibrium, name)
-            monkeypatch.setattr(equilibrium, name,
-                                lambda *args, fn=fn: calls.append(1) or fn(*args))
+        fn = equilibrium._decoupled_value
+        monkeypatch.setattr(equilibrium, "_decoupled_value",
+                            lambda *args: calls.append(1) or fn(*args))
         z = solve_decoupled_batch(regime, beta, phi_kk, n, u0)
         assert np.all(np.isfinite(z))
         assert len(calls) <= 10, len(calls)
@@ -431,8 +432,8 @@ def test_solve_markets_matches_one_market_solves():
                MarketParams.uniform(2, 0.4, phi_own=0.3, phi_cross=0.03, u0=-1.0),
                TestCoupledNewtonStall.PARAMS, MarketParams.uniform(3, 1.2, u0=4.0),
                MarketParams(2, (1e80, 1.0), ((1e79, 0.0), (0.0, 0.0)))]
-    for regime, solver in (("cne", solve_cne), ("ce", solve_ce)):
-        results = equilibrium.solve_markets(regime, markets)
+    both = equilibrium.solve_markets(("cne", "ce"), markets)
+    for (regime, solver), results in zip((("cne", solve_cne), ("ce", solve_ce)), both):
         assert len(results) == len(markets)
         for params, result in zip(markets, results):
             try:
@@ -502,19 +503,23 @@ NAN_START = MarketParams(2, 1.0, ((0.1, 1e200), (1e200, 0.1)))
 @example([MarketParams.uniform(2, 1.0, phi_own=0.1, phi_cross=0.03),
           NAN_START, MarketParams.uniform(2, 0.5, phi_own=0.2, phi_cross=-0.02, u0=1.0)])
 def test_batch_is_one_market_solves_bit_for_bit(markets):
-    # one Newton, one assembly per (regime, N) group: each market's result,
-    # error message and trace are those of its own one-market solve.  The
-    # coupled-Newton stall keeps its message beside healthy markets and beside
-    # a near copy that stalls at a larger residual, so a step is accepted or
-    # halved on its own market's residual alone
-    for regime, solver in (("cne", solve_cne), ("ce", solve_ce)):
+    # one Newton, one assembly per N group, of one regime or of both: each
+    # market's result, error message and trace are those of its own
+    # one-market, one-regime solve.  The coupled-Newton stall keeps its
+    # message beside healthy markets and beside a near copy that stalls at a
+    # larger residual, so a step is accepted or halved on its own market's
+    # residual alone
+    both = equilibrium.solve_markets(("cne", "ce"), markets)
+    for (regime, solver), mixed in zip((("cne", solve_cne), ("ce", solve_ce)), both):
         expected = []
         for params in markets:
             try:
                 expected.append(_bits(solver(params)))
             except SolverError as exc:
                 expected.append(_bits(exc))
-        assert [_bits(r) for r in equilibrium.solve_markets(regime, markets)] == expected
+        (alone,) = equilibrium.solve_markets((regime,), markets)
+        assert [_bits(r) for r in alone] == expected
+        assert [_bits(r) for r in mixed] == expected
         for params, result in zip(markets, expected):
             if params is TestCoupledNewtonStall.PARAMS:
                 assert "near-singular Jacobian" in result
@@ -540,8 +545,8 @@ def _coupled_markets():
 
 def test_coupled_batch_pinned_bits():
     digest = hashlib.sha256()
-    for regime in ("cne", "ce"):
-        for result in equilibrium.solve_markets(regime, _coupled_markets()):
+    for results in equilibrium.solve_markets(("cne", "ce"), _coupled_markets()):
+        for result in results:
             record = _bits(result)
             if not isinstance(result, Exception):
                 record += repr(sorted(ift_derivatives(result).items()))
@@ -555,11 +560,14 @@ def test_stacked_steps_set_singular_columns_aside():
     rng = np.random.default_rng(11)
     J, F = rng.normal(size=(5, 2, 2)), rng.normal(size=(2, 5))
     J[2] = [[1.0, 2.0], [2.0, 4.0]]
-    step, singular = equilibrium._solve_steps(J, F)
+    # the stage-1 entry points hold the errstate the kernels run under
+    quiet = np.errstate(invalid="ignore")
+    step, singular = quiet(equilibrium._solve_steps)(J, F)
     assert singular.tolist() == [False, False, True, False, False]
     for j in (0, 1, 3, 4):
         assert np.array_equal(step[:, j], np.linalg.solve(J[j], F[:, j]))
-    step, singular = equilibrium._solve_steps(np.delete(J, 2, axis=0), np.delete(F, 2, axis=1))
+    step, singular = quiet(equilibrium._solve_steps)(np.delete(J, 2, axis=0),
+                                                      np.delete(F, 2, axis=1))
     assert not singular.any()
     assert np.array_equal(step[:, 2], np.linalg.solve(J[3], F[:, 3]))
     # a tiny nonsingular J (its determinant underflows to 0) is no singular
@@ -567,7 +575,7 @@ def test_stacked_steps_set_singular_columns_aside():
     # solve gives, NaN
     J[0] *= 1e-170
     J[4, 1, 0] = np.nan
-    step, singular = equilibrium._solve_steps(J, F)
+    step, singular = quiet(equilibrium._solve_steps)(J, F)
     assert np.linalg.det(J[0]) == 0.0
     assert singular.tolist() == [False, False, True, False, False]
     assert np.array_equal(step[:, 0], np.linalg.solve(J[0], F[:, 0]))
@@ -582,6 +590,23 @@ class TestCompareRegimes:
         assert cmp_.d_participation[0] > 0
         assert cmp_.decomposition_residual <= 1e-9
         assert cmp_.decomposition_externality == (0.0, 0.0)
+
+    def test_one_batch_reports_cne_failure_first(self, monkeypatch):
+        # both regimes in one stage-1 call; where both stall, cne's error is raised
+        calls, real = [], equilibrium.solve_markets
+        monkeypatch.setattr(equilibrium, "solve_markets",
+                            lambda regimes, *args: calls.append(regimes) or real(regimes, *args))
+        params = TestCoupledNewtonStall.PARAMS
+        with pytest.raises(SolverError) as info:
+            compare_regimes(params)
+        assert calls == [("cne", "ce")]
+        monkeypatch.undo()
+        messages = []
+        for solver in (solve_cne, solve_ce):
+            with pytest.raises(SolverError) as exc:
+                solver(params)
+            messages.append(str(exc.value))
+        assert str(info.value) == messages[0] != messages[1]
 
     def test_random_sweep_signs(self):
         rng = np.random.default_rng(23)

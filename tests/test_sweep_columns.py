@@ -172,13 +172,13 @@ def test_error_rows_and_cells_match_reference(text, present):
 
 @pytest.mark.parametrize("u0_values", [2, 7])
 def test_one_stage1_batch_per_regime_and_platform_count(monkeypatch, u0_values):
-    # N in {2, 4} x u0_values points: the stage-1 batch runs regimes x distinct N
-    # times, however many points there are
+    # N in {2, 4} x u0_values points: the stage-1 batch runs once per distinct
+    # N, over both regimes, however many points there are
     calls = []
     real = equilibrium.solve_decoupled_batch
 
     def counting(*args, **kwargs):
-        calls.append(np.shape(args[1]))
+        calls.append((np.shape(args[1]), np.asarray(args[0]).ravel().tolist()))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "solve_decoupled_batch", counting)
@@ -187,8 +187,8 @@ def test_one_stage1_batch_per_regime_and_platform_count(monkeypatch, u0_values):
                  "axis2": "u0", "start2": "-1.0", "stop2": "1.0",
                  "step2": repr(2.0 / (u0_values - 1))}, "both")
     _run_sweep(text)
-    assert len(calls) == 2 * 2
-    assert calls == [(u0_values, 2)] * 4
+    # columns: the cne markets, then the ce markets, each a row of both sides
+    assert calls == [((2 * u0_values, 2), [False] * u0_values + [True] * u0_values)] * 2
 
 
 def test_ift_columns_match_one_point_solves():
