@@ -1,12 +1,13 @@
 """Command-line front end: solve, compare, classify, sweep, verify, figures.
 
-Every command reads a strict INI config (see :mod:`platform_eq.config`),
-prints CSV to stdout and optionally writes files under --out.  All floating
+Every command reads a strict INI config (see :mod:`platform_eq.config`), each
+flag's raw text parsed like the key it overrides; solve, compare, classify,
+sweep and verify solve stage 1 in one :func:`solve_markets` call.  All floating
 point output uses 17 significant digits, LF line endings and a header comment
 carrying the tool version, the config hash and a parameter echo, so identical
 config + seed reproduce byte-identical bytes.
 
-Exit codes: 0 success, 1 config/usage error, 2 solver failure,
+Exit codes: 0 success, 1 config or usage error, 2 solver failure,
 3 verification failure.
 """
 
@@ -21,10 +22,9 @@ import sys
 
 import numpy as np
 
-from .config import (MARKET_KEYS, REGIMES, SCHEMA, SWEEP_AXES, ConfigError, RunConfig,
-                     load_config)
+from .config import MARKET_KEYS, SWEEP_AXES, ConfigError, RunConfig, load_config
 from .demand import FixedPointError
-from .equilibrium import SolverError, _one, compare_regimes, solve_ce, solve_cne, solve_markets
+from .equilibrium import SolverError, _one, compare_regimes, solve_markets
 from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
 from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
@@ -126,12 +126,9 @@ def _regimes(cfg: RunConfig) -> list[str]:
 
 def cmd_solve(cfg: RunConfig) -> int:
     params = cfg.market
-    tol = cfg.get("solve", "tol")
-    rows = []
-    for regime in _regimes(cfg):
-        solver = solve_cne if regime == "cne" else solve_ce
-        eq = solver(params, tol=tol)
-        rows.append(_input_row(params) + _eq_row(eq))
+    # one stage-1 batch; a cne failure is raised first
+    rows = [_input_row(params) + _eq_row(_one(results[0]))
+            for results in solve_markets(_regimes(cfg), [params], cfg.get("solve", "tol"))]
     text = csv_text(_comments(cfg, "solve"), INPUT_COLS + EQ_COLS, rows)
     _emit(text, cfg.get("output", "dir"), "solve.csv")
     return 0
@@ -156,28 +153,34 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
+def _direction_labels(params: MarketParams, eq, side: Side):
+    """(column name, RegionLabel) of each direction classifier at the solved
+    cne point, the ValueError it raised in place of an undefined label."""
+    for quantity, wrt, name in CLASSIFIER_SPECS:
+        try:
+            label = classify_direction(quantity, wrt, params, side, z_star=eq.z.side(side))
+        except ValueError as exc:
+            label = exc
+        yield name, label
+
+
 def _label_cells(label) -> list:
+    if isinstance(label, ValueError):
+        return ["error", "", "", str(label)]
     thr = ";".join(f"{k.value}={v:.17g}" for k, v in label.thresholds_used)
     return [label.verdict.value, label.margin, thr, label.reason]
 
 
 def cmd_classify(cfg: RunConfig) -> int:
     params = cfg.market
-    eq = solve_cne(params, tol=cfg.get("solve", "tol"))
-    z_star = {s: eq.z.side(s) for s in Side}
+    eq = _one(solve_markets(("cne",), [params], cfg.get("solve", "tol"))[0][0])
     rows = []
     for side in Side:
         for regime in ("cne", "ce"):
-            label = classify_sign_z(regime, params, side)
-            rows.append([f"sign_z_{regime}", side.label] + _label_cells(label))
-        for quantity, wrt, name in CLASSIFIER_SPECS:
-            try:
-                label = classify_direction(quantity, wrt, params, side,
-                                           z_star=z_star[side])
-            except ValueError as exc:
-                rows.append([name, side.label, "error", "", "", str(exc)])
-                continue
-            rows.append([name, side.label] + _label_cells(label))
+            rows.append([f"sign_z_{regime}", side.label]
+                        + _label_cells(classify_sign_z(regime, params, side)))
+        rows += [[name, side.label] + _label_cells(label)
+                 for name, label in _direction_labels(params, eq, side)]
     header = ("classifier", "side", "verdict", "margin", "thresholds", "reason")
     text = csv_text(_comments(cfg, "classify"), header, rows)
     _emit(text, cfg.get("output", "dir"), "classify.csv")
@@ -241,14 +244,10 @@ def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
                 cells["deriv_method"] = ("analytic" if params.cross_externalities_zero
                                          else "ift")
                 cells.update(zip(DERIV_COLS, derivs[i]))
-                for quantity, wrt, name in CLASSIFIER_SPECS:
-                    for side in Side:
-                        try:
-                            verdict = classify_direction(quantity, wrt, params, side,
-                                                         z_star=eq.z.side(side)).verdict.value
-                        except ValueError:
-                            verdict = "error"
-                        cells[f"{name}_{side.label}"] = verdict
+                for side in Side:
+                    for name, label in _direction_labels(params, eq, side):
+                        cells[f"{name}_{side.label}"] = ("error" if isinstance(label, ValueError)
+                                                         else label.verdict.value)
             if regime == "ce" or with_derivs:
                 for side in Side:
                     cells[f"vsign_z_{side.label}"] = \
@@ -290,11 +289,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     soc_ce = soc_report(params, _one(eq_ce))
 
     certified = report.certified(vconf["tolerance"])
-    soc_ok = soc_cne.numeric_negative_definite and soc_ce.numeric_negative_definite
-    if soc_cne.closed_form_negative is not None:
-        soc_ok = soc_ok and soc_cne.closed_form_negative
-    if soc_ce.closed_form_negative is not None:
-        soc_ok = soc_ok and soc_ce.closed_form_negative
+    # a closed form that does not apply (None) does not fail the check
+    soc_ok = all(s.numeric_negative_definite and s.closed_form_negative in (None, True)
+                 for s in (soc_cne, soc_ce))
 
     doc = {
         "tool": f"platform-eq {__version__}",
@@ -335,17 +332,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_figures(cfg: RunConfig) -> int:
     fig_conf = cfg.values["figure"]
+    if fig_conf["id"] not in ("", *FIGURES):
+        raise ConfigError(f"unknown figure {fig_conf['id']!r}; choose from {sorted(FIGURES)}")
     ids = [fig_conf["id"]] if fig_conf["id"] else list(FIGURES)
-    for f in ids:
-        if f not in FIGURES:
-            raise ConfigError(f"unknown figure {f!r}; choose from {sorted(FIGURES)}")
     gconf = cfg.values["grid"]
     # every panel in output order (its grid filled in below), the figures of each (N, u0) group
     grids, groups = {}, {}
     for f in ids:
         spec = FIGURES[f]
         n = fig_conf["n_platforms"] or spec.n
-        for u0 in [float(fig_conf["u0"])] if fig_conf["u0"] else spec.panel_u0:
+        for u0 in [fig_conf["u0"]] if fig_conf["u0"] != "" else spec.panel_u0:
             grids[f, n, u0] = None
             groups.setdefault((n, u0), []).append(f)
     # one region_grids call per group, so each stage-1 z-grid is solved once
@@ -418,7 +414,6 @@ COMMANDS = {
 FLAGS = {"regime": ("solve", "regime"), "out": ("output", "dir"),
          "seed": ("output", "seed"), "tol": ("solve", "tol"),
          "jobs": ("output", "jobs"), "figure": ("figure", "id")}
-_CHOICES = {"regime": REGIMES, "figure": sorted(FIGURES)}
 
 
 @functools.cache
@@ -433,19 +428,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to INI config")
         for flag, (section, key) in FLAGS.items():
             if flag != "figure" or name == "figures":
-                p.add_argument(f"--{flag}", type=SCHEMA[section][key][0],
-                               choices=_CHOICES.get(flag), help=f"overrides [{section}] {key}")
+                p.add_argument(f"--{flag}", help=f"overrides [{section}] {key}")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        for flag, (section, key) in FLAGS.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                cfg.values[section][key] = value
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is a config error
+        return 1 if exc.code else 0
+    try:
+        cfg = load_config(args.config, {FLAGS[flag]: value for flag, value in vars(args).items()
+                                        if flag in FLAGS and value is not None})
         return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,15 +1,15 @@
 """Run configuration: strict INI-style key/value files with nested sections.
 
 Unknown sections or keys are hard errors -- a silently ignored typo in a phi
-entry would corrupt a whole study.  The documented schema lives in SCHEMA;
-every command reads [market] plus its own section, and command-line flags
-override file values.
+entry would corrupt a whole study.  SCHEMA converts and range-checks every
+key; command-line flags override file values as raw text parsed the same way.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .model import MarketParams
@@ -28,6 +28,32 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _checked(conv, ok, need: str):
+    """conv, then a range check: a value that fails ok must be `need`."""
+    def parse(raw: str):
+        value = conv(raw)
+        if not ok(value):
+            raise ConfigError(f"must be {need}")
+        return value
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+
+REGIMES = ("cne", "ce", "both")
+# sweep axis -> (MarketParams field, the cells of that field it sets)
+SWEEP_AXES = {
+    "u0": ("u0", (0, 1)), "u0_b": ("u0", (0,)), "u0_s": ("u0", (1,)),
+    "beta": ("beta", (0, 1)), "beta_b": ("beta", (0,)), "beta_s": ("beta", (1,)),
+    "phi_own": ("phi", ((0, 0), (1, 1))), "phi_bb": ("phi", ((0, 0),)),
+    "phi_ss": ("phi", ((1, 1),)), "phi_bs": ("phi", ((0, 1),)), "phi_sb": ("phi", ((1, 0),)),
+    "n_platforms": ("n_platforms", ()),
+}
+_AXIS = f"a sweep axis ({', '.join(SWEEP_AXES)})"
+
+
 # section -> key -> (type converter, default); default None means required
 SCHEMA: dict[str, dict[str, tuple]] = {
     "market": {  # in the order of the parameter echo and the CSV input columns
@@ -44,35 +70,37 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "mu_s": (float, 0.0),
     },
     "solve": {
-        "regime": (str, "both"),
-        "tol": (float, 1e-10),
+        "regime": (_checked(str, REGIMES.__contains__, "cne, ce or both"), "both"),
+        "tol": (_POSITIVE, 1e-10),
     },
     "sweep": {
-        "axis": (str, "u0"),
-        "start": (float, -5.0),
-        "stop": (float, 5.0),
-        "step": (float, 0.1),
-        "axis2": (str, ""),
-        "start2": (float, 0.0),
-        "stop2": (float, 0.0),
-        "step2": (float, 0.0),
+        "axis": (_checked(str, SWEEP_AXES.__contains__, _AXIS), "u0"),
+        "start": (_FINITE, -5.0),
+        "stop": (_FINITE, 5.0),
+        "step": (_FINITE, 0.1),
+        "axis2": (_checked(str, lambda v: v == "" or v in SWEEP_AXES, "empty or " + _AXIS), ""),
+        "start2": (_FINITE, 0.0),
+        "stop2": (_FINITE, 0.0),
+        "step2": (_FINITE, 0.0),
         "derivatives": (_bool, True),
     },
     "grid": {
-        "phi_min": (float, -2.0),
-        "phi_max": (float, 2.0),
-        "beta_min": (float, 0.0),
-        "beta_max": (float, 2.0),
-        "resolution": (int, 200),
+        "phi_min": (_FINITE, -2.0),
+        "phi_max": (_FINITE, 2.0),
+        "beta_min": (_FINITE, 0.0),
+        "beta_max": (_FINITE, 2.0),
+        "resolution": (_COUNT, 200),
     },
     "figure": {
         "id": (str, ""),
-        "n_platforms": (int, 0),  # 0: use the figure's own default
-        "u0": (str, ""),          # empty: use the figure's default panels
+        # 0 or empty: the figure's own N or panels
+        "n_platforms": (_checked(int, lambda v: v == 0 or v >= 2, "0 or at least 2"), 0),
+        "u0": (_checked(lambda raw: float(raw) if raw.strip() else "",
+                        lambda v: v == "" or math.isfinite(v), "empty or finite"), ""),
     },
     "verify": {
         "radius": (float, 0.5),
-        "grid_n": (int, 41),
+        "grid_n": (_COUNT, 41),
         "tolerance": (float, 1e-6),
         "perturb_price": (float, 0.0),
     },
@@ -86,16 +114,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 MARKET_KEYS = tuple(SCHEMA["market"])
-REGIMES = ("cne", "ce", "both")
-
-# sweep axis -> (MarketParams field, the cells of that field it sets)
-SWEEP_AXES = {
-    "u0": ("u0", (0, 1)), "u0_b": ("u0", (0,)), "u0_s": ("u0", (1,)),
-    "beta": ("beta", (0, 1)), "beta_b": ("beta", (0,)), "beta_s": ("beta", (1,)),
-    "phi_own": ("phi", ((0, 0), (1, 1))), "phi_bb": ("phi", ((0, 0),)),
-    "phi_ss": ("phi", ((1, 1),)), "phi_bs": ("phi", ((0, 1),)), "phi_sb": ("phi", ((1, 0),)),
-    "n_platforms": ("n_platforms", ()),
-}
 
 
 @dataclass
@@ -128,8 +146,9 @@ class RunConfig:
                         for k in MARKET_KEYS)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate configuration text against SCHEMA."""
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate configuration text against SCHEMA.  overrides maps
+    (section, key) to raw text that takes the place of the file's value."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -137,6 +156,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     if cp.defaults():
         raise ConfigError("top-level keys are not allowed; use [section] headers")
+    for (section, key), raw in (overrides or {}).items():
+        cp.read_dict({section: {key: raw}})
 
     values: dict[str, dict[str, object]] = {}
     for section in cp.sections():
@@ -149,6 +170,8 @@ def parse_config(text: str) -> RunConfig:
             conv, _ = SCHEMA[section][key]
             try:
                 values[section][key] = conv(raw)
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {key} {exc}, not {raw!r}") from None
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
@@ -160,24 +183,21 @@ def parse_config(text: str) -> RunConfig:
                     raise ConfigError(f"missing required key {key!r} in section [{section}]")
                 values[section][key] = default
 
-    axis = values["sweep"]["axis"]
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
-    axis2 = values["sweep"]["axis2"]
-    if axis2 and axis2 not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis2 {axis2!r}")
-    regime = values["solve"]["regime"]
-    if regime not in REGIMES:
-        raise ConfigError(f"regime must be cne, ce or both, not {regime!r}")
+    # sweep steps are positive (checked where the axis values are formed), so
+    # an n_platforms axis stays >= 2 if its rounded start does
+    sweep = values["sweep"]
+    for suffix in ("", "2"):
+        if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
+            raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(values=values, sha256=digest)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, overrides)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import omega
 from .model import MarketParams, Side
 
 SIMPLEX_TOL = 1e-10
@@ -115,19 +116,6 @@ class MonteCarloShares:
     stderr: np.ndarray
     samples: int
     seed: int
-
-
-class GumbelDraw:
-    """Seedable source of idiosyncratic utilities; identical seeds reproduce draws."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(seed)
-
-    def draw(self, params: MarketParams, side: Side, size) -> np.ndarray:
-        """Draws with the side's location mu_k and scale beta_k."""
-        return self._rng.gumbel(loc=params.mu[side.index],
-                                scale=params.beta[side.index], size=size)
 
 
 # --------------------------------------------------------------------------
@@ -379,12 +367,8 @@ def sensitivities(z: float, params: MarketParams, side: Side) -> ShareSensitivit
     and r = -omega^2 / beta, finite for every z.
     """
     beta = params.beta[side.index]
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    with np.errstate(over="ignore"):
-        omega = 1.0 / (np.exp(-float(z)) + params.n_platforms)
-    return ShareSensitivities(s=float(omega * (1.0 - omega) / beta),
-                              r=float(-omega * omega / beta))
+    w = omega(float(z), params.n_platforms)
+    return ShareSensitivities(s=float(w * (1.0 - w) / beta), r=float(-w * w / beta))
 
 
 # --------------------------------------------------------------------------
@@ -406,16 +390,16 @@ def monte_carlo_shares(params: MarketParams, prices, fixed_state: MarketState,
     n = params.n_platforms
     phi = params.phi_arr
     ext = phi @ fixed_state.platform_shares  # (2, N)
-    source = GumbelDraw(seed)
+    rng = np.random.default_rng(seed)
     freqs = np.empty((2, n + 1))
-    for side in Side:
-        k = side.index
+    for k in (0, 1):
         u_det = np.concatenate([[params.u0[k]], ext[k] - p[k]])
         counts = np.zeros(n + 1, dtype=np.int64)
         left = samples
         while left > 0:
             m = min(left, chunk)
-            eps = source.draw(params, side, size=(m, n + 1))
+            # tastes with the side's location mu_k and scale beta_k
+            eps = rng.gumbel(loc=params.mu[k], scale=params.beta[k], size=(m, n + 1))
             choice = np.argmax(eps + u_det, axis=1)
             counts += np.bincount(choice, minlength=n + 1)
             left -= m

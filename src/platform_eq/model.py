@@ -9,7 +9,7 @@ threshold machinery in :mod:`platform_eq.regions` is built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -37,11 +37,10 @@ class Side(Enum):
 
 
 def _pair(value, name: str) -> tuple[float, float]:
-    if np.isscalar(value):
-        value = (value, value)
-    pair = (float(value[0]), float(value[1]))
-    if len(tuple(value)) != 2:
+    value = (value, value) if np.isscalar(value) else tuple(value)
+    if len(value) != 2:
         raise ValueError(f"{name} must be a scalar or a (buyer, seller) pair")
+    pair = (float(value[0]), float(value[1]))
     if not all(math.isfinite(v) for v in pair):
         raise ValueError(f"{name} must be finite")
     return pair
@@ -120,26 +119,12 @@ class MarketParams:
     def phi_own(self, side: Side) -> float:
         return self.phi[side.index][side.index]
 
+    # params.replace(**changes): a copy with those fields changed, checked anew
+    replace = replace
+
     def decoupled(self) -> "MarketParams":
         """Copy with the cross-side externalities zeroed out."""
-        return MarketParams(
-            n_platforms=self.n_platforms,
-            beta=self.beta,
-            phi=((self.phi[0][0], 0.0), (0.0, self.phi[1][1])),
-            u0=self.u0,
-            mu=self.mu,
-        )
-
-    def replace(self, **kwargs) -> "MarketParams":
-        fields = {
-            "n_platforms": self.n_platforms,
-            "beta": self.beta,
-            "phi": self.phi,
-            "u0": self.u0,
-            "mu": self.mu,
-        }
-        fields.update(kwargs)
-        return MarketParams(**fields)
+        return self.replace(phi=((self.phi[0][0], 0.0), (0.0, self.phi[1][1])))
 
 
 # --------------------------------------------------------------------------
@@ -156,16 +141,9 @@ def ce_existence_bound(n: float) -> float:
     return 8.0 / (27.0 * n)
 
 
-def _existence(params: MarketParams, bound: float, n: float) -> tuple[bool, bool]:
-    out = []
-    for k in (0, 1):
-        phi_kk = params.phi[k][k]
-        beta_k = params.beta[k]
-        if phi_kk <= 0.0:
-            out.append(beta_k > 0.0)
-        else:
-            out.append(beta_k > bound * phi_kk)
-    return tuple(out)
+def _existence(params: MarketParams, bound: float) -> tuple[bool, bool]:
+    return tuple(params.phi[k][k] <= 0.0 or params.beta[k] > bound * params.phi[k][k]
+                 for k in (0, 1))
 
 
 def check_cne_existence(params: MarketParams, n: float | None = None) -> tuple[bool, bool]:
@@ -174,7 +152,7 @@ def check_cne_existence(params: MarketParams, n: float | None = None) -> tuple[b
     True for side k iff phi_kk <= 0, or phi_kk > 0 and beta_k > 2(N-1)/N^2 * phi_kk.
     """
     n = float(params.n_platforms if n is None else n)
-    return _existence(params, cne_existence_bound(n), n)
+    return _existence(params, cne_existence_bound(n))
 
 
 def check_ce_existence(params: MarketParams, n: float | None = None) -> tuple[bool, bool]:
@@ -183,7 +161,7 @@ def check_ce_existence(params: MarketParams, n: float | None = None) -> tuple[bo
     True for side k iff phi_kk <= 0, or phi_kk > 0 and beta_k > 8 phi_kk / (27 N).
     """
     n = float(params.n_platforms if n is None else n)
-    return _existence(params, ce_existence_bound(n), n)
+    return _existence(params, ce_existence_bound(n))
 
 
 # --------------------------------------------------------------------------

@@ -205,11 +205,8 @@ def _rival_split_block(params: MarketParams, y_rival) -> np.ndarray:
 
 def _symmetric_state(eq: SymmetricEquilibrium) -> np.ndarray:
     """The (2, N+1) stage-2 shares of a solved symmetric point."""
-    n = eq.params.n_platforms
-    x = np.empty((2, n + 1))
-    x[:, 1:] = np.array(eq.shares)[:, None]
-    x[:, 0] = 1.0 - np.array(eq.participation)
-    return x
+    return _expand(np.array([1.0 - np.array(eq.participation), eq.shares]),
+                   np.array([eq.params.n_platforms]))
 
 
 def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,

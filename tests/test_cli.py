@@ -110,6 +110,45 @@ class TestConfig:
         assert [cfg.get("solve", "tol") for cfg in seen] == [1e-8, 1e-9]
 
 
+# case -> (command, config text after [market], flags); each is a config error, exit 1
+INVALID_SETTINGS = {
+    "figure_u0_abc": ("figures", "[figure]\nu0 = abc\n", ["--figure", "fig1"]),
+    "figure_n_1": ("figures", "[figure]\nn_platforms = 1\n", ["--figure", "fig1"]),
+    "resolution_0": ("figures", "[grid]\nresolution = 0\n", ["--figure", "fig1"]),
+    "phi_max_inf": ("figures", "[grid]\nphi_max = inf\n", ["--figure", "fig1"]),
+    "beta_min_nan": ("figures", "[grid]\nbeta_min = nan\n", ["--figure", "fig1"]),
+    "grid_n_0": ("verify", "[verify]\ngrid_n = 0\n", []),
+    "step_nan": ("sweep", "[sweep]\nstep = nan\n", []),
+    "n_sweep_from_1": ("sweep", "[sweep]\naxis = n_platforms\nstart = 1\nstop = 3\nstep = 1\n",
+                       []),
+    "tol_negative": ("solve", "[solve]\ntol = -1\n", []),
+    "tol_nan": ("solve", "[solve]\ntol = nan\n", []),
+    "flag_regime_bad": ("solve", "", ["--regime", "bad"]),
+    "flag_tol_abc": ("solve", "", ["--tol", "abc"]),
+    "flag_figure_fig9": ("figures", "", ["--figure", "fig9"]),
+}
+
+
+@pytest.mark.parametrize("command, text, flags", INVALID_SETTINGS.values(),
+                         ids=INVALID_SETTINGS)
+def test_invalid_settings_are_config_errors(tmp_path, capsys, command, text, flags):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(BASE_INI + "\n" + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_usage_error_exits_1_and_help_exits_0(base_cfg, capsys):
+    assert main(["nope", "--config", base_cfg]) == 1
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert main(["solve"]) == 1
+    assert main(["--help"]) == 0
+    assert main(["solve", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
 class TestSolveCommand:
     def test_base_case_row(self, base_cfg, capsys):
         assert main(["solve", "--config", base_cfg]) == 0
@@ -125,6 +164,28 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         _, rows = _parse_csv_text(out)
         assert len(rows) == 1 and rows[0]["regime"] == "ce"
+
+    def test_both_regimes_take_one_stage1_call_and_report_cne_first(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        # the market of test_one_stage1_call_reports_cne_failure_first: both
+        # regimes stall, and solve reports the competitive failure, exit 2
+        calls = []
+        for module, name in ((cli, "solve_markets"), (equilibrium, "solve_cne"),
+                             (equilibrium, "solve_ce")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        ini = tmp_path / "s.ini"
+        ini.write_text("[market]\nn_platforms = 61\nbeta_b = 3e-7\nbeta_s = 3e-7\n"
+                       "phi_bs = 0.0226\nphi_sb = 4e-134\nphi_ss = 4e-134\nu0_s = -3.5e-62\n")
+        assert main(["solve", "--config", str(ini)]) == 2
+        assert calls == ["solve_markets"]
+        monkeypatch.undo()
+        cne, ce = (results[0] for results in equilibrium.solve_markets(
+            ("cne", "ce"), [MarketParams(61, (3e-7, 3e-7), ((0, 0.0226), (4e-134, 4e-134)),
+                                         (0, -3.5e-62))]))
+        assert isinstance(cne, equilibrium.SolverError) and isinstance(ce, equilibrium.SolverError)
+        assert capsys.readouterr().err == f"solver failure: {cne}\n"
 
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -235,7 +296,7 @@ class TestSweepCommand:
         # one Newton batch and one implicit-function batch over the 3 coupled points
         monkeypatch.setattr(equilibrium, "_newton", newton)
         monkeypatch.setattr(cli, "ift_columns", ift)
-        monkeypatch.setattr(cli, "solve_cne", counting("solve_cne", cli.solve_cne))
+        monkeypatch.setattr(equilibrium, "solve_cne", counting("solve_cne", equilibrium.solve_cne))
         monkeypatch.setattr(statics, "solve_cne", counting("solve_cne", statics.solve_cne))
         monkeypatch.setattr(statics, "fd_derivative", counting("fd", statics.fd_derivative))
         d = tmp_path / "out"
@@ -348,9 +409,10 @@ class TestVerifyCommand:
         # both regimes come from one stage-1 batch; on a market where both
         # stall, the competitive failure is the one reported, with exit 2
         calls = []
-        for name in ("solve_markets", "solve_cne", "solve_ce"):
-            real = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name:
+        for module, name in ((cli, "solve_markets"), (equilibrium, "solve_cne"),
+                             (equilibrium, "solve_ce")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
         ini = tmp_path / "v.ini"
         ini.write_text("[market]\nn_platforms = 61\nbeta_b = 3e-7\nbeta_s = 3e-7\n"

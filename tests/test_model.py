@@ -136,6 +136,22 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             MarketParams(2, (1.0, 1.0), phi=((0.0, np.nan), (0.0, 0.0)))
 
+    @pytest.mark.parametrize("field", ["beta", "u0", "mu"])
+    @pytest.mark.parametrize("value", [(1.0,), (), (1.0, 1.0, 1.0)])
+    def test_pair_of_wrong_length_is_value_error(self, field, value):
+        fields = {"n_platforms": 2, "beta": (1.0, 1.0), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a scalar or a"):
+            MarketParams(**fields)
+
+    def test_replace_checks_the_copy(self):
+        p = MarketParams.uniform(3, 1.0, phi_own=0.3, phi_cross=0.1, u0=0.5)
+        q = p.replace(u0=(1, -1), n_platforms=4.0)
+        assert (q.n_platforms, q.u0, q.beta, q.phi) == (4, (1.0, -1.0), p.beta, p.phi)
+        assert type(q.n_platforms) is int and p.u0 == (0.5, 0.5)
+        with pytest.raises(ValueError):
+            p.replace(beta=(1.0, -1.0))
+        assert p.decoupled() == p.replace(phi=((0.3, 0.0), (0.0, 0.3)))
+
     def test_scalar_broadcast_and_views(self):
         p = MarketParams.uniform(3, 1.5, phi_own=0.2, phi_cross=-0.1, u0=-1.0)
         assert p.beta == (1.5, 1.5)
