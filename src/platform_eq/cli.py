@@ -27,9 +27,9 @@ from .demand import FixedPointError
 from .equilibrium import SolverError, _one, compare_regimes, solve_markets
 from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
-from .regions import (FIGURES, VERDICTS, classify_direction, classify_sign_z,
-                      figure_paint, figure_threshold_curve, grid_agreement,
-                      region_grids)
+from .regions import (FIGURES, VERDICTS, classify_columns, classify_direction,
+                      classify_sign_z, figure_paint, figure_threshold_curve,
+                      grid_agreement, region_grids)
 from . import __version__
 from .statics import closed_form_columns, ift_columns
 from .svg import PAINT_FILL, region_svg
@@ -153,20 +153,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def _direction_labels(params: MarketParams, eq, side: Side):
-    """(column name, RegionLabel) of each direction classifier at the solved
-    cne point, the ValueError it raised in place of an undefined label."""
-    for quantity, wrt, name in CLASSIFIER_SPECS:
-        try:
-            label = classify_direction(quantity, wrt, params, side, z_star=eq.z.side(side))
-        except ValueError as exc:
-            label = exc
-        yield name, label
-
-
-def _label_cells(label) -> list:
-    if isinstance(label, ValueError):
-        return ["error", "", "", str(label)]
+def _label_cells(classify, *args, **kwargs) -> list:
+    """A classifier call's verdict, margin, thresholds and reason, or its error."""
+    try:
+        label = classify(*args, **kwargs)
+    except ValueError as exc:
+        return ["error", "", "", str(exc)]
     thr = ";".join(f"{k.value}={v:.17g}" for k, v in label.thresholds_used)
     return [label.verdict.value, label.margin, thr, label.reason]
 
@@ -176,11 +168,11 @@ def cmd_classify(cfg: RunConfig) -> int:
     eq = _one(solve_markets(("cne",), [params], cfg.get("solve", "tol"))[0][0])
     rows = []
     for side in Side:
-        for regime in ("cne", "ce"):
-            rows.append([f"sign_z_{regime}", side.label]
-                        + _label_cells(classify_sign_z(regime, params, side)))
-        rows += [[name, side.label] + _label_cells(label)
-                 for name, label in _direction_labels(params, eq, side)]
+        rows += [[f"sign_z_{regime}", side.label]
+                 + _label_cells(classify_sign_z, regime, params, side) for regime in ("cne", "ce")]
+        rows += [[name, side.label] + _label_cells(classify_direction, quantity, wrt, params,
+                                                   side, z_star=eq.z.side(side))
+                 for quantity, wrt, name in CLASSIFIER_SPECS]
     header = ("classifier", "side", "verdict", "margin", "thresholds", "reason")
     text = csv_text(_comments(cfg, "classify"), header, rows)
     _emit(text, cfg.get("output", "dir"), "classify.csv")
@@ -196,62 +188,78 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
 
 def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
     field, cells = SWEEP_AXES[axis]
-    if field == "n_platforms":
-        return params.replace(n_platforms=int(round(value)))
     entries = np.array(getattr(params, field))
     for cell in cells:
         entries[cell] = value
-    return params.replace(**{field: entries.tolist()})
+    try:  # a point outside the market domain is a config error, as in [market]
+        return params.replace(**{field: int(round(value)) if field == "n_platforms"
+                                 else entries.tolist()})
+    except ValueError as exc:
+        raise ConfigError(f"invalid market parameters: {exc}") from exc
 
 
-def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
-    """The 16 derivative cells of each solved cne row, keyed by point: the
-    closed forms over columns at zero cross externalities, otherwise the
-    implicit-function solve over columns.  A derivative that cannot be
-    formed writes error:<exception type>."""
+def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, dict]:
+    """The deriv_method and 16 derivative cells of each solved cne row, keyed
+    by point: the closed forms over columns at zero cross externalities,
+    otherwise the implicit-function solve over columns.  A derivative that
+    cannot be formed writes error:<exception type>."""
     decoupled = [i for i in eqs if points[i].cross_externalities_zero]
     coupled = [i for i in eqs if not points[i].cross_externalities_zero]
     out = {}
-    for rows, table in ((decoupled, closed_form_columns([points[i] for i in decoupled],
+    for rows, method, table in (
+            (decoupled, "analytic", closed_form_columns([points[i] for i in decoupled],
                                                         [eqs[i].z for i in decoupled])),
-                        (coupled, ift_columns([eqs[i] for i in coupled]))):
+            (coupled, "ift", ift_columns([eqs[i] for i in coupled]))):
         for row, i in enumerate(rows):
-            out[i] = []
+            cells = []
             for quantity, wrt, _name in DERIV_SPECS:
                 values, errors = table[quantity, wrt]
                 for side in Side:
                     exc = errors.get((row, side.index))
-                    out[i].append(float(values[row, side.index]) if exc is None
-                                  else f"error:{type(exc).__name__}")
+                    cells.append(float(values[row, side.index]) if exc is None
+                                 else f"error:{type(exc).__name__}")
+            out[i] = dict(zip(DERIV_COLS, cells), deriv_method=method)
+    return out
+
+
+def _verdict_cells(points: list[MarketParams], eqs: dict, regime: str,
+                   directions: bool) -> dict[int, dict]:
+    """The verdict cells of each solved row, keyed by point: the regime's sign
+    of z and, with directions, each direction classifier at the solved z*.
+    Each runs once per platform count, on both sides of its rows; a cell where
+    the one-cell classifier raises reads error."""
+    specs = [(f"sign_z_{regime}", "vsign_z")] + [
+        ((quantity, wrt), name) for quantity, wrt, name in CLASSIFIER_SPECS if directions]
+    out: dict[int, dict] = {i: {} for i in eqs}
+    for n in {points[i].n_platforms for i in eqs}:
+        cells = [(i, side) for side in Side for i in eqs if points[i].n_platforms == n]
+        # the beta, phi_kk, u0 and z* columns
+        columns = np.array([(points[i].beta[side.index], points[i].phi[side.index][side.index],
+                             points[i].u0[side.index], eqs[i].z.side(side))
+                            for i, side in cells]).T
+        for classifier, name in specs:
+            for (i, side), verdict in zip(cells, classify_columns(classifier, n, *columns)):
+                out[i][f"{name}_{side.label}"] = "error" if verdict is None else verdict.value
     return out
 
 
 def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
                 with_derivs: bool) -> list[list]:
     """One regime's sweep row for every point from its stage-1 results, the
-    closed forms evaluated as columns."""
+    closed forms and the classifiers evaluated as columns."""
     eqs = {i: eq for i, eq in enumerate(solved) if not isinstance(eq, Exception)}
-    derivs = _deriv_cells(points, eqs) if regime == "cne" and with_derivs else {}
+    directions = regime == "cne" and with_derivs
+    derivs = _deriv_cells(points, eqs) if directions else {}
+    verdicts = (_verdict_cells(points, eqs, regime, directions)
+                if regime == "ce" or with_derivs else {})
     rows = []
     for i, (params, eq) in enumerate(zip(points, solved)):
         cells = dict(zip(INPUT_COLS, _input_row(params)), regime=regime)
-        if i not in eqs:
+        if i in eqs:
+            cells.update(zip(EQ_COLS, _eq_row(eq)), **derivs.get(i, {}), **verdicts.get(i, {}))
+        else:
             # empty equilibrium cells, the message in the error column
             cells["error"] = f"{type(eq).__name__}: {eq}"
-        else:
-            cells.update(zip(EQ_COLS, _eq_row(eq)))
-            if i in derivs:
-                cells["deriv_method"] = ("analytic" if params.cross_externalities_zero
-                                         else "ift")
-                cells.update(zip(DERIV_COLS, derivs[i]))
-                for side in Side:
-                    for name, label in _direction_labels(params, eq, side):
-                        cells[f"{name}_{side.label}"] = ("error" if isinstance(label, ValueError)
-                                                         else label.verdict.value)
-            if regime == "ce" or with_derivs:
-                for side in Side:
-                    cells[f"vsign_z_{side.label}"] = \
-                        classify_sign_z(regime, params, side).verdict.value
         rows.append([cells.get(col, "") for col in SWEEP_COLS])
     return rows
 

@@ -99,10 +99,10 @@ SCHEMA: dict[str, dict[str, tuple]] = {
                         lambda v: v == "" or math.isfinite(v), "empty or finite"), ""),
     },
     "verify": {
-        "radius": (float, 0.5),
+        "radius": (_POSITIVE, 0.5),
         "grid_n": (_COUNT, 41),
-        "tolerance": (float, 1e-6),
-        "perturb_price": (float, 0.0),
+        "tolerance": (_POSITIVE, 1e-6),
+        "perturb_price": (_FINITE, 0.0),
     },
     "output": {
         "dir": (str, ""),

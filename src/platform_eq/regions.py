@@ -3,15 +3,16 @@
 Each proposition is written once, as an ordered list of rules (:class:`_Rule`):
 a condition, the verdict it implies, the thresholds it compares against and
 the margin to them, all numpy expressions in (N, beta_k, phi_kk, u0, z*).
-The first rule that holds decides.  The scalar classifiers walk the list on
-floats and stop at that rule, so later thresholds are never evaluated;
-:func:`region_grid` evaluates the whole list over a (phi_kk, beta_k) mesh at
-once, and :func:`region_grids` does so for several classifiers over one mesh,
-solving each stage-1 z-grid they read once per call.  The rules apply each
-proposition's hypotheses literally: a definite verdict only inside the stated
-sufficient region, Indeterminate in the gaps the analysis leaves open.  Cubic-root thresholds are built from the actual
-(N, phi_kk) pair and resolved through the shared cubic solver with a
-table-driven branch choice (largest vs unique real root).
+One evaluator runs a whole list over columns of cells at one platform count,
+and at each cell the first rule that holds decides.  Its three views: the
+one-cell classifiers label one market, :func:`classify_columns` gives the
+verdicts of whole columns for the sweep, and :func:`region_grids` covers a
+(phi_kk, beta_k) mesh.  The rules apply each proposition's hypotheses
+literally: a definite verdict only inside the stated sufficient region,
+Indeterminate in the gaps the analysis leaves open.  Cubic-root thresholds
+are built from the actual (N, phi_kk) pair and resolved through the shared
+cubic solver with a table-driven branch choice (largest vs unique real
+root); where that root is undefined, a rule without a verdict holds.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def eval_threshold(kind: ThresholdKind, n: float, phi_kk: float | None = None,
     N-only kinds return the multiplier of phi_kk (or the plain bound); cubic
     kinds return the designated real root of their polynomial in beta built
     with the actual phi_kk, i.e. a value directly comparable to beta_k.
-    GAMMA and GAMMA_C also take arrays of phi_kk.
+    GAMMA and GAMMA_C also take arrays of phi_kk and u0.
     """
     n = float(n)
     if n < 2:
@@ -247,9 +248,9 @@ class _Rule(NamedTuple):
     marks a threshold the proposition does not evaluate at that point.  The
     margin is the least |point - value| over the (point, value) pairs in
     `margin`, infinite when it is empty; None pairs beta with each value in
-    `used`.  A None verdict marks a point the proposition cannot classify
-    without an input it lacks; `reason` then holds the error message.  Every
-    list ends with a rule that always holds.
+    `used`.  A None verdict marks a point the proposition cannot classify,
+    for want of an input or a defined threshold; `reason` then holds the
+    error message.  Every list ends with a rule that always holds.
     """
 
     when: object
@@ -259,34 +260,34 @@ class _Rule(NamedTuple):
     reason: str = ""
 
 
-def _cubic_threshold(kind: ThresholdKind, n: float, phi, where):
-    """eval_threshold of a cubic kind where `where` holds, NaN elsewhere.
-
-    On an array each distinct phi_kk is solved once and an undefined root
-    reads NaN; on a float an undefined root raises, as eval_threshold does.
-    """
-    if not isinstance(phi, np.ndarray):
-        return eval_threshold(kind, n, phi) if where else math.nan
-    distinct, inverse = np.unique(phi[where], return_inverse=True)
+def _cubic_roots(kind: ThresholdKind, n: float, phi: np.ndarray, where) -> np.ndarray:
+    """eval_threshold of a cubic kind where `where` holds, each distinct phi_kk
+    solved once; NaN elsewhere and where the root is undefined (or overflows)."""
+    values = phi[where]
+    distinct = sorted(set(values.tolist()))
     roots = []
-    for p in distinct.tolist():
+    for p in distinct:
         try:
             roots.append(eval_threshold(kind, n, p))
-        except ValueError:
+        except (ValueError, ArithmeticError):
             roots.append(math.nan)
     out = np.full(phi.shape, math.nan)
-    out[where] = np.asarray(roots)[inverse]
+    out[where] = np.asarray(roots)[np.searchsorted(distinct, values)]
     return out
+
+
+def _cubic_threshold(kind: ThresholdKind, n: float, phi: np.ndarray, where):
+    """The rule that raises where `where` holds and kind's root is undefined;
+    returns the roots (see :func:`_cubic_roots`)."""
+    roots = _cubic_roots(kind, n, phi, where)
+    yield _Rule(where & np.isnan(roots), None,
+                reason=f"threshold undefined here: {kind.value} has no designated real root")
+    return roots
 
 
 def _band(lo, beta, hi, verdict: Verdict, used: tuple) -> _Rule:
     """verdict on lo < beta < hi, with the distance to the nearer end."""
     return _Rule((lo < beta) & (beta < hi), verdict, used, ((beta, lo), (beta, hi)))
-
-
-def _select(cond, a, b):
-    """np.where that stays a plain float on floats."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 def _existence_fails(bound: float, beta, phi) -> _Rule:
@@ -338,7 +339,7 @@ def _profit_u0(n, beta, phi, u0, z):
 def _cs_u0(n, beta, phi, u0, z):
     hi2 = yield from _phi_multiple(ThresholdKind.TWO_PHI, Verdict.INCREASING, n, beta, phi)
     lo = cne_existence_bound(n) * phi
-    hi = _cubic_threshold(ThresholdKind.F_CS_U, n, phi, phi > 0)
+    hi = yield from _cubic_threshold(ThresholdKind.F_CS_U, n, phi, phi > 0)
     used = ((ThresholdKind.TWO_PHI, hi2), (ThresholdKind.F_EXISTENCE, lo),
             (ThresholdKind.F_CS_U, hi))
     yield _band(lo, beta, hi, Verdict.DECREASING, used)
@@ -347,14 +348,14 @@ def _cs_u0(n, beta, phi, u0, z):
 
 def _price_n(n, beta, phi, u0, z):
     nonpositive = phi <= 0
-    g = _cubic_threshold(ThresholdKind.G_P, n, phi, nonpositive)
+    g = yield from _cubic_threshold(ThresholdKind.G_P, n, phi, nonpositive)
     yield _Rule(nonpositive & (beta > g), Verdict.DECREASING, ((ThresholdKind.G_P, g),))
     yield _Rule(nonpositive, Verdict.INDETERMINATE, ((ThresholdKind.G_P, g),))
     yield _Rule(beta > phi, Verdict.DECREASING, ((ThresholdKind.PHI, phi),))
     lo = cne_existence_bound(n) * phi
     used = ((ThresholdKind.PHI, phi), (ThresholdKind.F_EXISTENCE, lo))
     if n >= 3:
-        hi = _cubic_threshold(ThresholdKind.F_P, n, phi, phi > 0)
+        hi = yield from _cubic_threshold(ThresholdKind.F_P, n, phi, phi > 0)
         used += ((ThresholdKind.F_P, hi),)
         yield _band(lo, beta, hi, Verdict.INCREASING, used)
     yield _Rule(True, Verdict.INDETERMINATE, used)
@@ -370,7 +371,7 @@ def _cs_n(n, beta, phi, u0, z):
     lo = cne_existence_bound(n) * phi
     used = ((ThresholdKind.G_CS, g), (ThresholdKind.F_EXISTENCE, lo))
     if n >= 7:
-        f_cs = _cubic_threshold(ThresholdKind.F_CS, n, phi, phi > 0)
+        f_cs = yield from _cubic_threshold(ThresholdKind.F_CS, n, phi, phi > 0)
         gamma = eval_threshold(ThresholdKind.GAMMA, n, phi, u0)
         used += ((ThresholdKind.F_CS, f_cs), (ThresholdKind.GAMMA, gamma))
         band = (lo < beta) & (beta < f_cs) & (beta < gamma)
@@ -391,8 +392,8 @@ def _profit_n(n, beta, phi, u0, z):
     yield _existence_fails(cne_existence_bound(n), beta, phi)
     yield _Rule(np.isnan(z), None, reason="z_star required for the profit direction classifier")
     negative, positive = phi < 0, phi > 0
-    f_pi = _cubic_threshold(ThresholdKind.F_PI, n, phi, negative)
-    h_pi = _select(positive, eval_threshold(ThresholdKind.H_PI, n) * phi, math.nan)
+    f_pi = yield from _cubic_threshold(ThresholdKind.F_PI, n, phi, negative)
+    h_pi = np.where(positive, eval_threshold(ThresholdKind.H_PI, n) * phi, math.nan)
     high = _pi_z_threshold_high(n, phi, u0, beta)
     # the denominator is positive wherever the existence condition holds
     low_negative = (
@@ -405,12 +406,12 @@ def _profit_n(n, beta, phi, u0, z):
            + beta**3 * (5.0 * n**4 - 8.0 * n**3 + 3.0 * n**2)
            + beta * n * phi**2))
     # g_pi_z: the z* cap below which more competition lowers this side's profit
-    low = _select(negative & (beta < f_pi), low_negative,
-                  _select(positive & (beta <= h_pi), high, -u0 / beta))
+    low = np.where(negative & (beta < f_pi), low_negative,
+                   np.where(positive & (beta <= h_pi), high, -u0 / beta))
     used = ((ThresholdKind.F_PI, f_pi), (ThresholdKind.H_PI, h_pi))
     yield _Rule(z < low, Verdict.DECREASING, used, ((z, low),))
     yield _Rule((phi <= 0) & (z > high), Verdict.INCREASING, used, ((z, high),))
-    g_pi = _cubic_threshold(ThresholdKind.G_PI, n, phi, positive & (z > high))
+    g_pi = yield from _cubic_threshold(ThresholdKind.G_PI, n, phi, positive & (z > high))
     used += ((ThresholdKind.G_PI, g_pi),)
     yield _Rule((z > high) & (beta > g_pi), Verdict.INCREASING, used, ((z, high), (beta, g_pi)))
     yield _Rule(True, Verdict.INDETERMINATE, used, ((z, low), (z, high)))
@@ -425,63 +426,6 @@ _DIRECTION_RULES = {
     ("consumer_surplus", "n_platforms"): _cs_n,
     ("profit", "n_platforms"): _profit_n,
 }
-
-
-# --------------------------------------------------------------------------
-# scalar classifiers: the first rule that holds at one market
-# --------------------------------------------------------------------------
-
-def _classify(rules, params: MarketParams, side: Side, z_star: float | None = None) -> RegionLabel:
-    """The first rule that holds at this market, as a label."""
-    k = side.index
-    beta = params.beta[k]
-    z = math.nan if z_star is None else float(z_star)
-    for rule in rules(float(params.n_platforms), beta, params.phi[k][k], params.u0[k], z):
-        if rule.when:
-            break
-    if rule.verdict is None:
-        raise ValueError(rule.reason)
-    used = tuple((kind, float(v)) for kind, v in rule.used if not math.isnan(v))
-    pairs = ((beta, v) for _, v in used) if rule.margin is None else rule.margin
-    margin = float(min((abs(x - v) for x, v in pairs), default=math.inf))
-    verdict = Verdict.BOUNDARY if margin < BOUNDARY_TOL else rule.verdict
-    return RegionLabel(verdict, used, margin, rule.reason)
-
-
-def classify_existence(regime: str, params: MarketParams, side: Side) -> RegionLabel:
-    """Positive iff the regime's uniqueness condition holds on this side."""
-    return _classify(partial(_existence, regime), params, side)
-
-
-def classify_sign_z(regime: str, params: MarketParams, side: Side) -> RegionLabel:
-    """Sign of the equilibrium normalized net utility on this side.
-
-    Negative when beta exceeds the regime's indifference curve gamma (resp.
-    gamma_c), Positive below it; requires the regime's existence condition.
-    """
-    return _classify(partial(_sign_z, regime), params, side)
-
-
-def classify_direction(quantity: str, wrt: str, params: MarketParams, side: Side,
-                       z_star: float | None = None) -> RegionLabel:
-    """Sign of d(quantity)/d(wrt) on this side, by the stated sufficient regions.
-
-    quantity in {"price", "participation", "consumer_surplus", "profit"},
-    wrt in {"u0", "n_platforms"}.  The profit/N and consumer-surplus/N decrease
-    regions condition on the solved z*, which must then be supplied.
-    """
-    rules = _DIRECTION_RULES.get((quantity, wrt))
-    if rules is None:
-        if wrt not in ("u0", "n_platforms"):
-            raise ValueError(f"unknown differentiation variable {wrt!r}")
-        raise ValueError(f"no direction classifier for {quantity!r} w.r.t. {wrt}")
-    return _classify(rules, params, side, z_star)
-
-
-# --------------------------------------------------------------------------
-# grids: every rule of a proposition over the whole mesh
-# --------------------------------------------------------------------------
-
 _GRID_RULES = {
     "existence_cne": partial(_existence, "cne"),
     "existence_ce": partial(_existence, "ce"),
@@ -492,11 +436,98 @@ _GRID_RULES = {
     "cs_dn": _cs_n,
 }
 GRID_CLASSIFIERS = tuple(_GRID_RULES)
+# a classifier's rule list by its key: a grid name, or (quantity, wrt) of a direction
+_RULES = {**_GRID_RULES, **_DIRECTION_RULES}
 
 _INDETERMINATE = VERDICTS.index(Verdict.INDETERMINATE)
 _BOUNDARY = VERDICTS.index(Verdict.BOUNDARY)
 _SIGNS = np.array([v.sign for v in VERDICTS], dtype=np.int8)
 
+
+# --------------------------------------------------------------------------
+# the evaluator and its column and one-cell views
+# --------------------------------------------------------------------------
+
+def _decide(classifier, n: float, beta, phi, u0, z):
+    """The classifier's rules over columns of cells at platform count n, and
+    each cell's first rule that holds (its index), verdict code and margin.
+    A rule without a verdict reads Indeterminate with an infinite margin."""
+    # every rule is evaluated at every cell, also where it cannot hold
+    with np.errstate(all="ignore"):
+        rules = list(_RULES[classifier](float(n), beta, phi, u0, z))
+        taken = np.full(beta.shape, len(rules) - 1, dtype=np.int8)
+        for i in range(len(rules) - 2, -1, -1):
+            np.copyto(taken, i, where=rules[i].when)
+        counts = np.bincount(taken.ravel(), minlength=len(rules))
+        margin = np.full(beta.shape, math.inf)
+        for i, rule in enumerate(rules):
+            if rule.verdict is not None and counts[i]:
+                pairs = ((beta, v) for _, v in rule.used) if rule.margin is None else rule.margin
+                np.copyto(margin, reduce(np.minimum, (abs(x - v) for x, v in pairs), math.inf),
+                          where=taken == i)
+    code = np.array([_INDETERMINATE if rule.verdict is None else VERDICTS.index(rule.verdict)
+                     for rule in rules], dtype=np.int8)[taken]
+    code[margin < BOUNDARY_TOL] = _BOUNDARY
+    return rules, taken, code, margin
+
+
+def classify_columns(classifier, n: float, beta: np.ndarray, phi: np.ndarray,
+                     u0: np.ndarray, z: np.ndarray) -> list[Verdict | None]:
+    """Each cell's verdict, None where the one-cell classifier raises, over
+    columns of market sides with N = n.  classifier: a grid classifier's
+    name, or a direction's (quantity, wrt)."""
+    rules, taken, code, _ = _decide(classifier, n, beta, phi, u0, z)
+    return [None if rules[t].verdict is None else VERDICTS[c]
+            for t, c in zip(taken.tolist(), code.tolist())]
+
+
+def _classify(classifier, params: MarketParams, side: Side,
+              z_star: float | None = None) -> RegionLabel:
+    """The label of one market's side: the evaluator on columns of one cell."""
+    k = side.index
+    cell = (params.beta[k], params.phi[k][k], params.u0[k], math.nan if z_star is None else z_star)
+    rules, taken, code, margin = _decide(classifier, params.n_platforms,
+                                         *(np.array([v], dtype=float) for v in cell))
+    rule = rules[taken[0]]
+    if rule.verdict is None:
+        raise ValueError(rule.reason)
+    used = ((kind, float(np.ravel(v)[0])) for kind, v in rule.used)
+    return RegionLabel(VERDICTS[code[0]], tuple(u for u in used if not math.isnan(u[1])),
+                       float(margin[0]), rule.reason)
+
+
+def classify_existence(regime: str, params: MarketParams, side: Side) -> RegionLabel:
+    """Positive iff the regime's uniqueness condition holds on this side."""
+    return _classify(f"existence_{regime}", params, side)
+
+
+def classify_sign_z(regime: str, params: MarketParams, side: Side) -> RegionLabel:
+    """Sign of the equilibrium normalized net utility on this side.
+
+    Negative when beta exceeds the regime's indifference curve gamma (resp.
+    gamma_c), Positive below it; requires the regime's existence condition.
+    """
+    return _classify(f"sign_z_{regime}", params, side)
+
+
+def classify_direction(quantity: str, wrt: str, params: MarketParams, side: Side,
+                       z_star: float | None = None) -> RegionLabel:
+    """Sign of d(quantity)/d(wrt) on this side, by the stated sufficient regions.
+
+    quantity in {"price", "participation", "consumer_surplus", "profit"},
+    wrt in {"u0", "n_platforms"}.  The profit/N and consumer-surplus/N decrease
+    regions condition on the solved z*, which must then be supplied.
+    """
+    if (quantity, wrt) not in _DIRECTION_RULES:
+        if wrt not in ("u0", "n_platforms"):
+            raise ValueError(f"unknown differentiation variable {wrt!r}")
+        raise ValueError(f"no direction classifier for {quantity!r} w.r.t. {wrt}")
+    return _classify((quantity, wrt), params, side, z_star)
+
+
+# --------------------------------------------------------------------------
+# grids: every rule of a proposition over the whole mesh
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RegionGrid:
@@ -504,10 +535,10 @@ class RegionGrid:
 
     Cell (i, j) is phi = phis[i], beta = betas[j].  verdicts[i, j] indexes
     VERDICTS, margins[i, j] is that verdict's margin and signs[i, j] its sign
-    (+1, -1, or 0 for Indeterminate and Boundary), exactly as the scalar
-    classifier reports them at that market.  A cell where the scalar
-    classifier would raise (an undefined threshold, a missing z*) is
-    Indeterminate with an infinite margin.
+    (+1, -1, or 0 for Indeterminate and Boundary): the evaluator's codes and
+    margins, the same the one-cell classifier reports at that market.  A cell
+    where the one-cell classifier raises (an undefined threshold, a missing
+    z*) is Indeterminate with an infinite margin.
     """
 
     classifier: str
@@ -519,28 +550,6 @@ class RegionGrid:
     margins: np.ndarray
     signs: np.ndarray
     solved_signs: np.ndarray | None = None
-
-
-def _decide(rules, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict codes and margins, each cell taking the first rule that holds."""
-    whens, codes, margins = [], [], []
-    for rule in rules:
-        whens.append(np.broadcast_to(rule.when, beta.shape))
-        if rule.verdict is None:  # the scalar classifier raises here
-            codes.append(_INDETERMINATE)
-            margins.append(math.nan)
-        else:
-            codes.append(VERDICTS.index(rule.verdict))
-            pairs = ((beta, v) for _, v in rule.used) if rule.margin is None else rule.margin
-            margins.append(reduce(np.minimum, (abs(x - v) for x, v in pairs), math.inf))
-    code = np.select(whens, codes).astype(np.int8)
-    margin = np.select(whens, [np.broadcast_to(m, beta.shape) for m in margins])
-    # a NaN margin: a missing input or an undefined threshold decided the cell
-    failed = np.isnan(margin)
-    code[failed] = _INDETERMINATE
-    margin[failed] = math.inf
-    code[margin < BOUNDARY_TOL] = _BOUNDARY
-    return code, margin
 
 
 def region_grid(classifier: str, phi_range: tuple[float, float] = (-2.0, 2.0),
@@ -589,7 +598,7 @@ def region_grids(classifiers, phi_range: tuple[float, float] = (-2.0, 2.0),
     for classifier in classifiers:
         # the N >= 7 consumer-surplus band is the only rule that reads z*
         z = z_at("cne", float(n)) if classifier == "cs_dn" and n >= 7 else math.nan
-        verdicts, margins = _decide(_GRID_RULES[classifier](float(n), bb, pp, float(u0), z), bb)
+        _, _, verdicts, margins = _decide(classifier, n, bb, pp, float(u0), z)
         # beta <= 0 is no market: no proposition applies there
         verdicts[bb <= 0] = _INDETERMINATE
         margins[bb <= 0] = math.inf
@@ -710,7 +719,7 @@ def figure_paint(figure: str, grid: RegionGrid) -> np.ndarray:
         # conditions (the z* cap and beta < gamma, which merely signs z*)
         # are deliberately left out there
         phi = grid.phis[:, None]
-        hi = _cubic_threshold(ThresholdKind.F_CS, grid.n, phi, phi > 0)
+        hi = _cubic_roots(ThresholdKind.F_CS, grid.n, phi, phi > 0)
         paint[(paint == 0) & (phi > 0) & (cne_existence_bound(grid.n) * phi < grid.betas)
               & (grid.betas < hi)] = -1
     elif figure not in FIGURES:
@@ -725,22 +734,14 @@ def figure_threshold_curve(figure: str, grid: RegionGrid) -> list[tuple[float, f
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}")
-    n, u0 = grid.n, grid.u0
-    pts: list[tuple[float, float]] = []
-    for phi in grid.phis:
-        try:
-            if figure == "fig1":
-                beta = cne_existence_bound(n) * phi if phi > 0 else 0.0
-            elif figure in ("fig2", "fig3"):
-                beta = eval_threshold(ThresholdKind.GAMMA, n, float(phi), u0)
-            elif figure == "fig4":
-                beta = (eval_threshold(ThresholdKind.PHI, n) * phi if phi > 0
-                        else eval_threshold(ThresholdKind.G_P, n, float(phi)))
-            elif figure == "fig5":
-                beta = eval_threshold(ThresholdKind.G_X, n) * phi if phi > 0 else 0.0
-            else:
-                beta = eval_threshold(ThresholdKind.G_CS, n) * phi if phi > 0 else 0.0
-        except ValueError:
-            continue
-        pts.append((float(phi), float(beta)))
-    return pts
+    n, phi = grid.n, grid.phis
+    if figure in ("fig2", "fig3"):
+        beta = eval_threshold(ThresholdKind.GAMMA, n, phi, grid.u0)
+    else:
+        # a multiple of phi for phi > 0; below, the g_p cubic (fig4) or beta = 0
+        kind = {"fig1": ThresholdKind.F_EXISTENCE, "fig4": ThresholdKind.PHI,
+                "fig5": ThresholdKind.G_X, "fig6": ThresholdKind.G_CS}[figure]
+        below = _cubic_roots(ThresholdKind.G_P, n, phi, phi <= 0) if figure == "fig4" else 0.0
+        beta = np.where(phi > 0, eval_threshold(kind, n) * phi, below)
+    defined = ~np.isnan(beta)
+    return list(zip(phi[defined].tolist(), beta[defined].tolist()))

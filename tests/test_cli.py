@@ -118,9 +118,14 @@ INVALID_SETTINGS = {
     "phi_max_inf": ("figures", "[grid]\nphi_max = inf\n", ["--figure", "fig1"]),
     "beta_min_nan": ("figures", "[grid]\nbeta_min = nan\n", ["--figure", "fig1"]),
     "grid_n_0": ("verify", "[verify]\ngrid_n = 0\n", []),
+    "radius_nan": ("verify", "[verify]\nradius = nan\ngrid_n = 5\n", []),
+    "tolerance_0": ("verify", "[verify]\ntolerance = 0\n", []),
+    "perturb_price_inf": ("verify", "[verify]\nperturb_price = inf\n", []),
     "step_nan": ("sweep", "[sweep]\nstep = nan\n", []),
     "n_sweep_from_1": ("sweep", "[sweep]\naxis = n_platforms\nstart = 1\nstop = 3\nstep = 1\n",
                        []),
+    "beta_sweep_leaves_domain": ("sweep", "[sweep]\naxis = beta\nstart = -0.5\nstop = 0.5\n"
+                                 "step = 0.5\n", []),
     "tol_negative": ("solve", "[solve]\ntol = -1\n", []),
     "tol_nan": ("solve", "[solve]\ntol = nan\n", []),
     "flag_regime_bad": ("solve", "", ["--regime", "bad"]),

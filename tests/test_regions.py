@@ -1,11 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platform_eq.model import MarketParams, Side, check_cne_existence, cne_existence_bound
-from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, ThresholdKind, Verdict,
-                                 classify_direction, classify_existence, classify_sign_z,
+import platform_eq.regions as regions
+from platform_eq.cli import main
+from platform_eq.model import Cubic, MarketParams, Side, check_cne_existence, cne_existence_bound
+from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, RegionLabel, ThresholdKind,
+                                 Verdict, classify_columns, classify_direction,
+                                 classify_existence, classify_sign_z,
                                  eval_threshold, figure_paint, figure_threshold_curve,
                                  grid_agreement, region_grid, region_grids)
 from platform_eq.equilibrium import solve_cne, solve_decoupled_batch
@@ -336,33 +341,65 @@ class TestRegionGrids:
                                   Side.BUYER).verdict is Verdict.NEGATIVE
 
 
+def _direction(quantity, wrt):
+    return lambda p, z: classify_direction(quantity, wrt, p, Side.BUYER, z_star=z)
+
+
+# every rule list's one-cell classifier, by the evaluator's key for it
 _SCALAR = {
     "existence_cne": lambda p, z: classify_existence("cne", p, Side.BUYER),
     "existence_ce": lambda p, z: classify_existence("ce", p, Side.BUYER),
     "sign_z_cne": lambda p, z: classify_sign_z("cne", p, Side.BUYER),
     "sign_z_ce": lambda p, z: classify_sign_z("ce", p, Side.BUYER),
-    "price_dn": lambda p, z: classify_direction("price", "n_platforms", p, Side.BUYER),
-    "participation_dn": lambda p, z: classify_direction("participation", "n_platforms",
-                                                        p, Side.BUYER),
-    "cs_dn": lambda p, z: classify_direction("consumer_surplus", "n_platforms", p,
-                                             Side.BUYER, z_star=z),
+    "price_dn": _direction("price", "n_platforms"),
+    "participation_dn": _direction("participation", "n_platforms"),
+    "cs_dn": _direction("consumer_surplus", "n_platforms"),
+    **{key: _direction(*key) for key in (
+        ("price", "u0"), ("profit", "u0"), ("consumer_surplus", "u0"),
+        ("price", "n_platforms"), ("participation", "n_platforms"),
+        ("consumer_surplus", "n_platforms"), ("profit", "n_platforms"))},
 }
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(classifier=st.sampled_from(GRID_CLASSIFIERS),
+@given(classifier=st.sampled_from(list(_SCALAR)),
        n=st.one_of(st.integers(2, 12), st.just(200)),
        u0=st.floats(-2.0, 2.0),
        resolution=st.integers(4, 40),
        seed=st.integers(0, 2**32 - 1))
 def test_scalar_classifiers_match_grid(classifier, n, u0, resolution, seed):
-    """Each scalar verdict and margin equals the grid's at that cell; a cell
-    where the scalar classifier raises is Indeterminate with margin inf."""
-    assert set(_SCALAR) == set(GRID_CLASSIFIERS)
+    """Each one-cell label equals the column evaluator's at that cell, on
+    random (beta, phi, u0, z) columns with NaN z cells: verdict, margin and
+    thresholds, or the ValueError raised.  Where the classifier has a grid,
+    the label also equals the grid's cell, and a cell where the one-cell call
+    raises is Indeterminate with margin inf there."""
+    assert set(_SCALAR) == set(regions._RULES)
+    rng = np.random.default_rng(seed)
+    size = 16
+    beta = rng.uniform(0.01, 2.5, size)
+    phi = np.where(rng.random(size) < 0.1, 0.0, rng.uniform(-2.0, 2.0, size))
+    u0s = rng.uniform(-2.0, 2.0, size)
+    z = np.where(rng.random(size) < 0.25, np.nan, rng.uniform(-3.0, 3.0, size))
+    rules, taken, _, margins = regions._decide(classifier, n, beta, phi, u0s, z)
+    verdicts = classify_columns(classifier, n, beta, phi, u0s, z)
+    for c in range(size):
+        params = MarketParams.uniform(n, float(beta[c]), phi_own=float(phi[c]), u0=float(u0s[c]))
+        rule = rules[taken[c]]
+        try:
+            label = _SCALAR[classifier](params, None if np.isnan(z[c]) else float(z[c]))
+        except ValueError as exc:
+            assert verdicts[c] is None and rule.reason == str(exc)
+            continue
+        used = ((kind, float(np.broadcast_to(v, beta.shape)[c])) for kind, v in rule.used)
+        assert verdicts[c] is label.verdict
+        assert label == RegionLabel(label.verdict, tuple(u for u in used if not np.isnan(u[1])),
+                                    float(margins[c]), rule.reason)
+
+    if classifier not in GRID_CLASSIFIERS:
+        return
     grid = region_grid(classifier, resolution=resolution, n=n, u0=u0)
     phi, beta = _cells(grid)
     z = solve_decoupled_batch("cne", beta, phi, float(n), u0)
-    rng = np.random.default_rng(seed)
     for i, j in rng.integers(0, resolution, size=(12, 2)):
         params = MarketParams.uniform(n, float(beta[i, j]), phi_own=float(phi[i, j]), u0=u0)
         z_cell = None if np.isnan(z[i, j]) else float(z[i, j])
@@ -375,3 +412,39 @@ def test_scalar_classifiers_match_grid(classifier, n, u0, resolution, seed):
         assert VERDICTS[grid.verdicts[i, j]] is label.verdict
         assert grid.margins[i, j] == label.margin
         assert grid.signs[i, j] == label.sign
+
+
+def test_undefined_cubic_threshold_raises_and_reads_error(monkeypatch, tmp_path, capsys):
+    """Where a cubic threshold has no root the one-cell call raises naming it,
+    the grid cell is Indeterminate with margin inf and the sweep writes error."""
+    # a nonzero constant polynomial has no root: f_p is undefined at every phi
+    monkeypatch.setitem(regions._CUBIC_KINDS, ThresholdKind.F_P,
+                        (lambda n, phi: Cubic(0.0, 0.0, 0.0, 1.0), "unique"))
+    # phi > 0 and f(4) phi < beta < phi: the price/N list reaches its f_p band
+    with pytest.raises(ValueError, match="f_p"):
+        classify_direction("price", "n_platforms", MarketParams.uniform(4, 0.6, phi_own=1.0),
+                           Side.BUYER)
+    grid = region_grid("price_dn", phi_range=(0.9, 1.1), beta_range=(0.5, 0.7),
+                       resolution=1, n=4)
+    assert VERDICTS[grid.verdicts[0, 0]] is Verdict.INDETERMINATE
+    assert grid.margins[0, 0] == np.inf
+    ini = tmp_path / "sweep.ini"
+    ini.write_text("[market]\nn_platforms = 4\nbeta_b = 0.6\nbeta_s = 0.6\nphi_bb = 1.0\n"
+                   "phi_ss = 1.0\n\n[sweep]\naxis = u0\nstart = 0\nstop = 0\nstep = 1\n")
+    assert main(["sweep", "--config", str(ini)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    cne = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert cne["regime"] == "cne" and not cne["error"]
+    assert (cne["vprice_dn_b"], cne["vprice_dn_s"]) == ("error", "error")
+    assert cne["vpart_dn_b"] != "error"
+
+
+def test_overflowing_cubic_threshold_decides_only_where_needed():
+    """A cubic threshold that overflows in double precision reads as undefined:
+    a rule before it still decides, and a cell that needs it raises naming it."""
+    price_dn = partial(classify_direction, "price", "n_platforms", side=Side.BUYER)
+    # beta > phi decides before the f_p band
+    label = price_dn(params=MarketParams.uniform(4, 1e199, phi_own=1e160))
+    assert label.verdict is Verdict.DECREASING
+    with pytest.raises(ValueError, match="g_p"):
+        price_dn(params=MarketParams.uniform(4, 1e199, phi_own=-1e160))

@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps package functions by name; a renamed or
 removed one does not fail a traced run, it turns that layer's metrics into
 null.  This test installs the tracer as the benchmark does, runs a short
-sweep, one verify and all figures, and checks that nothing was missed.
+sweep, one verify, one classify and all figures, and checks that nothing was
+missed.  classify is the one command that goes through the one-cell
+classifiers' span.
 """
 
 import importlib.util
@@ -41,13 +43,15 @@ def test_traced_commands_report_every_layer(tmp_path, capsys):
     try:
         codes = [main(["sweep", "--config", str(ini)]),
                  main(["verify", "--config", str(ini)]),
+                 main(["classify", "--config", str(ini)]),
                  main(["figures", "--config", str(ini), "--out", str(tmp_path / "figs")])]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert tracer.missing == []
     assert tracer.warnings == []
     metrics = tracer.take()
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["config.load_config.self_s"] > 0
+    assert metrics["regions.classify.calls"] > 0
     assert capsys.readouterr().out.count("sign agreement") == 8
