@@ -33,7 +33,7 @@ from .regions import (FIGURES, VERDICTS, classify_columns, classify_direction,
 from . import __version__
 from .statics import closed_form_columns, ift_columns
 from .svg import PAINT_FILL, region_svg
-from .verify import soc_report, verify_nash
+from .verify import soc_from_hessian, soc_report, verify_nash
 
 INPUT_COLS = MARKET_KEYS
 EQ_COLS = ("regime", "z_b", "z_s", "p_b", "p_s", "x_b", "x_s", "nx_b", "nx_s",
@@ -293,7 +293,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             eq, prices=(eq.prices[0] + vconf["perturb_price"],
                         eq.prices[1] + vconf["perturb_price"]))
     report = verify_nash(params, target, radius=vconf["radius"], grid_n=vconf["grid_n"])
-    soc_cne = soc_report(params, eq)
+    # the search's own solve at p* already differentiated the competitive objective
+    soc_cne = soc_from_hessian(params, eq, report.base_hessian) \
+        if target is eq and report.base_hessian is not None else soc_report(params, eq)
     soc_ce = soc_report(params, _one(eq_ce))
 
     certified = report.certified(vconf["tolerance"])
@@ -312,6 +314,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             "grid_n": report.grid_n,
             "refined": report.refined,
             "certified": certified,
+            # below 1, one stage-2 fixed point at every searched price
+            "stage2_lipschitz": report.stage2_lipschitz
+            if np.isfinite(report.stage2_lipschitz) else None,
         },
         "soc_cne": {
             "closed_form_diag": list(soc_cne.cne_diag) if soc_cne.cne_diag else None,

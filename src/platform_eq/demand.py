@@ -4,9 +4,9 @@ Shares live on a per-side probability simplex over N+1 options (index 0 is the
 outside option, indices 1..N the platforms).  The fixed-point map feeds each
 side's externality-adjusted utilities back through the logit formula; the
 iteration x <- (1-d) x + d Sigma(x) solves it for arbitrary, possibly
-asymmetric, price profiles.  By default d comes from the contraction margin:
-undamped (d = 1) where a positive margin certifies Sigma a contraction, d = 0.5
-otherwise.
+asymmetric, price profiles.  By default d comes from the share box of the
+solve's prices (share_box): undamped (d = 1) where Sigma is a contraction on
+the box the iterates reach, d = 0.5 otherwise.
 
 One kernel (_sigma) and one loop (class_fixed_point) run every solve.  They
 work on platform classes: the m_c platforms of class c charge one price and
@@ -28,6 +28,7 @@ from .equilibrium import omega
 from .model import MarketParams, Side
 
 SIMPLEX_TOL = 1e-10
+BOX_STEPS = 2   # interval steps from the simplex to the invariant share box
 
 
 class FixedPointError(RuntimeError):
@@ -181,7 +182,8 @@ def share_fixed_point(params: MarketParams, prices, damping: float | None = None
         params: market parameters.
         prices: PriceProfile or array of shape (2, N).
         damping: step size d in x <- (1-d) x + d Sigma(x), in (0, 1]; None
-            takes d = 1 where contraction_margin(params) > 0 and 0.5 otherwise.
+            takes d = 1 where the share box at these prices proves a
+            contraction (share_box's L_B < 1) and 0.5 otherwise.
         tol: sup-norm tolerance on Sigma(x) - x.
         max_iter: iteration cap.
         x0: optional warm start.
@@ -234,22 +236,23 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     x0 is copied, never written.  Each sweep applies x <- (1-d) x + d Sigma(x)
     to the cells that have not yet met tol; a cell leaves the batch with the
     iterate at which its sup-norm residual first fell to tol.  damping=None
-    takes d = 1 where contraction_margin(params) > 0 certifies a contraction,
-    and d = 0.5 otherwise; an explicit damping in (0, 1] is used as given.
-    Returns (shares, residuals) of shapes (C+1, 2, cells) and (cells,); an
-    unconverged cell keeps its last iterate and a residual above tol, and
-    max_iter = 0 returns x0 with residual inf.
+    takes d = 1 where the share box of the call's prices proves a contraction
+    (share_box's L_B < 1), and d = 0.5 otherwise; an explicit damping in
+    (0, 1] is used as given.  The box is formed only when the first sweep
+    leaves a cell unmet.  Returns (shares, residuals) of shapes (C+1, 2,
+    cells) and (cells,); an unconverged cell keeps its last iterate and a
+    residual above tol, and max_iter = 0 returns x0 with residual inf.
 
     maximize names a class c whose profit pi = sum_k prices[c, k] x[c+1, k]
-    the caller maximizes over the cells.  At d = 1 and L = max_k sum_l
-    |phi_kl| / (2 beta_k) < 1, Sigma is an L-contraction in the sup norm: a
-    cell at residual r whose sweep gives s meets tol below pi(s) +
-    |prices[c]|_1 (L r + tol + 2 delta) / (1 - L), delta a sweep's rounding,
-    and leaves with residual -inf once that falls below the best met cell's.
+    the caller maximizes over the cells.  At d = 1 and L = L_B < 1, Sigma is
+    an L-contraction in the sup norm on the box, which holds every iterate
+    from the start if x0 lies in it and after BOX_STEPS sweeps otherwise:
+    from then on a cell at residual r whose sweep gives s meets tol below
+    pi(s) + |prices[c]|_1 (L r + tol + 2 delta) / (1 - L), delta a sweep's
+    rounding, and leaves with residual -inf once that falls below the best
+    met cell's.
     """
-    if damping is None:
-        damping = 1.0 if contraction_margin(params) > 0 else 0.5
-    elif not 0.0 < damping <= 1.0:
+    if damping is not None and not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -263,26 +266,36 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     # and which of them have already met tol and been written out
     idx, xa, pa, ra = np.arange(x.shape[-1]), x, p, resid
     met = np.zeros(idx.size, dtype=bool)
-    lip = 1.0 if maximize is None else np.max(np.abs(phi).sum(axis=1) / (2.0 * params.beta_arr))
-    bounded = damping == 1.0 and lip < 1.0
-    if bounded:
-        c, best = maximize, -np.inf
-        # 2 delta: a few ulps of the largest utility |u|/beta a sweep forms
-        u_max = (np.abs(params.u0_arr).max() + np.abs(phi).sum(axis=1).max()
-                 + np.abs(p).max(initial=0.0)) / params.beta_arr.min()
-        slack = tol + 32.0 * np.finfo(float).eps * (1.0 + u_max)
-    for _ in range(max_iter):
+    # the share box picks d and gives the bound its L; bound_from is the
+    # first sweep whose iterate the box is known to hold (None: no bound)
+    need_box = damping is None or (damping == 1.0 and maximize is not None)
+    bound_from = None
+    for sweep in range(max_iter):
         s = _sigma(xa, phi, beta, u0_beta, pa, m)
         ra = np.max(np.abs(s - xa), axis=(0, 1))
         new = (ra <= tol) & ~met
-        if bounded:
+        if need_box and not new.all():
+            need_box = False
+            lip, lo, hi = share_box(params, p, mult)
+            if damping is None:
+                damping = 1.0 if lip < 1.0 else 0.5
+            if maximize is not None and damping == 1.0 and lip < 1.0:
+                inside = np.all((lo[..., None] <= x[1:]) & (x[1:] <= hi[..., None]))
+                bound_from = 0 if inside else BOX_STEPS
+                c, best = maximize, -np.inf
+                # 2 delta: a few ulps of the largest utility |u|/beta a sweep forms
+                u_max = (np.abs(params.u0_arr).max() + np.abs(phi).sum(axis=1).max()
+                         + np.abs(p).max(initial=0.0)) / params.beta_arr.min()
+                slack = tol + 32.0 * np.finfo(float).eps * (1.0 + u_max)
+        if bound_from is not None:
             if new.any():
                 best = max(best, (xa[c + 1] * pa[c])[:, new].sum(axis=0).max())
-            reach = ((s[c + 1] * pa[c]).sum(axis=0)
-                     + np.abs(pa[c]).sum(axis=0) * (lip * ra + slack) / (1.0 - lip))
-            beaten = (reach < best) & ~met & ~new
-            ra[beaten] = -np.inf
-            new |= beaten
+            if sweep >= bound_from:
+                reach = ((s[c + 1] * pa[c]).sum(axis=0)
+                         + np.abs(pa[c]).sum(axis=0) * (lip * ra + slack) / (1.0 - lip))
+                beaten = (reach < best) & ~met & ~new
+                ra[beaten] = -np.inf
+                new |= beaten
         if new.any():
             x[..., idx[new]] = xa[..., new]
             resid[idx[new]] = ra[new]
@@ -320,9 +333,11 @@ def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
                            max_iter: int = 100_000, dedupe_tol: float = 1e-9
                            ) -> MultiStartResult:
     """Run the fixed point from `starts` random interior starts and report all
-    distinct limits.  With a positive contraction margin the result must be a
-    single point; otherwise multiplicity is reported rather than hidden.
-    damping is class_fixed_point's: by default d = 0.5 at a margin <= 0.
+    distinct limits.  Where the share box at these prices proves a contraction
+    (share_box's L_B < 1, as a positive contraction margin always does) the
+    result must be a single point; otherwise multiplicity is reported rather
+    than hidden.  damping is class_fixed_point's: by default d = 0.5 where
+    L_B >= 1.
     """
     rng = np.random.default_rng(seed)
     p = _coerce_prices(params, prices)
@@ -352,12 +367,66 @@ def contraction_margin(params: MarketParams) -> float:
 
     M_phi is the max absolute row sum of the externality matrix (the Lipschitz
     constant of the linear externality map) and M_T is the logit bound
-    1/(2 min beta) on the summed share derivatives.
+    1/(2 min beta) on the summed share derivatives, reached only at a 50%
+    share.  This is the price-free certificate; the solvers take their step
+    from share_box, whose L_B at any prices is at most 1 - margin.
     """
     phi = params.phi_arr
     m_phi = float(np.max(np.sum(np.abs(phi), axis=1)))
     m_t = 1.0 / (2.0 * min(params.beta))
     return 1.0 - m_t * m_phi
+
+
+def share_box(params: MarketParams, prices: np.ndarray, mult: np.ndarray
+              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The box of class shares the fixed-point iterates reach at the given
+    prices, and the share map's sup-norm Lipschitz constant L_B on it.
+
+    prices (C, 2, cells) and mult (C,) are class_fixed_point's.  Every
+    per-platform share of class c starts in [0, 1/m_c].  An interval step
+    bounds each utility phi x - p over the box and over the class's and
+    side's min..max price, then each share by the logit with its own utility
+    at one end and every other class's at the other.  The steps only shrink,
+    so after BOX_STEPS of them the box B holds every later iterate of d = 1,
+    every fixed point at any of these prices, and its own image.  One more
+    step encloses Sigma(B), and the map's row sums give
+    L_B = max_{c,k} (sum_l |phi_kl| / beta_k) max_{Sigma(B)} s (2 - 2 m_c s - s_0).
+    s (2 - 2 m_c s - s_0) <= 1/2, so L_B <= 1 - contraction_margin(params).
+    L_B < 1 proves a single fixed point at every one of the prices; an L_B
+    that is not finite is returned as inf, not proven.  Returns (L_B, lo, hi)
+    with lo and hi the (C, 2) bounds of B.
+    """
+    phi, beta = params.phi_arr, params.beta_arr
+    phi_pos, phi_neg = np.maximum(phi, 0.0).T, np.minimum(phi, 0.0).T
+    m = np.asarray(mult, dtype=float)[:, None]
+    log_m = np.log(m)
+    u0_beta = params.u0_arr / beta
+    # (low, high) end of each utility's price term: the highest price, the lowest
+    p_ends = np.stack((prices.max(axis=-1), prices.min(axis=-1)))
+    eye = np.eye(len(m), dtype=bool)[..., None]
+
+    def step(box):
+        # box and the utilities u = phi x - p are (low/high end, class, side)
+        v = (box @ phi_pos + box[::-1] @ phi_neg - p_ends) / beta
+        # share c is smallest with its own utility low and every other high,
+        # and largest the other way round: 1 / (e^{u0 - own_c} + m_c +
+        # sum_{d != c} m_d e^{other_d - own_c}), in logs, so an exponent past
+        # the float range only rounds a share to 0
+        own, other = v[:, :, None], v[::-1, None]
+        t = np.concatenate((u0_beta - own, np.where(eye, log_m, log_m + other - own)), axis=2)
+        return np.exp(-np.logaddexp.reduce(t, axis=2)), v[1]
+
+    with np.errstate(all="ignore"):
+        box = np.stack((np.zeros(m.shape), 1.0 / m)) * np.ones((1, 1, 2))
+        for _ in range(BOX_STEPS):
+            box, _v = step(box)
+        (s_lo, s_hi), v_hi = step(box)
+        # the outside share is smallest with every utility at its top
+        s0 = np.exp(-np.logaddexp.reduce(
+            np.concatenate((np.zeros((1, 2)), log_m + v_hi - u0_beta)), axis=0))
+        s = np.clip((2.0 - s0) / (4.0 * m), s_lo, s_hi)
+        lip = float(np.max(np.abs(phi).sum(axis=1) / beta * s * (2.0 - 2.0 * m * s - s0)))
+    return (lip if np.isfinite(lip) else np.inf), box[0], box[1]
 
 
 def sensitivities(z: float, params: MarketParams, side: Side) -> ShareSensitivities:

@@ -12,9 +12,13 @@ The rivals share one price, so stage 2 runs on two platform classes, the
 deviator x1 and the rivals x(N-1), and the collusive objective on one class
 xN: the search and the derivatives cost the same at any N.  That reduction
 cannot see the rivals splitting among themselves; those modes of the share
-map's Jacobian have the closed-form 2x2 block of _rival_split_block.  At a
-positive contraction margin the grid solve drops each cell the contraction
-bound proves below the best converged one, which leaves every report field.
+map's Jacobian have the closed-form 2x2 block of _rival_split_block.  Where
+the share box of the grid's prices proves the share map a contraction
+(demand.share_box), the grid solve runs undamped and drops each cell the
+contraction bound proves below the best converged one, which leaves every
+report field.  One exact solve at p* gives the base profit, the polish's
+start when no grid cell beats it by more than stage 2 resolves, and the
+competitive second-order Hessian.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._families import eval_series, s_coefficients
-from .demand import FixedPointError, MarketState, class_fixed_point, share_fixed_point
+from .demand import (FixedPointError, MarketState, class_fixed_point, share_box,
+                     share_fixed_point)
 from .equilibrium import SymmetricEquilibrium, ZPoint
 from .model import MarketParams, Side
 
@@ -56,8 +61,15 @@ class DeviationReport:
     # (-inf at N = 2, where there are no such modes)
     rival_split_max_re: float
     # grid cells, of grid_n^2, whose stage-2 solve met FP_TOL or proved them
-    # below the best cell (a positive margin's bound); the rest were left out
+    # below the best cell (the contraction bound); the rest were left out
     grid_converged: int
+    # L_B of the grid's share box (demand.share_box): below 1 every searched
+    # price has one stage-2 fixed point, so best_gain stands on no choice of
+    # branch; inf where it is not finite
+    stage2_lipschitz: float
+    # exact price Hessian of the deviator's profit at the base's prices, from
+    # the base solve; None where that solve did not converge
+    base_hessian: tuple[tuple[float, float], tuple[float, float]] | None
 
     def certified(self, rel_tol: float = 1e-6) -> bool:
         return self.base_residual <= FP_TOL and \
@@ -101,6 +113,7 @@ class ProfitDerivatives:
     gradient: np.ndarray
     hessian: np.ndarray
     state: MarketState
+    residual: float     # the stage-2 solve's sup-norm residual
 
 
 def _classes(params: MarketParams, regime: str, q, others):
@@ -192,7 +205,8 @@ def profit_derivatives(params: MarketParams, regime: str, q, others=None,
     grad = wy + q @ wdy
     hess = wdy.T + wdy + np.einsum("k,c,kcab->ab", q, w, d2y)
     return ProfitDerivatives(prices=q, profit=float(q @ wy), gradient=grad,
-                             hessian=hess, state=MarketState(_expand(xc, mult)))
+                             hessian=hess, state=MarketState(_expand(xc, mult)),
+                             residual=float(resid[0]))
 
 
 def _rival_split_block(params: MarketParams, y_rival) -> np.ndarray:
@@ -209,23 +223,31 @@ def _symmetric_state(eq: SymmetricEquilibrium) -> np.ndarray:
                    np.array([eq.params.n_platforms]))
 
 
-def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,
-                   x0: np.ndarray, max_step: np.ndarray) -> ProfitDerivatives:
-    """Safeguarded Newton ascent on the deviator's profit from `start`, at most
-    POLISH_ITERS steps.
+def _search_solve(params: MarketParams, q, p_star: np.ndarray, x0) -> ProfitDerivatives:
+    """The deviation search's one-cell solve: the deviator at q, its rivals at
+    p*, warm-started at the full-width state x0."""
+    return profit_derivatives(params, "cne", q, p_star, tol=FP_TOL,
+                              max_iter=GRID_MAX_ITER, x0=x0)
+
+
+def _resolution(q) -> float:
+    """The smallest profit gain at prices q that the stage-2 tolerance resolves."""
+    return FP_TOL * max(1.0, float(np.sum(np.abs(q))))
+
+
+def _newton_polish(params: MarketParams, p_star: np.ndarray, cur: ProfitDerivatives,
+                   max_step: np.ndarray) -> ProfitDerivatives:
+    """Safeguarded Newton ascent on the deviator's profit from the solved
+    point cur, at most POLISH_ITERS steps.
 
     The step is Newton's where the Hessian is negative definite and a gradient
     step scaled by the Hessian's largest |eigenvalue| otherwise, capped at
     max_step per price.  It is halved until profit does not fall and the
-    warm-started stage-2 solve converges; the polish ends once a step of at
-    most STEP_TOL (relative to the prices) has been tried.  Each solve starts
-    from the last accepted fixed point, so the polish follows that branch.
+    warm-started stage-2 solve converges.  A step of at most STEP_TOL
+    (relative to the prices) is never tried: the polish ends there, so a
+    start that is already stationary costs no solve.  Each solve starts from
+    the last accepted fixed point, so the polish follows that branch.
     """
-    def solve(q, x):
-        return profit_derivatives(params, "cne", q, p_star, tol=FP_TOL,
-                                  max_iter=GRID_MAX_ITER, x0=x)
-
-    cur = solve(start, x0)
     for _ in range(POLISH_ITERS):
         q = cur.prices
         eigs = np.linalg.eigvalsh(cur.hessian)
@@ -235,35 +257,36 @@ def _newton_polish(params: MarketParams, p_star: np.ndarray, start: np.ndarray,
             step = cur.gradient / max(np.abs(eigs).max(), 1e-300)
         step *= min(1.0, float(np.min(max_step / np.maximum(np.abs(step), 1e-300))))
         while True:
-            small = np.max(np.abs(step)) <= STEP_TOL * max(1.0, float(np.max(np.abs(q))))
+            if np.max(np.abs(step)) <= STEP_TOL * max(1.0, float(np.max(np.abs(q)))):
+                return cur
             try:
-                trial = solve(q + step, cur.state)
+                trial = _search_solve(params, q + step, p_star, cur.state)
             except FixedPointError:
                 trial = None
             if trial is not None and trial.profit >= cur.profit:
                 cur = trial
                 break
-            if small:
-                return cur
             step = 0.5 * step
-        if small:
-            break
     return cur
 
 
 def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
                 radius: float = 0.5, grid_n: int = 41) -> DeviationReport:
     """Grid search over deviating prices in [p* - r|p*|, p* + r|p*|]^2, then a
-    safeguarded Newton polish from the best cell on exact price derivatives.
+    safeguarded Newton polish on exact price derivatives.
 
     Every stage-2 solve runs on two classes, the deviator and its N-1 rivals
-    at p*, so its cost does not grow with N.  The symmetric point itself sits
-    in the search set, so best_gain >= -1e-12 by construction; a materially
-    positive gain falsifies the equilibrium and is reported, not raised.
-    Every solve is capped at GRID_MAX_ITER.  A grid cell or polish trial
-    whose stage-2 solve does not converge is rejected, never raised; where
-    the solve at p* itself does not converge, the report carries its residual
-    and is not certified.
+    at p*, so its cost does not grow with N.  One exact solve at p* gives the
+    base profit.  The polish starts there, with no second solve, unless the
+    best grid cell beats it by more than the stage-2 tolerance resolves in
+    profit (FP_TOL |q|_1); then it starts at that cell.  The symmetric point
+    itself sits in the search set, so best_gain >= -1e-12 by construction,
+    and it reads 0 at p* where no cell resolves a gain; a materially positive
+    gain falsifies the equilibrium and is reported, not raised.  Every solve
+    is capped at GRID_MAX_ITER.  A grid cell or polish trial whose stage-2
+    solve does not converge is rejected, never raised; where the solve at p*
+    itself does not converge, the report carries its residual and is not
+    certified.
     """
     if eq.regime != "cne":
         raise ValueError("verify_nash certifies competitive points")
@@ -288,27 +311,34 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     # a cell proven below the best reads residual -inf: resolved, never the best
     profits = np.where(np.abs(resid) <= FP_TOL, profits, -np.inf)
 
-    x_base, base_resid = class_fixed_point(params, base_prices[..., None], mult,
-                                           xc_sym[..., None], tol=FP_TOL,
-                                           max_iter=GRID_MAX_ITER)
-    # where stage 2 does not converge at p*, the candidate's own shares stand in
-    x_base = x_base[..., 0] if base_resid[0] <= FP_TOL else xc_sym
-    base_profit = float(x_base[1, 0] * p_star[0] + x_base[1, 1] * p_star[1])
+    try:
+        base = _search_solve(params, p_star, p_star, x_sym)
+        base_profit, base_resid = base.profit, base.residual
+    except FixedPointError as err:
+        # where stage 2 does not converge at p*, the candidate's own shares stand in
+        base, base_resid = None, err.residual
+        base_profit = float(xc_sym[1, 0] * p_star[0] + xc_sym[1, 1] * p_star[1])
     best_idx = int(np.argmax(profits))
-    best_prices = prices[0, :, best_idx]
-    best_profit = float(profits[best_idx])
+    best_prices, best_profit = prices[0, :, best_idx], float(profits[best_idx])
     x_best = _expand(shares[..., best_idx], mult)
-    if not best_profit >= base_profit:
+    start = None
+    if base is not None and best_profit - base_profit <= _resolution(best_prices):
+        # no cell resolves a gain: the polish starts on the base solve
+        best_prices, best_profit, x_best, start = p_star, base_profit, base.state.shares, base
+    elif best_profit >= base_profit:
+        try:
+            start = _search_solve(params, best_prices, p_star, x_best)
+        except FixedPointError:
+            pass
+    else:
+        # p* unsolved and no cell above the candidate's own profit: no polish
         best_prices, best_profit, x_best = p_star, base_profit, x_sym
 
-    try:
-        polished = _newton_polish(params, p_star, best_prices, x_best,
-                                  radius * np.maximum(1.0, np.abs(p_star)))
-    except FixedPointError:
-        polished = None
+    polished = None if start is None else _newton_polish(
+        params, p_star, start, radius * np.maximum(1.0, np.abs(p_star)))
     # a gain below what the stage-2 tolerance resolves in profit is noise
-    refined = polished is not None and polished.profit - best_profit > \
-        FP_TOL * max(1.0, float(np.sum(np.abs(polished.prices))))
+    refined = polished is not None and \
+        polished.profit - best_profit > _resolution(polished.prices)
     if refined:
         best_profit, best_prices = polished.profit, polished.prices
         x_best = polished.state.shares
@@ -323,9 +353,11 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
         grid_radius=radius,
         grid_n=grid_n,
         refined=refined,
-        base_residual=float(base_resid[0]),
+        base_residual=float(base_resid),
         rival_split_max_re=split,
         grid_converged=int(np.count_nonzero(resid <= FP_TOL)),
+        stage2_lipschitz=share_box(params, prices, mult)[0],
+        base_hessian=None if base is None else tuple(map(tuple, base.hessian.tolist())),
     )
 
 
@@ -374,8 +406,15 @@ def soc_report(params: MarketParams, eq: SymmetricEquilibrium) -> SOCReport:
     total profit with every platform moving together (ce) at the solved
     stage-2 fixed point."""
     p_star = np.array(eq.prices)
-    numeric = profit_derivatives(params, eq.regime, p_star, p_star,
-                                 x0=_symmetric_state(eq)).hessian
+    return soc_from_hessian(params, eq, profit_derivatives(
+        params, eq.regime, p_star, p_star, x0=_symmetric_state(eq)).hessian)
+
+
+def soc_from_hessian(params: MarketParams, eq: SymmetricEquilibrium, numeric) -> SOCReport:
+    """soc_report at eq with the exact price Hessian of its regime's objective
+    already in hand, such as a DeviationReport's base_hessian for a competitive
+    point verified at its own prices."""
+    numeric = np.array(numeric, dtype=float)
     eigs = np.linalg.eigvalsh(0.5 * (numeric + numeric.T))
     numeric_nd = bool(np.all(eigs < 0))
     cne_diag = None

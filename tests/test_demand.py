@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,8 @@ from platform_eq import demand
 from platform_eq.demand import (FixedPointError, MarketState, PriceProfile,
                                 contraction_margin, fixed_point_batch,
                                 fixed_point_multistart, logit_shares,
-                                monte_carlo_shares, sensitivities, share_fixed_point)
+                                monte_carlo_shares, sensitivities, share_box,
+                                share_fixed_point)
 from platform_eq.equilibrium import solve_cne
 from platform_eq.model import MarketParams, Side
 
@@ -197,6 +200,28 @@ class TestFixedPointBatch:
         assert resid[0] <= 1e-12 and profit[0] > profit[1]
         assert profit[0] == pytest.approx((x_full[1, :, 0] * p_star).sum(), abs=1e-11)
 
+    def test_bound_waits_for_a_start_outside_the_share_box(self):
+        # the best cell, the deviator 5% above the other's prices, starts
+        # with no shares, outside the share box (L_B = 0.34), where the map
+        # is steeper than L_B: its first sweep lands 0.43 from its fixed
+        # point, beyond L_B r / (1 - L_B), so a bound taken from sweep 0
+        # would drop it.  The bound waits BOX_STEPS sweeps, until the
+        # iterate lies in the box
+        params = MarketParams(3, (0.8386, 0.5969), ((-0.404, -0.0134), (-0.0053, 0.8139)),
+                              (0.1423, -1.35))
+        mult = np.array([1.0, 2.0])
+        prices = np.array([[[0.00975, 0.00927], [0.3042, 0.2894]],
+                           [[0.5973, 0.5973], [1.3279, 1.3279]]])   # (class, side, cell)
+        x_full, _ = demand.class_fixed_point(params, prices, mult, np.full((3, 2, 2), 0.25))
+        x0 = x_full.copy()
+        x0[:, :, 0] = [[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]]
+        lip, lo, _hi = share_box(params, prices, mult)
+        assert lip < 0.34 and np.all(x0[1, :, 0] < lo[0])
+        x, resid = demand.class_fixed_point(params, prices, mult, x0, maximize=0)
+        profit = (x[1] * prices[0]).sum(axis=0)
+        assert resid[0] <= 1e-12 and profit[0] > profit[1]
+        assert profit[0] == pytest.approx((x_full[1, :, 0] * prices[0, :, 0]).sum(), abs=1e-11)
+
     def test_zero_sweeps_return_the_start(self):
         params = MarketParams.uniform(2, 1.0)
         x0 = np.full((2, 3), 1.0 / 3)
@@ -204,15 +229,23 @@ class TestFixedPointBatch:
         assert np.array_equal(x, x0) and resid == np.inf
 
 
+def batch_lipschitz(params, prices):
+    """L_B of the share box of a (..., 2, N) price batch, as fixed_point_batch
+    forms it: every platform its own class."""
+    n = params.n_platforms
+    return share_box(params, prices.reshape(-1, 2, n).T, np.ones(n))[0]
+
+
 @st.composite
-def stage2_cases(draw):
-    """Envelope markets (N 2..6, beta 0.2..3, |phi_own| <= 1, |cross| <= 0.05)
-    of either sign of the contraction margin, and a seed for a price batch."""
+def stage2_cases(draw, beta_min=0.2, u0_max=2.0):
+    """Envelope markets (N 2..6, beta beta_min..3, |phi_own| <= 1, |cross| <=
+    0.05, |u0| <= u0_max) of either sign of the contraction margin, and a seed
+    for a price batch."""
     n = draw(st.integers(2, 6))
-    beta = tuple(draw(st.floats(0.2, 3.0)) for _ in range(2))
+    beta = tuple(draw(st.floats(beta_min, 3.0)) for _ in range(2))
     own = [draw(st.floats(-1.0, 1.0)) for _ in range(2)]
     cross = [draw(st.floats(-0.05, 0.05)) for _ in range(2)]
-    u0 = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    u0 = tuple(draw(st.floats(-u0_max, u0_max)) for _ in range(2))
     params = MarketParams(n, beta, ((own[0], cross[0]), (cross[1], own[1])), u0)
     return params, draw(st.integers(0, 2**32 - 1))
 
@@ -226,13 +259,36 @@ def test_default_damping_finds_the_same_fixed_point(case):
     prices = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, 2, params.n_platforms))
     x_default, r_default = fixed_point_batch(params, prices, max_iter=3000)
     x_half, r_half = fixed_point_batch(params, prices, damping=0.5, max_iter=3000)
-    if contraction_margin(params) > 0:
-        # a contraction: the unique fixed point, whatever the step
+    if batch_lipschitz(params, prices) < 1:
+        # a contraction on the batch's share box: the unique fixed point,
+        # whatever the step
         assert np.all(r_default <= 1e-12) and np.all(r_half <= 1e-12)
         assert np.max(np.abs(x_default - x_half)) <= 1e-11
     else:
         both = (r_default <= 1e-12) & (r_half <= 1e-12)
         assert np.array_equal(x_default[both], x_half[both])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(stage2_cases(beta_min=3e-7, u0_max=1e3).filter(lambda c: contraction_margin(c[0]) <= 0))
+@example((MarketParams(2, (3e-7, 3e-7), ((0.9, 0.05), (-0.05, -1.0)), (1e3, -1e3)), 3))
+@example((MarketParams.uniform(2, 0.05, phi_own=0.8, u0=-1), 4))
+def test_share_box_certificate(case):
+    # L_B is never weaker than the price-free margin, raises no warning at
+    # extreme beta and u0, and where it proves a contraction the fixed point
+    # is unique and found at either step
+    params, seed = case
+    prices = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, params.n_platforms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lip = batch_lipschitz(params, prices)
+        assert lip == np.inf or np.isfinite(lip)
+        assert lip <= (1.0 - contraction_margin(params)) * (1.0 + 1e-12)
+        if lip < 1:
+            assert len(fixed_point_multistart(params, prices, starts=6, seed=seed).points) == 1
+            x_default = share_fixed_point(params, prices).shares
+            x_half = share_fixed_point(params, prices, damping=0.5).shares
+            assert np.max(np.abs(x_default - x_half)) <= 1e-11
 
 
 class TestContractionMargin:

@@ -1,20 +1,27 @@
 import dataclasses
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platform_eq.equilibrium import solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
-from platform_eq.demand import FixedPointError, contraction_margin, share_fixed_point
+from platform_eq.demand import (FixedPointError, contraction_margin, fixed_point_multistart,
+                                share_box, share_fixed_point)
 from platform_eq.verify import (DeviationReport, _rival_split_block, _symmetric_state,
                                 deviation_profit, profit_derivatives, soc_ce_hessian,
                                 soc_cne_diag, soc_report, verify_nash)
 
 BASE = MarketParams.uniform(2, 1.0)
+# a market of the certify workload (seed 1) with contraction margin -0.39
+SEED1_NONPOSITIVE = MarketParams(
+    4, (0.27483436729583943, 0.6369954979773695),
+    ((0.24574702287471295, -0.01665475201230473), (-0.02456488762563909, -0.7378459348014982)),
+    (1.5440395877525708, 0.34252237139698893))
 
 
 def collusive_profit(params, q, tol=1e-13, x0=None):
@@ -118,24 +125,33 @@ def grid_sweeps(monkeypatch, params, grid_n=41, bounded=True):
     return verify_nash(params, solve_cne(params), grid_n=grid_n), shapes
 
 
+def grid_lipschitz(params, target, radius=0.5):
+    """L_B of verify_nash's grid box around target's prices: only each
+    class's and side's min and max price count, the deviator's p* -+ r|p*|
+    and the rivals' p*."""
+    p = np.array(target.prices)
+    corners = np.stack([np.stack([p - radius * np.abs(p), p + radius * np.abs(p)], axis=-1),
+                        np.repeat(p[:, None], 2, axis=1)])
+    return share_box(params, corners, np.array([1.0, params.n_platforms - 1.0]))[0]
+
+
 @st.composite
 def envelope_markets(draw):
     """A market of the certification envelope (N in 2..6, beta in [0.2, 3]
     lifted 0.05 above the existence bound, |phi_kk| <= 1, |phi_lk| <= 0.05,
-    |u0| <= 2) with a positive contraction margin, and a price perturbation
-    of its competitive point."""
+    |u0| <= 2), and a price perturbation of its competitive point."""
     n = draw(st.integers(2, 6))
     own = [draw(st.floats(-1.0, 1.0)) for _ in range(2)]
     beta = [max(draw(st.floats(0.2, 3.0)), 2 * (n - 1) / n**2 * max(f, 0.0) + 0.05) for f in own]
     cross = [draw(st.floats(-0.05, 0.05)) for _ in range(2)]
     params = MarketParams(n, tuple(beta), ((own[0], cross[0]), (cross[1], own[1])),
                           (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))))
-    assume(contraction_margin(params) > 0)
     return params, draw(st.sampled_from([0.0, 0.05]))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(envelope_markets())
+@example((SEED1_NONPOSITIVE, 0.0))
 def test_grid_bound_keeps_every_report_field(market):
     # the grid's contraction-bound exit only drops cells that cannot win, so
     # the report is the one the full grid solve gives, bit for bit
@@ -143,6 +159,9 @@ def test_grid_bound_keeps_every_report_field(market):
     params, perturb = market
     eq = solve_cne(params)
     target = dataclasses.replace(eq, prices=(eq.prices[0] + perturb, eq.prices[1] + perturb))
+    # the bound's premise: the grid's share box proves a contraction, as a
+    # positive margin always does, and so do many markets without one
+    assume(grid_lipschitz(params, target) < 1)
     real = verify.class_fixed_point
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "class_fixed_point",
@@ -290,10 +309,63 @@ class TestVerifyNash:
         assert 4 * sum(shape[-1] for shape in shapes) < sum(cells)
         assert len(shapes) < len(cells)
 
+    def test_grid_box_bound_at_nonpositive_margin(self, monkeypatch):
+        # counts, not time: at margin -0.39 the price-free certificate left
+        # the grid damped (d = 0.5) and unbounded, 34 sweeps and 54,174
+        # cell-sweeps.  The grid's share box proves L_B = 0.22: undamped, it
+        # meets tol in 15 sweeps, and the bound cuts that to 3,539 cell-sweeps
+        params = SEED1_NONPOSITIVE
+        assert contraction_margin(params) < -0.38
+        report, shapes = grid_sweeps(monkeypatch, params, bounded=False)
+        assert report.stage2_lipschitz == grid_lipschitz(params, report.base) < 0.25
+        assert report.certified(1e-6) and len(shapes) <= 20
+        monkeypatch.undo()
+        bounded, bounded_shapes = grid_sweeps(monkeypatch, params)
+        assert repr(bounded) == repr(report)
+        assert 4 * sum(shape[-1] for shape in bounded_shapes) <= 54_174
+
+    def test_certified_verify_solves_twice_at_p_star(self, tmp_path, monkeypatch, capsys):
+        # counts, not time: one exact solve at p* gives the base profit, the
+        # polish's start (whose first step is below STEP_TOL, so it tries
+        # none) and the competitive SOC Hessian; the collusive SOC is the
+        # other.  Before, the base, the polish's start and trial and the
+        # competitive SOC each solved again: 4 calls
+        import platform_eq.verify as verify
+        from platform_eq.cli import main
+        calls = []
+        real = verify.profit_derivatives
+        monkeypatch.setattr(verify, "profit_derivatives",
+                            lambda *args, **kwargs: calls.append(args[1]) or real(*args, **kwargs))
+        params = SEED1_NONPOSITIVE
+        (phi_bb, phi_bs), (phi_sb, phi_ss) = params.phi
+        ini = tmp_path / "v.ini"
+        ini.write_text(f"[market]\nn_platforms = {params.n_platforms}\n"
+                       f"beta_b = {params.beta[0]!r}\nbeta_s = {params.beta[1]!r}\n"
+                       f"phi_bb = {phi_bb!r}\nphi_bs = {phi_bs!r}\n"
+                       f"phi_sb = {phi_sb!r}\nphi_ss = {phi_ss!r}\n"
+                       f"u0_b = {params.u0[0]!r}\nu0_s = {params.u0[1]!r}\n")
+        assert main(["verify", "--config", str(ini)]) == 0
+        assert calls == ["cne", "ce"]
+        deviation = json.loads(capsys.readouterr().out)["deviation"]
+        assert deviation["certified"] and deviation["best_gain"] == 0.0
+        assert deviation["stage2_lipschitz"] < 0.25
+
+    def test_report_says_when_stage2_has_branches(self):
+        # several stage-2 fixed points at the reported best prices: the
+        # grid's share box cannot prove one, and the report says so
+        params = MarketParams.uniform(2, 0.05, phi_own=0.8, u0=-1.0)
+        eq = solve_cne(params)
+        report = verify_nash(params, eq, grid_n=11)
+        assert report.stage2_lipschitz == pytest.approx(8.0, rel=1e-3)
+        prices = np.array([[report.best_deviation_prices[0], eq.prices[0]],
+                           [report.best_deviation_prices[1], eq.prices[1]]])
+        assert fixed_point_multistart(params, prices, starts=10).multiple
+
     def test_grid_bound_idle_at_nonpositive_margin(self, monkeypatch):
-        # d = 0.5 gives no contraction bound: the grid sweeps exactly as without it
+        # the grid's share box proves nothing here (L_B ~ 1.5), so d = 0.5
+        # and no contraction bound: the grid sweeps exactly as without it
         params = MarketParams.uniform(3, 0.1, phi_own=0.3, u0=-1.0)
-        assert contraction_margin(params) <= 0
+        assert grid_lipschitz(params, solve_cne(params)) == pytest.approx(1.5, rel=1e-3)
         report, shapes = grid_sweeps(monkeypatch, params, grid_n=9, bounded=False)
         monkeypatch.undo()
         bounded, bounded_shapes = grid_sweeps(monkeypatch, params, grid_n=9)
