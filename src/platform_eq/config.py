@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .model import MarketParams
+from .svg import MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,12 @@ def _checked(conv, ok, need: str):
 _FINITE = _checked(float, math.isfinite, "finite")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+
+
+def _svg_size(margins: float):
+    """An SVG side in px that leaves a plot area inside margins px."""
+    return _checked(int, lambda v: v > margins, f"more than {margins:g} (the SVG margins)")
+
 
 REGIMES = ("cne", "ce", "both")
 # sweep axis -> (MarketParams field, the cells of that field it sets)
@@ -108,8 +115,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "dir": (str, ""),
         "seed": (int, 0),
         "jobs": (int, 1),  # accepted and ignored: existing configs and scripts still set it
-        "width": (int, 640),
-        "height": (int, 480),
+        "width": (_svg_size(MARGIN_LEFT + MARGIN_RIGHT), 640),
+        "height": (_svg_size(MARGIN_TOP + MARGIN_BOTTOM), 480),
     },
 }
 
@@ -189,6 +196,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     for suffix in ("", "2"):
         if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
             raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
+    grid = values["grid"]
+    for axis in ("phi", "beta"):
+        if not grid[axis + "_min"] < grid[axis + "_max"]:
+            raise ConfigError(f"[grid] {axis}_min must be below {axis}_max")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(values=values, sha256=digest)

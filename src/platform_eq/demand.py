@@ -226,8 +226,8 @@ def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
 
 def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray,
                       x0: np.ndarray, damping: float | None = None, tol: float = 1e-12,
-                      max_iter: int = 100_000, maximize: int | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      max_iter: int = 100_000, maximize: int | None = None,
+                      box: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The stage-2 fixed point on platform classes, batch-last.
 
     The N platforms fall into C classes of mult[c] platforms each, and the
@@ -239,9 +239,10 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     takes d = 1 where the share box of the call's prices proves a contraction
     (share_box's L_B < 1), and d = 0.5 otherwise; an explicit damping in
     (0, 1] is used as given.  The box is formed only when the first sweep
-    leaves a cell unmet.  Returns (shares, residuals) of shapes (C+1, 2,
-    cells) and (cells,); an unconverged cell keeps its last iterate and a
-    residual above tol, and max_iter = 0 returns x0 with residual inf.
+    leaves a cell unmet; a caller that already holds share_box(params,
+    prices, mult) passes it as box.  Returns (shares, residuals) of shapes
+    (C+1, 2, cells) and (cells,); an unconverged cell keeps its last iterate
+    and a residual above tol, and max_iter = 0 returns x0 with residual inf.
 
     maximize names a class c whose profit pi = sum_k prices[c, k] x[c+1, k]
     the caller maximizes over the cells.  At d = 1 and L = L_B < 1, Sigma is
@@ -276,7 +277,7 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
         new = (ra <= tol) & ~met
         if need_box and not new.all():
             need_box = False
-            lip, lo, hi = share_box(params, p, mult)
+            lip, lo, hi = share_box(params, p, mult) if box is None else box
             if damping is None:
                 damping = 1.0 if lip < 1.0 else 0.5
             if maximize is not None and damping == 1.0 and lip < 1.0:

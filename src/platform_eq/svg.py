@@ -15,6 +15,8 @@ GRAY = "#e8e8e8"
 CURVE = "#222222"
 
 PAINT_FILL = {1: BLUE, -1: RED, 0: GRAY}
+# px between the SVG's edges and the plot area: left, right, top, bottom
+MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62.0, 16.0, 34.0, 46.0
 
 
 def _fmt(x: float) -> str:
@@ -47,7 +49,7 @@ def region_svg(phis, betas, paint, curve, title: str,
     """
     phis = np.asarray(phis, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    ml, mr, mt, mb = 62.0, 16.0, 34.0, 46.0
+    ml, mr, mt, mb = MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM
     pw, ph = width - ml - mr, height - mt - mb
     phi_lo = float(phis[0] - 0.5 * (phis[1] - phis[0])) if len(phis) > 1 else float(phis[0]) - 0.5
     phi_hi = float(phis[-1] + 0.5 * (phis[1] - phis[0])) if len(phis) > 1 else float(phis[0]) + 0.5

@@ -10,15 +10,17 @@ also come in closed form at zero cross-side externalities.
 
 The rivals share one price, so stage 2 runs on two platform classes, the
 deviator x1 and the rivals x(N-1), and the collusive objective on one class
-xN: the search and the derivatives cost the same at any N.  That reduction
-cannot see the rivals splitting among themselves; those modes of the share
-map's Jacobian have the closed-form 2x2 block of _rival_split_block.  Where
-the share box of the grid's prices proves the share map a contraction
-(demand.share_box), the grid solve runs undamped and drops each cell the
-contraction bound proves below the best converged one, which leaves every
-report field.  One exact solve at p* gives the base profit, the polish's
-start when no grid cell beats it by more than stage 2 resolves, and the
-competitive second-order Hessian.
+xN: the search and the derivatives cost the same at any N.  Every stage-2
+state here is a (C+1, 2) class state, row 0 the outside option; only
+deviation_profit solves the full width.  That reduction cannot see the
+rivals splitting among themselves; those modes of the share map's Jacobian
+have the closed-form 2x2 block of _rival_split_block.  Where the share box
+of the grid's prices proves the share map a contraction (demand.share_box),
+the grid solve runs undamped and drops each cell the contraction bound
+proves below the best converged one, which leaves every report field.  One
+exact solve at p* gives the base profit, the polish's start when no grid
+cell beats it by more than stage 2 resolves, and the competitive
+second-order Hessian.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._families import eval_series, s_coefficients
-from .demand import (FixedPointError, MarketState, class_fixed_point, share_box,
-                     share_fixed_point)
+from .demand import FixedPointError, class_fixed_point, share_box, share_fixed_point
 from .equilibrium import SymmetricEquilibrium, ZPoint
 from .model import MarketParams, Side
 
@@ -106,13 +107,13 @@ def deviation_profit(params: MarketParams, others_price, deviation,
 @dataclass(frozen=True, eq=False)
 class ProfitDerivatives:
     """Stage-1 objective at one price pair, with its exact price gradient and
-    Hessian, and the stage-2 fixed point they were taken at."""
+    Hessian, and the stage-2 fixed point they were taken at as a class state."""
 
     prices: np.ndarray
     profit: float
     gradient: np.ndarray
     hessian: np.ndarray
-    state: MarketState
+    state: np.ndarray
     residual: float     # the stage-2 solve's sup-norm residual
 
 
@@ -127,25 +128,6 @@ def _classes(params: MarketParams, regime: str, q, others):
     if regime == "ce":
         return np.array([q], dtype=float), np.array([float(n)]), np.ones(1)
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def _fold(x, mult: np.ndarray) -> np.ndarray:
-    """(C+1, 2) class shares of a full-width (2, N+1) state; raises ValueError
-    unless the platforms of each class hold equal shares."""
-    full = x.shares if isinstance(x, MarketState) else np.asarray(x, dtype=float)
-    counts = np.concatenate(([1], mult)).astype(int)
-    if full.shape != (2, counts.sum()):
-        raise ValueError(f"x0 must have shape (2, {counts.sum()})")
-    folded = full[:, np.cumsum(counts) - counts]
-    if not np.array_equal(np.repeat(folded, counts, axis=1), full):
-        raise ValueError("x0 must give the platforms of a class equal shares "
-                         "(the rivals' columns must be equal)")
-    return folded.T
-
-
-def _expand(xc: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """The full-width (2, N+1) state of (C+1, 2) class shares."""
-    return np.repeat(xc.T, np.concatenate(([1], mult)).astype(int), axis=1)
 
 
 def profit_derivatives(params: MarketParams, regime: str, q, others=None,
@@ -164,16 +146,16 @@ def profit_derivatives(params: MarketParams, regime: str, q, others=None,
     J_k = (diag(y_k) - y_k (m o y_k)^T)/beta_k and M = I - [phi_kl J_k]
     (4x4 for cne, 2x2 for ce), dy = M^-1 (-J E) and d2y = M^-1 sigma''[du, du],
     where du = Phi dy - E, E places 1 on the classes that charge q, and the
-    inner products in sigma'' are m-weighted.  x0, a full-width (2, N+1)
-    warm start, is folded into the classes only if the platforms of each
-    class hold equal shares; otherwise ValueError.  `.state` is full width.
+    inner products in sigma'' are m-weighted.  x0, the warm start, and
+    `.state` are (C+1, 2) class states, row 0 the outside option; an x0 of
+    any other shape raises ValueError.
     """
     q = np.asarray(q, dtype=float)
     prices, mult, moving = _classes(params, regime, q, others)
     if x0 is None:
         x0 = np.full((len(mult) + 1, 2), 1.0 / (params.n_platforms + 1))
-    else:
-        x0 = _fold(x0, mult)
+    elif np.shape(x0) != (len(mult) + 1, 2):
+        raise ValueError(f"x0 must have shape ({len(mult) + 1}, 2)")
     x, resid = class_fixed_point(params, prices[..., None], mult, x0[..., None],
                                  tol=tol, max_iter=max_iter)
     if resid[0] > tol:
@@ -205,7 +187,7 @@ def profit_derivatives(params: MarketParams, regime: str, q, others=None,
     grad = wy + q @ wdy
     hess = wdy.T + wdy + np.einsum("k,c,kcab->ab", q, w, d2y)
     return ProfitDerivatives(prices=q, profit=float(q @ wy), gradient=grad,
-                             hessian=hess, state=MarketState(_expand(xc, mult)),
+                             hessian=hess, state=xc,
                              residual=float(resid[0]))
 
 
@@ -218,14 +200,15 @@ def _rival_split_block(params: MarketParams, y_rival) -> np.ndarray:
 
 
 def _symmetric_state(eq: SymmetricEquilibrium) -> np.ndarray:
-    """The (2, N+1) stage-2 shares of a solved symmetric point."""
-    return _expand(np.array([1.0 - np.array(eq.participation), eq.shares]),
-                   np.array([eq.params.n_platforms]))
+    """The class state of a solved symmetric point in its regime's classes:
+    the outside option, then every class at the symmetric shares."""
+    classes = 2 if eq.regime == "cne" else 1
+    return np.array([1.0 - np.array(eq.participation)] + [eq.shares] * classes)
 
 
 def _search_solve(params: MarketParams, q, p_star: np.ndarray, x0) -> ProfitDerivatives:
     """The deviation search's one-cell solve: the deviator at q, its rivals at
-    p*, warm-started at the full-width state x0."""
+    p*, warm-started at the class state x0."""
     return profit_derivatives(params, "cne", q, p_star, tol=FP_TOL,
                               max_iter=GRID_MAX_ITER, x0=x0)
 
@@ -303,10 +286,11 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     prices[0, 1] = ps.ravel()
 
     x_sym = _symmetric_state(eq)
-    xc_sym = _fold(x_sym, mult)
+    # one share box gives the grid's step, its contraction bound and the report's L_B
+    box = share_box(params, prices, mult)
     shares, resid = class_fixed_point(params, prices, mult,
-                                      np.broadcast_to(xc_sym[..., None], (3, 2, m)),
-                                      tol=FP_TOL, max_iter=GRID_MAX_ITER, maximize=0)
+                                      np.broadcast_to(x_sym[..., None], (3, 2, m)),
+                                      tol=FP_TOL, max_iter=GRID_MAX_ITER, maximize=0, box=box)
     profits = shares[1, 0] * prices[0, 0] + shares[1, 1] * prices[0, 1]
     # a cell proven below the best reads residual -inf: resolved, never the best
     profits = np.where(np.abs(resid) <= FP_TOL, profits, -np.inf)
@@ -317,14 +301,14 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     except FixedPointError as err:
         # where stage 2 does not converge at p*, the candidate's own shares stand in
         base, base_resid = None, err.residual
-        base_profit = float(xc_sym[1, 0] * p_star[0] + xc_sym[1, 1] * p_star[1])
+        base_profit = float(x_sym[1, 0] * p_star[0] + x_sym[1, 1] * p_star[1])
     best_idx = int(np.argmax(profits))
     best_prices, best_profit = prices[0, :, best_idx], float(profits[best_idx])
-    x_best = _expand(shares[..., best_idx], mult)
+    x_best = shares[..., best_idx]
     start = None
     if base is not None and best_profit - base_profit <= _resolution(best_prices):
         # no cell resolves a gain: the polish starts on the base solve
-        best_prices, best_profit, x_best, start = p_star, base_profit, base.state.shares, base
+        best_prices, best_profit, x_best, start = p_star, base_profit, base.state, base
     elif best_profit >= base_profit:
         try:
             start = _search_solve(params, best_prices, p_star, x_best)
@@ -341,9 +325,9 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
         polished.profit - best_profit > _resolution(polished.prices)
     if refined:
         best_profit, best_prices = polished.profit, polished.prices
-        x_best = polished.state.shares
+        x_best = polished.state
     split = -np.inf if params.n_platforms < 3 else float(
-        np.max(np.linalg.eigvals(_rival_split_block(params, x_best[:, -1])).real))
+        np.max(np.linalg.eigvals(_rival_split_block(params, x_best[-1])).real))
 
     return DeviationReport(
         base=eq,
@@ -356,7 +340,7 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
         base_residual=float(base_resid),
         rival_split_max_re=split,
         grid_converged=int(np.count_nonzero(resid <= FP_TOL)),
-        stage2_lipschitz=share_box(params, prices, mult)[0],
+        stage2_lipschitz=box[0],
         base_hessian=None if base is None else tuple(map(tuple, base.hessian.tolist())),
     )
 

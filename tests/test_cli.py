@@ -117,6 +117,12 @@ INVALID_SETTINGS = {
     "resolution_0": ("figures", "[grid]\nresolution = 0\n", ["--figure", "fig1"]),
     "phi_max_inf": ("figures", "[grid]\nphi_max = inf\n", ["--figure", "fig1"]),
     "beta_min_nan": ("figures", "[grid]\nbeta_min = nan\n", ["--figure", "fig1"]),
+    "phi_range_empty": ("figures", "[grid]\nphi_min = 1\nphi_max = 1\n", ["--figure", "fig1"]),
+    "beta_range_reversed": ("figures", "[grid]\nbeta_min = 2\nbeta_max = 0\n",
+                            ["--figure", "fig1"]),
+    # BASE_INI ends in its [output] section, which these keys join
+    "svg_size_negative": ("figures", "width = 10\nheight = -5\n", ["--figure", "fig1"]),
+    "svg_height_at_margins": ("figures", "height = 80\n", ["--figure", "fig1"]),
     "grid_n_0": ("verify", "[verify]\ngrid_n = 0\n", []),
     "radius_nan": ("verify", "[verify]\nradius = nan\ngrid_n = 5\n", []),
     "tolerance_0": ("verify", "[verify]\ntolerance = 0\n", []),

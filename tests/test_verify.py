@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,17 @@ SEED1_NONPOSITIVE = MarketParams(
     4, (0.27483436729583943, 0.6369954979773695),
     ((0.24574702287471295, -0.01665475201230473), (-0.02456488762563909, -0.7378459348014982)),
     (1.5440395877525708, 0.34252237139698893))
+COUPLED = MarketParams(3, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1))
+
+
+def market_ini(params):
+    """The [market] section of an INI config for params, floats exact."""
+    (phi_bb, phi_bs), (phi_sb, phi_ss) = params.phi
+    return (f"[market]\nn_platforms = {params.n_platforms}\n"
+            f"beta_b = {params.beta[0]!r}\nbeta_s = {params.beta[1]!r}\n"
+            f"phi_bb = {phi_bb!r}\nphi_bs = {phi_bs!r}\n"
+            f"phi_sb = {phi_sb!r}\nphi_ss = {phi_ss!r}\n"
+            f"u0_b = {params.u0[0]!r}\nu0_s = {params.u0[1]!r}\n")
 
 
 def collusive_profit(params, q, tol=1e-13, x0=None):
@@ -185,14 +198,14 @@ class TestVerifyNash:
         assert not report.certified(1e-6)
 
     def test_small_cross_externalities(self):
-        params = MarketParams(3, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1))
+        params = COUPLED
         eq = solve_cne(params)
         report = verify_nash(params, eq, radius=0.5, grid_n=21)
         assert report.certified(1e-6)
         # the rival-split modes, at the fixed point of the best deviation
         at = profit_derivatives(params, "cne", report.best_deviation_prices, eq.prices,
                                 x0=_symmetric_state(eq))
-        block = _rival_split_block(params, at.state.platform_shares[:, -1])
+        block = _rival_split_block(params, at.state[-1])   # the rivals' class row
         assert report.rival_split_max_re == pytest.approx(
             np.max(np.linalg.eigvals(block).real), abs=1e-12)
         assert verify_nash(BASE, solve_cne(BASE), grid_n=5).rival_split_max_re == -np.inf
@@ -203,8 +216,7 @@ class TestVerifyNash:
     # the stage-2 tolerance lets profit resolve.
     @pytest.mark.parametrize("params, perturb, old_gain", [
         (BASE, 0.1, 0.001647793053697666),
-        (MarketParams(3, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1)), 0.1,
-         0.001501579052659796),
+        (COUPLED, 0.1, 0.001501579052659796),
         (MarketParams.uniform(2, 0.1, phi_own=0.3, u0=-1), 0.1, 3.999465033237833e-07),
         (MarketParams.uniform(2, 0.2, phi_own=0.8, u0=-1), 0.0, 0.40031780226594527),
         (MarketParams.uniform(3, 0.1, phi_own=0.8, u0=0), 0.0, 0.16615945245744718),
@@ -336,19 +348,37 @@ class TestVerifyNash:
         real = verify.profit_derivatives
         monkeypatch.setattr(verify, "profit_derivatives",
                             lambda *args, **kwargs: calls.append(args[1]) or real(*args, **kwargs))
-        params = SEED1_NONPOSITIVE
-        (phi_bb, phi_bs), (phi_sb, phi_ss) = params.phi
         ini = tmp_path / "v.ini"
-        ini.write_text(f"[market]\nn_platforms = {params.n_platforms}\n"
-                       f"beta_b = {params.beta[0]!r}\nbeta_s = {params.beta[1]!r}\n"
-                       f"phi_bb = {phi_bb!r}\nphi_bs = {phi_bs!r}\n"
-                       f"phi_sb = {phi_sb!r}\nphi_ss = {phi_ss!r}\n"
-                       f"u0_b = {params.u0[0]!r}\nu0_s = {params.u0[1]!r}\n")
+        ini.write_text(market_ini(SEED1_NONPOSITIVE))
         assert main(["verify", "--config", str(ini)]) == 0
         assert calls == ["cne", "ce"]
         deviation = json.loads(capsys.readouterr().out)["deviation"]
         assert deviation["certified"] and deviation["best_gain"] == 0.0
         assert deviation["stage2_lipschitz"] < 0.25
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.1])
+    def test_one_share_box_per_grid(self, base_eq, monkeypatch, perturb):
+        # counts, not time: one share box of the grid's prices gives the
+        # grid's step, its contraction bound and the report's L_B.  A
+        # certified search forms no other; an uncertified one's one-cell
+        # polish solves form their own
+        import platform_eq.demand as demand
+        import platform_eq.verify as verify
+        cells, real = [], demand.share_box
+
+        def counting(params, prices, mult):
+            cells.append(prices.shape[-1])
+            return real(params, prices, mult)
+
+        monkeypatch.setattr(demand, "share_box", counting)
+        monkeypatch.setattr(verify, "share_box", counting)
+        target = dataclasses.replace(base_eq, prices=(base_eq.prices[0] + perturb,
+                                                      base_eq.prices[1] + perturb))
+        report = verify_nash(BASE, target, grid_n=21)
+        assert report.certified(1e-6) is (perturb == 0.0)
+        assert cells.count(21 * 21) == 1 and set(cells) <= {1, 21 * 21}
+        if perturb == 0.0:
+            assert cells == [21 * 21]
 
     def test_report_says_when_stage2_has_branches(self):
         # several stage-2 fixed points at the reported best prices: the
@@ -385,6 +415,33 @@ class TestVerifyNash:
             verify_nash(BASE, eq)
 
 
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_sha256.json"
+# case -> (market, [verify] keys, exit code)
+VERIFY_CASES = {
+    "decoupled": (MarketParams(3, (1.0, 0.9), ((0.3, 0.0), (0.0, 0.1)), (0.1, -0.1)), "", 0),
+    "coupled": (COUPLED, "", 0),
+    # margin -0.39, where the grid's share box still proves L_B < 1
+    "nonpositive_margin": (SEED1_NONPOSITIVE, "", 0),
+    # margin <= 0 and L_B ~ 8: stage 2 has branches and the point fails
+    "branches": (MarketParams.uniform(2, 0.05, phi_own=0.8, u0=-1.0), "grid_n = 11\n", 3),
+    "perturbed": (COUPLED, "perturb_price = 0.1\ngrid_n = 21\n", 3),
+    "even_grid": (MarketParams.uniform(4, 0.8, phi_own=0.2, u0=0.5), "grid_n = 10\n", 0),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_CASES)
+def test_verify_matches_golden(tmp_path, capsys, case):
+    """verify.json and verify.csv reproduce the sha256 digests committed with the suite."""
+    from platform_eq.cli import main
+    params, keys, code = VERIFY_CASES[case]
+    ini = tmp_path / "v.ini"
+    ini.write_text(market_ini(params) + "\n[verify]\n" + keys)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(ini), "--out", str(out)]) == code
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == json.loads(GOLDEN_VERIFY.read_text())[case]
+
+
 class TestClassReduction:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_rival_split_modes_in_full_spectrum(self, n):
@@ -402,21 +459,21 @@ class TestClassReduction:
         for lam in np.linalg.eigvals(_rival_split_block(params, y[:, -1])):
             assert np.sum(np.abs(full - lam) <= 1e-12) >= n - 2
 
-    def test_full_width_x0_folds_only_when_rivals_agree(self):
+    def test_class_state_x0_warm_starts(self):
         params = MarketParams(4, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1))
         q, others = np.array([0.8, 0.3]), np.array([0.6, 0.5])
         cold = profit_derivatives(params, "cne", q, others)
-        x = cold.state.shares
-        assert x.shape == (2, 5) and np.all(x[:, 2:] == x[:, 2:3])
-        # a warm start whose rival columns agree is folded into the classes
-        warm = profit_derivatives(params, "cne", q + 0.01, others, x0=cold.state)
+        x = cold.state
+        # (outside, deviator, rival) rows; the 3 rivals hold one share each
+        assert x.shape == (3, 2)
+        assert np.allclose(x[0] + x[1] + 3 * x[2], 1.0, rtol=0, atol=1e-12)
+        warm = profit_derivatives(params, "cne", q + 0.01, others, x0=x)
         ref = profit_derivatives(params, "cne", q + 0.01, others)
         assert warm.profit == pytest.approx(ref.profit, abs=1e-12)
         assert np.max(np.abs(warm.hessian - ref.hessian)) <= 1e-9
-        # rivals that split, a deviator apart from the one ce class, a wrong width
-        split = share_fixed_point(params, np.array([[0.8, 0.6, 0.5, 0.6],
-                                                    [0.3, 0.5, 0.5, 0.4]]))
-        for regime, x0 in (("cne", split), ("ce", x), ("cne", x[:, :4])):
+        # a cne state for the one ce class, a ce state for cne, the full width
+        full = np.repeat(x.T, [1, 1, 3], axis=1)
+        for regime, x0 in (("ce", x), ("cne", x[:2]), ("cne", full), ("cne", x.T)):
             with pytest.raises(ValueError):
                 profit_derivatives(params, regime, q, others, x0=x0)
 
@@ -507,7 +564,12 @@ def test_exact_derivatives_match_central_differences(case):
     assert contraction_margin(params) > 0
     for regime in ("cne", "ce"):
         exact = profit_derivatives(params, regime, q, others, tol=1e-13)
-        objective = price_objective(params, regime, others, x0=exact.state)
+        # the class state to the reference's full width: each class row
+        # repeated over its platforms, the last class holding the rest
+        rows = len(exact.state)
+        full = np.repeat(exact.state.T, [1] * (rows - 1) + [params.n_platforms + 2 - rows],
+                         axis=1)
+        objective = price_objective(params, regime, others, x0=full)
         grad, hess = central_differences(objective, q, 3e-4 * np.maximum(1.0, np.abs(q)))
         assert exact.profit == pytest.approx(objective(q), abs=1e-12)
         assert np.all(np.abs(exact.gradient - grad) <= 1e-6 * (1.0 + np.abs(exact.gradient)))
