@@ -16,11 +16,13 @@ size, so a root met to the last bit is kept, not bisected away from.  One
 solver, `solve_markets`, runs it once per platform count over regimes x
 markets x sides; `solve_cne` and `solve_ce` are its one-market case.  A mask
 marks a batch's collusive columns, and every kernel takes each column's
-regime from it.  With nonzero cross-side externalities a damped Newton on
-the two-equation system starts from the decoupled root, over all such
-columns of the batch at once: one complex-step call gives every exact
-Jacobian and one stacked solve every step.  The equilibria are then
-assembled over columns.  Only the public entry points enter an errstate.
+regime from it.  The existence condition is read once per batch, as a mask
+over columns x sides; only the sides it marks scan for every root.  With
+nonzero cross-side externalities a damped Newton on the two-equation system
+starts from the decoupled root, over all such columns of the batch at once:
+one complex-step call gives every exact Jacobian and one stacked solve every
+step.  The equilibria are then assembled over columns.  Only the public
+entry points enter an errstate.
 All formulas accept a real-valued platform count so that derivatives with
 respect to N can be validated by central differences.
 """
@@ -33,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._families import a_coefficients, eval_series
-from .model import EULER_GAMMA, MarketParams, Side, check_cne_existence, check_ce_existence
+from .model import (EULER_GAMMA, MarketParams, Side, ce_existence_bound, cne_existence_bound,
+                    existence_fails)
 
 # How far the search window reaches past the tail-asymptote roots of a
 # competitive FOC whose price may have a pole (only outside the existence
@@ -61,11 +64,7 @@ _quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 class SolverError(RuntimeError):
-    """Equilibrium solve failed; carries a short trace of the attempt."""
-
-    def __init__(self, message: str, trace: list[str] | None = None):
-        super().__init__(message)
-        self.trace = tuple(trace or ())
+    """Equilibrium solve failed; the message says where and why."""
 
 
 @dataclass(frozen=True)
@@ -484,15 +483,15 @@ def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
             max_iter: int = 80) -> tuple[np.ndarray, dict[int, SolverError]]:
     """Damped Newton on the two-equation FOC of each column's regime at every
     column of z (2, cells), with the exact Jacobians F_z of `_complex_partials`.
-    Each column has its own residual, up to 100 step halvings and trace; one
+    Each column has its own residual and up to 100 step halvings; one
     complex-step call and one stacked solve serve all live columns per
     iteration.  Returns z and, per column that failed, its SolverError."""
     z = np.array(z, dtype=float)
     F = _foc(c, z, n)
     err = np.max(np.abs(F), axis=0)
     live = np.arange(z.shape[1])
-    traces, failed = [[] for _ in live], {}
-    for it in range(max_iter):
+    failed = {}
+    for _ in range(max_iter):
         live = live[~(err[live] <= tol)]  # a NaN residual has not converged
         if not live.size:
             break
@@ -500,7 +499,7 @@ def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
         J = _complex_partials(cl, zl, n, np.eye(2), np.zeros(2), foc_only=True).transpose(1, 0, 2)
         step, drop = _solve_steps(J, F[:, live])
         for j in np.flatnonzero(drop):
-            failed[live[j]] = SolverError("singular Jacobian in coupled Newton", traces[live[j]])
+            failed[live[j]] = SolverError("singular Jacobian in coupled Newton")
         lam = np.ones(live.size)
         todo = np.flatnonzero(~drop)
         for _ in range(100):
@@ -510,8 +509,6 @@ def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
             Ft = _foc(cl.take(todo), zt, n)
             et = np.max(np.abs(Ft), axis=0)
             ok = np.isfinite(Ft).all(axis=0) & (et < e[todo])
-            for j, after in zip(todo[ok], et[ok]):
-                traces[live[j]].append(f"iter {it}: residual {e[j]:.3e} -> {after:.3e}")
             cols = live[todo[ok]]
             z[:, cols], F[:, cols], err[cols] = zt[:, ok], Ft[:, ok], et[ok]
             todo = todo[~ok]
@@ -521,13 +518,12 @@ def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
             rel_det = (a - b) / (abs(a) + abs(b))
             why = ("near-singular Jacobian" if abs(rel_det) <= NEAR_SINGULAR
                    else "line search exhausted")
-            traces[live[j]].append(f"iter {it}: stalled at residual {e[j]:.3e}")
             failed[live[j]] = SolverError(f"coupled Newton stalled ({why}): relative determinant "
-                                          f"{rel_det:.2e} at residual {e[j]:.2e}", traces[live[j]])
+                                          f"{rel_det:.2e} at residual {e[j]:.2e}")
         drop[todo] = True
         live = live[~drop]
     for col in live[~(err[live] <= tol)]:
-        failed[col] = SolverError("coupled Newton did not reach tolerance", traces[col])
+        failed[col] = SolverError("coupled Newton did not reach tolerance")
     return z, failed
 
 
@@ -581,14 +577,14 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
     The markets are grouped by platform count, so N stays one float per
     group, and each group runs in columns, one per (regime, market), the
     collusive ones marked by a mask: its decoupled FOCs as one batch of
-    :func:`solve_decoupled_batch` over columns x sides, then one damped
-    Newton on the two-equation system over every column with nonzero
-    cross-side externalities, started from its batched root, and one
-    assembly of the equilibria.  Only a side that fails the existence check
-    takes work of its own: it scans its bracket for every root and keeps the
-    max-profit one.  Returns one list per regime holding, per market, its
-    SymmetricEquilibrium or the SolverError or ArithmeticError it raised.
-    `n` evaluates every market at one real-valued platform count.
+    :func:`solve_decoupled_batch` over columns x sides, then one existence
+    mask over columns x sides, then one damped Newton on the two-equation
+    system over every column with nonzero cross-side externalities, started
+    from its batched root, and one assembly of the equilibria.  Only a side
+    the mask marks takes work of its own: it scans its bracket for every root
+    and keeps the max-profit one.  Returns one list per regime holding, per
+    market, its SymmetricEquilibrium or its SolverError.  `n` evaluates every
+    market at one real-valued platform count.
     """
     m = len(markets)
     groups: dict[float, list[int]] = {}
@@ -601,48 +597,37 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
         c = _Columns.of(group, [regimes[i // m] == "ce" for i in rows])
         z = np.ascontiguousarray(solve_decoupled_batch(c.ce[:, None], c.beta.T, c.own.T, nk,
                                                        c.u0.T).T)
-        warnings = {}  # per column still solving, in order
-        for j, params in enumerate(group):
-            try:
-                warnings[j] = _finish(c.ce[j], params, nk, z[:, j])
-            except (SolverError, ArithmeticError) as exc:
-                out[rows[j]] = exc
-        coupled = [j for j in warnings if not group[j].cross_externalities_zero]
-        if coupled:
+        regime = np.where(c.ce, "ce", "cne").tolist()
+        bound = np.where(c.ce, ce_existence_bound(nk), cne_existence_bound(nk))
+        fails = np.argwhere(existence_fails(c.beta, c.own, bound).T).tolist()  # (column, side)
+        warnings = [[] for _ in rows]
+        for j, k in fails:
+            warnings[j].append(f"{regime[j]} existence condition fails on side {Side(k).label}")
+        for j, k in fails:
+            # the FOC may turn non-monotone: keep the max-profit root of the scan
+            beta, phi_kk, u0 = c.beta[k, j], c.own[k, j], c.u0[k, j]
+            roots = _scan_roots(c.ce[j], beta, phi_kk, nk, u0)
+            if roots.size > 1:
+                warnings[j].append(f"multiple FOC roots ({roots.size}); selected max-profit root")
+            if roots.size:
+                om = omega(roots, nk)
+                z[k, j] = roots[np.argmax((phi_kk * om - beta * roots - u0) * om)]
+        bad = np.isnan(z).any(axis=0)
+        for j in np.flatnonzero(bad):
+            out[rows[j]] = SolverError(f"no root in range for the decoupled {regime[j]} FOC")
+        coupled = np.flatnonzero(~bad & c.lk.any(axis=0))
+        if coupled.size:
             z[:, coupled], failed = _newton(c.take(coupled), nk, z[:, coupled],
                                             tol=min(tol, 1e-12))
             for col, exc in failed.items():
                 out[rows[coupled[col]]] = exc
-                del warnings[coupled[col]]
-        ok = list(warnings)
-        eqs = _assemble([group[j] for j in ok], c.take(ok), z[:, ok], nk, list(warnings.values()))
+                bad[coupled[col]] = True
+        ok = np.flatnonzero(~bad)
+        eqs = _assemble([group[j] for j in ok], c.take(ok), z[:, ok], nk,
+                        [warnings[j] for j in ok])
         for j, eq in zip(ok, eqs):
             out[rows[j]] = eq
     return [out[r * m:(r + 1) * m] for r in range(len(regimes))]
-
-
-def _finish(ce, params: MarketParams, n: float, z: np.ndarray) -> list[str]:
-    """One market's existence check and root scan on its batched decoupled
-    root z, replaced in place, in the collusive regime if ce; returns the
-    warnings."""
-    regime = "ce" if ce else "cne"
-    exists = (check_ce_existence if ce else check_cne_existence)(params, n)
-    warnings = [f"{regime} existence condition fails on side {side.label}"
-                for side, ok in zip(Side, exists) if not ok]
-    beta, phi_kk, u0 = params.beta_arr, np.diag(params.phi_arr), params.u0_arr
-    for k in (0, 1):
-        if exists[k]:
-            continue
-        # the FOC may turn non-monotone: keep the max-profit root of the scan
-        roots = _scan_roots(ce, beta[k], phi_kk[k], n, u0[k])
-        if roots.size > 1:
-            warnings.append(f"multiple FOC roots ({roots.size}); selected max-profit root")
-        if roots.size:
-            om = omega(roots, n)
-            z[k] = roots[np.argmax((phi_kk[k] * om - beta[k] * roots - u0[k]) * om)]
-    if np.isnan(z).any():
-        raise SolverError(f"no root in range for the decoupled {regime} FOC")
-    return warnings
 
 
 def _one(result):

@@ -141,9 +141,14 @@ def ce_existence_bound(n: float) -> float:
     return 8.0 / (27.0 * n)
 
 
+def existence_fails(beta, phi_kk, bound):
+    """Where the existence condition fails, elementwise: phi_kk > 0 and
+    beta <= bound * phi_kk, with bound f(N) or its collusive analogue."""
+    return (phi_kk > 0) & (beta <= bound * phi_kk)
+
+
 def _existence(params: MarketParams, bound: float) -> tuple[bool, bool]:
-    return tuple(params.phi[k][k] <= 0.0 or params.beta[k] > bound * params.phi[k][k]
-                 for k in (0, 1))
+    return tuple((~existence_fails(params.beta_arr, np.diag(params.phi_arr), bound)).tolist())
 
 
 def check_cne_existence(params: MarketParams, n: float | None = None) -> tuple[bool, bool]:

@@ -28,7 +28,7 @@ import numpy as np
 from . import _families as fam
 from .equilibrium import mk_slope, mkc_slope, omega, solve_decoupled_batch
 from .model import (Cubic, MarketParams, Side, ce_existence_bound,
-                    cne_existence_bound, solve_cubic_real)
+                    cne_existence_bound, existence_fails, solve_cubic_real)
 
 BOUNDARY_TOL = 1e-9
 CS_DN_Z_CAP = math.log(2.0) / 5.0
@@ -291,7 +291,7 @@ def _band(lo, beta, hi, verdict: Verdict, used: tuple) -> _Rule:
 
 
 def _existence_fails(bound: float, beta, phi) -> _Rule:
-    return _Rule((phi > 0) & (beta <= bound * phi), Verdict.INDETERMINATE,
+    return _Rule(existence_fails(beta, phi, bound), Verdict.INDETERMINATE,
                  reason="existence condition fails")
 
 

@@ -55,12 +55,6 @@ class DerivativeBundle:
     finite_difference: float
     agreement: float
 
-    @property
-    def sign_match(self) -> bool:
-        if self.analytic is None:
-            return True
-        return np.sign(self.analytic) == np.sign(self.finite_difference)
-
 
 @dataclass(frozen=True)
 class AsymptoticLimits:

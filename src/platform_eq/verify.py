@@ -352,16 +352,26 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
 def soc_cne_diag(z: float, params: MarketParams, side: Side,
                  n: float | None = None) -> float:
     """Closed-form own-share second derivative of the deviator's profit
-    (cross externalities zero); negative throughout the existence region."""
+    (cross externalities zero); negative throughout the existence region.
+
+    A ratio of two degree-7 series in e^z.  Where either overflows (z above
+    about 101), e^{7z} is divided out of both and they are evaluated in
+    e^{-z}; the ratio tends to -N (beta N^2 - 2 (N-1) phi_kk) / (N-1)^2."""
     if not params.cross_externalities_zero:
         raise ValueError("closed-form SOC requires zero cross-side externalities")
     n = float(params.n_platforms if n is None else n)
     beta = params.beta[side.index]
     phi = params.phi_own(side)
     z = float(z)
-    num = eval_series(s_coefficients(beta, phi, n), 0, z)
-    ez = np.exp(z)
-    den = ez * (beta * ((n - 1.0) * ez + 1.0) * (n * ez + 1.0) - ez * phi) ** 3
+    s = s_coefficients(beta, phi, n)
+    num = eval_series(s, 0, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(z)
+        den = ez * (beta * ((n - 1.0) * ez + 1.0) * (n * ez + 1.0) - ez * phi) ** 3
+    if not (np.isfinite(num) and np.isfinite(den)):
+        emz = np.exp(-z)
+        num = eval_series(s[::-1], 0, -z)
+        den = (beta * (n - 1.0 + emz) * (n + emz) - emz * phi) ** 3
     if abs(den) < 1e-300:
         raise ArithmeticError("vanishing SOC denominator")
     return float(num / den)

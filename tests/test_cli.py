@@ -450,6 +450,21 @@ class TestVerifyCommand:
         assert doc["deviation"]["certified"] is False and doc["passed"] is False
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_z_market_passes_with_valid_json(self, tmp_path, capsys):
+        # z_b* = 118.5: the closed-form SOC series in e^z overflow there, and
+        # the e^{-z} form gives the limit -N (beta N^2 - 2 (N-1) phi) / (N-1)^2
+        ini = tmp_path / "v.ini"
+        ini.write_text("[market]\nn_platforms = 3\nbeta_b = 0.05\nbeta_s = 1.0\nu0_b = -6.0\n")
+        assert main(["verify", "--config", str(ini)]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+        doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert doc["passed"] is True and doc["deviation"]["certified"] is True
+        assert doc["soc_cne"]["closed_form_diag"][0] == pytest.approx(-0.3375, rel=1e-12)
+
+
 class TestFiguresCommand:
     def test_fig1_outputs(self, tmp_path, capsys):
         ini = tmp_path / "f.ini"

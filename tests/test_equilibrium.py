@@ -11,7 +11,9 @@ from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array,
                                      ce_foc_residual, cne_foc_residual, compare_regimes,
                                      consumer_surplus, mk_value, mkc_value, omega,
                                      solve_ce, solve_cne, solve_decoupled_batch)
-from platform_eq.model import EULER_GAMMA, MarketParams, Side, check_cne_existence
+from platform_eq.model import (EULER_GAMMA, MarketParams, Side, check_ce_existence,
+                               check_cne_existence)
+from platform_eq.regions import Verdict, classify_existence, classify_sign_z
 from platform_eq.statics import ift_derivatives
 
 
@@ -466,9 +468,10 @@ class TestCoupledNewtonStall:
 
 def _bits(result) -> str:
     """A stage-1 result with every float spelled exactly: repr round-trips
-    a double and tells -0.0 from 0.0; an error by its type, message and trace."""
+    a double and tells -0.0 from 0.0; an error by its type and message (a
+    SolverError carries nothing else)."""
     if isinstance(result, Exception):
-        return repr((type(result).__name__, str(result), getattr(result, "trace", ())))
+        return repr((type(result).__name__, str(result)))
     return repr(dataclasses.astuple(dataclasses.replace(result, params=None)))
 
 
@@ -489,6 +492,49 @@ def batch_markets(draw):
     return markets
 
 
+@st.composite
+def existence_markets(draw):
+    """Markets like `batch_markets` over N in {2, 3, 5, 61}, with beta down to
+    0.002 so that sides fall outside either regime's existence region at
+    every N (the collusive bound 8/(27 N) is under 0.005 at N = 61)."""
+    markets = []
+    for _ in range(draw(st.integers(2, 6))):
+        cross = draw(st.sampled_from([0.0, 0.05]))
+        markets.append(MarketParams(
+            draw(st.sampled_from([2, 3, 5, 61])),
+            (draw(st.floats(0.002, 3.0)), draw(st.floats(0.002, 3.0))),
+            ((draw(st.floats(-1.0, 2.0)), draw(st.floats(-cross, cross))),
+             (draw(st.floats(-cross, cross)), draw(st.floats(-1.0, 2.0)))),
+            (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))))
+    return markets
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(existence_markets())
+@example([MarketParams.uniform(2, 0.1, phi_own=1.0), MarketParams.uniform(3, 0.3, phi_own=1.0),
+          MarketParams(5, (0.2, 1.0), ((1.0, 0.0), (0.0, 0.1))),
+          MarketParams(61, (0.01, 0.004), ((1.0, 0.0), (0.0, 1.0))),
+          MarketParams(2, (0.4, 0.1), ((2.0, 0.03), (-0.02, 0.5)), (-1.0, 0.5))])
+def test_existence_warnings_name_the_failing_sides(markets):
+    # one existence predicate, three users: each stage-1 result warns on
+    # exactly the sides model's per-side check fails, and there the region
+    # classifiers never read Positive
+    both = equilibrium.solve_markets(("cne", "ce"), markets)
+    for regime, check, results in zip(("cne", "ce"), (check_cne_existence, check_ce_existence),
+                                      both):
+        for params, result in zip(markets, results):
+            fails = [side for side, ok in zip(Side, check(params)) if not ok]
+            for side in fails:
+                assert classify_existence(regime, params, side).verdict in (
+                    Verdict.NEGATIVE, Verdict.INDETERMINATE)
+                label = classify_sign_z(regime, params, side)
+                assert label.verdict is Verdict.INDETERMINATE
+                assert label.reason == "existence condition fails"
+            if not isinstance(result, Exception):
+                assert [w for w in result.warnings if "existence" in w] == [
+                    f"{regime} existence condition fails on side {side.label}" for side in fails]
+
+
 # finite inputs whose competitive FOC is NaN at the decoupled start: c = phi_bs
 # phi_sb overflows, so the share price reads -inf / -inf
 NAN_START = MarketParams(2, 1.0, ((0.1, 1e200), (1e200, 0.1)))
@@ -504,7 +550,7 @@ NAN_START = MarketParams(2, 1.0, ((0.1, 1e200), (1e200, 0.1)))
           NAN_START, MarketParams.uniform(2, 0.5, phi_own=0.2, phi_cross=-0.02, u0=1.0)])
 def test_batch_is_one_market_solves_bit_for_bit(markets):
     # one Newton, one assembly per N group, of one regime or of both: each
-    # market's result, error message and trace are those of its own
+    # market's result and error message are those of its own
     # one-market, one-regime solve.  The coupled-Newton stall keeps its
     # message beside healthy markets and beside a near copy that stalls at a
     # larger residual, so a step is accepted or halved on its own market's
@@ -530,7 +576,7 @@ def test_batch_is_one_market_solves_bit_for_bit(markets):
 
 # sha256 of the coupled stage-1 results and their implicit-function
 # derivatives on `_coupled_markets`, as the per-market damped Newton gave them
-PINNED_COUPLED = "3f3e51fdb03cca53ace690a9e623a4380bc8125db5ff6544593ab61d76f5d122"
+PINNED_COUPLED = "81ed178630d92cd58c7d72d646e51705f540562e0035ef462bc1baa991babdf8"
 
 
 def _coupled_markets():

@@ -501,6 +501,16 @@ class TestSecondOrderConditions:
         val = soc_cne_diag(eq.z.z_b, params, Side.BUYER)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -1.0])
+    def test_cne_diag_tends_to_its_limit_past_overflow(self, phi):
+        # e^{7z} overflows near z = 101.4; on both sides of it the ratio sits
+        # at its z -> inf limit -N (beta N^2 - 2 (N-1) phi) / (N-1)^2
+        n, beta = 3, 0.05
+        params = MarketParams.uniform(n, beta, phi_own=phi)
+        limit = -n * (beta * n * n - 2.0 * (n - 1) * phi) / (n - 1) ** 2
+        for z in (60.0, 101.0, 102.0, 118.5, 700.0, 1e4):
+            assert soc_cne_diag(z, params, Side.BUYER) == pytest.approx(limit, rel=1e-12)
+
     def test_ce_hessian_zero_phi_diagonal(self):
         eq = solve_ce(BASE)
         H, neg_def = soc_ce_hessian(eq.z, BASE)
