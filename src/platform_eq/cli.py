@@ -180,8 +180,6 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def _axis_values(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ConfigError("sweep step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(max(count, 1))]
 
@@ -281,6 +279,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
+def _finite_or_null(value):
+    """value with each non-finite float, at any depth, as None: JSON has no NaN."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.market
     tol = cfg.get("solve", "tol")
@@ -315,8 +322,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "refined": report.refined,
             "certified": certified,
             # below 1, one stage-2 fixed point at every searched price
-            "stage2_lipschitz": report.stage2_lipschitz
-            if np.isfinite(report.stage2_lipschitz) else None,
+            "stage2_lipschitz": report.stage2_lipschitz,
         },
         "soc_cne": {
             "closed_form_diag": list(soc_cne.cne_diag) if soc_cne.cne_diag else None,
@@ -331,7 +337,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "passed": bool(certified and soc_ok),
     }
     out_dir = cfg.get("output", "dir")
-    _emit(json.dumps(doc, indent=2) + "\n", out_dir, "verify.json")
+    _emit(json.dumps(_finite_or_null(doc), indent=2) + "\n", out_dir, "verify.json")
     if out_dir:
         rows = [[report.base_profit, report.best_gain,
                  report.best_deviation_prices[0], report.best_deviation_prices[1],

@@ -190,10 +190,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(f"missing required key {key!r} in section [{section}]")
                 values[section][key] = default
 
-    # sweep steps are positive (checked where the axis values are formed), so
-    # an n_platforms axis stays >= 2 if its rounded start does
+    # a positive step keeps an n_platforms axis >= 2 if its rounded start is
     sweep = values["sweep"]
-    for suffix in ("", "2"):
+    for suffix in ("", "2") if sweep["axis2"] else ("",):
+        if not sweep["step" + suffix] > 0:
+            raise ConfigError(f"[sweep] step{suffix} must be positive")
         if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
             raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
     grid = values["grid"]

@@ -9,15 +9,15 @@ decoupled scalar forms and the reported prices go through it; a decoupled
 side is one row that mirrors itself.  The literal matrices H and H^C live in
 the tests, as the reference it is checked against.
 
-One root-finder serves every decoupled solve: `solve_decoupled_batch`, a
-safeguarded Newton-bisection over arrays of markets on a bracket worked out
-from the inputs.  A cell ends as soon as its Newton step falls below rounding
-size, so a root met to the last bit is kept, not bisected away from.  One
-solver, `solve_markets`, runs it once per platform count over regimes x
-markets x sides; `solve_cne` and `solve_ce` are its one-market case.  A mask
-marks a batch's collusive columns, and every kernel takes each column's
-regime from it.  The existence condition is read once per batch, as a mask
-over columns x sides; only the sides it marks scan for every root.  With
+One root path serves every decoupled solve: `_roots` cuts each side's
+bracket, worked out from the inputs, into pieces and runs one safeguarded
+Newton-bisection over every piece of every side that changes sign.  A cell
+ends once its Newton step falls below rounding size, so a root met to the
+last bit is not bisected away from.  One solver, `solve_markets`, runs it
+once per platform count over regimes x markets x sides, one piece a side;
+`solve_cne` and `solve_ce` are its one-market case.  A mask marks a batch's
+collusive columns, and every kernel takes each column's regime from it.  The
+sides failing the existence mask take one more batch, at 600 pieces.  With
 nonzero cross-side externalities a damped Newton on the two-equation system
 starts from the decoupled root, over all such columns of the batch at once:
 one complex-step call gives every exact Jacobian and one stacked solve every
@@ -382,9 +382,9 @@ def _bracket(ce, beta, phi_kk, n, u0):
 
 
 def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
-    """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on 1-D
-    arrays of brackets whose ends `pos`/`neg` have positive/negative FOC
-    values, of the collusive FOC where the mask ce holds.
+    """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on cells
+    of equal 1-D arrays: brackets whose ends `pos`/`neg` (narrowed in place)
+    have positive/negative FOC values, of the collusive FOC where ce holds.
 
     A cell takes the Newton step with the analytic slope when it lands inside
     the bracket and is at most half the step before last, and bisects
@@ -397,9 +397,6 @@ def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
     pole, so a pole cell still ends beside it, with a large value the caller
     rejects.  Returns (z, FOC value at z).
     """
-    pos, neg = np.array(pos, dtype=float), np.array(neg, dtype=float)
-    ce, beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=t), pos.shape)
-                            for a, t in ((ce, bool), (beta, float), (phi_kk, float), (u0, float)))
     a = None if ce.all() else a_coefficients(beta, phi_kk, n)  # cne slope family, once
     z, fz = 0.5 * (pos + neg), np.full(pos.shape, np.nan)
     step = np.abs(pos - neg)
@@ -428,11 +425,32 @@ def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
     return z, fz
 
 
+def _roots(ce, beta, phi_kk, n, u0, pieces):
+    """Every root of the decoupled FOCs of 1-D arrays of sides, collusive
+    where ce holds, as (side, z), ascending within a side.  One `_rtsafe`
+    solves every one of each bracket's `pieces` equal pieces whose end values
+    are not NaN and differ in sign.  A root is kept where |FOC| <= 1e-6 (a
+    pole's value is not small); a side's roots closer than 1e-8 count once."""
+    zs = np.linspace(*_bracket(ce, beta, phi_kk, n, u0), pieces + 1)  # (pieces + 1, sides)
+    v = _decoupled_value(ce, zs, beta, phi_kk, n, u0)
+    a, b = v[:-1], v[1:]
+    side, i = np.nonzero((~np.isnan(a) & ~np.isnan(b) & ((a > 0) != (b > 0))).T)
+    up = a[i, side] > 0
+    left, right = zs[i, side], zs[i + 1, side]
+    z, fz = _rtsafe(ce[side], np.where(up, left, right), np.where(up, right, left),
+                    beta[side], phi_kk[side], n, u0[side])
+    keep = np.abs(fz) <= 1e-6
+    side, z = side[keep], z[keep]
+    first = np.ones(z.size, bool)
+    first[1:] = (side[1:] != side[:-1]) | (z[1:] - z[:-1] >= 1e-8)
+    return side[first], z[first]
+
+
 @_quiet
 def solve_decoupled_batch(regime, beta, phi_kk, n, u0):
-    """Roots of the decoupled FOCs over arrays of markets, by one safeguarded
-    Newton-bisection.  regime is "cne", "ce", or a boolean mask, broadcast
-    with the inputs, that holds on the collusive cells.
+    """Roots of the decoupled FOCs over arrays of markets: `_roots` with the
+    whole bracket as one piece.  regime is "cne", "ce", or a boolean mask,
+    broadcast with the inputs, that holds on the collusive cells.
 
     Returns z with NaN where the bracket never sign-changes or the solve lands
     on a pole instead of a root (possible outside the existence region).
@@ -441,27 +459,10 @@ def solve_decoupled_batch(regime, beta, phi_kk, n, u0):
     shape = np.broadcast_shapes(ce.shape, np.shape(beta), np.shape(phi_kk), np.shape(u0))
     ce, beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=t), shape).ravel()
                             for a, t in ((ce, bool), (beta, float), (phi_kk, float), (u0, float)))
-    ends = _bracket(ce, beta, phi_kk, n, u0)
-    (lo, hi), (v_lo, v_hi) = ends, _decoupled_value(ce, ends, beta, phi_kk, n, u0)
-    ok = (v_lo > 0) & (v_hi < 0)
-    z, fz = _rtsafe(ce[ok], lo[ok], hi[ok], beta[ok], phi_kk[ok], n, u0[ok])
+    side, z = _roots(ce, beta, phi_kk, n, u0, 1)
     out = np.full(beta.shape, np.nan)
-    out[ok] = np.where(np.abs(fz) <= 1e-6, z, np.nan)  # a pole's value is not small
+    out[side] = z
     return out.reshape(shape)
-
-
-def _scan_roots(ce, beta: float, phi_kk: float, n: float, u0: float) -> np.ndarray:
-    """Every root of one side's decoupled FOC, collusive if ce, at a sign
-    change of a 601-point scan of its bracket, solved as one batch; ascending."""
-    zs = np.linspace(*_bracket(ce, beta, phi_kk, n, u0), 601)
-    v = _decoupled_value(ce, zs, beta, phi_kk, n, u0)
-    a, b = v[:-1], v[1:]
-    i = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a > 0) != (b > 0)))
-    up = a[i] > 0
-    z, fz = _rtsafe(ce, np.where(up, zs[i], zs[i + 1]), np.where(up, zs[i + 1], zs[i]),
-                    beta, phi_kk, n, u0)
-    z = z[np.abs(fz) < 1e-8]
-    return z[np.r_[True, np.diff(z) >= 1e-8]] if z.size else z
 
 
 # --------------------------------------------------------------------------
@@ -580,11 +581,11 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
     :func:`solve_decoupled_batch` over columns x sides, then one existence
     mask over columns x sides, then one damped Newton on the two-equation
     system over every column with nonzero cross-side externalities, started
-    from its batched root, and one assembly of the equilibria.  Only a side
-    the mask marks takes work of its own: it scans its bracket for every root
-    and keeps the max-profit one.  Returns one list per regime holding, per
-    market, its SymmetricEquilibrium or its SolverError.  `n` evaluates every
-    market at one real-valued platform count.
+    from its batched root, and one assembly of the equilibria.  The sides
+    the mask marks take one more `_roots` batch, at 600 pieces a side, for
+    every root, and each keeps its max-profit one.  Returns one list per
+    regime holding, per market, its SymmetricEquilibrium or its SolverError.
+    `n` evaluates every market at one real-valued platform count.
     """
     m = len(markets)
     groups: dict[float, list[int]] = {}
@@ -599,19 +600,24 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
                                                        c.u0.T).T)
         regime = np.where(c.ce, "ce", "cne").tolist()
         bound = np.where(c.ce, ce_existence_bound(nk), cne_existence_bound(nk))
-        fails = np.argwhere(existence_fails(c.beta, c.own, bound).T).tolist()  # (column, side)
+        fails = np.argwhere(existence_fails(c.beta, c.own, bound).T)  # (column, side)
         warnings = [[] for _ in rows]
-        for j, k in fails:
+        for j, k in fails.tolist():
             warnings[j].append(f"{regime[j]} existence condition fails on side {Side(k).label}")
-        for j, k in fails:
-            # the FOC may turn non-monotone: keep the max-profit root of the scan
+        if fails.size:
+            # there the FOC may turn non-monotone: find every root, keep the max-profit one
+            j, k = fails.T
             beta, phi_kk, u0 = c.beta[k, j], c.own[k, j], c.u0[k, j]
-            roots = _scan_roots(c.ce[j], beta, phi_kk, nk, u0)
-            if roots.size > 1:
-                warnings[j].append(f"multiple FOC roots ({roots.size}); selected max-profit root")
-            if roots.size:
-                om = omega(roots, nk)
-                z[k, j] = roots[np.argmax((phi_kk * om - beta * roots - u0) * om)]
+            side, found = _roots(c.ce[j], beta, phi_kk, nk, u0, 600)
+            ends = np.searchsorted(side, np.arange(len(fails) + 1))
+            for f, (j, k) in enumerate(fails.tolist()):
+                roots = found[ends[f]:ends[f + 1]]
+                if roots.size > 1:
+                    warnings[j].append(f"multiple FOC roots ({roots.size}); "
+                                       "selected max-profit root")
+                if roots.size:
+                    om = omega(roots, nk)
+                    z[k, j] = roots[np.argmax((phi_kk[f] * om - beta[f] * roots - u0[f]) * om)]
         bad = np.isnan(z).any(axis=0)
         for j in np.flatnonzero(bad):
             out[rows[j]] = SolverError(f"no root in range for the decoupled {regime[j]} FOC")
@@ -644,8 +650,8 @@ def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) 
     :func:`solve_decoupled_batch`; that is the answer with zero cross-side
     externalities, and otherwise the start of a damped Newton on the full
     two-equation system.  Where a side fails the existence check its FOC may
-    have several roots: a scan of its bracket finds them all and the
-    max-profit root is kept.  A failed existence check downgrades to a
+    have several roots: its bracket, cut into 600 pieces, gives them all and
+    the max-profit root is kept.  A failed existence check downgrades to a
     warning on the result (region-boundary sweeps need values slightly outside
     the certified region).  `foc_residual` and `price_check` keep their
     absolute meaning and are evaluated in share space, without cancellation.

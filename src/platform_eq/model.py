@@ -212,7 +212,7 @@ def _polish(poly: Cubic, root: float, iters: int = 8) -> float:
 
 
 def solve_cubic_real(cubic: Cubic) -> list[float]:
-    """All distinct real roots of a degree-<=3 polynomial, ascending.
+    """All distinct real roots of a cubic, ascending.
 
     The three-real-root case uses the trigonometric branch of the
     depressed-cubic solution; the single-root case uses the radical form.
@@ -220,28 +220,11 @@ def solve_cubic_real(cubic: Cubic) -> list[float]:
     closed-form seeds, which restores the digits the radicals lose there.
 
     Raises:
-        ValueError: if every coefficient is zero ("degenerate polynomial").
+        ValueError: if c3 = 0 ("degenerate polynomial"); no threshold has.
     """
     c3, c2, c1, c0 = cubic.c3, cubic.c2, cubic.c1, cubic.c0
-    if c3 == 0.0 and c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
-        raise ValueError("degenerate polynomial")
     if c3 == 0.0:
-        if c2 == 0.0:
-            if c1 == 0.0:
-                return []  # nonzero constant: no roots
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        # stable quadratic formula
-        q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq * (1 if c2 > 0 else -1)
-        if q == 0.0:
-            roots = [0.0, 0.0] if c0 == 0.0 else [0.0]
-        else:
-            roots = [q / c2, c0 / q]
-        return _dedupe_sorted(cubic, roots)
-
+        raise ValueError(f"degenerate polynomial: {cubic} has no cubic term")
     b2, b1, b0 = c2 / c3, c1 / c3, c0 / c3
     shift = -b2 / 3.0
     t = b1 - b2 * b2 / 3.0
@@ -271,10 +254,10 @@ def solve_cubic_real(cubic: Cubic) -> list[float]:
         candidates.append(float(np.cbrt(-s / 2.0 + sq) + np.cbrt(-s / 2.0 - sq)) + shift)
 
     polished = [_polish(cubic, float(r)) for r in candidates]
-    return _dedupe_sorted(cubic, polished)
+    return _dedupe_sorted(polished)
 
 
-def _dedupe_sorted(poly, roots: list[float]) -> list[float]:
+def _dedupe_sorted(roots: list[float]) -> list[float]:
     roots = sorted(float(r) for r in roots)
     out: list[float] = []
     for r in roots:

@@ -160,8 +160,6 @@ def _cubic_root(kind: ThresholdKind, n: float, phi_kk: float) -> float:
         return 0.0
     cubic = builder(n, phi_kk)
     roots = solve_cubic_real(cubic)
-    if not roots:
-        raise ValueError(f"threshold undefined here: {kind.value} cubic has no real root")
     if which == "unique":
         if len(roots) == 1:
             return roots[0]

@@ -377,10 +377,12 @@ def soc_cne_diag(z: float, params: MarketParams, side: Side,
     return float(num / den)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def soc_ce_hessian(z: ZPoint | tuple, params: MarketParams,
                    n: float | None = None) -> tuple[np.ndarray, bool]:
     """Closed-form Hessian of total collusive profit in share space and its
-    negative-definiteness verdict via leading principal minors."""
+    negative-definiteness verdict via leading principal minors.  Far out in
+    z an exponential overflows: a -inf diagonal still reads negative."""
     n = float(params.n_platforms if n is None else n)
     zv = z.as_array() if isinstance(z, ZPoint) else np.asarray(z, dtype=float)
     beta = params.beta_arr

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platform_eq.cli as cli
 import platform_eq.equilibrium as equilibrium
@@ -128,6 +133,9 @@ INVALID_SETTINGS = {
     "tolerance_0": ("verify", "[verify]\ntolerance = 0\n", []),
     "perturb_price_inf": ("verify", "[verify]\nperturb_price = inf\n", []),
     "step_nan": ("sweep", "[sweep]\nstep = nan\n", []),
+    "step_0": ("sweep", "[sweep]\nstep = 0\n", []),
+    "step2_negative": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 0.5\nstop2 = 1\nstep2 = -1\n",
+                       []),
     "n_sweep_from_1": ("sweep", "[sweep]\naxis = n_platforms\nstart = 1\nstop = 3\nstep = 1\n",
                        []),
     "beta_sweep_leaves_domain": ("sweep", "[sweep]\naxis = beta\nstart = -0.5\nstop = 0.5\n"
@@ -457,12 +465,54 @@ class TestVerifyCommand:
         ini = tmp_path / "v.ini"
         ini.write_text("[market]\nn_platforms = 3\nbeta_b = 0.05\nbeta_s = 1.0\nu0_b = -6.0\n")
         assert main(["verify", "--config", str(ini)]) == 0
-
-        def no_constant(name):
-            raise ValueError(f"{name} is not JSON")
-        doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
         assert doc["passed"] is True and doc["deviation"]["certified"] is True
         assert doc["soc_cne"]["closed_form_diag"][0] == pytest.approx(-0.3375, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_negative_collusive_z_writes_null(self, tmp_path, capsys):
+        # z_ce,b ~ -1000.9: e^{-z} overflows in the closed-form collusive
+        # Hessian, whose -inf diagonal still reads negative; JSON has no
+        # spelling for -inf, so verify.json holds null there
+        ini = tmp_path / "v.ini"
+        ini.write_text("[market]\nn_platforms = 3\nbeta_b = 0.01\nbeta_s = 1.0\n"
+                       "phi_bs = 0.01\nu0_b = 10\n")
+        assert main(["verify", "--config", str(ini)]) == 3
+        doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        hessian = doc["soc_ce"]["closed_form_hessian"]
+        assert hessian[0][0] is None and hessian[1][1] < 0
+        assert doc["soc_ce"]["closed_form_negative_definite"] is True
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(n=st.sampled_from([2, 3, 5, 61, 5000]),
+           beta=st.tuples(*[st.floats(-4.0, 0.5).map(lambda e: 10.0 ** e)] * 2),
+           own=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+           cross=st.tuples(*[st.sampled_from([0.0, 0.01, -0.05])] * 2),
+           u0=st.tuples(*[st.floats(-700.0, 700.0)] * 2))
+    def test_verify_writes_valid_json_on_wide_markets(self, n, beta, own, cross, u0):
+        # exit 0 or 3 with JSON that spells no NaN or Infinity, or exit 2 with
+        # a solver failure
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = os.path.join(tmp, "v.ini")
+            with open(ini, "w") as fh:
+                fh.write(f"[market]\nn_platforms = {n}\nbeta_b = {beta[0]!r}\n"
+                         f"beta_s = {beta[1]!r}\nphi_bb = {own[0]!r}\nphi_ss = {own[1]!r}\n"
+                         f"phi_bs = {cross[0]!r}\nphi_sb = {cross[1]!r}\n"
+                         f"u0_b = {u0[0]!r}\nu0_s = {u0[1]!r}\n\n[verify]\ngrid_n = 11\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", "--config", ini])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("solver failure: ") and not out.getvalue()
+        else:
+            doc = json.loads(out.getvalue(), parse_constant=_no_constant)
+            assert doc["passed"] is (code == 0)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestFiguresCommand:

@@ -5,14 +5,21 @@ Markets reach |u0| <= 1e3, N from 2 to 1e4, beta from just above the
 competitive existence bound and |cross| <= 0.05.  Every solve must either
 return finite prices whose residuals meet the 1e-10 gate or raise
 SolverError; a silent bad number fails.  verify_nash must report on every
-competitive point that solves.  Examples are derandomized so the suite is
-deterministic.
+competitive point that solves.  A CLI sweep, with beta also below the bound,
+writes no nan or inf cell in a row without an error or a warning.  Examples
+are derandomized so the suite is deterministic.
 """
+
+import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platform_eq.cli import main
 from platform_eq.equilibrium import (SolverError, mk_value, mkc_value, solve_ce, solve_cne,
                                      solve_decoupled_batch)
 from platform_eq.model import MarketParams, cne_existence_bound
@@ -74,3 +81,37 @@ def test_verify_nash_always_returns(params):
         return
     report = verify_nash(params, eq, grid_n=11)
     assert np.isfinite(report.best_gain) and report.best_gain >= -1e-12, report
+
+
+@st.composite
+def sweep_markets(draw):
+    """[market] text for markets on either side of the existence bound: N up
+    to 5000, beta from 1e-4, |u0| up to 1e3, coupled or not."""
+    cross = draw(st.sampled_from([0.0, 0.05]))
+    keys = {"n_platforms": draw(st.integers(2, 5000))}
+    for k in "bs":
+        keys[f"beta_{k}"] = 10.0 ** draw(st.floats(-4.0, 0.5))
+        keys[f"phi_{k}{k}"] = draw(st.floats(-1.0, 1.0))
+        keys[f"u0_{k}"] = draw(st.floats(-1e3, 1e3))
+    keys["phi_bs"], keys["phi_sb"] = draw(st.floats(-cross, cross)), draw(st.floats(-cross, cross))
+    return "[market]\n" + "".join(f"{k} = {v!r}\n" for k, v in keys.items())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(sweep_markets())
+def test_no_silent_nonfinite_sweep_cell(market):
+    # a two-point sweep with derivatives, both regimes: a nan or inf cell
+    # appears only in a row that carries an error or a warning
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "s.ini")
+        with open(ini, "w") as fh:
+            fh.write(market + "\n[sweep]\naxis = u0_s\nstart = 0\nstop = 1\nstep = 1\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["sweep", "--config", ini]) == 0
+    header, *rows = [line.split(",") for line in out.getvalue().splitlines()
+                     if not line.startswith("#")]
+    assert len(rows) == 4 and all(len(r) == len(header) for r in rows)
+    for row in map(dict, (zip(header, r) for r in rows)):
+        if not (row["error"] or row["warnings"]):
+            assert not [k for k, v in row.items() if v in ("nan", "inf", "-inf")], row

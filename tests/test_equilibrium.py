@@ -11,8 +11,8 @@ from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array,
                                      ce_foc_residual, cne_foc_residual, compare_regimes,
                                      consumer_surplus, mk_value, mkc_value, omega,
                                      solve_ce, solve_cne, solve_decoupled_batch)
-from platform_eq.model import (EULER_GAMMA, MarketParams, Side, check_ce_existence,
-                               check_cne_existence)
+from platform_eq.model import (EULER_GAMMA, MarketParams, Side, ce_existence_bound,
+                               check_ce_existence, check_cne_existence, cne_existence_bound)
 from platform_eq.regions import Verdict, classify_existence, classify_sign_z
 from platform_eq.statics import ift_derivatives
 
@@ -533,6 +533,47 @@ def test_existence_warnings_name_the_failing_sides(markets):
             if not isinstance(result, Exception):
                 assert [w for w in result.warnings if "existence" in w] == [
                     f"{regime} existence condition fails on side {side.label}" for side in fails]
+
+
+@st.composite
+def decoupled_sides(draw):
+    """2 to 8 decoupled sides at one N in {2, 3, 5, 61}, each of either
+    regime, near or outside its existence region: beta from 0.002 to 3.2,
+    phi_kk at 0.3 to 3 times the limit beta / bound, u0 within 3 phi_kk."""
+    n = draw(st.sampled_from([2, 3, 5, 61]))
+    sides = []
+    for _ in range(draw(st.integers(2, 8))):
+        ce = draw(st.booleans())
+        beta = draw(st.floats(0.002, 3.2))
+        phi = beta / (ce_existence_bound(n) if ce else cne_existence_bound(n)) * draw(
+            st.floats(0.3, 3.0))
+        sides.append((ce, beta, phi, draw(st.floats(-3.0, 3.0)) * phi))
+    ce, beta, phi, u0 = (np.array(a) for a in zip(*sides))
+    return ce, beta, phi, float(n), u0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(decoupled_sides())
+@example((np.array([False, False]), np.array([0.03347, 0.04514]),
+          np.array([0.19085, 0.27047]), 2.0, np.array([0.53206, -0.52382])))
+def test_roots_batch_is_per_side(sides):
+    # every side of one batch gets the bits it gets alone, at one piece and
+    # at the 600 of the existence fallback; the one-piece batch, scattered
+    # onto its sides, is solve_decoupled_batch
+    ce, beta, phi, n, u0 = sides
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for pieces in (1, 600):
+            side, z = equilibrium._roots(ce, beta, phi, n, u0, pieces)
+            for i in range(ce.size):
+                cut = slice(i, i + 1)
+                alone, z_i = equilibrium._roots(ce[cut], beta[cut], phi[cut], n, u0[cut], pieces)
+                assert not alone.any() and z[side == i].tobytes() == z_i.tobytes()
+                assert np.all(np.diff(z_i) >= 1e-8)
+            if pieces == 1:
+                assert np.all(np.bincount(side, minlength=ce.size) <= 1)
+                scattered = np.full(ce.size, np.nan)
+                scattered[side] = z
+    assert solve_decoupled_batch(ce, beta, phi, n, u0).tobytes() == scattered.tobytes()
 
 
 # finite inputs whose competitive FOC is NaN at the decoupled start: c = phi_bs

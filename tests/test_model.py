@@ -80,15 +80,12 @@ class TestCubic:
         roots = solve_cubic_real(Cubic(1, -4, 5, -2))  # (x-1)^2 (x-2)
         assert roots == pytest.approx([1.0, 2.0], abs=1e-6)
 
-    def test_lower_degrees(self):
-        assert solve_cubic_real(Cubic(0, 1, -3, 2)) == pytest.approx([1.0, 2.0])
-        assert solve_cubic_real(Cubic(0, 0, 2, -4)) == pytest.approx([2.0])
-        assert solve_cubic_real(Cubic(0, 1, 0, 1)) == []  # x^2 + 1
-        assert solve_cubic_real(Cubic(0, 0, 0, 5)) == []  # nonzero constant
-
     def test_degenerate_raises(self):
-        with pytest.raises(ValueError, match="degenerate polynomial"):
-            solve_cubic_real(Cubic(0, 0, 0, 0))
+        # only cubics: a quadratic, linear or constant polynomial is refused
+        for coefficients in ((0, 1, -3, 2), (0, 0, 2, -4), (0, 1, 0, 1), (0, 0, 0, 5),
+                             (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="degenerate polynomial"):
+                solve_cubic_real(Cubic(*coefficients))
 
 
 class TestExistence:

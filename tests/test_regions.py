@@ -417,7 +417,8 @@ def test_scalar_classifiers_match_grid(classifier, n, u0, resolution, seed):
 def test_undefined_cubic_threshold_raises_and_reads_error(monkeypatch, tmp_path, capsys):
     """Where a cubic threshold has no root the one-cell call raises naming it,
     the grid cell is Indeterminate with margin inf and the sweep writes error."""
-    # a nonzero constant polynomial has no root: f_p is undefined at every phi
+    # solve_cubic_real refuses a constant polynomial as degenerate: f_p is
+    # undefined at every phi
     monkeypatch.setitem(regions._CUBIC_KINDS, ThresholdKind.F_P,
                         (lambda n, phi: Cubic(0.0, 0.0, 0.0, 1.0), "unique"))
     # phi > 0 and f(4) phi < beta < phi: the price/N list reaches its f_p band
