@@ -11,18 +11,18 @@ the tests, as the reference it is checked against.
 
 One root path serves every decoupled solve: `_roots` cuts each side's
 bracket, worked out from the inputs, into pieces and runs one safeguarded
-Newton-bisection over every piece of every side that changes sign.  A cell
+Newton-bisection over every piece of every side that changes sign, each
+iteration one value-and-slope pass over the compacted live cells.  A cell
 ends once its Newton step falls below rounding size, so a root met to the
-last bit is not bisected away from.  One solver, `solve_markets`, runs it
-once per platform count over regimes x markets x sides, one piece a side;
-`solve_cne` and `solve_ce` are its one-market case.  A mask marks a batch's
-collusive columns, and every kernel takes each column's regime from it.  The
-sides failing the existence mask take one more batch, at 600 pieces.  With
-nonzero cross-side externalities a damped Newton on the two-equation system
-starts from the decoupled root, over all such columns of the batch at once:
-one complex-step call gives every exact Jacobian and one stacked solve every
-step.  The equilibria are then assembled over columns.  Only the public
-entry points enter an errstate.
+last bit is not bisected away from.  `solve_markets` runs it once per
+platform count over regimes x markets x sides, one piece a side (`solve_cne`
+and `solve_ce` are its one-market case), a mask marking the collusive
+columns; the sides failing the existence mask take one more batch, at 600
+pieces.  With nonzero cross-side externalities a damped Newton on the
+two-equation system starts from the decoupled root, over the compacted live
+columns: one complex-step call gives every exact Jacobian and one stacked
+solve every step.  The equilibria are then assembled over columns.  Only
+the public entry points enter an errstate.
 All formulas accept a real-valued platform count so that derivatives with
 respect to N can be validated by central differences.
 """
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._families import a_coefficients, eval_series
+from ._families import a_coefficients
 from .model import (EULER_GAMMA, MarketParams, Side, ce_existence_bound, cne_existence_bound,
                     existence_fails)
 
@@ -159,10 +159,9 @@ def _shares(z, n):
 
 def _pick(ce, collusive, competitive):
     """collusive() where the mask ce holds, competitive() elsewhere, each only if needed."""
-    if ce.all():
-        return collusive()
-    if not ce.any():
-        return competitive()
+    k = np.count_nonzero(ce)  # one cheap count instead of all() and any()
+    if k in (0, ce.size):
+        return collusive() if k == ce.size else competitive()
     return np.where(ce, collusive(), competitive())
 
 
@@ -266,13 +265,13 @@ def _phi_times(phi, x):
 
 
 def _complex_partials(c: _Columns, z: np.ndarray, n: float, dz: np.ndarray,
-                      dn: np.ndarray, foc_only: bool = False) -> np.ndarray:
+                      dn: np.ndarray | None = None, foc_only: bool = False) -> np.ndarray:
     """Directional partials of the FOC residual F, the price p, the profit
     p omega, the consumer surplus, the participation N omega and z itself,
     each (buyer, seller), stacked in that order on axis 0, at every column
     of z (2, cells).  Direction j moves (z_b, z_s, N) along (dz[:, j], dn[j])
     and is the last axis of the result, of shape (12, cells, directions);
-    foc_only keeps F's two rows and forms nothing else.
+    no N step without dn.  foc_only keeps F's two rows and forms nothing else.
 
     One complex step through the share-space price: the shares omega and o
     move along their exact tangents omega_z = omega o, o_z = -N omega o,
@@ -281,9 +280,10 @@ def _complex_partials(c: _Columns, z: np.ndarray, n: float, dz: np.ndarray,
     """
     om, o = (a[..., None] for a in _shares(z, n))
     h, dz = COMPLEX_STEP, dz[:, None]
-    zc, nc = z[..., None] + 1j * h * dz, n + 1j * h * dn
-    omc = om + 1j * h * om * (o * dz - om * dn)
-    oc = o - 1j * h * om * o * (n * dz + dn)
+    nc, tz, tn = n, o * dz, n * dz  # without dn: no N + 0j, no exact-zero dn terms
+    if dn is not None:
+        nc, tz, tn = n + 1j * h * dn, tz - om * dn, tn + dn
+    zc, omc, oc = z[..., None] + 1j * h * dz, om + 1j * h * om * tz, o - 1j * h * om * o * tn
     beta = c.beta[..., None]
     p = _share_price(c.ce[:, None], omc, oc, beta, c.own[..., None], c.lk[..., None], nc)
     F = _phi_times(c.phis, omc) - p - c.u0[..., None] - beta * zc
@@ -298,16 +298,29 @@ def _complex_partials(c: _Columns, z: np.ndarray, n: float, dz: np.ndarray,
 # --------------------------------------------------------------------------
 
 def _decoupled_value(ce, z, beta, phi_kk, n, u0):
-    """Row k of the FOC residual with zero cross externalities, of the
-    collusive regime where the mask ce holds.  That row does not depend on
-    side l, so side l mirrors side k."""
+    """Row k of the FOC residual with zero cross terms, collusive where ce holds."""
     scalar = all(np.ndim(a) == 0 for a in (z, beta, phi_kk, u0))
-    z, b, f, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, beta, phi_kk, u0)))
-    # one side row, which is its own mirror, with zero cross coefficients
-    om, o = _shares(z[None], n)
-    p = _share_price(np.asarray(ce), om, o, b[None], f[None], np.zeros((1,) * om.ndim), n)[0]
-    out = f * om[0] - p - u - b * z
+    z, b, f, u = (np.asarray(a, dtype=float) for a in (z, beta, phi_kk, u0))
+    out = _row_value(np.asarray(ce), z, *_shares(z[None], n), b, f, n, u)
     return float(out) if scalar else out
+
+
+def _row_value(ce, z, om, o, beta, phi_kk, n, u0):
+    """`_decoupled_value` from the shares om, o at z, given as one side row that mirrors itself."""
+    p = _share_price(ce, om, o, beta[None], phi_kk[None], np.zeros((1,) * om.ndim), n)
+    return phi_kk * om[0] - p[0] - u0 - beta * z
+
+
+def _slope(ce, z, om, o, beta, phi_kk, n, a):
+    """dM_k/dz: collusive from the shares om, o where ce holds, else from the slope
+    family a at z capped to SLOPE_Z_CAP (e^z finite, so Horner starts at the top)."""
+    def competitive():
+        x = np.exp(np.minimum(z, SLOPE_Z_CAP))
+        num = a[..., -1]
+        for i in range(a.shape[-1] - 2, -1, -1):
+            num = num * x + a[..., i]
+        return -num / _slope_denominator(x, beta, phi_kk, n)
+    return _pick(ce, lambda: 2.0 * phi_kk * om * o - beta / o, competitive)
 
 
 @_quiet
@@ -320,9 +333,8 @@ def mk_value(z, beta, phi_kk, n, u0):
 def mk_slope(z, beta, phi_kk, n, a=None):
     """dM_k/dz via the slope coefficient family a = a_coefficients(beta, phi_kk, n),
     built here unless given; strictly negative in the existence region."""
-    a = a_coefficients(beta, phi_kk, n) if a is None else a
-    z = np.minimum(np.asarray(z, dtype=float), SLOPE_Z_CAP)
-    out = -eval_series(a, 0, z) / _slope_denominator(np.exp(z), beta, phi_kk, n)
+    out = _slope(np.False_, np.asarray(z, dtype=float), None, None, beta, phi_kk, n,
+                 a_coefficients(beta, phi_kk, n) if a is None else a)
     return out if out.ndim else float(out)
 
 
@@ -330,7 +342,8 @@ def _slope_denominator(ez, beta, phi_kk, n):
     """The denominator of `mk_slope` at e^z.  On a float e^z both squares
     are scalar powers, which differ from an array's squares in the last bit
     for some inputs; the columnar closed forms call it per cell for that."""
-    return (1.0 + n * ez) ** 2 * (beta * (1.0 + (n - 1.0) * ez) * (1.0 + n * ez) - ez * phi_kk) ** 2
+    t = 1.0 + n * ez
+    return t ** 2 * (beta * (1.0 + (n - 1.0) * ez) * t - ez * phi_kk) ** 2
 
 
 @_quiet
@@ -342,8 +355,8 @@ def mkc_value(z, beta, phi_kk, n, u0):
 @_quiet
 def mkc_slope(z, beta, phi_kk, n):
     """dM_k^C/dz = 2 phi omega o - beta / o, from omega' = omega o."""
-    om, o = _shares(np.asarray(z, dtype=float), n)
-    out = 2.0 * phi_kk * om * o - beta / o
+    z = np.asarray(z, dtype=float)
+    out = _slope(np.True_, z, *_shares(z, n), beta, phi_kk, n, None)
     return out if np.ndim(out) else float(out)
 
 
@@ -383,45 +396,48 @@ def _bracket(ce, beta, phi_kk, n, u0):
 
 def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
     """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on cells
-    of equal 1-D arrays: brackets whose ends `pos`/`neg` (narrowed in place)
-    have positive/negative FOC values, of the collusive FOC where ce holds.
+    of equal 1-D arrays: brackets whose ends `pos`/`neg` have positive/negative
+    FOC values, of the collusive FOC where ce holds.  Each iteration forms
+    the shares once, and from them value and slope, over the live cells only:
+    the per-cell arrays are compacted as cells end, each written out once.
 
     A cell takes the Newton step with the analytic slope when it lands inside
     the bracket and is at most half the step before last, and bisects
     otherwise.  A non-finite value (a pole) counts as negative.  A cell ends
     once its Newton step falls to rounding size, |f/f'| <= 4e-16 max(1, |z|),
-    whether or not that step lands inside the bracket: on the root a sub-ulp
-    step rounds back to z itself, and bisecting from there would only walk
-    back to the same z.  It also ends when its bisection step is that small
-    or its value is exactly zero.  Near a pole the Newton step points at the
-    pole, so a pole cell still ends beside it, with a large value the caller
-    rejects.  Returns (z, FOC value at z).
-    """
+    even outside the bracket: on the root a sub-ulp step rounds back to z,
+    and bisecting would only walk back to it.  It also ends when its
+    bisection step is that small or its value is exactly zero.  A pole cell
+    ends beside the pole its Newton step points at, with a large value the
+    caller rejects.  Returns (z, FOC value at z)."""
     a = None if ce.all() else a_coefficients(beta, phi_kk, n)  # cne slope family, once
-    z, fz = 0.5 * (pos + neg), np.full(pos.shape, np.nan)
-    step = np.abs(pos - neg)
-    step_old = step.copy()
-    act = np.arange(z.size)
+    z, fz = np.full(pos.shape, np.nan), np.full(pos.shape, np.nan)
+    x, cells = 0.5 * (pos + neg), np.arange(pos.size)
+    step = step_old = np.abs(pos - neg)
     for _ in range(200):  # enough for bisection alone on a bracket up to ~1e40 wide
-        if not act.size:
+        if not cells.size:
             break
-        x, b, f, u, c = z[act], beta[act], phi_kk[act], u0[act], ce[act]
-        fx = _decoupled_value(c, x, b, f, n, u)
-        dfx = _pick(c, lambda: mkc_slope(x, b, f, n), lambda: mk_slope(x, b, f, n, a))
+        om, o = _shares(x[None], n)
+        fx = _row_value(ce, x, om, o, beta, phi_kk, n, u0)
+        newton = fx / _slope(ce, x, om[0], o[0], beta, phi_kk, n, a)
         up = fx > 0
-        p, q = np.where(up, x, pos[act]), np.where(up, neg[act], x)
-        pos[act], neg[act], fz[act] = p, q, fx
-        newton = fx / dfx
-        use = ((x - newton - p) * (x - newton - q) < 0) & (2.0 * np.abs(newton) <= step_old[act])
-        delta = np.where(use, newton, x - 0.5 * (p + q))
-        step_old[act] = step[act]
-        step[act] = np.abs(delta)
+        pos, neg = np.where(up, x, pos), np.where(up, neg, x)
+        xn, size = x - newton, np.abs(newton)
+        use = ((xn - pos) * (xn - neg) < 0) & (2.0 * size <= step_old)
+        delta = np.where(use, newton, x - 0.5 * (pos + neg))
+        step_old, step = step, np.abs(delta)
         floor = 4e-16 * np.maximum(1.0, np.abs(x))
-        done = (np.abs(newton) <= floor) | (np.abs(delta) <= floor) | (fx == 0)
-        z[act] = np.where(done, x, x - delta)
-        act = act[~done]
-        if a is not None:
-            a = a[~done]  # keep the rows of the live cells, in the order of act
+        done = (size <= floor) | (step <= floor) | (fx == 0)
+        if np.count_nonzero(done):
+            z[cells[done]], fz[cells[done]] = x[done], fx[done]
+            live = ~done
+            cells, x, delta, fx, pos, neg, step, step_old, ce, beta, phi_kk, u0 = (
+                v[live] for v in (cells, x, delta, fx, pos, neg, step, step_old, ce, beta,
+                                  phi_kk, u0))
+            a = None if a is None else a[live]
+        x = x - delta
+    else:
+        z[cells], fz[cells] = x, fx
     return z, fz
 
 
@@ -460,9 +476,9 @@ def solve_decoupled_batch(regime, beta, phi_kk, n, u0):
     ce, beta, phi_kk, u0 = (np.broadcast_to(np.asarray(a, dtype=t), shape).ravel()
                             for a, t in ((ce, bool), (beta, float), (phi_kk, float), (u0, float)))
     side, z = _roots(ce, beta, phi_kk, n, u0, 1)
-    out = np.full(beta.shape, np.nan)
-    out[side] = z
-    return out.reshape(shape)
+    out = np.full(shape, np.nan)
+    out.flat[side] = z
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -483,48 +499,47 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
             max_iter: int = 80) -> tuple[np.ndarray, dict[int, SolverError]]:
     """Damped Newton on the two-equation FOC of each column's regime at every
-    column of z (2, cells), with the exact Jacobians F_z of `_complex_partials`.
-    Each column has its own residual and up to 100 step halvings; one
-    complex-step call and one stacked solve serve all live columns per
-    iteration.  Returns z and, per column that failed, its SolverError."""
+    column of z (2, cells), with the exact Jacobians F_z of `_complex_partials`;
+    each column has its own residual and up to 100 step halvings.  One
+    complex-step call, one stacked solve and each halving serve all live
+    columns, compacted as some leave.  Returns z and the failed columns' errors."""
     z = np.array(z, dtype=float)
-    F = _foc(c, z, n)
+    zl, live, failed = z.copy(), np.arange(z.shape[1]), {}
+    F = _foc(c, zl, n)
     err = np.max(np.abs(F), axis=0)
-    live = np.arange(z.shape[1])
-    failed = {}
+    stay = ~(err <= tol)  # a NaN residual has not converged
     for _ in range(max_iter):
-        live = live[~(err[live] <= tol)]  # a NaN residual has not converged
-        if not live.size:
-            break
-        cl, zl, e = c.take(live), z[:, live], err[live]
-        J = _complex_partials(cl, zl, n, np.eye(2), np.zeros(2), foc_only=True).transpose(1, 0, 2)
-        step, drop = _solve_steps(J, F[:, live])
-        for j in np.flatnonzero(drop):
+        if not stay.all():
+            z[:, live] = zl
+            if not stay.any():
+                return z, failed
+            c, zl, F, err, live = c.take(stay), zl[:, stay], F[:, stay], err[stay], live[stay]
+        J = _complex_partials(c, zl, n, np.eye(2), foc_only=True).transpose(1, 0, 2)
+        step, singular = _solve_steps(J, F)
+        for j in np.flatnonzero(singular):
             failed[live[j]] = SolverError("singular Jacobian in coupled Newton")
-        lam = np.ones(live.size)
-        todo = np.flatnonzero(~drop)
+        lam, todo = np.ones(live.size), ~singular
         for _ in range(100):
-            if not todo.size:
+            if not todo.any():
                 break
-            zt = zl[:, todo] - lam[todo] * step[:, todo]
-            Ft = _foc(cl.take(todo), zt, n)
+            zt = zl - lam * step
+            Ft = _foc(c, zt, n)
             et = np.max(np.abs(Ft), axis=0)
-            ok = np.isfinite(Ft).all(axis=0) & (et < e[todo])
-            cols = live[todo[ok]]
-            z[:, cols], F[:, cols], err[cols] = zt[:, ok], Ft[:, ok], et[ok]
-            todo = todo[~ok]
+            ok = todo & np.isfinite(Ft).all(axis=0) & (et < err)
+            zl[:, ok], F[:, ok], err[ok] = zt[:, ok], Ft[:, ok], et[ok]
+            todo &= ~ok
             lam[todo] *= 0.5
-        for j in todo:
+        for j in np.flatnonzero(todo):
             a, b = J[j, 0, 0] * J[j, 1, 1], J[j, 0, 1] * J[j, 1, 0]
             rel_det = (a - b) / (abs(a) + abs(b))
             why = ("near-singular Jacobian" if abs(rel_det) <= NEAR_SINGULAR
                    else "line search exhausted")
             failed[live[j]] = SolverError(f"coupled Newton stalled ({why}): relative determinant "
-                                          f"{rel_det:.2e} at residual {e[j]:.2e}")
-        drop[todo] = True
-        live = live[~drop]
-    for col in live[~(err[live] <= tol)]:
-        failed[col] = SolverError("coupled Newton did not reach tolerance")
+                                          f"{rel_det:.2e} at residual {err[j]:.2e}")
+        stay = ~(singular | todo | (err <= tol))
+    z[:, live] = zl
+    for j in np.flatnonzero(stay):
+        failed[live[j]] = SolverError("coupled Newton did not reach tolerance")
     return z, failed
 
 
@@ -598,7 +613,7 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
         c = _Columns.of(group, [regimes[i // m] == "ce" for i in rows])
         z = np.ascontiguousarray(solve_decoupled_batch(c.ce[:, None], c.beta.T, c.own.T, nk,
                                                        c.u0.T).T)
-        regime = np.where(c.ce, "ce", "cne").tolist()
+        regime = ["ce" if ce else "cne" for ce in c.ce.tolist()]
         bound = np.where(c.ce, ce_existence_bound(nk), cne_existence_bound(nk))
         fails = np.argwhere(existence_fails(c.beta, c.own, bound).T)  # (column, side)
         warnings = [[] for _ in rows]
@@ -623,14 +638,14 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
             out[rows[j]] = SolverError(f"no root in range for the decoupled {regime[j]} FOC")
         coupled = np.flatnonzero(~bad & c.lk.any(axis=0))
         if coupled.size:
-            z[:, coupled], failed = _newton(c.take(coupled), nk, z[:, coupled],
-                                            tol=min(tol, 1e-12))
+            z[:, coupled], failed = _newton(c.take(coupled) if coupled.size < len(rows) else c,
+                                            nk, z[:, coupled], tol=min(tol, 1e-12))
             for col, exc in failed.items():
                 out[rows[coupled[col]]] = exc
                 bad[coupled[col]] = True
         ok = np.flatnonzero(~bad)
-        eqs = _assemble([group[j] for j in ok], c.take(ok), z[:, ok], nk,
-                        [warnings[j] for j in ok])
+        eqs = _assemble([group[j] for j in ok], c.take(ok) if ok.size < len(rows) else c,
+                        z[:, ok], nk, [warnings[j] for j in ok])
         for j, eq in zip(ok, eqs):
             out[rows[j]] = eq
     return [out[r * m:(r + 1) * m] for r in range(len(regimes))]
@@ -644,18 +659,10 @@ def _one(result):
 
 
 def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
-    """Solve the symmetric competitive equilibrium.
-
-    Both sides' decoupled FOCs are solved as one batch of
-    :func:`solve_decoupled_batch`; that is the answer with zero cross-side
-    externalities, and otherwise the start of a damped Newton on the full
-    two-equation system.  Where a side fails the existence check its FOC may
-    have several roots: its bracket, cut into 600 pieces, gives them all and
-    the max-profit root is kept.  A failed existence check downgrades to a
-    warning on the result (region-boundary sweeps need values slightly outside
-    the certified region).  `foc_residual` and `price_check` keep their
-    absolute meaning and are evaluated in share space, without cancellation.
-    """
+    """Solve the symmetric competitive equilibrium: :func:`solve_markets` on
+    one market, its SolverError raised.  A failed existence check downgrades
+    to a warning on the result (region-boundary sweeps need values slightly
+    outside the certified region)."""
     return _one(solve_markets(("cne",), [params], tol, n)[0][0])
 
 
@@ -668,18 +675,11 @@ def compare_regimes(params: MarketParams, tol: float = 1e-10) -> RegimeCompariso
     """Solve both regimes in one stage-1 batch and decompose the
     collusion-minus-competition price gap; a cne failure is raised first."""
     cne, ce = (_one(results[0]) for results in solve_markets(("cne", "ce"), [params], tol))
-    z_star = cne.z.as_array()
-    z_c = ce.z.as_array()
-    x_star = np.array(cne.shares)
-    x_c = np.array(ce.shares)
-    ext_term = params.phi_arr @ (x_c - x_star)
-    util_term = params.beta_arr * (z_star - z_c)
+    dz = cne.z.as_array() - ce.z.as_array()
+    ext_term = params.phi_arr @ (np.array(ce.shares) - np.array(cne.shares))
     return RegimeComparison(
-        cne=cne,
-        ce=ce,
-        dz=tuple(z_star - z_c),
+        cne=cne, ce=ce, dz=tuple(dz),
         d_participation=tuple(np.array(cne.participation) - np.array(ce.participation)),
         d_price=tuple(np.array(cne.prices) - np.array(ce.prices)),
-        decomposition_externality=(float(ext_term[0]), float(ext_term[1])),
-        decomposition_utility=(float(util_term[0]), float(util_term[1])),
-    )
+        decomposition_externality=tuple(map(float, ext_term)),
+        decomposition_utility=tuple(map(float, params.beta_arr * dz)))

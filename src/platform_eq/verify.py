@@ -409,10 +409,14 @@ def soc_report(params: MarketParams, eq: SymmetricEquilibrium) -> SOCReport:
 def soc_from_hessian(params: MarketParams, eq: SymmetricEquilibrium, numeric) -> SOCReport:
     """soc_report at eq with the exact price Hessian of its regime's objective
     already in hand, such as a DeviationReport's base_hessian for a competitive
-    point verified at its own prices."""
+    point verified at its own prices.  Negative definiteness is judged on the
+    prices whose row and column are not identically zero: a side with no
+    participation leaves the profit flat in its price (an all-zero Hessian
+    is not negative definite)."""
     numeric = np.array(numeric, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (numeric + numeric.T))
-    numeric_nd = bool(np.all(eigs < 0))
+    live = (numeric != 0).any(axis=0) | (numeric != 0).any(axis=1)
+    sub = numeric[np.ix_(live, live)]
+    numeric_nd = bool(live.any() and np.all(np.linalg.eigvalsh(0.5 * (sub + sub.T)) < 0))
     cne_diag = None
     ce_hess = None
     closed_ok = None

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 import platform_eq.equilibrium as equilibrium
 from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array,
                                      ce_foc_residual, cne_foc_residual, compare_regimes,
-                                     consumer_surplus, mk_value, mkc_value, omega,
-                                     solve_ce, solve_cne, solve_decoupled_batch)
+                                     consumer_surplus, mk_slope, mk_value, mkc_slope,
+                                     mkc_value, omega, solve_ce, solve_cne,
+                                     solve_decoupled_batch)
 from platform_eq.model import (EULER_GAMMA, MarketParams, Side, ce_existence_bound,
                                check_ce_existence, check_cne_existence, cne_existence_bound)
 from platform_eq.regions import Verdict, classify_existence, classify_sign_z
@@ -574,6 +576,80 @@ def test_roots_batch_is_per_side(sides):
                 scattered = np.full(ce.size, np.nan)
                 scattered[side] = z
     assert solve_decoupled_batch(ce, beta, phi, n, u0).tobytes() == scattered.tobytes()
+
+
+# z on both sides of SLOPE_Z_CAP and far into both tails
+PASS_Z = st.one_of(st.floats(-60.0, 120.0),
+                   st.sampled_from([-1e6, -1e4, -800.0, 79.0, 80.0, 80.5, 700.0, 800.0, 1e4, 1e6]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(mask=st.sampled_from(["mixed", "ce", "cne"]),
+       n=st.sampled_from([2.0, 3.0, 7.5, 61.0, 1e4]),
+       cells=st.lists(st.tuples(PASS_Z, st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+                                st.floats(-3.0, 3.0), st.floats(-1e6, 1e6), st.booleans()),
+                      min_size=1, max_size=12))
+def test_rtsafe_pass_is_the_public_forms(mask, n, cells):
+    # a bracket of zero width ends every cell after one pass at z itself: the
+    # value and slope that pass forms carry the bits, NaNs and signs of zero
+    # of mk_value / mkc_value and mk_slope / mkc_slope
+    z, beta, phi, r, flags = (np.array(a) for a in zip(*cells))
+    phi, u0 = phi * beta, r * beta  # |phi_kk| / beta <= 3, |u0| / beta <= 1e6
+    ce = flags if mask == "mixed" else np.full(z.size, mask == "ce")
+    slopes, real = [], equilibrium._slope
+
+    def spy(*args):
+        slopes.append(real(*args))
+        return slopes[-1]
+
+    with mock.patch.object(equilibrium, "_slope", spy), np.errstate(all="ignore"):
+        z_end, value = equilibrium._rtsafe(ce, z.copy(), z.copy(), beta, phi, n, u0)
+    (slope,) = slopes
+    expected = (np.where(ce, mkc_value(z, beta, phi, n, u0), mk_value(z, beta, phi, n, u0)),
+                np.where(ce, mkc_slope(z, beta, phi, n), mk_slope(z, beta, phi, n)))
+    assert np.array_equal(z_end, z)
+    for got, want in zip((value, slope), expected):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_stage1_makes_no_copies_per_iteration(monkeypatch):
+    # counts, not time: `_Columns.take` runs only as Newton columns leave, at
+    # most once per column, and each `_rtsafe` iteration forms the shares,
+    # the price and the slope once
+    from test_verify import COUPLED
+    counts, in_rtsafe = {"take": 0, "newton": 0}, []
+
+    def counting(name, fn, inside=False):
+        def wrapper(*args, **kwargs):
+            if not inside or in_rtsafe:
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def rtsafe(*args):
+        in_rtsafe.append(1)
+        try:
+            return real_rtsafe(*args)
+        finally:
+            in_rtsafe.pop()
+
+    def newton(c, n, z, *args, **kwargs):
+        counts["newton"] += z.shape[1]
+        return real_newton(c, n, z, *args, **kwargs)
+
+    real_rtsafe, real_newton = equilibrium._rtsafe, equilibrium._newton
+    monkeypatch.setattr(equilibrium._Columns, "take",
+                        counting("take", equilibrium._Columns.take))
+    for name in ("_shares", "_share_price", "_slope"):
+        monkeypatch.setattr(equilibrium, name, counting(name, getattr(equilibrium, name), True))
+    monkeypatch.setattr(equilibrium, "_rtsafe", rtsafe)
+    monkeypatch.setattr(equilibrium, "_newton", newton)
+    (cne,), (ce,) = equilibrium.solve_markets(("cne", "ce"), [COUPLED])
+    assert cne.foc_residual <= 1e-12 and ce.foc_residual <= 1e-12
+    assert counts["newton"] == 2 and counts["take"] <= counts["newton"]
+    assert counts["_slope"] >= 1
+    assert counts["_shares"] == counts["_share_price"] == counts["_slope"]
 
 
 # finite inputs whose competitive FOC is NaN at the decoupled start: c = phi_bs
