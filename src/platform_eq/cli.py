@@ -33,7 +33,7 @@ from .regions import (FIGURES, VERDICTS, classify_columns, classify_direction,
 from . import __version__
 from .statics import closed_form_columns, ift_columns
 from .svg import PAINT_FILL, region_svg
-from .verify import soc_from_hessian, soc_report, verify_nash
+from .verify import soc_report, verify_nash
 
 INPUT_COLS = MARKET_KEYS
 EQ_COLS = ("regime", "z_b", "z_s", "p_b", "p_s", "x_b", "x_s", "nx_b", "nx_s",
@@ -52,6 +52,10 @@ CLASSIFIER_SPECS = (("price", "u0", "vprice_du0"), ("profit", "u0", "vprofit_du0
                     ("consumer_surplus", "n_platforms", "vcs_dn"),
                     ("profit", "n_platforms", "vprofit_dn"))
 DERIV_COLS = tuple(f"{name}_{side.label}" for _q, _w, name in DERIV_SPECS for side in Side)
+# (verdict column, derivative column) of each direction verdict on each side
+VERDICT_DERIVS = tuple((f"{vname}_{side.label}", f"{dname}_{side.label}")
+                       for q, w, vname in CLASSIFIER_SPECS for dq, dw, dname in DERIV_SPECS
+                       if (q, w) == (dq, dw) for side in Side)
 # a sweep row leaves empty every column its regime and settings do not fill
 SWEEP_COLS = (INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS
               + ("vsign_z_b", "vsign_z_s")
@@ -181,7 +185,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def _axis_values(start: float, stop: float, step: float) -> list[float]:
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(max(count, 1))]
+    return [start + i * step for i in range(count)]
 
 
 def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
@@ -241,6 +245,19 @@ def _verdict_cells(points: list[MarketParams], eqs: dict, regime: str,
     return out
 
 
+def _disagreements(cells: dict) -> list[str]:
+    """A note for each definite direction verdict of an ift row whose own
+    derivative has another sign: the verdicts apply the paper's zero-cross
+    rules, the derivatives the coupled FOC."""
+    notes = []
+    for vcol, dcol in VERDICT_DERIVS:
+        verdict, d = cells.get(vcol), cells.get(dcol)
+        if type(d) is float and (verdict == "increasing" and not d > 0
+                                 or verdict == "decreasing" and not d < 0):
+            notes.append(f"{vcol} {verdict} against {dcol} {d:.3g} (cross-side externalities)")
+    return notes
+
+
 def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
                 with_derivs: bool) -> list[list]:
     """One regime's sweep row for every point from its stage-1 results, the
@@ -255,6 +272,8 @@ def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
         cells = dict(zip(INPUT_COLS, _input_row(params)), regime=regime)
         if i in eqs:
             cells.update(zip(EQ_COLS, _eq_row(eq)), **derivs.get(i, {}), **verdicts.get(i, {}))
+            if cells.get("deriv_method") == "ift":
+                cells["warnings"] = ";".join([*eq.warnings, *_disagreements(cells)])
         else:
             # empty equilibrium cells, the message in the error column
             cells["error"] = f"{type(eq).__name__}: {eq}"
@@ -300,9 +319,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             eq, prices=(eq.prices[0] + vconf["perturb_price"],
                         eq.prices[1] + vconf["perturb_price"]))
     report = verify_nash(params, target, radius=vconf["radius"], grid_n=vconf["grid_n"])
-    # the search's own solve at p* already differentiated the competitive objective
-    soc_cne = soc_from_hessian(params, eq, report.base_hessian) \
-        if target is eq and report.base_hessian is not None else soc_report(params, eq)
+    # one SOC entry per regime; at its own p* the search's solve already
+    # differentiated the competitive objective, so that Hessian is reused
+    soc_cne = soc_report(params, eq, report.base_hessian if target is eq else None)
     soc_ce = soc_report(params, _one(eq_ce))
 
     certified = report.certified(vconf["tolerance"])

@@ -195,6 +195,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     for suffix in ("", "2") if sweep["axis2"] else ("",):
         if not sweep["step" + suffix] > 0:
             raise ConfigError(f"[sweep] step{suffix} must be positive")
+        if sweep["stop" + suffix] < sweep["start" + suffix]:
+            raise ConfigError(f"[sweep] stop{suffix} must not be below start{suffix}")
         if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
             raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
     grid = values["grid"]

@@ -29,6 +29,8 @@ from .model import MarketParams, Side
 
 SIMPLEX_TOL = 1e-10
 BOX_STEPS = 2   # interval steps from the simplex to the invariant share box
+DEDUPE_TOL = 1e-9   # multistart limits this close in every share are one point
+MC_CHUNK = 250_000  # simulated users per Monte Carlo draw, bounding its memory
 
 
 class FixedPointError(RuntimeError):
@@ -331,8 +333,7 @@ class MultiStartResult:
 
 def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
                            seed: int = 0, damping: float | None = None, tol: float = 1e-12,
-                           max_iter: int = 100_000, dedupe_tol: float = 1e-9
-                           ) -> MultiStartResult:
+                           max_iter: int = 100_000) -> MultiStartResult:
     """Run the fixed point from `starts` random interior starts and report all
     distinct limits.  Where the share box at these prices proves a contraction
     (share_box's L_B < 1, as a positive contraction margin always does) the
@@ -353,7 +354,7 @@ def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
     for i in range(starts):
         for j in range(i + 1, starts):
             max_dist = max(max_dist, float(np.max(np.abs(x[i] - x[j]))))
-        if not any(np.max(np.abs(x[i] - q)) <= dedupe_tol for q in points):
+        if not any(np.max(np.abs(x[i] - q)) <= DEDUPE_TOL for q in points):
             points.append(x[i])
     return MultiStartResult(points=tuple(MarketState(q) for q in points),
                             max_distance=max_dist)
@@ -446,8 +447,7 @@ def sensitivities(z: float, params: MarketParams, side: Side) -> ShareSensitivit
 # --------------------------------------------------------------------------
 
 def monte_carlo_shares(params: MarketParams, prices, fixed_state: MarketState,
-                       samples: int, seed: int, chunk: int = 250_000
-                       ) -> MonteCarloShares:
+                       samples: int, seed: int) -> MonteCarloShares:
     """Estimate choice frequencies by simulating idiosyncratic taste draws.
 
     The externality term is frozen at `fixed_state` (no re-equilibration inside
@@ -467,7 +467,7 @@ def monte_carlo_shares(params: MarketParams, prices, fixed_state: MarketState,
         counts = np.zeros(n + 1, dtype=np.int64)
         left = samples
         while left > 0:
-            m = min(left, chunk)
+            m = min(left, MC_CHUNK)
             # tastes with the side's location mu_k and scale beta_k
             eps = rng.gumbel(loc=params.mu[k], scale=params.beta[k], size=(m, n + 1))
             choice = np.argmax(eps + u_det, axis=1)

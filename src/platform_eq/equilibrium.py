@@ -23,8 +23,8 @@ two-equation system starts from the decoupled root, over the compacted live
 columns: one complex-step call gives every exact Jacobian and one stacked
 solve every step.  The equilibria are then assembled over columns.  Only
 the public entry points enter an errstate.
-All formulas accept a real-valued platform count so that derivatives with
-respect to N can be validated by central differences.
+Only the solvers accept a real-valued platform count, so that d/dN can be
+validated by central differences; every other formula reads N from params.
 """
 
 from __future__ import annotations
@@ -243,17 +243,17 @@ def _foc(c: _Columns, z: np.ndarray, n: float) -> np.ndarray:
 
 
 @_quiet
-def cne_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
+def cne_foc_residual(z, params: MarketParams) -> np.ndarray:
     """(Phi - H(z)) Omega(z) - u0 - beta z in share space; zero exactly at the competitive z*."""
-    n = float(params.n_platforms if n is None else n)
-    return _foc(_Columns.of([params], False), _as_z_array(z)[:, None], n)[:, 0]
+    return _foc(_Columns.of([params], False), _as_z_array(z)[:, None],
+                float(params.n_platforms))[:, 0]
 
 
 @_quiet
-def ce_foc_residual(z, params: MarketParams, n: float | None = None) -> np.ndarray:
+def ce_foc_residual(z, params: MarketParams) -> np.ndarray:
     """(Phi - H^C(z)) Omega(z) - u0 - beta z in share space; zero exactly at the collusive z."""
-    n = float(params.n_platforms if n is None else n)
-    return _foc(_Columns.of([params], True), _as_z_array(z)[:, None], n)[:, 0]
+    return _foc(_Columns.of([params], True), _as_z_array(z)[:, None],
+                float(params.n_platforms))[:, 0]
 
 
 def _phi_times(phi, x):
@@ -553,17 +553,16 @@ def _surplus(mu, beta, phi, p, x, n):
     return mu + beta * (np.log(n + 1.0) + EULER_GAMMA) - p + _phi_times(phi, x)
 
 
-def consumer_surplus(params: MarketParams, prices, shares, n: float | None = None) -> np.ndarray:
+def consumer_surplus(params: MarketParams, prices, shares) -> np.ndarray:
     """Per-side consumer surplus mu + beta (ln(N+1) + gamma_EM) - p + (Phi x)_k.
 
     The first term is the expected maximum of the N+1 idiosyncratic taste draws.
     Nothing is cast to float, so a complex step passes through.
     """
-    n = params.n_platforms if n is None else n
     x = np.asarray(shares)
     col = (slice(None),) + (None,) * (x.ndim - 1)  # sides ahead of any trailing axes
     return _surplus(params.mu_arr[col], params.beta_arr[col], params.phi_arr,
-                    np.asarray(prices), x, n)
+                    np.asarray(prices), x, params.n_platforms)
 
 
 def _assemble(markets: list, c: _Columns, z: np.ndarray, n: float,

@@ -36,8 +36,7 @@ class LimitCheck:
 
 
 def perfect_competition_check(params_base: MarketParams,
-                              n_sequence=(10, 100, 1000, 10_000),
-                              tol: float = LARGE_N_TOL) -> LimitCheck:
+                              n_sequence=(10, 100, 1000, 10_000)) -> LimitCheck:
     """Solve the competitive equilibrium along growing N.
 
     Tracks |p* - beta| and |N x* - 1| per side, plus whether the limiting z*
@@ -63,11 +62,11 @@ def perfect_competition_check(params_base: MarketParams,
     targets = {"price": dict(zip("bs", params_base.beta)), "participation": 1.0}
     return LimitCheck(kind="large_n", points=tuple(float(n) for n in n_sequence),
                       observed=tuple(observed), targets=targets,
-                      achieved_error=float(err), tolerance=tol)
+                      achieved_error=float(err), tolerance=LARGE_N_TOL)
 
 
-def outside_option_limit_check(params_base: MarketParams, u0_magnitude: float = 40.0,
-                               tol: float = U0_LIMIT_TOL) -> tuple[LimitCheck, LimitCheck]:
+def outside_option_limit_check(params_base: MarketParams,
+                               u0_magnitude: float = 40.0) -> tuple[LimitCheck, LimitCheck]:
     """Solve at u0 = -magnitude and +magnitude and compare with the analytic limits.
 
     Returns a (small_u0, large_u0) pair: the low end targets the no-outside-
@@ -97,5 +96,5 @@ def outside_option_limit_check(params_base: MarketParams, u0_magnitude: float = 
             errs.append(abs(eq.profit_per_side[k] - pi_target))
         checks.append(LimitCheck(kind=kind, points=(sign * mag,),
                                  observed=(row,), targets=targets,
-                                 achieved_error=float(max(errs)), tolerance=tol))
+                                 achieved_error=float(max(errs)), tolerance=U0_LIMIT_TOL))
     return checks[0], checks[1]

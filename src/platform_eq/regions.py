@@ -577,8 +577,8 @@ def region_grids(classifiers, phi_range: tuple[float, float] = (-2.0, 2.0),
             raise ValueError(f"unknown grid classifier {classifier!r}")
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    if not all(np.isfinite(v) for v in (*phi_range, *beta_range)):
-        raise ValueError("grid ranges must be finite")
+    if not all(np.isfinite(v) for v in (*phi_range, *beta_range, u0)):
+        raise ValueError("grid ranges and u0 must be finite")
     if not (float(n).is_integer() and n >= 2):
         raise ValueError("n must be an integer >= 2")
     phis = phi_range[0] + (np.arange(resolution) + 0.5) * (phi_range[1] - phi_range[0]) / resolution

@@ -34,10 +34,11 @@ from .model import MarketParams, Side
 QUANTITIES = ("price", "profit", "consumer_surplus", "participation", "z")
 DERIVATIVE_WRT = ("u0", "n_platforms")
 
-# Central-difference step of `fd_derivative`, in u0 and in N alike.  Its solves
-# at tol 1e-12 put noise of order tol/h into a difference, so a smaller step
-# loses more to that noise than it gains in truncation error.
+# Central-difference step of `fd_derivative`, in u0 and in N alike, and the
+# tolerance of its solves: they put noise of order FD_TOL/h into a difference,
+# so a smaller step loses more to that noise than it gains in truncation error.
 FD_STEP = 1e-4
+FD_TOL = 1e-12
 
 
 class AnalyticDomainError(ValueError):
@@ -71,12 +72,6 @@ def _require_decoupled(params: MarketParams):
         raise AnalyticDomainError(
             "analytic comparative statics require zero cross-side externalities; "
             "use ift_derivatives instead")
-
-
-def _z_star(params: MarketParams, side: Side, z_star: float | None, n: float | None) -> float:
-    if z_star is not None:
-        return float(z_star)
-    return solve_cne(params, tol=1e-12, n=n).z.side(side)
 
 
 # --------------------------------------------------------------------------
@@ -170,22 +165,25 @@ def _evaluate(key: tuple[str, str], cells: _Cells) -> tuple[np.ndarray, dict[int
 
 
 def closed_form(quantity: str, wrt: str, params: MarketParams, side: Side,
-                z_star: float | None = None, n: float | None = None) -> float:
+                z_star: float | None = None) -> float:
     """d quantity* / d wrt on one side, from the paper's closed form at z*.
 
-    z* is solved unless given; `n` evaluates at a real-valued platform count.
-    Only the profit/N numerator "n_pik" takes (u0, z*) besides (beta, phi_kk,
-    N).  A vanishing denominator or a series that overflows at z* raises
-    ArithmeticError.  It is the one-cell case of :func:`closed_form_columns`.
+    z* is solved unless given, at the market's own platform count (only a
+    stage-1 solve takes a real-valued N, which `fd_derivative` uses to check
+    the d/dN forms).  Only the profit/N numerator "n_pik" takes (u0, z*)
+    besides (beta, phi_kk, N).  A vanishing denominator or a series that
+    overflows at z* raises ArithmeticError.  It is the one-cell case of
+    :func:`closed_form_columns`.
     """
     key = (quantity, wrt)
     if key != DZ_DU0 and key not in CLOSED_FORMS:
         raise ValueError(f"no closed form for d{quantity}/d{wrt}")
     _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
+    if z_star is None:
+        z_star = solve_cne(params, tol=1e-12).z.side(side)
     k = side.index
-    values, errors = _evaluate(key, _Cells(n, [params.beta[k]], [params.phi[k][k]],
-                                           [params.u0[k]], [_z_star(params, side, z_star, n)]))
+    values, errors = _evaluate(key, _Cells(float(params.n_platforms), [params.beta[k]],
+                                           [params.phi[k][k]], [params.u0[k]], [float(z_star)]))
     if errors:
         raise errors[0]
     return float(values[0])
@@ -221,7 +219,7 @@ def closed_form_columns(markets, z_star) -> dict[tuple[str, str], tuple[np.ndarr
     return out
 
 
-# Each op takes (params, side, z_star=None, n=None).
+# Each op takes (params, side, z_star=None).
 _ANALYTIC_OPS = {key: partial(closed_form, *key) for key in (DZ_DU0, *CLOSED_FORMS)}
 dprice_du0 = _ANALYTIC_OPS["price", "u0"]
 dprofit_du0 = _ANALYTIC_OPS["profit", "u0"]
@@ -318,7 +316,7 @@ def _equilibrium_quantity(eq, quantity: str, side: Side) -> float:
 
 
 def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
-                  h: float | None = None, tol: float = 1e-12) -> float:
+                  h: float | None = None) -> float:
     """Central difference of a solved equilibrium quantity.
 
     Works for any parameters (including nonzero cross externalities, where the
@@ -331,12 +329,12 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
         u0_hi, u0_lo = list(u0), list(u0)
         u0_hi[side.index] += h
         u0_lo[side.index] -= h
-        hi = solve_cne(params.replace(u0=tuple(u0_hi)), tol=tol)
-        lo = solve_cne(params.replace(u0=tuple(u0_lo)), tol=tol)
+        hi = solve_cne(params.replace(u0=tuple(u0_hi)), tol=FD_TOL)
+        lo = solve_cne(params.replace(u0=tuple(u0_lo)), tol=FD_TOL)
     elif wrt == "n_platforms":
         n = float(params.n_platforms)
-        hi = solve_cne(params, tol=tol, n=n + h)
-        lo = solve_cne(params, tol=tol, n=n - h)
+        hi = solve_cne(params, tol=FD_TOL, n=n + h)
+        lo = solve_cne(params, tol=FD_TOL, n=n - h)
     else:
         raise ValueError(f"unknown differentiation variable {wrt!r}")
     q_hi = _equilibrium_quantity(hi, quantity, side)
@@ -344,10 +342,10 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
     return (q_hi - q_lo) / (2.0 * h)
 
 
-def derivative_bundle(quantity: str, wrt: str, params: MarketParams, side: Side,
-                      h: float | None = None) -> DerivativeBundle:
+def derivative_bundle(quantity: str, wrt: str, params: MarketParams,
+                      side: Side) -> DerivativeBundle:
     """Pair the analytic derivative (when defined) with its FD oracle value."""
-    fd = fd_derivative(quantity, wrt, params, side, h=h)
+    fd = fd_derivative(quantity, wrt, params, side)
     analytic = None
     op = _ANALYTIC_OPS.get((quantity, wrt))
     if op is not None and params.cross_externalities_zero:
@@ -361,10 +359,10 @@ def derivative_bundle(quantity: str, wrt: str, params: MarketParams, side: Side,
                            agreement=agreement)
 
 
-def asymptotic_limits(params: MarketParams, side: Side, n: float | None = None) -> AsymptoticLimits:
+def asymptotic_limits(params: MarketParams, side: Side) -> AsymptoticLimits:
     """Price/profit limits as the outside utility goes to -inf (p_u, pi_u) or +inf (p_e, 0)."""
     _require_decoupled(params)
-    n = float(params.n_platforms if n is None else n)
+    n = float(params.n_platforms)
     beta = params.beta[side.index]
     phi_kk = params.phi_own(side)
     return AsymptoticLimits(

@@ -15,6 +15,7 @@ GRAY = "#e8e8e8"
 CURVE = "#222222"
 
 PAINT_FILL = {1: BLUE, -1: RED, 0: GRAY}
+XLABEL, YLABEL = "phi_kk", "beta_k"
 # px between the SVG's edges and the plot area: left, right, top, bottom
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62.0, 16.0, 34.0, 46.0
 
@@ -39,8 +40,7 @@ def _runs(paint):
 
 
 def region_svg(phis, betas, paint, curve, title: str,
-               legend: list[tuple[str, str]], xlabel: str = "phi_kk",
-               ylabel: str = "beta_k", width: int = 640, height: int = 480) -> str:
+               legend: list[tuple[str, str]], width: int = 640, height: int = 480) -> str:
     """Render a painted (phi, beta) grid with an overlaid boundary polyline.
 
     paint: integer array (len(phis), len(betas)) with +1 blue / -1 red / 0 gray.
@@ -98,9 +98,9 @@ def region_svg(phis, betas, paint, curve, title: str,
         parts.append(f'<text x="{_fmt(ml - 7)}" y="{_fmt(y + 3.5)}" font-size="11" '
                      f'font-family="monospace" text-anchor="end">{t:g}</text>')
     parts.append(f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 10)}" font-size="12" '
-                 f'font-family="monospace" text-anchor="middle">{xlabel}</text>')
+                 f'font-family="monospace" text-anchor="middle">{XLABEL}</text>')
     parts.append(f'<text x="14" y="{_fmt(mt + ph / 2)}" font-size="12" font-family="monospace" '
-                 f'text-anchor="middle" transform="rotate(-90 14 {_fmt(mt + ph / 2)})">{ylabel}</text>')
+                 f'text-anchor="middle" transform="rotate(-90 14 {_fmt(mt + ph / 2)})">{YLABEL}</text>')
     parts.append(f'<text x="{_fmt(ml)}" y="20" font-size="13" font-family="monospace">{title}</text>')
     y_leg = mt + 14
     for color, text in legend:

@@ -19,8 +19,8 @@ of the grid's prices proves the share map a contraction (demand.share_box),
 the grid solve runs undamped and drops each cell the contraction bound
 proves below the best converged one, which leaves every report field.  One
 exact solve at p* gives the base profit, the polish's start when no grid
-cell beats it by more than stage 2 resolves, and the competitive
-second-order Hessian.
+cell beats it by more than stage 2 resolves, and the competitive Hessian
+that soc_report, the one second-order entry, reuses.
 """
 
 from __future__ import annotations
@@ -349,8 +349,7 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
 # second-order conditions
 # --------------------------------------------------------------------------
 
-def soc_cne_diag(z: float, params: MarketParams, side: Side,
-                 n: float | None = None) -> float:
+def soc_cne_diag(z: float, params: MarketParams, side: Side) -> float:
     """Closed-form own-share second derivative of the deviator's profit
     (cross externalities zero); negative throughout the existence region.
 
@@ -359,7 +358,7 @@ def soc_cne_diag(z: float, params: MarketParams, side: Side,
     e^{-z}; the ratio tends to -N (beta N^2 - 2 (N-1) phi_kk) / (N-1)^2."""
     if not params.cross_externalities_zero:
         raise ValueError("closed-form SOC requires zero cross-side externalities")
-    n = float(params.n_platforms if n is None else n)
+    n = float(params.n_platforms)
     beta = params.beta[side.index]
     phi = params.phi_own(side)
     z = float(z)
@@ -378,12 +377,11 @@ def soc_cne_diag(z: float, params: MarketParams, side: Side,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def soc_ce_hessian(z: ZPoint | tuple, params: MarketParams,
-                   n: float | None = None) -> tuple[np.ndarray, bool]:
+def soc_ce_hessian(z: ZPoint | tuple, params: MarketParams) -> tuple[np.ndarray, bool]:
     """Closed-form Hessian of total collusive profit in share space and its
     negative-definiteness verdict via leading principal minors.  Far out in
     z an exponential overflows: a -inf diagonal still reads negative."""
-    n = float(params.n_platforms if n is None else n)
+    n = float(params.n_platforms)
     zv = z.as_array() if isinstance(z, ZPoint) else np.asarray(z, dtype=float)
     beta = params.beta_arr
     phi = params.phi_arr
@@ -396,24 +394,21 @@ def soc_ce_hessian(z: ZPoint | tuple, params: MarketParams,
     return H, bool(neg_def)
 
 
-def soc_report(params: MarketParams, eq: SymmetricEquilibrium) -> SOCReport:
+def soc_report(params: MarketParams, eq: SymmetricEquilibrium, hessian=None) -> SOCReport:
     """Assemble closed-form (when applicable) and exact price-space SOC
     diagnostics; the latter differentiate the deviator's profit (cne) or
     total profit with every platform moving together (ce) at the solved
-    stage-2 fixed point."""
-    p_star = np.array(eq.prices)
-    return soc_from_hessian(params, eq, profit_derivatives(
-        params, eq.regime, p_star, p_star, x0=_symmetric_state(eq)).hessian)
-
-
-def soc_from_hessian(params: MarketParams, eq: SymmetricEquilibrium, numeric) -> SOCReport:
-    """soc_report at eq with the exact price Hessian of its regime's objective
-    already in hand, such as a DeviationReport's base_hessian for a competitive
-    point verified at its own prices.  Negative definiteness is judged on the
+    stage-2 fixed point.  That exact price Hessian is solved unless given,
+    such as a DeviationReport's base_hessian for a competitive point
+    verified at its own prices.  Negative definiteness is judged on the
     prices whose row and column are not identically zero: a side with no
     participation leaves the profit flat in its price (an all-zero Hessian
     is not negative definite)."""
-    numeric = np.array(numeric, dtype=float)
+    if hessian is None:
+        p_star = np.array(eq.prices)
+        hessian = profit_derivatives(params, eq.regime, p_star, p_star,
+                                     x0=_symmetric_state(eq)).hessian
+    numeric = np.array(hessian, dtype=float)
     live = (numeric != 0).any(axis=0) | (numeric != 0).any(axis=1)
     sub = numeric[np.ix_(live, live)]
     numeric_nd = bool(live.any() and np.all(np.linalg.eigvalsh(0.5 * (sub + sub.T)) < 0))
@@ -422,11 +417,11 @@ def soc_from_hessian(params: MarketParams, eq: SymmetricEquilibrium, numeric) ->
     closed_ok = None
     if eq.regime == "cne":
         if params.cross_externalities_zero:
-            cne_diag = (soc_cne_diag(eq.z.z_b, params, Side.BUYER, eq.n),
-                        soc_cne_diag(eq.z.z_s, params, Side.SELLER, eq.n))
+            cne_diag = (soc_cne_diag(eq.z.z_b, params, Side.BUYER),
+                        soc_cne_diag(eq.z.z_s, params, Side.SELLER))
             closed_ok = cne_diag[0] < 0 and cne_diag[1] < 0
     else:
-        ce_hess, closed_ok = soc_ce_hessian(eq.z, params, eq.n)
+        ce_hess, closed_ok = soc_ce_hessian(eq.z, params)
     return SOCReport(cne_diag=cne_diag, ce_hessian=ce_hess,
                      numeric_hessian=numeric,
                      closed_form_negative=closed_ok,

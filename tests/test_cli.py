@@ -136,6 +136,9 @@ INVALID_SETTINGS = {
     "step_0": ("sweep", "[sweep]\nstep = 0\n", []),
     "step2_negative": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 0.5\nstop2 = 1\nstep2 = -1\n",
                        []),
+    "sweep_reversed": ("sweep", "[sweep]\nstart = 6\nstop = 3\nstep = 1\n", []),
+    "sweep2_reversed": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 1\nstop2 = 0.5\nstep2 = 0.1\n",
+                        []),
     "n_sweep_from_1": ("sweep", "[sweep]\naxis = n_platforms\nstart = 1\nstop = 3\nstep = 1\n",
                        []),
     "beta_sweep_leaves_domain": ("sweep", "[sweep]\naxis = beta\nstart = -0.5\nstop = 0.5\n"
@@ -423,6 +426,18 @@ class TestVerifyCommand:
         ini = tmp_path / "v.ini"
         ini.write_text(BASE_INI + "\n[verify]\nperturb_price = 0.1\ngrid_n = 21\n")
         assert main(["verify", "--config", str(ini)]) == 3
+
+    @pytest.mark.parametrize("perturb, reused", [(0.0, True), (0.1, False)])
+    def test_one_soc_call_per_regime(self, tmp_path, monkeypatch, capsys, perturb, reused):
+        # the search's Hessian at p* is passed on only when it searched at p*
+        calls = []
+        real = cli.soc_report
+        monkeypatch.setattr(cli, "soc_report", lambda params, eq, hessian=None: calls.append(
+            (eq.regime, hessian is not None)) or real(params, eq, hessian))
+        ini = tmp_path / "v.ini"
+        ini.write_text(BASE_INI + f"\n[verify]\nperturb_price = {perturb}\ngrid_n = 11\n")
+        main(["verify", "--config", str(ini)])
+        assert calls == [("cne", reused), ("ce", False)]
 
     def test_one_stage1_call_reports_cne_failure_first(self, tmp_path, monkeypatch, capsys):
         # both regimes come from one stage-1 batch; on a market where both

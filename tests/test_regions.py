@@ -274,6 +274,22 @@ class TestRegionGrids:
         curve = figure_threshold_curve("fig6", grid)
         assert len(curve) > 10
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"classifiers": ("sign_z_nope",)}, "unknown grid classifier"),
+        ({"resolution": 0}, "resolution must be positive"),
+        ({"phi_range": (-2.0, np.inf)}, "must be finite"),
+        ({"beta_range": (np.nan, 2.0)}, "must be finite"),
+        ({"n": 2.5}, "integer >= 2"),
+        ({"n": 1}, "integer >= 2"),
+        ({"u0": np.nan}, "u0 must be finite"),
+        ({"u0": np.inf}, "u0 must be finite"),
+    ])
+    def test_region_grids_rejects_bad_arguments(self, kwargs, message):
+        # a NaN u0 once labelled most cells positive, with NaN margins
+        args = {"classifiers": ("sign_z_cne",), "resolution": 6, "n": 4} | kwargs
+        with pytest.raises(ValueError, match=message):
+            region_grids(**args)
+
     def test_unknown_figure_raises(self):
         grid = region_grid("cs_dn", resolution=8, n=4, u0=0.0)
         for paint_or_curve in (figure_paint, figure_threshold_curve):

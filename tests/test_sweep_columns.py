@@ -34,6 +34,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _reference_notes(cells) -> list[str]:
+    """The row's note for each definite direction verdict whose derivative
+    (the column named d... for the verdict v...) differs in sign."""
+    notes = []
+    for _quantity, _wrt, name in cli.CLASSIFIER_SPECS:
+        for side in Side:
+            vcol, dcol = f"{name}_{side.label}", f"d{name[1:]}_{side.label}"
+            sign = {"increasing": 1, "decreasing": -1}.get(cells[vcol])
+            value = cells[dcol]
+            if sign and isinstance(value, float) and np.sign(value) != sign:
+                notes.append(f"{vcol} {cells[vcol]} against {dcol} {value:.3g} "
+                             "(cross-side externalities)")
+    return notes
+
+
 def _reference_row(params, regime, tol, with_derivs) -> str:
     cells = dict(zip(cli.INPUT_COLS, cli._input_row(params)), regime=regime)
     try:
@@ -69,6 +84,8 @@ def _reference_row(params, regime, tol, with_derivs) -> str:
                     except ValueError:
                         verdict = "error"
                     cells[f"{name}_{side.label}"] = verdict
+            if not params.cross_externalities_zero:
+                cells["warnings"] = ";".join([*eq.warnings, *_reference_notes(cells)])
         if regime == "ce" or with_derivs:
             for side in Side:
                 cells[f"vsign_z_{side.label}"] = classify_sign_z(regime, params, side).verdict.value
@@ -216,3 +233,73 @@ def test_ift_columns_match_one_point_solves():
         for key, (values, errors) in table.items():
             assert (row, 0) not in errors and (row, 1) not in errors
             assert repr(values[row].tolist()) == repr(list(expected[key]))
+
+
+def _sweep_cells(text: str) -> list[dict]:
+    lines = [ln for ln in _run_sweep(text).splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _disagreeing(cells: dict) -> set[tuple[str, str]]:
+    """(verdict column, derivative column) of each definite direction verdict
+    whose derivative in the same row has another sign."""
+    pairs = set()
+    for col, verdict in cells.items():
+        derivative = cells.get("d" + col[1:], "")
+        if verdict in ("increasing", "decreasing") and not derivative.startswith("error"):
+            value = float(derivative)
+            if not (value > 0 if verdict == "increasing" else value < 0):
+                pairs.add((col, "d" + col[1:]))
+    return pairs
+
+
+def _noted(cells: dict) -> list[tuple[str, str]]:
+    notes = [w for w in cells["warnings"].split(";") if w.endswith("(cross-side externalities)")]
+    return [(words[0], words[3]) for words in (note.split() for note in notes)]
+
+
+def test_coupled_row_notes_the_derivative_that_contradicts_its_verdict():
+    # the decoupled rule reads price increasing in N on the seller side; the
+    # coupled FOC's derivative is negative
+    text = _ini({"n_platforms": 4, "beta_b": 0.70032, "beta_s": 0.23015, "phi_bb": -0.0556,
+                 "phi_bs": -0.03209, "phi_sb": -0.02276, "phi_ss": 0.42834,
+                 "u0_b": -0.61704, "u0_s": 0.78925},
+                {"axis": "n_platforms", "start": "4", "stop": "4", "step": "1"}, "cne")
+    (row,) = _sweep_cells(text)
+    assert row["deriv_method"] == "ift"
+    assert row["vprice_dn_s"] == "increasing" and float(row["dprice_dn_s"]) < 0
+    assert row["warnings"] == ("vprice_dn_s increasing against dprice_dn_s -0.00099 "
+                               "(cross-side externalities)")
+
+
+@st.composite
+def coupled_envelope_configs(draw):
+    """cne sweeps over N or u0 on markets in the acceptance envelope (N < 7,
+    |u0| <= 2, beta 0.05 to 3 above the existence bound where phi_kk > 0)
+    with cross-side externalities up to 0.5."""
+    n = draw(st.integers(2, 6))
+    market = {"n_platforms": n}
+    for k in "bs":
+        phi = draw(st.floats(-1.0, 1.0))
+        market[f"phi_{k}{k}"] = phi
+        market[f"beta_{k}"] = 2 * (n - 1) / n**2 * max(phi, 0.0) + draw(st.floats(0.05, 3.0))
+        market[f"u0_{k}"] = draw(st.floats(-2.0, 2.0))
+    market["phi_bs"] = draw(st.floats(0.01, 0.5)) * draw(st.sampled_from([-1, 1]))
+    market["phi_sb"] = draw(st.floats(-0.5, 0.5))
+    if draw(st.booleans()):
+        sweep = {"axis": "n_platforms", "start": str(n), "stop": str(n + 2), "step": "1"}
+    else:
+        sweep = {"axis": "u0", "start": "-2.0", "stop": "2.0", "step": "2.0"}
+    return _ini(market, sweep, "cne")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(coupled_envelope_configs())
+def test_every_contradicted_verdict_is_noted(text):
+    for cells in _sweep_cells(text):
+        if cells["error"]:
+            continue
+        noted = _noted(cells)
+        assert len(noted) == len(set(noted))
+        assert set(noted) == _disagreeing(cells), cells["warnings"]

@@ -16,7 +16,7 @@ from platform_eq.demand import (FixedPointError, contraction_margin, fixed_point
                                 share_box, share_fixed_point)
 from platform_eq.verify import (DeviationReport, _rival_split_block, _symmetric_state,
                                 deviation_profit, profit_derivatives, soc_ce_hessian,
-                                soc_cne_diag, soc_from_hessian, soc_report, verify_nash)
+                                soc_cne_diag, soc_report, verify_nash)
 
 BASE = MarketParams.uniform(2, 1.0)
 # a market of the certify workload (seed 1) with contraction margin -0.39
@@ -555,7 +555,7 @@ class TestSecondOrderConditions:
     ])
     def test_numeric_definiteness_skips_identically_zero_rows(self, hessian, negative):
         params = MarketParams.uniform(2, 1.0, phi_own=0.4)
-        rep = soc_from_hessian(params, solve_ce(params), hessian)
+        rep = soc_report(params, solve_ce(params), hessian)
         assert rep.numeric_negative_definite is negative
         assert np.array_equal(rep.numeric_hessian, hessian)
 
