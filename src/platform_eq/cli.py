@@ -170,13 +170,21 @@ def _label_cells(classify, *args, **kwargs) -> list:
 def cmd_classify(cfg: RunConfig) -> int:
     params = cfg.market
     eq = _one(solve_markets(("cne",), [params], cfg.get("solve", "tol"))[0][0])
+    # on a coupled market each direction verdict meets its own derivative,
+    # from one implicit-function solve, and a contradiction is noted in reason
+    derivs = {} if params.cross_externalities_zero else _deriv_cells([params], {0: eq})[0]
+    dcols = dict(VERDICT_DERIVS)
     rows = []
     for side in Side:
         rows += [[f"sign_z_{regime}", side.label]
                  + _label_cells(classify_sign_z, regime, params, side) for regime in ("cne", "ce")]
-        rows += [[name, side.label] + _label_cells(classify_direction, quantity, wrt, params,
-                                                   side, z_star=eq.z.side(side))
-                 for quantity, wrt, name in CLASSIFIER_SPECS]
+        for quantity, wrt, name in CLASSIFIER_SPECS:
+            verdict, margin, thr, reason = _label_cells(classify_direction, quantity, wrt, params,
+                                                        side, z_star=eq.z.side(side))
+            vcol = f"{name}_{side.label}"
+            note = _contradiction(vcol, verdict, dcols[vcol], derivs.get(dcols[vcol]))
+            rows.append([name, side.label, verdict, margin, thr,
+                         ";".join(filter(None, (reason, note)))])
     header = ("classifier", "side", "verdict", "margin", "thresholds", "reason")
     text = csv_text(_comments(cfg, "classify"), header, rows)
     _emit(text, cfg.get("output", "dir"), "classify.csv")
@@ -212,15 +220,15 @@ def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, dict]:
             (decoupled, "analytic", closed_form_columns([points[i] for i in decoupled],
                                                         [eqs[i].z for i in decoupled])),
             (coupled, "ift", ift_columns([eqs[i] for i in coupled]))):
+        columns = []  # per spec, the (buyer, seller) cells of each row
+        for quantity, wrt, _name in DERIV_SPECS:
+            values, errors = table[quantity, wrt]
+            columns.append(values.tolist())
+            for (row, k), exc in errors.items():
+                columns[-1][row][k] = f"error:{type(exc).__name__}"
         for row, i in enumerate(rows):
-            cells = []
-            for quantity, wrt, _name in DERIV_SPECS:
-                values, errors = table[quantity, wrt]
-                for side in Side:
-                    exc = errors.get((row, side.index))
-                    cells.append(float(values[row, side.index]) if exc is None
-                                 else f"error:{type(exc).__name__}")
-            out[i] = dict(zip(DERIV_COLS, cells), deriv_method=method)
+            out[i] = dict(zip(DERIV_COLS, [v for column in columns for v in column[row]]),
+                          deriv_method=method)
     return out
 
 
@@ -245,17 +253,22 @@ def _verdict_cells(points: list[MarketParams], eqs: dict, regime: str,
     return out
 
 
+def _contradiction(vcol: str, verdict, dcol: str, d) -> str | None:
+    """The note on a definite direction verdict whose own derivative d, a
+    float, has another sign: the verdicts apply the paper's zero-cross
+    rules, a coupled market's derivatives its coupled FOC."""
+    if type(d) is float and (verdict == "increasing" and not d > 0
+                             or verdict == "decreasing" and not d < 0):
+        return f"{vcol} {verdict} against {dcol} {d:.3g} (cross-side externalities)"
+    return None
+
+
 def _disagreements(cells: dict) -> list[str]:
     """A note for each definite direction verdict of an ift row whose own
-    derivative has another sign: the verdicts apply the paper's zero-cross
-    rules, the derivatives the coupled FOC."""
-    notes = []
-    for vcol, dcol in VERDICT_DERIVS:
-        verdict, d = cells.get(vcol), cells.get(dcol)
-        if type(d) is float and (verdict == "increasing" and not d > 0
-                                 or verdict == "decreasing" and not d < 0):
-            notes.append(f"{vcol} {verdict} against {dcol} {d:.3g} (cross-side externalities)")
-    return notes
+    derivative has another sign."""
+    notes = (_contradiction(vcol, cells.get(vcol), dcol, cells.get(dcol))
+             for vcol, dcol in VERDICT_DERIVS)
+    return [note for note in notes if note]
 
 
 def _sweep_rows(points: list[MarketParams], regime: str, solved: list,

@@ -487,9 +487,13 @@ def solve_decoupled_batch(regime, beta, phi_kk, n, u0):
 
 def _solve_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Newton steps J^-1 F of every column by one stacked solve, and a
-    mask of the columns whose J is singular (NaN steps): slogdet's sign is 0
-    where a solve would raise, while a det underflows to 0 on a tiny J."""
-    singular = np.linalg.slogdet(J)[0] == 0  # a non-finite J has no sign
+    mask of the columns whose J is singular (NaN steps).  Only when that
+    solve raises are they found, where slogdet's sign is 0 (a det underflows
+    to 0 on a tiny J), and the others solved again."""
+    try:
+        return np.linalg.solve(J, F.T[..., None])[..., 0].T, np.zeros(len(J), dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(J)[0] == 0  # a non-finite J has no sign
     step = np.linalg.solve(np.where(singular[:, None, None], np.eye(2), J),
                            F.T[..., None])[..., 0].T
     step[:, singular] = np.nan

@@ -7,11 +7,14 @@ numerator family, a denominator family and a sign.  Every family is a
 polynomial series in e^{z*} whose coefficients are polynomials in
 (beta_k, phi_kk, N) -- and, for the profit/N numerator, (u0_k, z*).  One
 evaluator, `closed_form_columns`, runs every entry over the market sides of
-many markets at once, one series evaluation per column; `closed_form` is its
-one-cell case and `dprice_du0`, ..., `dprofit_dn` are that with its key
-bound.  It refuses to run when the cross-side externalities are nonzero:
-those closed forms simply do not apply there, and silently returning them
-would be a correctness trap.
+many markets at once, one series evaluation per column.  It builds each
+family once per distinct market side (beta_k, phi_kk) at each N, and the
+profit/N numerator once per distinct (beta_k, phi_kk, u0_k, z*), so a u0
+sweep pays for its sides, not its rows.  `closed_form` is its one-cell case
+and `dprice_du0`, ..., `dprofit_dn` are that with its key bound.  It
+refuses to run when the cross-side externalities are nonzero: those closed
+forms simply do not apply there, and silently returning them would be a
+correctness trap.
 `ift_columns` covers that regime from one 2x2 solve at z* per market, over
 many markets at once; `ift_derivatives` is its one-market case.  A
 derivative that cannot be formed is an ArithmeticError, raised by the
@@ -96,8 +99,11 @@ CLOSED_FORMS = {
 
 class _Cells:
     """Cells (one market side each) at one N, columns of floats: each family's
-    coefficients are built per cell from those floats, as on one cell, and
-    stacked once; each series is evaluated once over the column of z*."""
+    coefficients are built once per distinct side, the exact bits of its
+    (beta, phi_kk) -- of (beta, phi_kk, u0, z*) for "n_pik" -- as on one
+    cell, and every cell of that side gets that row, or its OverflowError;
+    each series is evaluated once over the column of z*.  Nothing outlives
+    the call that made the cells."""
 
     def __init__(self, n: float, beta, phi_kk, u0, z):
         self.n, self.beta, self.phi_kk, self.u0, self.z = n, beta, phi_kk, u0, z
@@ -108,16 +114,22 @@ class _Cells:
         """(coefficients, series at z*, max(1, max |c|), {cell: OverflowError})."""
         if name not in self._families:
             m0, build = fam.FAMILIES[name]
-            extras = (self.u0, self.z) if name == "n_pik" else ()
-            rows, errors = [], {}
-            for i, args in enumerate(zip(self.beta, self.phi_kk, *extras)):
+            cols = (self.beta, self.phi_kk, *((self.u0, self.z) if name == "n_pik" else ()))
+            # the row of each distinct exact bits of a cell's arguments (-0.0
+            # is not 0.0); its build takes those bits read back as floats
+            where: dict[tuple, int] = {}
+            index = [where.setdefault(key, len(where))
+                     for key in map(tuple, np.array(cols).T.view(np.int64).tolist())]
+            rows, failed = [], {}
+            for j, args in enumerate(np.array(list(where)).view(float).tolist()):
                 try:
                     rows.append(build.terms(args[0], args[1], self.n, *args[2:]))
                 except OverflowError as exc:  # a float power out of range
                     rows.append(None)
-                    errors[i] = exc
+                    failed[j] = exc
             width = next((len(r) for r in rows if r is not None), 1)
-            coeffs = np.array([[math.nan] * width if r is None else r for r in rows], dtype=float)
+            coeffs = np.array([[math.nan] * width if r is None else r for r in rows])[index]
+            errors = {i: failed[j] for i, j in enumerate(index) if j in failed}
             self._families[name] = (coeffs, fam.eval_series(coeffs, m0, self.z_col),
                                     np.fmax(1.0, np.abs(coeffs).max(axis=-1)), errors)
         return self._families[name]

@@ -169,6 +169,57 @@ def test_closed_form_columns_match_closed_form():
         closed_form_columns([MarketParams(2, (1.0, 1.0), ((0.0, 0.1), (0.0, 0.0)))], [(0.0, 0.0)])
 
 
+def test_closed_form_columns_repeated_sides_match_closed_form(monkeypatch):
+    # a u0 sweep over markets whose rows repeat their sides: the beta = 1e80
+    # side, whose n_csk build raises OverflowError, on every row; rows where
+    # z* overflows the series; and a signed-zero pair, phi_bb = -0.0 and
+    # phi_ss = 0.0 at equal beta, which are two sides, not one
+    bases = [MarketParams(3, (1e80, 0.7), ((0.1, 0.0), (0.0, -0.4))),
+             MarketParams(3, (0.8, 0.8), ((-0.0, 0.0), (0.0, 0.0))),
+             MarketParams(3, (0.7, 1e80), ((-0.4, 0.0), (0.0, 0.1))),
+             MarketParams(2, (0.9, 0.9), ((0.2, 0.0), (0.0, 0.2)))]
+    u0s = (-5.0, -500.0, 0.0, 2.5)
+    markets = [base.replace(u0=(u, u)) for u in u0s for base in bases]
+    # the symmetric market's two sides also share their n_pik arguments
+    z_star = [(z, z if base is bases[3] else z + 0.25)
+              for z in (-1.5, 498.75, 0.0, 0.5) for base in bases]
+    builds = []
+    for name, (_m0, build) in fam.FAMILIES.items():
+        def spy(*args, _name=name, _terms=build.terms):
+            builds.append((_name, tuple(float(a).hex() for a in args)))
+            return _terms(*args)
+        monkeypatch.setattr(build, "terms", spy)
+    table = closed_form_columns(markets, z_star)
+    # one build per distinct exact bits of (beta, phi_kk, N), and of
+    # (beta, phi_kk, N, u0, z*) for n_pik; d_csk builds on "a" once more.
+    # The 32 cells hold 5 distinct sides: at N = 3 the beta = 1e80 side and
+    # (0.7, -0.4), each on 8 cells, and the two signed zeros; at N = 2 one
+    # side on 8 cells, whose 4 rows share their n_pik arguments
+    cells = [tuple(v.hex() for v in (m.beta[k], m.phi[k][k], float(m.n_platforms), m.u0[k], z[k]))
+             for m, z in zip(markets, z_star) for k in (0, 1)]
+    sides = {cell[:3] for cell in cells}
+    assert (len(sides), len(set(cells))) == (5, 28)
+    want = {name: sorted(sides) for name in fam.FAMILIES if name not in ("s", "n_pik")}
+    want["a"] = sorted([*sides] * 2)
+    want["n_pik"] = sorted(set(cells))
+    assert {name: sorted(key for n, key in builds if n == name) for name in want} == want
+    kinds = set()
+    for (quantity, wrt), (values, errors) in table.items():
+        for i, (params, z) in enumerate(zip(markets, z_star)):
+            for side in Side:
+                try:
+                    expected = closed_form(quantity, wrt, params, side, z_star=z[side.index])
+                except ArithmeticError as exc:
+                    got = errors[i, side.index]
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                    kinds.add(type(exc))
+                else:
+                    assert (i, side.index) not in errors
+                    assert values[i, side.index].tobytes() == np.float64(expected).tobytes()
+    assert kinds == {ArithmeticError, OverflowError}
+    assert np.signbit(markets[1].phi[0][0]) and not np.signbit(markets[1].phi[1][1])
+
+
 # sha256 of the 8 closed forms x 1250 markets x 2 sides below, as float64
 # bytes, from the per-cell evaluator before the sweep went columnar: array
 # powers differ from float powers in the last bit for a few percent of

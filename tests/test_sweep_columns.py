@@ -273,6 +273,33 @@ def test_coupled_row_notes_the_derivative_that_contradicts_its_verdict():
                                "(cross-side externalities)")
 
 
+def test_classify_notes_the_derivative_that_contradicts_its_verdict():
+    # the same market through `classify`: the contradicted row keeps its
+    # verdict, margin and thresholds, and its reason cell carries the note
+    # the sweep row writes; its zero-cross twin has no note
+    market = {"n_platforms": 4, "beta_b": 0.70032, "beta_s": 0.23015, "phi_bb": -0.0556,
+              "phi_bs": -0.03209, "phi_sb": -0.02276, "phi_ss": 0.42834,
+              "u0_b": -0.61704, "u0_s": 0.78925}
+    sweep = {"axis": "n_platforms", "start": "4", "stop": "4", "step": "1"}
+
+    def classify_rows(market):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.cmd_classify(parse_config(_ini(market, sweep, "cne"))) == 0
+        lines = [ln for ln in out.getvalue().splitlines() if not ln.startswith("#")]
+        assert lines[0] == "classifier,side,verdict,margin,thresholds,reason"
+        return {tuple(r[:2]): r[2:] for r in (ln.split(",") for ln in lines[1:])}
+
+    rows = classify_rows(market)
+    note = "vprice_dn_s increasing against dprice_dn_s -0.00099 (cross-side externalities)"
+    assert rows["vprice_dn", "s"][0] == "increasing" and rows["vprice_dn", "s"][3] == note
+    (row,) = _sweep_cells(_ini(market, sweep, "cne"))
+    assert [cells[3] for cells in rows.values() if cells[3]] == [row["warnings"]]
+    twin = classify_rows({**market, "phi_bs": 0.0, "phi_sb": 0.0})
+    assert twin.keys() == rows.keys()
+    assert not any("cross-side" in cells[3] for cells in twin.values())
+
+
 @st.composite
 def coupled_envelope_configs(draw):
     """cne sweeps over N or u0 on markets in the acceptance envelope (N < 7,
