@@ -52,15 +52,19 @@ CLASSIFIER_SPECS = (("price", "u0", "vprice_du0"), ("profit", "u0", "vprofit_du0
                     ("consumer_surplus", "n_platforms", "vcs_dn"),
                     ("profit", "n_platforms", "vprofit_dn"))
 DERIV_COLS = tuple(f"{name}_{side.label}" for _q, _w, name in DERIV_SPECS for side in Side)
+VERDICT_COLS = ("vsign_z_b", "vsign_z_s") + tuple(
+    f"{name}_{side.label}" for _q, _w, name in CLASSIFIER_SPECS for side in Side)
 # (verdict column, derivative column) of each direction verdict on each side
 VERDICT_DERIVS = tuple((f"{vname}_{side.label}", f"{dname}_{side.label}")
                        for q, w, vname in CLASSIFIER_SPECS for dq, dw, dname in DERIV_SPECS
                        if (q, w) == (dq, dw) for side in Side)
 # a sweep row leaves empty every column its regime and settings do not fill
-SWEEP_COLS = (INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS
-              + ("vsign_z_b", "vsign_z_s")
-              + tuple(f"{name}_{side.label}" for _q, _w, name in CLASSIFIER_SPECS
-                      for side in Side))
+SWEEP_COLS = INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS + VERDICT_COLS
+# each VERDICT_DERIVS pair with its two positions in a sweep row
+SWEEP_NOTES = tuple((vcol, SWEEP_COLS.index(vcol), dcol, SWEEP_COLS.index(dcol))
+                    for vcol, dcol in VERDICT_DERIVS)
+# a verdict cell's text; None is a cell where the one-cell classifier raises
+VERDICT_TEXT = {None: "error", **{v: v.value for v in VERDICTS}}
 
 # a figure row: the formatted phi and beta, verdict, margin, paint, solved sign
 FIGURE_ROW = "%s,%s,%s,%.17g,%d,%d\n"
@@ -172,7 +176,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     eq = _one(solve_markets(("cne",), [params], cfg.get("solve", "tol"))[0][0])
     # on a coupled market each direction verdict meets its own derivative,
     # from one implicit-function solve, and a contradiction is noted in reason
-    derivs = {} if params.cross_externalities_zero else _deriv_cells([params], {0: eq})[0]
+    derivs = ({} if params.cross_externalities_zero
+              else dict(zip(DERIV_COLS, _deriv_cells([params], {0: eq})[0][1:])))
     dcols = dict(VERDICT_DERIVS)
     rows = []
     for side in Side:
@@ -198,21 +203,27 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
 
 def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
     field, cells = SWEEP_AXES[axis]
-    entries = np.array(getattr(params, field))
-    for cell in cells:
-        entries[cell] = value
+    if field == "n_platforms":
+        entries = int(round(value))
+    elif field == "phi":
+        entries = [list(row) for row in params.phi]
+        for i, j in cells:
+            entries[i][j] = value
+    else:
+        entries = list(getattr(params, field))
+        for k in cells:
+            entries[k] = value
     try:  # a point outside the market domain is a config error, as in [market]
-        return params.replace(**{field: int(round(value)) if field == "n_platforms"
-                                 else entries.tolist()})
+        return params.replace(**{field: entries})
     except ValueError as exc:
         raise ConfigError(f"invalid market parameters: {exc}") from exc
 
 
-def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, dict]:
-    """The deriv_method and 16 derivative cells of each solved cne row, keyed
-    by point: the closed forms over columns at zero cross externalities,
-    otherwise the implicit-function solve over columns.  A derivative that
-    cannot be formed writes error:<exception type>."""
+def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
+    """The deriv_method and 16 derivative cells of each solved cne row, in
+    SWEEP_COLS order and keyed by point: the closed forms over columns at
+    zero cross externalities, otherwise the implicit-function solve over
+    columns.  A derivative that cannot be formed writes error:<exception type>."""
     decoupled = [i for i in eqs if points[i].cross_externalities_zero]
     coupled = [i for i in eqs if not points[i].cross_externalities_zero]
     out = {}
@@ -220,36 +231,42 @@ def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, dict]:
             (decoupled, "analytic", closed_form_columns([points[i] for i in decoupled],
                                                         [eqs[i].z for i in decoupled])),
             (coupled, "ift", ift_columns([eqs[i] for i in coupled]))):
-        columns = []  # per spec, the (buyer, seller) cells of each row
-        for quantity, wrt, _name in DERIV_SPECS:
-            values, errors = table[quantity, wrt]
-            columns.append(values.tolist())
-            for (row, k), exc in errors.items():
-                columns[-1][row][k] = f"error:{type(exc).__name__}"
-        for row, i in enumerate(rows):
-            out[i] = dict(zip(DERIV_COLS, [v for column in columns for v in column[row]]),
-                          deriv_method=method)
+        # each spec's (buyer, seller) columns side by side: a row of DERIV_COLS per point
+        cells = np.hstack([table[q, w][0] for q, w, _name in DERIV_SPECS]).tolist()
+        for col, (quantity, wrt, _name) in enumerate(DERIV_SPECS):
+            for (row, k), exc in table[quantity, wrt][1].items():
+                cells[row][2 * col + k] = f"error:{type(exc).__name__}"
+        out.update(zip(rows, ([method, *row] for row in cells)))
     return out
 
 
 def _verdict_cells(points: list[MarketParams], eqs: dict, regime: str,
-                   directions: bool) -> dict[int, dict]:
-    """The verdict cells of each solved row, keyed by point: the regime's sign
-    of z and, with directions, each direction classifier at the solved z*.
-    Each runs once per platform count, on both sides of its rows; a cell where
-    the one-cell classifier raises reads error."""
-    specs = [(f"sign_z_{regime}", "vsign_z")] + [
-        ((quantity, wrt), name) for quantity, wrt, name in CLASSIFIER_SPECS if directions]
-    out: dict[int, dict] = {i: {} for i in eqs}
-    for n in {points[i].n_platforms for i in eqs}:
-        cells = [(i, side) for side in Side for i in eqs if points[i].n_platforms == n]
-        # the beta, phi_kk, u0 and z* columns
-        columns = np.array([(points[i].beta[side.index], points[i].phi[side.index][side.index],
-                             points[i].u0[side.index], eqs[i].z.side(side))
-                            for i, side in cells]).T
-        for classifier, name in specs:
-            for (i, side), verdict in zip(cells, classify_columns(classifier, n, *columns)):
-                out[i][f"{name}_{side.label}"] = "error" if verdict is None else verdict.value
+                   directions: bool) -> dict[int, tuple]:
+    """The VERDICT_COLS cells of each solved row, keyed by point: the
+    regime's sign of z and, with directions, each direction classifier at
+    the solved z* (empty cells without).  Each classifier runs once per
+    platform count over the buyer sides of its rows, then the seller sides,
+    and a row's cells are read from those columns by position, not by
+    column name or side.  A cell where the one-cell classifier raises reads
+    error."""
+    specs = [f"sign_z_{regime}"] + [(quantity, wrt) for quantity, wrt, _name in CLASSIFIER_SPECS
+                                    if directions]
+    groups: dict[int, list] = {}
+    for i in eqs:
+        groups.setdefault(points[i].n_platforms, []).append(i)
+    out = {}
+    for n, rows in groups.items():
+        m = len(rows)
+        # per row (beta, phi_kk, u0, z*) by side, as the buyer-then-seller columns
+        sides = np.array([(*points[i].beta, points[i].phi[0][0], points[i].phi[1][1],
+                           *points[i].u0, eqs[i].z.z_b, eqs[i].z.z_s) for i in rows])
+        columns = sides.reshape(m, 4, 2).transpose(2, 0, 1).reshape(2 * m, 4).T
+        blocks = []  # one list of m cells per verdict column
+        for classifier in specs:
+            text = list(map(VERDICT_TEXT.__getitem__, classify_columns(classifier, n, *columns)))
+            blocks += [text[:m], text[m:]]
+        blocks += [[""] * m] * (len(VERDICT_COLS) - len(blocks))
+        out.update(zip(rows, zip(*blocks)))
     return out
 
 
@@ -263,34 +280,35 @@ def _contradiction(vcol: str, verdict, dcol: str, d) -> str | None:
     return None
 
 
-def _disagreements(cells: dict) -> list[str]:
-    """A note for each definite direction verdict of an ift row whose own
-    derivative has another sign."""
-    notes = (_contradiction(vcol, cells.get(vcol), dcol, cells.get(dcol))
-             for vcol, dcol in VERDICT_DERIVS)
-    return [note for note in notes if note]
-
-
 def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
                 with_derivs: bool) -> list[list]:
     """One regime's sweep row for every point from its stage-1 results, the
-    closed forms and the classifiers evaluated as columns."""
+    closed forms and the classifiers evaluated as columns.  Each row is
+    joined from its blocks, each already in SWEEP_COLS order: the inputs,
+    the equilibrium, the error and deriv_method cells, the derivatives and
+    the verdicts.  An ift row's warnings also note each definite direction
+    verdict whose own derivative has another sign, read by position."""
     eqs = {i: eq for i, eq in enumerate(solved) if not isinstance(eq, Exception)}
     directions = regime == "cne" and with_derivs
     derivs = _deriv_cells(points, eqs) if directions else {}
     verdicts = (_verdict_cells(points, eqs, regime, directions)
                 if regime == "ce" or with_derivs else {})
+    no_eq, no_derivs = [""] * (len(EQ_COLS) - 1), [""] * (1 + len(DERIV_COLS))
+    no_verdicts = [""] * len(VERDICT_COLS)
+    warnings = SWEEP_COLS.index("warnings")
     rows = []
     for i, (params, eq) in enumerate(zip(points, solved)):
-        cells = dict(zip(INPUT_COLS, _input_row(params)), regime=regime)
-        if i in eqs:
-            cells.update(zip(EQ_COLS, _eq_row(eq)), **derivs.get(i, {}), **verdicts.get(i, {}))
-            if cells.get("deriv_method") == "ift":
-                cells["warnings"] = ";".join([*eq.warnings, *_disagreements(cells)])
-        else:
-            # empty equilibrium cells, the message in the error column
-            cells["error"] = f"{type(eq).__name__}: {eq}"
-        rows.append([cells.get(col, "") for col in SWEEP_COLS])
+        if i not in eqs:
+            # the regime, empty equilibrium cells, the message in the error column
+            rows.append([*_input_row(params), regime, *no_eq, f"{type(eq).__name__}: {eq}",
+                         *no_derivs, *no_verdicts])
+            continue
+        d = derivs.get(i, no_derivs)
+        row = [*_input_row(params), *_eq_row(eq), "", *d, *verdicts.get(i, no_verdicts)]
+        if d[0] == "ift":
+            notes = (_contradiction(vcol, row[v], dcol, row[k]) for vcol, v, dcol, k in SWEEP_NOTES)
+            row[warnings] = ";".join([*eq.warnings, *filter(None, notes)])
+        rows.append(row)
     return rows
 
 

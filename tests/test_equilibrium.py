@@ -613,6 +613,41 @@ def test_rtsafe_pass_is_the_public_forms(mask, n, cells):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# z up to 1000 in size, far enough into both tails that omega (z <= -745)
+# or o (z >= 710) is 0
+PRICE_Z = st.one_of(st.floats(-1000.0, 1000.0),
+                    st.sampled_from([-1000.0, -746.0, -745.0, -700.0, 700.0, 710.0, 1000.0]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mask=st.sampled_from(["mixed", "ce", "cne"]), n=st.integers(2, 10_000),
+       seed=st.integers(0, 2**32 - 1),
+       cells=st.lists(st.tuples(PRICE_Z, st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+                                st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0])),
+                                st.booleans()),
+                      max_size=8))
+@example(mask="mixed", n=10_000, seed=0,
+         cells=[(-1000.0, 0.5, -0.0, False), (-1000.0, 0.5, -1.0, True),
+                (1000.0, 0.5, -0.0, False), (1000.0, 2.0, 0.0, True), (-746.0, 1e-3, -3.0, False)])
+def test_one_row_price_is_row_zero_of_the_mirrored_call(mask, n, seed, cells):
+    # a decoupled side row leaves out the cross terms; the general formula on
+    # two rows, each that side, with phi_lk = 0 gives the same bits in row 0.
+    # The drawn cells carry the edges, 32 seeded ones the bulk of the digits.
+    rng = np.random.default_rng(seed)
+    bulk = zip(rng.uniform(-40.0, 40.0, 32), 10.0 ** rng.uniform(-3.0, 1.0, 32),
+               rng.uniform(-3.0, 3.0, 32), rng.random(32) < 0.5)
+    z, beta, own, flags = (np.array(a) for a in zip(*cells, *bulk))
+    ce = flags if mask == "mixed" else np.asarray(mask == "ce")
+    with np.errstate(all="ignore"):
+        om, o = equilibrium._shares(z[None], float(n))
+        one = equilibrium._share_price(ce, om, o, beta[None], own[None], None, float(n))
+        two = equilibrium._share_price(ce, np.vstack([om, om]), np.vstack([o, o]),
+                                       np.stack([beta, beta]), np.stack([own, own]),
+                                       np.zeros((2, z.size)), float(n))
+    assert one.shape == (1, z.size)
+    assert one[0].tobytes() == two[0].tobytes()
+
+
 def test_stage1_makes_no_copies_per_iteration(monkeypatch):
     # counts, not time: `_Columns.take` runs only as Newton columns leave, at
     # most once per column, and each `_rtsafe` iteration forms the shares,

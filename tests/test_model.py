@@ -133,6 +133,60 @@ class TestMarketParams:
         with pytest.raises(ValueError):
             MarketParams(2, (1.0, 1.0), phi=((0.0, np.nan), (0.0, 0.0)))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"phi": 0.1}, "phi must be a 2x2 matrix"),
+        ({"phi": ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))}, "phi must be a 2x2 matrix"),
+        ({"phi": [[[0.1], [0.2]], [[0.3], [0.4]]]}, "phi must be a 2x2 matrix"),
+        ({"phi": ("12", "34")}, "phi must be a 2x2 matrix"),
+        ({"phi": ((0.0, np.nan), (0.0, 0.0))}, "phi must be finite"),
+        ({"phi": [[0.0, 0.0], [-np.inf, 0.0]]}, "phi must be finite"),
+        ({"beta": (0.0, 1.0)}, "beta must be positive on both sides"),
+        ({"beta": -1.0}, "beta must be positive on both sides"),
+        ({"beta": (1.0, np.inf)}, "beta must be finite"),
+        ({"u0": (np.nan, 0.0)}, "u0 must be finite"),
+        ({"mu": -np.inf}, "mu must be finite"),
+        ({"n_platforms": 2.5}, "n_platforms must be an integer >= 2"),
+        ({"n_platforms": 1}, "n_platforms must be an integer >= 2"),
+        ({"beta": (1.0,)}, "beta must be a scalar or a (buyer, seller) pair"),
+        ({"u0": ()}, "u0 must be a scalar or a (buyer, seller) pair"),
+        ({"mu": (1.0, 1.0, 1.0)}, "mu must be a scalar or a (buyer, seller) pair"),
+        # the first failing check speaks: N, the pairs, phi, then beta's sign
+        ({"n_platforms": 1, "beta": np.nan}, "n_platforms must be an integer >= 2"),
+        ({"beta": (0.0, 1.0), "u0": (1.0,)}, "u0 must be a scalar or a (buyer, seller) pair"),
+        ({"beta": (0.0, 1.0), "phi": np.nan}, "phi must be a 2x2 matrix"),
+    ])
+    def test_invalid_input_message(self, fields, message):
+        # the constructor and replace, which checks the copy anew, say the same
+        for build in (lambda: MarketParams(**{"n_platforms": 2, "beta": (1.0, 1.0), **fields}),
+                      lambda: MarketParams.uniform(3, 1.0, phi_own=0.3).replace(**fields)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("phi", [((0.0, 0.0), (0.0,)), [[0.1, 0.2, 0.3], [0.1, 0.2]],
+                                     ((np.array([0.1]), 0.0), (0.0, 0.0))])
+    def test_ragged_phi_says_what_numpy_says(self, phi):
+        with pytest.raises(ValueError) as numpy_error:
+            np.asarray(phi, dtype=float)
+        with pytest.raises(ValueError) as info:
+            MarketParams(2, (1.0, 1.0), phi)
+        assert str(info.value) == str(numpy_error.value)
+
+    @pytest.mark.parametrize("fields", [
+        {"phi": (("0.1", "-2"), ("0", "3e-3"))}, {"phi": np.array([[0.1, -2.0], [0.0, 3e-3]])},
+        {"phi": [np.array([0.1, -2.0]), (np.float32(0.0), 3e-3)]},
+        {"phi": ((np.float64(0.1), -2), (False, 3e-3))},
+        {"n_platforms": np.int64(3)}, {"n_platforms": "3"}, {"n_platforms": 3.0},
+        {"beta": np.float64(2.0)}, {"beta": "2"}, {"beta": iter([2.0, 2.0])},
+        {"u0": np.array([1, -1])}, {"mu": [0, 0.5]}])
+    def test_odd_valid_inputs_become_plain_floats(self, fields):
+        p = MarketParams(**{"n_platforms": 3, "beta": 2.0, **fields})
+        assert type(p.n_platforms) is int
+        for pair in (p.beta, *p.phi, p.u0, p.mu):
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(v) is float for v in pair)
+        assert p.phi in (((0.0, 0.0), (0.0, 0.0)), ((0.1, -2.0), (0.0, 3e-3)))
+
     @pytest.mark.parametrize("field", ["beta", "u0", "mu"])
     @pytest.mark.parametrize("value", [(1.0,), (), (1.0, 1.0, 1.0)])
     def test_pair_of_wrong_length_is_value_error(self, field, value):

@@ -8,9 +8,13 @@ here builds every row alone, from `solve_cne`/`solve_ce`, `closed_form`,
 agree bit for bit.
 """
 
+import collections
 import contextlib
 import dataclasses
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
 from platform_eq.regions import classify_direction, classify_sign_z
 from platform_eq.statics import closed_form, ift_columns, ift_derivatives
+
+from test_acceptance import C12_INI
 
 
 def _fmt(v) -> str:
@@ -330,3 +336,54 @@ def test_every_contradicted_verdict_is_noted(text):
         noted = _noted(cells)
         assert len(noted) == len(set(noted))
         assert set(noted) == _disagreeing(cells), cells["warnings"]
+
+
+# the market of ROADMAP item 2: on the seller side the decoupled rule reads
+# price increasing in N, and the coupled FOC's derivative is negative
+ITEM2 = {"n_platforms": 4, "beta_b": 0.70032, "beta_s": 0.23015, "phi_bb": -0.0556,
+         "phi_bs": -0.03209, "phi_sb": -0.02276, "phi_ss": 0.42834,
+         "u0_b": -0.61704, "u0_s": 0.78925}
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_sha256.json"
+# case -> config; the digests were written by the per-cell row assembly
+SWEEP_CASES = {
+    "c12_ce": C12_INI + "\n[solve]\nregime = ce\n",
+    "c12_no_derivatives": C12_INI.replace("step = 0.25\n", "step = 0.25\nderivatives = false\n"),
+    "stall": STALL,
+    # N = 4 carries the contradiction note
+    "item2": _ini(ITEM2, {"axis": "n_platforms", "start": "2", "stop": "6", "step": "2"}, "both"),
+    # analytic and ift rows side by side, both regimes
+    "two_axis": _ini({"n_platforms": 3, "beta_b": 1.1, "beta_s": 0.9, "phi_bb": 0.2,
+                      "phi_ss": -0.1},
+                     {"axis": "n_platforms", "start": "2", "stop": "5", "step": "3",
+                      "axis2": "phi_bs", "start2": "0.0", "stop2": "0.05", "step2": "0.05"},
+                     "both"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_golden(case):
+    """The sweep CSV reproduces the sha256 digest committed with the suite."""
+    out = _run_sweep(SWEEP_CASES[case])
+    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(GOLDEN_SWEEP.read_text())[case]
+
+
+def test_classifiers_run_once_per_platform_count(monkeypatch):
+    # two platform counts, both regimes, derivatives: per N, the cne rows take
+    # sign_z_cne and the 7 directions, the ce rows sign_z_ce, each one call
+    # over both sides of that N's rows
+    calls = collections.Counter()
+    real = cli.classify_columns
+
+    def counting(classifier, n, *columns):
+        assert all(len(c) == 2 * 3 for c in columns)
+        calls[classifier, n] += 1
+        return real(classifier, n, *columns)
+
+    monkeypatch.setattr(cli, "classify_columns", counting)
+    _run_sweep(_ini(ITEM2, {"axis": "n_platforms", "start": "3", "stop": "5", "step": "2",
+                            "axis2": "u0", "start2": "-1.0", "stop2": "1.0", "step2": "1.0"},
+                    "both"))
+    expected = [f"sign_z_{regime}" for regime in ("cne", "ce")] + [
+        (quantity, wrt) for quantity, wrt, _name in cli.CLASSIFIER_SPECS]
+    assert calls == {(classifier, n): 1 for classifier in expected for n in (3, 5)}
+    assert sum(calls.values()) == 18
