@@ -62,7 +62,7 @@ def _matrix(phi) -> tuple[tuple[float, float], tuple[float, float]]:
         cells = (*phi[0], *phi[1])
     else:
         array = np.asarray(phi, dtype=float)
-        if np.isscalar(phi) or array.shape != (2, 2):
+        if array.shape != (2, 2):
             raise ValueError("phi must be a 2x2 matrix")
         cells = array.ravel().tolist()
     a, b, c, d = map(float, cells)
