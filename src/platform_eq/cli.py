@@ -60,9 +60,11 @@ VERDICT_DERIVS = tuple((f"{vname}_{side.label}", f"{dname}_{side.label}")
                        if (q, w) == (dq, dw) for side in Side)
 # a sweep row leaves empty every column its regime and settings do not fill
 SWEEP_COLS = INPUT_COLS + EQ_COLS + ("error", "deriv_method") + DERIV_COLS + VERDICT_COLS
-# each VERDICT_DERIVS pair with its two positions in a sweep row
+# each VERDICT_DERIVS pair with its two positions in a sweep row, and the
+# position of the warnings cell the notes join
 SWEEP_NOTES = tuple((vcol, SWEEP_COLS.index(vcol), dcol, SWEEP_COLS.index(dcol))
                     for vcol, dcol in VERDICT_DERIVS)
+SWEEP_WARNINGS = SWEEP_COLS.index("warnings")
 # a verdict cell's text; None is a cell where the one-cell classifier raises
 VERDICT_TEXT = {None: "error", **{v: v.value for v in VERDICTS}}
 
@@ -177,7 +179,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     # on a coupled market each direction verdict meets its own derivative,
     # from one implicit-function solve, and a contradiction is noted in reason
     derivs = ({} if params.cross_externalities_zero
-              else dict(zip(DERIV_COLS, _deriv_cells([params], {0: eq})[0][1:])))
+              else dict(zip(DERIV_COLS, _deriv_cells([params], {0: eq})[0][1])))
     dcols = dict(VERDICT_DERIVS)
     rows = []
     for side in Side:
@@ -219,9 +221,9 @@ def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
         raise ConfigError(f"invalid market parameters: {exc}") from exc
 
 
-def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
-    """The deriv_method and 16 derivative cells of each solved cne row, in
-    SWEEP_COLS order and keyed by point: the closed forms over columns at
+def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, tuple[str, list]]:
+    """The deriv_method and the 16 derivative cells, in DERIV_COLS order, of
+    each solved cne row, keyed by point: the closed forms over columns at
     zero cross externalities, otherwise the implicit-function solve over
     columns.  A derivative that cannot be formed writes error:<exception type>."""
     decoupled = [i for i in eqs if points[i].cross_externalities_zero]
@@ -236,7 +238,7 @@ def _deriv_cells(points: list[MarketParams], eqs: dict) -> dict[int, list]:
         for col, (quantity, wrt, _name) in enumerate(DERIV_SPECS):
             for (row, k), exc in table[quantity, wrt][1].items():
                 cells[row][2 * col + k] = f"error:{type(exc).__name__}"
-        out.update(zip(rows, ([method, *row] for row in cells)))
+        out.update((i, (method, row)) for i, row in zip(rows, cells))
     return out
 
 
@@ -293,21 +295,21 @@ def _sweep_rows(points: list[MarketParams], regime: str, solved: list,
     derivs = _deriv_cells(points, eqs) if directions else {}
     verdicts = (_verdict_cells(points, eqs, regime, directions)
                 if regime == "ce" or with_derivs else {})
-    no_eq, no_derivs = [""] * (len(EQ_COLS) - 1), [""] * (1 + len(DERIV_COLS))
+    # EQ_COLS opens with the regime, the one cell a failed row keeps
+    no_eq, no_derivs = [""] * (len(EQ_COLS) - 1), ("", [""] * len(DERIV_COLS))
     no_verdicts = [""] * len(VERDICT_COLS)
-    warnings = SWEEP_COLS.index("warnings")
     rows = []
     for i, (params, eq) in enumerate(zip(points, solved)):
         if i not in eqs:
-            # the regime, empty equilibrium cells, the message in the error column
+            # empty equilibrium cells, the message in the error column
             rows.append([*_input_row(params), regime, *no_eq, f"{type(eq).__name__}: {eq}",
-                         *no_derivs, *no_verdicts])
+                         "", *no_derivs[1], *no_verdicts])
             continue
-        d = derivs.get(i, no_derivs)
-        row = [*_input_row(params), *_eq_row(eq), "", *d, *verdicts.get(i, no_verdicts)]
-        if d[0] == "ift":
+        method, d = derivs.get(i, no_derivs)
+        row = [*_input_row(params), *_eq_row(eq), "", method, *d, *verdicts.get(i, no_verdicts)]
+        if method == "ift":
             notes = (_contradiction(vcol, row[v], dcol, row[k]) for vcol, v, dcol, k in SWEEP_NOTES)
-            row[warnings] = ";".join([*eq.warnings, *filter(None, notes)])
+            row[SWEEP_WARNINGS] = ";".join([*eq.warnings, *filter(None, notes)])
         rows.append(row)
     return rows
 

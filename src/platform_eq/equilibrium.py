@@ -180,30 +180,19 @@ def _share_price(ce, om, o, beta, own, lk, n):
 
     A pole of the competitive price reads as a non-finite value.  Only
     + - * / act on the shares, so complex shares and a complex N carry a
-    complex step through.
-
-    A side axis of length 1 is a decoupled side that mirrors itself: l is k
-    there, phi_lk is 0 and lk is not read.  Such a row forms no c, no lk
-    term and no c q_b q_s: on finite shares each is +0, and x - (+0) is x,
-    so num and K K keep their bits.  base drops its + 0, which turns only an
-    own omega of -0 into +0.  That needs own <= 0, where K < 0 and
-    B omega own - beta < 0 make num >= +0, so neither beta/o (>= beta > 0)
-    nor the competitive quotient is -0, and the price keeps its bits.
+    complex step through.  A side axis of length 1 is a decoupled side that
+    mirrors itself: l is k there.
     """
-    base = own * om
-    if len(om) > 1:
-        base = base + lk * om[::-1]
+    base = own * om + lk * om[::-1]
 
     def competitive():
         B = o + om
         K = own * o * om - beta * (1.0 - om)
-        num = K[::-1] * (B * om * own - beta)
-        den = K[0] * K[-1]
-        if len(om) > 1:
-            c, q = lk[0] * lk[-1], o * om
-            num = num - c * om * q[::-1] * B - (n - 1.0) * lk * beta[::-1] * om * om[::-1] ** 2
-            den = den - c * q[0] * q[-1]
-        return beta * num / den - base
+        c = lk[0] * lk[-1]
+        q = o * om
+        num = (K[::-1] * (B * om * own - beta) - c * om * q[::-1] * B
+               - (n - 1.0) * lk * beta[::-1] * om * om[::-1] ** 2)
+        return beta * num / (K[0] * K[-1] - c * q[0] * q[-1]) - base
     return _pick(ce, lambda: beta / o - base, competitive)
 
 
@@ -318,7 +307,7 @@ def _decoupled_value(ce, z, beta, phi_kk, n, u0):
 
 def _row_value(ce, z, om, o, beta, phi_kk, n, u0):
     """`_decoupled_value` from the shares om, o at z, given as one side row that mirrors itself."""
-    p = _share_price(ce, om, o, beta[None], phi_kk[None], None, n)
+    p = _share_price(ce, om, o, beta[None], phi_kk[None], np.zeros((1,) * om.ndim), n)
     return phi_kk * om[0] - p[0] - u0 - beta * z
 
 

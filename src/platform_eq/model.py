@@ -37,38 +37,13 @@ class Side(Enum):
 
 
 def _pair(value, name: str) -> tuple[float, float]:
-    if type(value) is not tuple:
-        value = (value, value) if np.isscalar(value) else tuple(value)
+    value = (value, value) if np.isscalar(value) else tuple(value)
     if len(value) != 2:
         raise ValueError(f"{name} must be a scalar or a (buyer, seller) pair")
     pair = (float(value[0]), float(value[1]))
     if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
         raise ValueError(f"{name} must be finite")
     return pair
-
-
-_ROWS = (tuple, list)
-_NUMBERS = frozenset((float, int))
-
-
-def _matrix(phi) -> tuple[tuple[float, float], tuple[float, float]]:
-    """phi as two rows of two plain floats.  A tuple or list of two such
-    rows of Python floats and ints converts as it is; any other phi
-    converts through numpy, whose shape it checks and whose errors (a
-    ragged phi, a non-numeric entry) it raises."""
-    if (type(phi) in _ROWS and len(phi) == 2 and type(phi[0]) in _ROWS
-            and type(phi[1]) in _ROWS and len(phi[0]) == len(phi[1]) == 2
-            and _NUMBERS.issuperset(map(type, (*phi[0], *phi[1])))):
-        cells = (*phi[0], *phi[1])
-    else:
-        array = np.asarray(phi, dtype=float)
-        if array.shape != (2, 2):
-            raise ValueError("phi must be a 2x2 matrix")
-        cells = array.ravel().tolist()
-    a, b, c, d = map(float, cells)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-        raise ValueError("phi must be finite")
-    return (a, b), (c, d)
 
 
 @dataclass(frozen=True)
@@ -98,7 +73,13 @@ class MarketParams:
         object.__setattr__(self, "beta", _pair(self.beta, "beta"))
         object.__setattr__(self, "u0", _pair(self.u0, "u0"))
         object.__setattr__(self, "mu", _pair(self.mu, "mu"))
-        object.__setattr__(self, "phi", _matrix(self.phi))
+        phi = np.asarray(self.phi, dtype=float)
+        if phi.shape != (2, 2):
+            raise ValueError("phi must be a 2x2 matrix")
+        (a, b), (c, d) = phi.tolist()
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            raise ValueError("phi must be finite")
+        object.__setattr__(self, "phi", ((a, b), (c, d)))
         if not (self.beta[0] > 0 and self.beta[1] > 0):
             raise ValueError("beta must be positive on both sides")
 

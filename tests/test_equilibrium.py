@@ -630,8 +630,8 @@ PRICE_Z = st.one_of(st.floats(-1000.0, 1000.0),
          cells=[(-1000.0, 0.5, -0.0, False), (-1000.0, 0.5, -1.0, True),
                 (1000.0, 0.5, -0.0, False), (1000.0, 2.0, 0.0, True), (-746.0, 1e-3, -3.0, False)])
 def test_one_row_price_is_row_zero_of_the_mirrored_call(mask, n, seed, cells):
-    # a decoupled side row leaves out the cross terms; the general formula on
-    # two rows, each that side, with phi_lk = 0 gives the same bits in row 0.
+    # a decoupled side as one row that mirrors itself prices as row 0 of two
+    # rows, each that side, with phi_lk = 0, bit for bit.
     # The drawn cells carry the edges, 32 seeded ones the bulk of the digits.
     rng = np.random.default_rng(seed)
     bulk = zip(rng.uniform(-40.0, 40.0, 32), 10.0 ** rng.uniform(-3.0, 1.0, 32),
@@ -640,7 +640,8 @@ def test_one_row_price_is_row_zero_of_the_mirrored_call(mask, n, seed, cells):
     ce = flags if mask == "mixed" else np.asarray(mask == "ce")
     with np.errstate(all="ignore"):
         om, o = equilibrium._shares(z[None], float(n))
-        one = equilibrium._share_price(ce, om, o, beta[None], own[None], None, float(n))
+        one = equilibrium._share_price(ce, om, o, beta[None], own[None], np.zeros((1, z.size)),
+                                       float(n))
         two = equilibrium._share_price(ce, np.vstack([om, om]), np.vstack([o, o]),
                                        np.stack([beta, beta]), np.stack([own, own]),
                                        np.zeros((2, z.size)), float(n))
