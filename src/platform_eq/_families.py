@@ -1,35 +1,22 @@
 """Closed-form polynomial coefficient families in e^z for the decoupled model.
 
-Each builder returns the coefficients (lowest power first) of a polynomial
-sum_m c_m e^{m z} whose index range is fixed per family; `FAMILIES` records
-the lowest power.  All are polynomials in (beta, phi, N) -- and for the
-profit/N numerator "n_pik" also (u0, z) -- valid when the cross-side
+Each family is one plain function of its arguments returning the list of
+its coefficients, lowest power first, of a polynomial sum_m c_m e^{m z}
+whose index range is fixed per family; `FAMILIES` records the lowest power.
+The arithmetic follows its inputs: Python floats on floats, arrays on arrays,
+sympy expressions on symbols.  All are polynomials in (beta, phi, N) -- and
+for the profit/N numerator "n_pik" also (u0, z) -- valid when the cross-side
 externalities are zero.  A family that serves several closed forms appears
 once: the slope family "a" is also the denominator of dp*/du0, dCS*/du0 and
-dp*/dN, and "d_piu" that of dpi*/du0, d(Nx*)/dN and dpi*/dN.  np operations
-throughout so the builders broadcast over parameter arrays.
+dp*/dN, and "d_piu" that of dpi*/du0, d(Nx*)/dN and dpi*/dN.  One Horner
+loop, `horner`, evaluates every coefficient list.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 
-def _family(terms):
-    """The builder of a family from the function listing its coefficients:
-    those coefficients stacked on a trailing axis.  `builder.terms` is the
-    plain list, which on floats stays in Python floats."""
-    @functools.wraps(terms)
-    def builder(*args):
-        cols = np.broadcast_arrays(*terms(*args))
-        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-    builder.terms = terms
-    return builder
-
-
-@_family
 def a_coefficients(beta, phi, n):
     """Slope family: dM/dz = -sum a_m e^{mz} / [(1+Ne^z)^2 (beta(1+(N-1)e^z)(1+Ne^z) - e^z phi)^2]."""
     b, f, N = beta, phi, n
@@ -45,7 +32,6 @@ def a_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def s_coefficients(beta, phi, n):
     """Own-price second-order-condition numerator; negative in the existence region."""
     b, f, N = beta, phi, n
@@ -65,7 +51,6 @@ def s_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def n_pu_coefficients(beta, phi, n):
     """Numerator of -dp*/du0."""
     b, f, N = beta, phi, n
@@ -78,7 +63,6 @@ def n_pu_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def n_piu_coefficients(beta, phi, n):
     """Numerator of -dpi*/du0; valid with u0 eliminated through the FOC."""
     b, f, N = beta, phi, n
@@ -92,7 +76,6 @@ def n_piu_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def d_piu_coefficients(beta, phi, n):
     """Shared degree-7 denominator of dpi*/du0, d(Nx*)/dN and dpi*/dN."""
     b, f, N = beta, phi, n
@@ -111,7 +94,6 @@ def d_piu_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def n_csu_coefficients(beta, phi, n):
     """Numerator of +dCS*/du0."""
     b, f, N = beta, phi, n
@@ -124,7 +106,6 @@ def n_csu_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def n_p_coefficients(beta, phi, n):
     """Numerator of dp*/dN."""
     b, f, N = beta, phi, n
@@ -137,7 +118,6 @@ def n_p_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def n_nx_coefficients(beta, phi, n):
     """Numerator of d(N x*)/dN."""
     b, f, N = beta, phi, n
@@ -152,7 +132,6 @@ def n_nx_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def n_csk_coefficients(beta, phi, n):
     """Numerator of dCS*/dN."""
     b, f, N = beta, phi, n
@@ -170,14 +149,11 @@ def n_csk_coefficients(beta, phi, n):
     ]
 
 
-@_family
 def d_csk_coefficients(beta, phi, n):
     """Denominator of dCS*/dN: (N+1) times the slope family."""
-    factor = np.asarray(n, dtype=float) + 1.0
-    return [c * factor for c in a_coefficients.terms(beta, phi, n)]
+    return [c * (n + 1.0) for c in a_coefficients(beta, phi, n)]
 
 
-@_family
 def n_pik_coefficients(beta, phi, n, u0, z):
     """Numerator of dpi*/dN; carries u0 and the solved z inside its coefficients."""
     b, f, N, u, zs = beta, phi, n, u0, z
@@ -198,19 +174,7 @@ def n_pik_coefficients(beta, phi, n, u0, z):
     ]
 
 
-@_family
-def y_beta_coefficients(phi, n):
-    """Cubic in beta bounding the dCS*/dN numerator; coefficients of beta^0..beta^3."""
-    f, N = phi, n
-    return [
-        -4 * (N + 2) * f**3,
-        4 * (2*N**3 + 7*N**2 + 6*N + 1) * f**2,
-        -(2*N**5 + 24*N**4 + 51*N**3 + 45*N**2 + 18*N + 2) * f,
-        (N**6 + 11*N**5 + 22*N**4 + 36*N**3 + 34*N**2 + 18*N + 3),
-    ]
-
-
-# registry: name -> (lowest power of e^z, builder)
+# registry: name -> (lowest power of e^z, family)
 FAMILIES = {
     "a": (0, a_coefficients),
     "s": (0, s_coefficients),
@@ -226,14 +190,20 @@ FAMILIES = {
 }
 
 
-def eval_series(coeffs: np.ndarray, m_start: int, z) -> np.ndarray:
-    """Evaluate sum_m c_m e^{mz} by Horner in e^z with the lowest power factored out."""
+def horner(coeffs, x):
+    """sum_i coeffs[i] x^i by Horner, starting from the top coefficient."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def eval_series(coeffs, m_start: int, z) -> np.ndarray:
+    """Evaluate sum_m c_m e^{mz}, coefficients lowest power first, by Horner
+    in e^z with the lowest power factored out."""
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(z)
-        acc = np.zeros(np.broadcast_shapes(z.shape, coeffs.shape[:-1]))
-        for i in range(coeffs.shape[-1] - 1, -1, -1):
-            acc = acc * x + coeffs[..., i]
+        acc = horner(coeffs, np.exp(z))
         if m_start:
             acc = acc * np.exp(m_start * z)
     return acc

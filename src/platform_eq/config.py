@@ -197,6 +197,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"[sweep] step{suffix} must be positive")
         if sweep["stop" + suffix] < sweep["start" + suffix]:
             raise ConfigError(f"[sweep] stop{suffix} must not be below start{suffix}")
+        if not math.isfinite((sweep["stop" + suffix] - sweep["start" + suffix])
+                             / sweep["step" + suffix]):
+            raise ConfigError(f"[sweep] step{suffix} is too small for its range")
         if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
             raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
     grid = values["grid"]

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._families import a_coefficients
+from ._families import a_coefficients, horner
 from .model import (EULER_GAMMA, MarketParams, Side, ce_existence_bound, cne_existence_bound,
                     existence_fails)
 
@@ -313,13 +313,11 @@ def _row_value(ce, z, om, o, beta, phi_kk, n, u0):
 
 def _slope(ce, z, om, o, beta, phi_kk, n, a):
     """dM_k/dz: collusive from the shares om, o where ce holds, else from the slope
-    family a at z capped to SLOPE_Z_CAP (e^z finite, so Horner starts at the top)."""
+    family a, one plain coefficient list, by `horner` at e^z with z capped to
+    SLOPE_Z_CAP (e^z finite, so Horner starts at the top)."""
     def competitive():
         x = np.exp(np.minimum(z, SLOPE_Z_CAP))
-        num = a[..., -1]
-        for i in range(a.shape[-1] - 2, -1, -1):
-            num = num * x + a[..., i]
-        return -num / _slope_denominator(x, beta, phi_kk, n)
+        return -horner(a, x) / _slope_denominator(x, beta, phi_kk, n)
     return _pick(ce, lambda: 2.0 * phi_kk * om * o - beta / o, competitive)
 
 
@@ -331,8 +329,9 @@ def mk_value(z, beta, phi_kk, n, u0):
 
 @_quiet
 def mk_slope(z, beta, phi_kk, n, a=None):
-    """dM_k/dz via the slope coefficient family a = a_coefficients(beta, phi_kk, n),
-    built here unless given; strictly negative in the existence region."""
+    """dM_k/dz via the slope family a = a_coefficients(beta, phi_kk, n), one plain
+    coefficient list evaluated by one Horner loop, built here unless given;
+    strictly negative in the existence region."""
     out = _slope(np.False_, np.asarray(z, dtype=float), None, None, beta, phi_kk, n,
                  a_coefficients(beta, phi_kk, n) if a is None else a)
     return out if out.ndim else float(out)
@@ -434,7 +433,7 @@ def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
             cells, x, delta, fx, pos, neg, step, step_old, ce, beta, phi_kk, u0 = (
                 v[live] for v in (cells, x, delta, fx, pos, neg, step, step_old, ce, beta,
                                   phi_kk, u0))
-            a = None if a is None else a[live]
+            a = None if a is None else [c[live] for c in a]
         x = x - delta
     else:
         z[cells], fz[cells] = x, fx
@@ -603,8 +602,11 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
     the mask marks take one more `_roots` batch, at 600 pieces a side, for
     every root, and each keeps its max-profit one.  Returns one list per
     regime holding, per market, its SymmetricEquilibrium or its SolverError.
-    `n` evaluates every market at one real-valued platform count.
+    `n` evaluates every market at one real-valued platform count, finite
+    and above 1, else ValueError.
     """
+    if n is not None and not 1.0 < n < np.inf:
+        raise ValueError(f"n must be a finite platform count above 1, got {n!r}")
     m = len(markets)
     groups: dict[float, list[int]] = {}
     for i, p in enumerate(markets):

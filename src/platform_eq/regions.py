@@ -134,8 +134,10 @@ def _gpi_cubic(n: float, phi: float) -> Cubic:
 
 
 def _fcs_cubic(n: float, phi: float) -> Cubic:
-    y = fam.y_beta_coefficients(phi, n)
-    return Cubic(float(y[3]), float(y[2]), float(y[1]), float(y[0]))
+    return Cubic(n**6 + 11.0 * n**5 + 22.0 * n**4 + 36.0 * n**3 + 34.0 * n**2 + 18.0 * n + 3.0,
+                 -(2.0 * n**5 + 24.0 * n**4 + 51.0 * n**3 + 45.0 * n**2 + 18.0 * n + 2.0) * phi,
+                 4.0 * (2.0 * n**3 + 7.0 * n**2 + 6.0 * n + 1.0) * phi**2,
+                 -4.0 * (n + 2.0) * phi**3)
 
 
 # kind -> (cubic builder, designated root)

@@ -113,7 +113,7 @@ class _Cells:
     def family(self, name: str):
         """(coefficients, series at z*, max(1, max |c|), {cell: OverflowError})."""
         if name not in self._families:
-            m0, build = fam.FAMILIES[name]
+            m0, family = fam.FAMILIES[name]
             cols = (self.beta, self.phi_kk, *((self.u0, self.z) if name == "n_pik" else ()))
             # the row of each distinct exact bits of a cell's arguments (-0.0
             # is not 0.0); its build takes those bits read back as floats
@@ -123,14 +123,14 @@ class _Cells:
             rows, failed = [], {}
             for j, args in enumerate(np.array(list(where)).view(float).tolist()):
                 try:
-                    rows.append(build.terms(args[0], args[1], self.n, *args[2:]))
+                    rows.append(family(args[0], args[1], self.n, *args[2:]))
                 except OverflowError as exc:  # a float power out of range
                     rows.append(None)
                     failed[j] = exc
             width = next((len(r) for r in rows if r is not None), 1)
             coeffs = np.array([[math.nan] * width if r is None else r for r in rows])[index]
             errors = {i: failed[j] for i, j in enumerate(index) if j in failed}
-            self._families[name] = (coeffs, fam.eval_series(coeffs, m0, self.z_col),
+            self._families[name] = (coeffs, fam.eval_series(coeffs.T, m0, self.z_col),
                                     np.fmax(1.0, np.abs(coeffs).max(axis=-1)), errors)
         return self._families[name]
 
@@ -145,7 +145,7 @@ def _evaluate(key: tuple[str, str], cells: _Cells) -> tuple[np.ndarray, dict[int
     if key == DZ_DU0:  # 1 / mk_slope, its two squares per cell
         coeffs, _, _, errors = cells.family("a")
         z = np.minimum(cells.z_col, SLOPE_Z_CAP)
-        num = fam.eval_series(coeffs, 0, z)
+        num = fam.eval_series(coeffs.T, 0, z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             den = np.array([_slope_denominator(ez, b, f, cells.n)
                             for ez, b, f in zip(np.exp(z), cells.beta, cells.phi_kk)])
@@ -333,9 +333,11 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
 
     Works for any parameters (including nonzero cross externalities, where the
     analytic forms are unavailable).  For wrt="n_platforms" the solver is
-    evaluated at real N +- h.
+    evaluated at real N +- h.  The step h must be positive and finite.
     """
     h = FD_STEP if h is None else h
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     if wrt == "u0":
         u0 = list(params.u0)
         u0_hi, u0_lo = list(u0), list(u0)

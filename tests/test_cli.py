@@ -136,6 +136,9 @@ INVALID_SETTINGS = {
     "step_0": ("sweep", "[sweep]\nstep = 0\n", []),
     "step2_negative": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 0.5\nstop2 = 1\nstep2 = -1\n",
                        []),
+    "step_underflows": ("sweep", "[sweep]\nstep = 5e-324\n", []),
+    "step2_underflows": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 0.5\nstop2 = 1\n"
+                         "step2 = 5e-324\n", []),
     "sweep_reversed": ("sweep", "[sweep]\nstart = 6\nstop = 3\nstep = 1\n", []),
     "sweep2_reversed": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 1\nstop2 = 0.5\nstep2 = 0.1\n",
                         []),

@@ -450,6 +450,18 @@ def test_solve_markets_matches_one_market_solves():
         assert any(r.warnings for r in results if not isinstance(r, Exception))
 
 
+@pytest.mark.parametrize("n", [-2.0, 0.0, 1.0, np.nan, np.inf])
+@pytest.mark.parametrize("solve", [solve_cne, solve_ce,
+                                   lambda p, n: equilibrium.solve_markets(("cne",), [p], n=n)],
+                         ids=["solve_cne", "solve_ce", "solve_markets"])
+def test_real_platform_count_must_be_finite_and_above_one(solve, n):
+    # n = -2 gave prices of -0.2996 with no warning, n = 0 divided by zero,
+    # and nan or inf read "no root in range"
+    params = MarketParams.uniform(3, 1.0, phi_own=0.2, u0=0.3)
+    with pytest.raises(ValueError, match="n must be a finite platform count above 1"):
+        solve(params, n=n)
+
+
 class TestCoupledNewtonStall:
     # not a rounding floor: the residual is 3.4e-6 against eps max|term| ~ 7e-22,
     # and the Newton step is ~4e9 on a Jacobian with det J / (|J00 J11| + |J01 J10|)

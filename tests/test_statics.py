@@ -62,14 +62,14 @@ class TestCoefficientFamilies:
     def test_shared_denominators(self):
         # d_csk = (N+1) a
         args = (1.37, -0.62, 4.0)
-        a = fam.a_coefficients(*args)
-        assert np.allclose(fam.d_csk_coefficients(*args), 5.0 * a, rtol=1e-15)
+        a = np.array(fam.a_coefficients(*args))
+        assert np.allclose(np.array(fam.d_csk_coefficients(*args)), 5.0 * a, rtol=1e-15)
 
     def test_degree7_denominator_is_shifted_slope_family(self):
         # d_piu = (1 + N e^z) * a as polynomials
         beta, phi, n = 0.8, 0.5, 3.0
-        a = fam.a_coefficients(beta, phi, n)
-        d7 = fam.d_piu_coefficients(beta, phi, n)
+        a = np.array(fam.a_coefficients(beta, phi, n))
+        d7 = np.array(fam.d_piu_coefficients(beta, phi, n))
         conv = np.zeros(8)
         conv[:7] += a
         conv[1:] += n * a
@@ -126,6 +126,17 @@ class TestAnalyticVsFiniteDifference:
         assert np.isfinite(val) and val < 0
         b = derivative_bundle("price", "u0", params, Side.BUYER)
         assert b.analytic is None and np.isnan(b.agreement)
+
+    def test_fd_step_must_be_positive_and_finite(self):
+        # h = 0 divided by zero, and a negative h gave the central difference of -h
+        params = MarketParams.uniform(2, 1.0, phi_own=0.2, u0=0.3)
+        for h in (0.0, -1e-4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="h must be positive and finite"):
+                fd_derivative("price", "u0", params, Side.BUYER, h=h)
+        # at N = 2, N - h is a platform count of 1.9998, which still solves
+        dp_dn = fd_derivative("price", "n_platforms", params, Side.BUYER, h=2e-4)
+        assert np.isfinite(dp_dn) and dp_dn == pytest.approx(dprice_dn(params, Side.BUYER),
+                                                            rel=1e-6)
 
     def test_closed_form_unknown_key(self):
         with pytest.raises(ValueError, match="no closed form"):
@@ -184,11 +195,14 @@ def test_closed_form_columns_repeated_sides_match_closed_form(monkeypatch):
     z_star = [(z, z if base is bases[3] else z + 0.25)
               for z in (-1.5, 498.75, 0.0, 0.5) for base in bases]
     builds = []
-    for name, (_m0, build) in fam.FAMILIES.items():
-        def spy(*args, _name=name, _terms=build.terms):
-            builds.append((_name, tuple(float(a).hex() for a in args)))
-            return _terms(*args)
-        monkeypatch.setattr(build, "terms", spy)
+    def spy_on(name, family):
+        def spy(*args):
+            builds.append((name, tuple(float(a).hex() for a in args)))
+            return family(*args)
+        return spy
+    for name, (m0, family) in fam.FAMILIES.items():
+        monkeypatch.setitem(fam.FAMILIES, name, (m0, spy_on(name, family)))
+    monkeypatch.setattr(fam, "a_coefficients", spy_on("a", fam.a_coefficients))
     table = closed_form_columns(markets, z_star)
     # one build per distinct exact bits of (beta, phi_kk, N), and of
     # (beta, phi_kk, N, u0, z*) for n_pik; d_csk builds on "a" once more.
