@@ -4,7 +4,7 @@ Each family is one plain function of its arguments returning the list of
 its coefficients, lowest power first, of a polynomial sum_m c_m e^{m z}
 whose index range is fixed per family; `FAMILIES` records the lowest power.
 The arithmetic follows its inputs: Python floats on floats, arrays on arrays,
-sympy expressions on symbols.  All are polynomials in (beta, phi, N) -- and
+exact duals on exact duals.  All are polynomials in (beta, phi, N) -- and
 for the profit/N numerator "n_pik" also (u0, z) -- valid when the cross-side
 externalities are zero.  A family that serves several closed forms appears
 once: the slope family "a" is also the denominator of dp*/du0, dCS*/du0 and

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import MARKET_KEYS, SWEEP_AXES, ConfigError, RunConfig, load_config
+from .config import MARKET_KEYS, SWEEP_AXES, ConfigError, RunConfig, axis_count, load_config
 from .demand import FixedPointError
 from .equilibrium import SolverError, _one, compare_regimes, solve_markets
 from .limits import outside_option_limit_check, perfect_competition_check
@@ -199,8 +199,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def _axis_values(start: float, stop: float, step: float) -> list[float]:
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    return [start + i * step for i in range(axis_count(start, stop, step))]
 
 
 def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:

@@ -121,6 +121,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 MARKET_KEYS = tuple(SCHEMA["market"])
+MAX_SWEEP_POINTS = 1_000_000  # over both sweep axes
+
+
+def axis_count(start: float, stop: float, step: float) -> int:
+    """The number of sweep points start + i step, i = 0, 1, ..., up to stop
+    (with a 1e-9 slack for rounding); MAX_SWEEP_POINTS + 1 for any larger
+    count, an overflowing one included."""
+    return math.floor(min((stop - start) / step, MAX_SWEEP_POINTS) + 1e-9) + 1
 
 
 @dataclass
@@ -192,16 +200,19 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     # a positive step keeps an n_platforms axis >= 2 if its rounded start is
     sweep = values["sweep"]
+    points = 1
     for suffix in ("", "2") if sweep["axis2"] else ("",):
         if not sweep["step" + suffix] > 0:
             raise ConfigError(f"[sweep] step{suffix} must be positive")
         if sweep["stop" + suffix] < sweep["start" + suffix]:
             raise ConfigError(f"[sweep] stop{suffix} must not be below start{suffix}")
-        if not math.isfinite((sweep["stop" + suffix] - sweep["start" + suffix])
-                             / sweep["step" + suffix]):
-            raise ConfigError(f"[sweep] step{suffix} is too small for its range")
+        points *= axis_count(sweep["start" + suffix], sweep["stop" + suffix],
+                             sweep["step" + suffix])
         if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
             raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError(f"[sweep] has more than {MAX_SWEEP_POINTS:,} points over its axes;"
+                          " use a coarser step")
     grid = values["grid"]
     for axis in ("phi", "beta"):
         if not grid[axis + "_min"] < grid[axis + "_max"]:

@@ -13,7 +13,7 @@ import platform_eq.cli as cli
 import platform_eq.equilibrium as equilibrium
 import platform_eq.statics as statics
 from platform_eq.cli import DERIV_SPECS, main
-from platform_eq.config import SWEEP_AXES, ConfigError, parse_config
+from platform_eq.config import MAX_SWEEP_POINTS, SWEEP_AXES, ConfigError, axis_count, parse_config
 from platform_eq.model import MarketParams, Side
 
 BASE_INI = """\
@@ -69,6 +69,14 @@ class TestConfig:
         cfg = parse_config(BASE_INI.replace("n_platforms = 2", "n_platforms = 1"))
         with pytest.raises(ConfigError):
             cfg.market
+
+    def test_sweep_point_cap(self):
+        # parsed only, never swept: a sweep at the cap is accepted, one point more is not
+        at_cap = "\n[sweep]\nstart = 0\nstop = 999999\nstep = 1\n"
+        assert axis_count(0.0, 999999.0, 1.0) == MAX_SWEEP_POINTS
+        parse_config(BASE_INI + at_cap)
+        with pytest.raises(ConfigError, match="points"):
+            parse_config(BASE_INI + at_cap.replace("999999", "1000000"))
 
     def test_bad_sweep_axis(self):
         with pytest.raises(ConfigError, match="sweep axis"):
@@ -139,6 +147,10 @@ INVALID_SETTINGS = {
     "step_underflows": ("sweep", "[sweep]\nstep = 5e-324\n", []),
     "step2_underflows": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 0.5\nstop2 = 1\n"
                          "step2 = 5e-324\n", []),
+    # finite point counts, but more than MAX_SWEEP_POINTS on one axis or over both
+    "step_too_fine": ("sweep", "[sweep]\nstep = 1e-300\n", []),
+    "sweep_points_product": ("sweep", "[sweep]\nstep = 0.001\naxis2 = beta\nstart2 = 0.5\n"
+                             "stop2 = 1\nstep2 = 0.0001\n", []),
     "sweep_reversed": ("sweep", "[sweep]\nstart = 6\nstop = 3\nstep = 1\n", []),
     "sweep2_reversed": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 1\nstop2 = 0.5\nstep2 = 0.1\n",
                         []),

@@ -17,6 +17,7 @@ from platform_eq.model import (EULER_GAMMA, MarketParams, Side, ce_existence_bou
                                check_ce_existence, check_cne_existence, cne_existence_bound)
 from platform_eq.regions import Verdict, classify_existence, classify_sign_z
 from platform_eq.statics import ift_derivatives
+from test_exact import pricing_matrices
 
 
 def _price(regime: str, z, beta, phi, n):
@@ -27,54 +28,34 @@ def _price(regime: str, z, beta, phi, n):
                                     np.stack([phi[1][0], phi[0][1]]), n)
 
 
-# the paper's literal pricing matrices: the reference the share-space price
-# `_price` is checked against
+# the paper's literal pricing matrices, from the exact tier's reference: what
+# the share-space price `_price` is checked against
 
 class FOCSingularityError(ArithmeticError):
     """The pricing-matrix denominator (J_phi or a K factor) vanished."""
 
 
-def h_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
-    """Competitive pricing matrix H(z).
-
-    Entries combine L_k = (N-1) beta_k (1+N e^{z_k}) / J_phi,
-    d_k = beta_k (1+N e^{z_k}), h_k = beta_k (1+e^{z_k})(e^{-z_k}+N),
-    K_k = phi_kk - beta_k (1+N e^{z_k})(e^{-z_k}+N-1) and
-    J_phi = K_b K_s - phi_sb phi_bs.
-    """
-    zv = _as_z_array(z)
+def _pricing_matrices(z, params: MarketParams, n: float | None):
+    """`pricing_matrices` at w = e^z in floats."""
     n = float(params.n_platforms if n is None else n)
-    beta = params.beta_arr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return pricing_matrices(np.exp(_as_z_array(z)), params.beta_arr, params.phi_arr, n)
+
+
+def h_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
+    """Competitive pricing matrix H(z); refuses a point where J_phi vanishes."""
+    H, _, K = _pricing_matrices(z, params, n)
     phi = params.phi_arr
-    with np.errstate(over="ignore", invalid="ignore"):
-        ez = np.exp(zv)
-        emz = np.exp(-zv)
-        one_nez = 1.0 + n * ez
-        d = beta * one_nez
-        h = beta * (1.0 + ez) * (emz + n)
-        K = np.diag(phi) - beta * one_nez * (emz + n - 1.0)
-        j_phi = K[0] * K[1] - phi[1, 0] * phi[0, 1]
-        scale = abs(K[0] * K[1]) + abs(phi[1, 0] * phi[0, 1]) + 1.0
-        if abs(j_phi) < 1e-14 * scale:
-            raise FOCSingularityError("FOC singularity (J_phi or K_k vanishes)")
-        L = (n - 1.0) * beta * one_nez / j_phi
-        return np.array([
-            [L[0] * d[0] * K[1] + h[0] - phi[0, 0], -phi[1, 0] * (d[1] * L[0] + 1.0)],
-            [-phi[0, 1] * (d[0] * L[1] + 1.0), L[1] * d[1] * K[0] + h[1] - phi[1, 1]],
-        ])
+    j_phi = K[0] * K[1] - phi[1, 0] * phi[0, 1]
+    scale = abs(K[0] * K[1]) + abs(phi[1, 0] * phi[0, 1]) + 1.0
+    if abs(j_phi) < 1e-14 * scale:
+        raise FOCSingularityError("FOC singularity (J_phi or K_k vanishes)")
+    return np.array(H)
 
 
 def hc_matrix(z, params: MarketParams, n: float | None = None) -> np.ndarray:
-    """Collusive pricing matrix H^C(z): diagonal beta_k (1+N e^{z_k})^2 / e^{z_k} - phi_kk,
-    off-diagonal -phi_sb / -phi_bs."""
-    zv = _as_z_array(z)
-    n = float(params.n_platforms if n is None else n)
-    beta = params.beta_arr
-    phi = params.phi_arr
-    # (1+N e^z)^2 / e^z expanded so neither exponential is squared
-    with np.errstate(over="ignore"):
-        diag = beta * (np.exp(-zv) + 2.0 * n + n * n * np.exp(zv)) - np.diag(phi)
-    return np.array([[diag[0], -phi[1, 0]], [-phi[0, 1], diag[1]]])
+    """Collusive pricing matrix H^C(z)."""
+    return np.array(_pricing_matrices(z, params, n)[1])
 
 
 def bisect(f, lo=-60.0, hi=60.0, iters=200):

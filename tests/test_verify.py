@@ -600,7 +600,8 @@ def test_exact_derivatives_match_central_differences(case):
 
 
 def test_import_leaves_scipy_out():
-    code = "import sys, platform_eq.cli; print('scipy' in sys.modules)"
+    code = ("import sys, platform_eq.cli; "
+            "print([m for m in ('scipy', 'sympy') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
