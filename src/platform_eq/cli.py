@@ -138,7 +138,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     params = cfg.market
     # one stage-1 batch; a cne failure is raised first
     rows = [_input_row(params) + _eq_row(_one(results[0]))
-            for results in solve_markets(_regimes(cfg), [params], cfg.get("solve", "tol"))]
+            for results in solve_markets(_regimes(cfg), [params])]
     text = csv_text(_comments(cfg, "solve"), INPUT_COLS + EQ_COLS, rows)
     _emit(text, cfg.get("output", "dir"), "solve.csv")
     return 0
@@ -146,7 +146,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     params = cfg.market
-    cmp_ = compare_regimes(params, tol=cfg.get("solve", "tol"))
+    cmp_ = compare_regimes(params)
     header = INPUT_COLS + tuple(f"cne_{c}" for c in EQ_COLS[1:]) \
         + tuple(f"ce_{c}" for c in EQ_COLS[1:]) \
         + ("dz_b", "dz_s", "dpart_b", "dpart_s", "dprice_b", "dprice_s",
@@ -175,7 +175,7 @@ def _label_cells(classify, *args, **kwargs) -> list:
 
 def cmd_classify(cfg: RunConfig) -> int:
     params = cfg.market
-    eq = _one(solve_markets(("cne",), [params], cfg.get("solve", "tol"))[0][0])
+    eq = _one(solve_markets(("cne",), [params])[0][0])
     # on a coupled market each direction verdict meets its own derivative,
     # from one implicit-function solve, and a contradiction is noted in reason
     derivs = ({} if params.cross_externalities_zero
@@ -205,7 +205,7 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
 def _apply_axis(params: MarketParams, axis: str, value: float) -> MarketParams:
     field, cells = SWEEP_AXES[axis]
     if field == "n_platforms":
-        entries = int(round(value))
+        entries = int(value)  # whole: parse_config admits only whole starts and steps
     elif field == "phi":
         entries = [list(row) for row in params.phi]
         for i, j in cells:
@@ -323,7 +323,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         points = [_apply_axis(p, sweep["axis2"], v) for p in points for v in vals2]
     regimes = _regimes(cfg)
     per_regime = [_sweep_rows(points, regime, solved, sweep["derivatives"]) for regime, solved
-                  in zip(regimes, solve_markets(regimes, points, cfg.get("solve", "tol")))]
+                  in zip(regimes, solve_markets(regimes, points))]
     rows = [row for point_rows in zip(*per_regime) for row in point_rows]
     text = csv_text(_comments(cfg, "sweep") + [f"sweep axis {sweep['axis']}"], SWEEP_COLS, rows)
     _emit(text, cfg.get("output", "dir"), "sweep.csv")
@@ -341,10 +341,9 @@ def _finite_or_null(value):
 
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.market
-    tol = cfg.get("solve", "tol")
     vconf = cfg.values["verify"]
     # one stage-1 batch; each regime's failure is raised where its result is first used
-    eq, eq_ce = (results[0] for results in solve_markets(("cne", "ce"), [params], tol))
+    eq, eq_ce = (results[0] for results in solve_markets(("cne", "ce"), [params]))
     eq = target = _one(eq)
     if vconf["perturb_price"]:
         target = dataclasses.replace(
@@ -482,8 +481,7 @@ COMMANDS = {
 # flag -> the [section] key it overrides; --figure exists on `figures` only.
 # Every command runs in one process: --jobs parses, and nothing reads it.
 FLAGS = {"regime": ("solve", "regime"), "out": ("output", "dir"),
-         "seed": ("output", "seed"), "tol": ("solve", "tol"),
-         "jobs": ("output", "jobs"), "figure": ("figure", "id")}
+         "seed": ("output", "seed"), "jobs": ("output", "jobs"), "figure": ("figure", "id")}
 
 
 @functools.cache

@@ -78,7 +78,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "solve": {
         "regime": (_checked(str, REGIMES.__contains__, "cne, ce or both"), "both"),
-        "tol": (_POSITIVE, 1e-10),
     },
     "sweep": {
         "axis": (_checked(str, SWEEP_AXES.__contains__, _AXIS), "u0"),
@@ -198,7 +197,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(f"missing required key {key!r} in section [{section}]")
                 values[section][key] = default
 
-    # a positive step keeps an n_platforms axis >= 2 if its rounded start is
+    # a positive whole step keeps an n_platforms axis >= 2 if its whole start is
     sweep = values["sweep"]
     points = 1
     for suffix in ("", "2") if sweep["axis2"] else ("",):
@@ -208,8 +207,12 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"[sweep] stop{suffix} must not be below start{suffix}")
         points *= axis_count(sweep["start" + suffix], sweep["stop" + suffix],
                              sweep["step" + suffix])
-        if sweep["axis" + suffix] == "n_platforms" and round(sweep["start" + suffix]) < 2:
-            raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 1.5")
+        if sweep["axis" + suffix] == "n_platforms":
+            if not (sweep["start" + suffix].is_integer() and sweep["step" + suffix].is_integer()):
+                raise ConfigError(f"[sweep] start{suffix} and step{suffix} of an n_platforms"
+                                  " axis must be whole numbers")
+            if sweep["start" + suffix] < 2:
+                raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 2")
     if points > MAX_SWEEP_POINTS:
         raise ConfigError(f"[sweep] has more than {MAX_SWEEP_POINTS:,} points over its axes;"
                           " use a coarser step")

@@ -245,6 +245,7 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     prices, mult) passes it as box.  Returns (shares, residuals) of shapes
     (C+1, 2, cells) and (cells,); an unconverged cell keeps its last iterate
     and a residual above tol, and max_iter = 0 returns x0 with residual inf.
+    No cells return x0 and an empty residual.
 
     maximize names a class c whose profit pi = sum_k prices[c, k] x[c+1, k]
     the caller maximizes over the cells.  At d = 1 and L = L_B < 1, Sigma is
@@ -273,7 +274,7 @@ def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray
     # first sweep whose iterate the box is known to hold (None: no bound)
     need_box = damping is None or (damping == 1.0 and maximize is not None)
     bound_from = None
-    for sweep in range(max_iter):
+    for sweep in range(max_iter if idx.size else 0):  # no cells: no sweep picks a damping
         s = _sigma(xa, phi, beta, u0_beta, pa, m)
         ra = np.max(np.abs(s - xa), axis=(0, 1))
         new = (ra <= tol) & ~met
@@ -339,8 +340,10 @@ def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
     (share_box's L_B < 1, as a positive contraction margin always does) the
     result must be a single point; otherwise multiplicity is reported rather
     than hidden.  damping is class_fixed_point's: by default d = 0.5 where
-    L_B >= 1.
+    L_B >= 1.  starts must be at least 1, else ValueError.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts!r}")
     rng = np.random.default_rng(seed)
     p = _coerce_prices(params, prices)
     n = params.n_platforms

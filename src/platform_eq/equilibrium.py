@@ -54,6 +54,10 @@ SLOPE_Z_CAP = 80.0
 # search can run out on a residual far above rounding size.
 NEAR_SINGULAR = 1e-6
 
+# a coupled Newton column converges at |FOC| <= NEWTON_TOL or fails after NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 80
+
 # Imaginary step of `_complex_partials`: a complex step subtracts nothing, so
 # any step far below rounding size gives the derivative to full precision
 # (Squire & Trapp 1998), however far out z lies.
@@ -499,8 +503,7 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return step, singular
 
 
-def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
-            max_iter: int = 80) -> tuple[np.ndarray, dict[int, SolverError]]:
+def _newton(c: _Columns, n: float, z: np.ndarray) -> tuple[np.ndarray, dict[int, SolverError]]:
     """Damped Newton on the two-equation FOC of each column's regime at every
     column of z (2, cells), with the exact Jacobians F_z of `_complex_partials`;
     each column has its own residual and up to 100 step halvings.  One
@@ -510,8 +513,8 @@ def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
     zl, live, failed = z.copy(), np.arange(z.shape[1]), {}
     F = _foc(c, zl, n)
     err = np.max(np.abs(F), axis=0)
-    stay = ~(err <= tol)  # a NaN residual has not converged
-    for _ in range(max_iter):
+    stay = ~(err <= NEWTON_TOL)  # a NaN residual has not converged
+    for _ in range(NEWTON_MAX_ITER):
         if not stay.all():
             z[:, live] = zl
             if not stay.any():
@@ -539,7 +542,7 @@ def _newton(c: _Columns, n: float, z: np.ndarray, tol: float,
                    else "line search exhausted")
             failed[live[j]] = SolverError(f"coupled Newton stalled ({why}): relative determinant "
                                           f"{rel_det:.2e} at residual {err[j]:.2e}")
-        stay = ~(singular | todo | (err <= tol))
+        stay = ~(singular | todo | (err <= NEWTON_TOL))
     z[:, live] = zl
     for j in np.flatnonzero(stay):
         failed[live[j]] = SolverError("coupled Newton did not reach tolerance")
@@ -589,7 +592,7 @@ def _assemble(markets: list, c: _Columns, z: np.ndarray, n: float,
 
 
 @_quiet
-def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) -> list:
+def solve_markets(regimes, markets, *, n: float | None = None) -> list:
     """Solve each of the regimes ("cne", "ce") on many markets at once.
 
     The markets are grouped by platform count, so N stays one float per
@@ -644,7 +647,7 @@ def solve_markets(regimes, markets, tol: float = 1e-10, n: float | None = None) 
         coupled = np.flatnonzero(~bad & c.lk.any(axis=0))
         if coupled.size:
             z[:, coupled], failed = _newton(c.take(coupled) if coupled.size < len(rows) else c,
-                                            nk, z[:, coupled], tol=min(tol, 1e-12))
+                                            nk, z[:, coupled])
             for col, exc in failed.items():
                 out[rows[coupled[col]]] = exc
                 bad[coupled[col]] = True
@@ -663,23 +666,23 @@ def _one(result):
     return result
 
 
-def solve_cne(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
+def solve_cne(params: MarketParams, *, n: float | None = None) -> SymmetricEquilibrium:
     """Solve the symmetric competitive equilibrium: :func:`solve_markets` on
     one market, its SolverError raised.  A failed existence check downgrades
     to a warning on the result (region-boundary sweeps need values slightly
     outside the certified region)."""
-    return _one(solve_markets(("cne",), [params], tol, n)[0][0])
+    return _one(solve_markets(("cne",), [params], n=n)[0][0])
 
 
-def solve_ce(params: MarketParams, tol: float = 1e-10, n: float | None = None) -> SymmetricEquilibrium:
+def solve_ce(params: MarketParams, *, n: float | None = None) -> SymmetricEquilibrium:
     """Solve the collusive equilibrium; same contract as :func:`solve_cne`."""
-    return _one(solve_markets(("ce",), [params], tol, n)[0][0])
+    return _one(solve_markets(("ce",), [params], n=n)[0][0])
 
 
-def compare_regimes(params: MarketParams, tol: float = 1e-10) -> RegimeComparison:
+def compare_regimes(params: MarketParams) -> RegimeComparison:
     """Solve both regimes in one stage-1 batch and decompose the
     collusion-minus-competition price gap; a cne failure is raised first."""
-    cne, ce = (_one(results[0]) for results in solve_markets(("cne", "ce"), [params], tol))
+    cne, ce = (_one(results[0]) for results in solve_markets(("cne", "ce"), [params]))
     dz = cne.z.as_array() - ce.z.as_array()
     ext_term = params.phi_arr @ (np.array(ce.shares) - np.array(cne.shares))
     return RegimeComparison(

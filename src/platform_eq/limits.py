@@ -40,8 +40,11 @@ def perfect_competition_check(params_base: MarketParams,
     """Solve the competitive equilibrium along growing N.
 
     Tracks |p* - beta| and |N x* - 1| per side, plus whether the limiting z*
-    sign follows the rule: positive iff u0 < 0 and beta < -u0.
+    sign follows the rule: positive iff u0 < 0 and beta < -u0.  An empty
+    n_sequence is a ValueError.
     """
+    if not len(n_sequence):
+        raise ValueError("n_sequence must name at least one platform count")
     observed = []
     for n in n_sequence:
         eq = solve_cne(params_base, n=float(n))

@@ -37,11 +37,10 @@ from .model import MarketParams, Side
 QUANTITIES = ("price", "profit", "consumer_surplus", "participation", "z")
 DERIVATIVE_WRT = ("u0", "n_platforms")
 
-# Central-difference step of `fd_derivative`, in u0 and in N alike, and the
-# tolerance of its solves: they put noise of order FD_TOL/h into a difference,
-# so a smaller step loses more to that noise than it gains in truncation error.
+# Central-difference step of `fd_derivative`, in u0 and in N alike: its solves
+# put noise of order NEWTON_TOL/h into a difference, so a smaller step loses
+# more to that noise than it gains in truncation error.
 FD_STEP = 1e-4
-FD_TOL = 1e-12
 
 
 class AnalyticDomainError(ValueError):
@@ -192,7 +191,7 @@ def closed_form(quantity: str, wrt: str, params: MarketParams, side: Side,
         raise ValueError(f"no closed form for d{quantity}/d{wrt}")
     _require_decoupled(params)
     if z_star is None:
-        z_star = solve_cne(params, tol=1e-12).z.side(side)
+        z_star = solve_cne(params).z.side(side)
     k = side.index
     values, errors = _evaluate(key, _Cells(float(params.n_platforms), [params.beta[k]],
                                            [params.phi[k][k]], [params.u0[k]], [float(z_star)]))
@@ -343,12 +342,12 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
         u0_hi, u0_lo = list(u0), list(u0)
         u0_hi[side.index] += h
         u0_lo[side.index] -= h
-        hi = solve_cne(params.replace(u0=tuple(u0_hi)), tol=FD_TOL)
-        lo = solve_cne(params.replace(u0=tuple(u0_lo)), tol=FD_TOL)
+        hi = solve_cne(params.replace(u0=tuple(u0_hi)))
+        lo = solve_cne(params.replace(u0=tuple(u0_lo)))
     elif wrt == "n_platforms":
         n = float(params.n_platforms)
-        hi = solve_cne(params, tol=FD_TOL, n=n + h)
-        lo = solve_cne(params, tol=FD_TOL, n=n - h)
+        hi = solve_cne(params, n=n + h)
+        lo = solve_cne(params, n=n - h)
     else:
         raise ValueError(f"unknown differentiation variable {wrt!r}")
     q_hi = _equilibrium_quantity(hi, quantity, side)

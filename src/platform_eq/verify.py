@@ -269,10 +269,15 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     is capped at GRID_MAX_ITER.  A grid cell or polish trial whose stage-2
     solve does not converge is rejected, never raised; where the solve at p*
     itself does not converge, the report carries its residual and is not
-    certified.
+    certified.  radius must be positive and finite and grid_n at least 1,
+    else ValueError.
     """
     if eq.regime != "cne":
         raise ValueError("verify_nash certifies competitive points")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n!r}")
     p_star = np.array(eq.prices)
     half = radius * np.abs(p_star)
     grids = [np.linspace(p_star[k] - half[k], p_star[k] + half[k], grid_n)

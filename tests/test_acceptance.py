@@ -122,7 +122,7 @@ def test_c03_solver_fidelity():
     for _ in range(500):
         params = random_valid_params(rng)
         for solver in (solve_cne, solve_ce):
-            eq = solver(params, tol=1e-10)
+            eq = solver(params)
             worst_resid = fold_max(worst_resid, eq.foc_residual)
             worst_price = fold_max(worst_price, eq.price_check)
     dt = time.perf_counter() - t0

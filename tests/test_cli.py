@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="points"):
             parse_config(BASE_INI + at_cap.replace("999999", "1000000"))
 
+    def test_solve_tol_is_an_unknown_key(self, tmp_path, capsys):
+        ini = tmp_path / "f.ini"
+        ini.write_text(BASE_INI + "\n[solve]\ntol = 1e-10\n")
+        assert main(["solve", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err == "config error: unknown key 'tol' in section [solve]\n"
+        ini.write_text(BASE_INI)
+        assert main(["solve", "--config", str(ini), "--tol", "1e-10"]) == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_bad_sweep_axis(self):
         with pytest.raises(ConfigError, match="sweep axis"):
             parse_config(BASE_INI + "\n[sweep]\naxis = gamma\n")
@@ -87,7 +96,6 @@ class TestConfig:
         ("--regime", "ce", "solve", "regime", "ce", "cne"),
         ("--out", "flag-dir", "output", "dir", "flag-dir", "file-dir"),
         ("--seed", "7", "output", "seed", 7, "3"),
-        ("--tol", "1e-08", "solve", "tol", 1e-8, "1e-09"),
         ("--jobs", "2", "output", "jobs", 2, "1"),
         ("--figure", "fig3", "figure", "id", "fig3", "fig1"),
     ])
@@ -113,14 +121,14 @@ class TestConfig:
         # main keeps one parser per process; a flag of one call must not
         # reach the next call, which takes the file's value
         ini = tmp_path / "f.ini"
-        ini.write_text(BASE_INI + "\n[solve]\ntol = 1e-09\n")
+        ini.write_text(BASE_INI.replace("seed = 0", "seed = 3"))
         seen = []
         monkeypatch.setitem(cli.COMMANDS, "solve", (lambda cfg: seen.append(cfg) or 0, ""))
-        assert main(["solve", "--config", str(ini), "--tol", "1e-08"]) == 0
+        assert main(["solve", "--config", str(ini), "--seed", "7"]) == 0
         parser = cli._build_parser()
         assert main(["solve", "--config", str(ini)]) == 0
         assert cli._build_parser() is parser
-        assert [cfg.get("solve", "tol") for cfg in seen] == [1e-8, 1e-9]
+        assert [cfg.get("output", "seed") for cfg in seen] == [7, 3]
 
 
 # case -> (command, config text after [market], flags); each is a config error, exit 1
@@ -156,12 +164,19 @@ INVALID_SETTINGS = {
                         []),
     "n_sweep_from_1": ("sweep", "[sweep]\naxis = n_platforms\nstart = 1\nstop = 3\nstep = 1\n",
                        []),
+    # round() took N = 2, 2, 3, 4, 4, 4 from 2, 2.5, ..., 4.5
+    "n_sweep_step_half": ("sweep", "[sweep]\naxis = n_platforms\nstart = 2\nstop = 4.5\n"
+                          "step = 0.5\n", []),
+    "n_sweep2_start_fraction": ("sweep", "[sweep]\naxis2 = n_platforms\nstart2 = 2.5\n"
+                                "stop2 = 4.5\nstep2 = 1\n", []),
     "beta_sweep_leaves_domain": ("sweep", "[sweep]\naxis = beta\nstart = -0.5\nstop = 0.5\n"
                                  "step = 0.5\n", []),
+    # [solve] tol is not a key: a valid-looking value and bad ones are all rejected
+    "solve_tol_is_unknown": ("solve", "[solve]\ntol = 1e-10\n", []),
     "tol_negative": ("solve", "[solve]\ntol = -1\n", []),
     "tol_nan": ("solve", "[solve]\ntol = nan\n", []),
     "flag_regime_bad": ("solve", "", ["--regime", "bad"]),
-    "flag_tol_abc": ("solve", "", ["--tol", "abc"]),
+    "flag_seed_abc": ("solve", "", ["--seed", "abc"]),
     "flag_figure_fig9": ("figures", "", ["--figure", "fig9"]),
 }
 

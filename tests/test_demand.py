@@ -228,6 +228,17 @@ class TestFixedPointBatch:
         x, resid = fixed_point_batch(params, np.zeros((2, 2)), max_iter=0, x0=x0)
         assert np.array_equal(x, x0) and resid == np.inf
 
+    @pytest.mark.parametrize("damping", [None, 0.5, 1.0])
+    def test_empty_batch_returns_empty(self, damping):
+        # with no cell, no sweep picks the default damping: it raised TypeError
+        params = MarketParams.uniform(2, 1.0, phi_own=0.3)
+        x, resid = fixed_point_batch(params, np.zeros((0, 2, 2)), damping=damping)
+        assert x.shape == (0, 2, 3) and resid.shape == (0,)
+
+    def test_multistart_needs_a_start(self):
+        with pytest.raises(ValueError, match="starts must be at least 1"):
+            fixed_point_multistart(MarketParams.uniform(2, 1.0), np.zeros((2, 2)), starts=0)
+
 
 def batch_lipschitz(params, prices):
     """L_B of the share box of a (..., 2, N) price batch, as fixed_point_batch

@@ -461,6 +461,26 @@ class TestCoupledNewtonStall:
         assert "," not in message  # it lands in a CSV error cell
 
 
+def test_zero_jacobian_is_a_singular_newton_error(monkeypatch):
+    # a coupled market leaves its decoupled root with a nonzero residual, so
+    # the Newton forms a Jacobian, here zero in every column
+    monkeypatch.setattr(equilibrium, "_complex_partials",
+                        lambda c, z, n, dz, dn=None, foc_only=False: np.zeros((2, z.shape[1], 2)))
+    params = MarketParams.uniform(3, 1.0, phi_own=0.2, phi_cross=0.05, u0=0.3)
+    for solver in (solve_cne, solve_ce):
+        with pytest.raises(SolverError, match="^singular Jacobian in coupled Newton$"):
+            solver(params)
+
+
+def test_platform_count_is_keyword_only():
+    # a stale positional tolerance is refused, never read as N
+    params = MarketParams.uniform(3, 1.0)
+    for solve in (solve_cne, solve_ce,
+                  lambda p, *args: equilibrium.solve_markets(("cne",), [p], *args)):
+        with pytest.raises(TypeError):
+            solve(params, 1e-10)
+
+
 def _bits(result) -> str:
     """A stage-1 result with every float spelled exactly: repr round-trips
     a double and tells -0.0 from 0.0; an error by its type and message (a

@@ -29,6 +29,11 @@ class TestPerfectCompetition:
         assert check.observed[0]["z_sign_ok_b"]
         assert check.observed[0]["z_sign_ok_s"]
 
+    def test_empty_sequence_is_refused(self):
+        # it raised IndexError on the last of no points
+        with pytest.raises(ValueError, match="n_sequence"):
+            perfect_competition_check(MarketParams.uniform(2, 1.0), n_sequence=())
+
 
 class TestOutsideOptionLimits:
     def test_base_case(self):

@@ -454,6 +454,22 @@ def test_undefined_cubic_threshold_raises_and_reads_error(monkeypatch, tmp_path,
     assert cne["regime"] == "cne" and not cne["error"]
     assert (cne["vprice_dn_b"], cne["vprice_dn_s"]) == ("error", "error")
     assert cne["vpart_dn_b"] != "error"
+    # classify writes the error row with its message, the other rows as ever
+    ini.write_text(ini.read_text().split("\n[sweep]")[0] + "\n")
+    assert main(["classify", "--config", str(ini)]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    for side in "bs":
+        assert (f"vprice_dn,{side},error,,,threshold undefined here: "
+                "f_p has no designated real root") in rows
+    assert sum(",error," in row for row in rows) == 2
+
+
+def test_direction_classifier_names_an_unknown_request():
+    params = MarketParams.uniform(2, 1.0)
+    with pytest.raises(ValueError, match="unknown differentiation variable 'beta'"):
+        classify_direction("price", "beta", params, Side.BUYER)
+    with pytest.raises(ValueError, match="no direction classifier for 'z' w.r.t. u0"):
+        classify_direction("z", "u0", params, Side.BUYER)
 
 
 def test_overflowing_cubic_threshold_decides_only_where_needed():

@@ -138,6 +138,10 @@ class TestAnalyticVsFiniteDifference:
         assert np.isfinite(dp_dn) and dp_dn == pytest.approx(dprice_dn(params, Side.BUYER),
                                                             rel=1e-6)
 
+    def test_fd_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown differentiation variable 'beta'"):
+            fd_derivative("price", "beta", MarketParams.uniform(2, 1.0), Side.BUYER)
+
     def test_closed_form_unknown_key(self):
         with pytest.raises(ValueError, match="no closed form"):
             closed_form("participation", "u0", MarketParams.uniform(2, 1.0), Side.BUYER)
@@ -297,7 +301,7 @@ class TestImplicitFunctionDerivatives:
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(envelope_markets(cross=0.05))
     def test_coupled_matches_fd(self, params):
-        d = ift_derivatives(solve_cne(params, tol=1e-12))
+        d = ift_derivatives(solve_cne(params))
         for quantity in QUANTITIES:
             for wrt in DERIVATIVE_WRT:
                 for side in Side:
@@ -310,7 +314,7 @@ class TestImplicitFunctionDerivatives:
     def test_decoupled_matches_closed_forms(self, params):
         # every entry of the closed-form table and dz*/du0, through the evaluator
         assert set(_ANALYTIC_OPS) == {DZ_DU0, *CLOSED_FORMS}
-        eq = solve_cne(params, tol=1e-12)
+        eq = solve_cne(params)
         d = ift_derivatives(eq)
         for quantity, wrt in _ANALYTIC_OPS:
             for side in Side:
@@ -333,12 +337,12 @@ class TestImplicitFunctionDerivatives:
 
     def test_collusive_matches_central_differences(self):
         params = MarketParams(3, (1.0, 0.8), ((0.2, 0.03), (-0.04, 0.1)), (0.3, -0.5))
-        d = ift_derivatives(solve_ce(params, tol=1e-12))
+        d = ift_derivatives(solve_ce(params))
         h = 1e-5
-        hi, lo = (solve_ce(params.replace(u0=(0.3 + s, -0.5)), tol=1e-12) for s in (h, -h))
+        hi, lo = (solve_ce(params.replace(u0=(0.3 + s, -0.5))) for s in (h, -h))
         assert _close(d["price", "u0"][0], (hi.prices[0] - lo.prices[0]) / (2 * h), 1e-6)
         h = 1e-4
-        hi, lo = (solve_ce(params, tol=1e-12, n=3 + s) for s in (h, -h))
+        hi, lo = (solve_ce(params, n=3 + s) for s in (h, -h))
         assert _close(d["participation", "n_platforms"][1],
                       (hi.participation[1] - lo.participation[1]) / (2 * h), 1e-6)
 

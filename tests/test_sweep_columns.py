@@ -55,10 +55,10 @@ def _reference_notes(cells) -> list[str]:
     return notes
 
 
-def _reference_row(params, regime, tol, with_derivs) -> str:
+def _reference_row(params, regime, with_derivs) -> str:
     cells = dict(zip(cli.INPUT_COLS, cli._input_row(params)), regime=regime)
     try:
-        eq = (solve_cne if regime == "cne" else solve_ce)(params, tol=tol)
+        eq = (solve_cne if regime == "cne" else solve_ce)(params)
     except (SolverError, ArithmeticError) as exc:
         cells["error"] = f"{type(exc).__name__}: {exc}"
     else:
@@ -113,7 +113,7 @@ def _reference_csv(text: str) -> str:
     if sweep["axis2"]:
         points = [cli._apply_axis(p, sweep["axis2"], v) for p in points
                   for v in cli._axis_values(sweep["start2"], sweep["stop2"], sweep["step2"])]
-    rows = [_reference_row(p, regime, cfg.get("solve", "tol"), sweep["derivatives"])
+    rows = [_reference_row(p, regime, sweep["derivatives"])
             for p in points for regime in cli._regimes(cfg)]
     comments = cli._comments(cfg, "sweep") + [f"sweep axis {sweep['axis']}"]
     return "\n".join([f"# {c}" for c in comments] + [",".join(cli.SWEEP_COLS)] + rows) + "\n"

@@ -14,7 +14,7 @@ from platform_eq.equilibrium import solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
 from platform_eq.demand import (FixedPointError, contraction_margin, fixed_point_multistart,
                                 share_box, share_fixed_point)
-from platform_eq.verify import (DeviationReport, _rival_split_block, _symmetric_state,
+from platform_eq.verify import (DeviationReport, _classes, _rival_split_block, _symmetric_state,
                                 deviation_profit, profit_derivatives, soc_ce_hessian,
                                 soc_cne_diag, soc_report, verify_nash)
 
@@ -413,6 +413,22 @@ class TestVerifyNash:
         eq = solve_ce(BASE)
         with pytest.raises(ValueError):
             verify_nash(BASE, eq)
+
+    @pytest.mark.parametrize("radius", [float("nan"), 0.0, -0.5, float("inf")])
+    def test_radius_must_be_positive_and_finite(self, base_eq, radius):
+        # a NaN radius certified on a grid of NaN prices with best_gain 0,
+        # and radius 0 searched p* alone
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            verify_nash(BASE, base_eq, radius=radius, grid_n=5)
+
+    def test_grid_must_have_a_cell(self, base_eq):
+        # grid_n = 0 died inside a numpy reduction over the empty grid
+        with pytest.raises(ValueError, match="grid_n must be at least 1"):
+            verify_nash(BASE, base_eq, grid_n=0)
+
+    def test_unknown_regime_has_no_classes(self):
+        with pytest.raises(ValueError, match="unknown regime 'cartel'"):
+            _classes(BASE, "cartel", np.ones(2), np.ones(2))
 
 
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_sha256.json"
