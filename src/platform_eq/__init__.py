@@ -18,9 +18,8 @@ from .equilibrium import (RegimeComparison, SolverError, SymmetricEquilibrium,
                           compare_regimes, consumer_surplus, omega, solve_ce,
                           solve_cne, solve_markets)
 from .limits import LimitCheck, outside_option_limit_check, perfect_competition_check
-from .model import (Cubic, MarketParams, Side, check_ce_existence,
-                    check_cne_existence, ce_existence_bound, cne_existence_bound,
-                    solve_cubic_real)
+from .model import (MarketParams, Side, check_ce_existence, check_cne_existence,
+                    ce_existence_bound, cne_existence_bound, solve_cubic_real)
 from .regions import (FIGURES, RegionGrid, RegionLabel, ThresholdKind, Verdict,
                       classify_direction, classify_existence, classify_sign_z,
                       eval_threshold, grid_agreement, region_grid,

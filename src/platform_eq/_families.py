@@ -9,7 +9,7 @@ for the profit/N numerator "n_pik" also (u0, z) -- valid when the cross-side
 externalities are zero.  A family that serves several closed forms appears
 once: the slope family "a" is also the denominator of dp*/du0, dCS*/du0 and
 dp*/dN, and "d_piu" that of dpi*/du0, d(Nx*)/dN and dpi*/dN.  One Horner
-loop, `horner`, evaluates every coefficient list.
+loop, `horner`, evaluates every coefficient list, the threshold cubics in beta too.
 """
 
 from __future__ import annotations
@@ -196,6 +196,11 @@ def horner(coeffs, x):
     for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
+
+
+def derivative_coefficients(coeffs):
+    """The coefficient list of a polynomial's derivative, lowest power first."""
+    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 def eval_series(coeffs, m_start: int, z) -> np.ndarray:

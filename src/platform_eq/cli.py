@@ -5,7 +5,7 @@ flag's raw text parsed like the key it overrides; solve, compare, classify,
 sweep and verify solve stage 1 in one :func:`solve_markets` call.  All floating
 point output uses 17 significant digits, LF line endings and a header comment
 carrying the tool version, the config hash and a parameter echo, so identical
-config + seed reproduce byte-identical bytes.
+config and flags reproduce byte-identical bytes (the seed is only echoed).
 
 Exit codes: 0 success, 1 config or usage error, 2 solver failure,
 3 verification failure.

@@ -120,14 +120,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 MARKET_KEYS = tuple(SCHEMA["market"])
-MAX_SWEEP_POINTS = 1_000_000  # over both sweep axes
+MAX_POINTS = 1_000_000  # the most points or cells one command builds
 
 
 def axis_count(start: float, stop: float, step: float) -> int:
     """The number of sweep points start + i step, i = 0, 1, ..., up to stop
-    (with a 1e-9 slack for rounding); MAX_SWEEP_POINTS + 1 for any larger
-    count, an overflowing one included."""
-    return math.floor(min((stop - start) / step, MAX_SWEEP_POINTS) + 1e-9) + 1
+    (with a 1e-9 slack for rounding); MAX_POINTS + 1 for any larger count,
+    an overflowing one included."""
+    return math.floor(min((stop - start) / step, MAX_POINTS) + 1e-9) + 1
 
 
 @dataclass
@@ -213,13 +213,17 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                                   " axis must be whole numbers")
             if sweep["start" + suffix] < 2:
                 raise ConfigError(f"[sweep] start{suffix} of an n_platforms axis must be >= 2")
-    if points > MAX_SWEEP_POINTS:
-        raise ConfigError(f"[sweep] has more than {MAX_SWEEP_POINTS:,} points over its axes;"
+    if points > MAX_POINTS:
+        raise ConfigError(f"[sweep] has more than {MAX_POINTS:,} points over its axes;"
                           " use a coarser step")
     grid = values["grid"]
     for axis in ("phi", "beta"):
         if not grid[axis + "_min"] < grid[axis + "_max"]:
             raise ConfigError(f"[grid] {axis}_min must be below {axis}_max")
+    for section, key in (("grid", "resolution"), ("verify", "grid_n")):
+        if values[section][key] ** 2 > MAX_POINTS:
+            raise ConfigError(f"[{section}] {key} squared is more than {MAX_POINTS:,} cells;"
+                              f" use at most {math.isqrt(MAX_POINTS)}")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(values=values, sha256=digest)

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._families import derivative_coefficients, horner
+
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -172,46 +174,28 @@ def check_ce_existence(params: MarketParams) -> tuple[bool, bool]:
 # cubic root solver
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cubic:
-    """Coefficients of c3*x^3 + c2*x^2 + c1*x + c0."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, x):
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
-
-    def derivative(self, x):
-        return (3.0 * self.c3 * x + 2.0 * self.c2) * x + self.c1
-
-    @property
-    def scale(self) -> float:
-        return max(1.0, abs(self.c3), abs(self.c2), abs(self.c1), abs(self.c0))
-
-
-def _polish(poly: Cubic, root: float, iters: int = 8) -> float:
+def _polish(coeffs, root: float, iters: int = 8) -> float:
     """A few Newton steps; near-multiple roots this is still a contraction."""
+    slope = derivative_coefficients(coeffs)
     x = root
     for _ in range(iters):
-        f = poly(x)
-        fp = poly.derivative(x)
+        f = horner(coeffs, x)
+        fp = horner(slope, x)
         if fp == 0.0:
             break
         step = f / fp
         if not math.isfinite(step):
             break
         x_new = x - step
-        if abs(poly(x_new)) >= abs(f):
+        if abs(horner(coeffs, x_new)) >= abs(f):
             break
         x = x_new
     return x
 
 
-def solve_cubic_real(cubic: Cubic) -> list[float]:
-    """All distinct real roots of a cubic, ascending.
+def solve_cubic_real(coeffs) -> list[float]:
+    """All distinct real roots, ascending, of the cubic c0 + c1 x + c2 x^2 +
+    c3 x^3 given as its coefficient list [c0, c1, c2, c3].
 
     The three-real-root case uses the trigonometric branch of the
     depressed-cubic solution; the single-root case uses the radical form.
@@ -221,9 +205,9 @@ def solve_cubic_real(cubic: Cubic) -> list[float]:
     Raises:
         ValueError: if c3 = 0 ("degenerate polynomial"); no threshold has.
     """
-    c3, c2, c1, c0 = cubic.c3, cubic.c2, cubic.c1, cubic.c0
+    c0, c1, c2, c3 = coeffs
     if c3 == 0.0:
-        raise ValueError(f"degenerate polynomial: {cubic} has no cubic term")
+        raise ValueError(f"degenerate polynomial: {coeffs} has no cubic term")
     b2, b1, b0 = c2 / c3, c1 / c3, c0 / c3
     shift = -b2 / 3.0
     t = b1 - b2 * b2 / 3.0
@@ -252,7 +236,7 @@ def solve_cubic_real(cubic: Cubic) -> list[float]:
         sq = math.sqrt(disc)
         candidates.append(float(np.cbrt(-s / 2.0 + sq) + np.cbrt(-s / 2.0 - sq)) + shift)
 
-    polished = [_polish(cubic, float(r)) for r in candidates]
+    polished = [_polish(coeffs, float(r)) for r in candidates]
     return _dedupe_sorted(polished)
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _families as fam
 from .equilibrium import mk_slope, mkc_slope, omega, solve_decoupled_batch
-from .model import (Cubic, MarketParams, Side, ce_existence_bound,
-                    cne_existence_bound, existence_fails, solve_cubic_real)
+from .model import (MarketParams, Side, ce_existence_bound, cne_existence_bound,
+                    existence_fails, solve_cubic_real)
 
 BOUNDARY_TOL = 1e-9
 CS_DN_Z_CAP = math.log(2.0) / 5.0
@@ -98,49 +98,49 @@ class RegionLabel:
 # threshold evaluation
 # --------------------------------------------------------------------------
 
-def _gp_cubic(n: float, phi: float) -> Cubic:
-    return Cubic(4.0 * n**3,
-                 phi * n**2 * (1.0 - 4.0 * n),
-                 phi**2 * n * (2.0 * n - 3.0),
-                 phi**3)
+def _gp_cubic(n: float, phi: float) -> list[float]:
+    return [phi**3,
+            phi**2 * n * (2.0 * n - 3.0),
+            phi * n**2 * (1.0 - 4.0 * n),
+            4.0 * n**3]
 
 
-def _fp_cubic(n: float, phi: float) -> Cubic:
-    return Cubic(-6.0 * n**2,
-                 2.0 * phi * n * (3.0 * n - 1.0),
-                 phi**2 * (3.0 - 4.0 * n),
-                 phi**3)
+def _fp_cubic(n: float, phi: float) -> list[float]:
+    return [phi**3,
+            phi**2 * (3.0 - 4.0 * n),
+            2.0 * phi * n * (3.0 * n - 1.0),
+            -6.0 * n**2]
 
 
-def _fcsu_cubic(n: float, phi: float) -> Cubic:
-    return Cubic(6.0 * n**2,
-                 (-12.0 * n**2 + 5.0 * n - 1.0) * phi,
-                 (8.0 * n - 3.0) * phi**2,
-                 -2.0 * phi**3)
+def _fcsu_cubic(n: float, phi: float) -> list[float]:
+    return [-2.0 * phi**3,
+            (8.0 * n - 3.0) * phi**2,
+            (-12.0 * n**2 + 5.0 * n - 1.0) * phi,
+            6.0 * n**2]
 
 
-def _fpi_cubic(n: float, phi: float) -> Cubic:
-    return Cubic(4.0 * n**3,
-                 (2.0 - 5.0 * n) * n * phi,
-                 -2.0 * n * phi**2,
-                 2.0 * phi**3)
+def _fpi_cubic(n: float, phi: float) -> list[float]:
+    return [2.0 * phi**3,
+            -2.0 * n * phi**2,
+            (2.0 - 5.0 * n) * n * phi,
+            4.0 * n**3]
 
 
-def _gpi_cubic(n: float, phi: float) -> Cubic:
-    return Cubic(n**3 * (n**2 - 1.0),
-                 n * (-7.0 * n**3 + 10.0 * n**2 - 5.0 * n + 1.0) * phi,
-                 n * (6.0 * n**2 - 7.0 * n + 3.0) * phi**2,
-                 -(2.0 * n**2 - 2.0 * n + 1.0) * phi**3)
+def _gpi_cubic(n: float, phi: float) -> list[float]:
+    return [-(2.0 * n**2 - 2.0 * n + 1.0) * phi**3,
+            n * (6.0 * n**2 - 7.0 * n + 3.0) * phi**2,
+            n * (-7.0 * n**3 + 10.0 * n**2 - 5.0 * n + 1.0) * phi,
+            n**3 * (n**2 - 1.0)]
 
 
-def _fcs_cubic(n: float, phi: float) -> Cubic:
-    return Cubic(n**6 + 11.0 * n**5 + 22.0 * n**4 + 36.0 * n**3 + 34.0 * n**2 + 18.0 * n + 3.0,
-                 -(2.0 * n**5 + 24.0 * n**4 + 51.0 * n**3 + 45.0 * n**2 + 18.0 * n + 2.0) * phi,
-                 4.0 * (2.0 * n**3 + 7.0 * n**2 + 6.0 * n + 1.0) * phi**2,
-                 -4.0 * (n + 2.0) * phi**3)
+def _fcs_cubic(n: float, phi: float) -> list[float]:
+    return [-4.0 * (n + 2.0) * phi**3,
+            4.0 * (2.0 * n**3 + 7.0 * n**2 + 6.0 * n + 1.0) * phi**2,
+            -(2.0 * n**5 + 24.0 * n**4 + 51.0 * n**3 + 45.0 * n**2 + 18.0 * n + 2.0) * phi,
+            n**6 + 11.0 * n**5 + 22.0 * n**4 + 36.0 * n**3 + 34.0 * n**2 + 18.0 * n + 3.0]
 
 
-# kind -> (cubic builder, designated root)
+# kind -> (builder of the cubic's coefficient list in beta, designated root)
 _CUBIC_KINDS = {
     ThresholdKind.G_P: (_gp_cubic, "largest"),
     ThresholdKind.F_P: (_fp_cubic, "unique"),
@@ -160,15 +160,16 @@ def _cubic_root(kind: ThresholdKind, n: float, phi_kk: float) -> float:
     builder, which = _CUBIC_KINDS[kind]
     if phi_kk == 0.0:
         return 0.0
-    cubic = builder(n, phi_kk)
-    roots = solve_cubic_real(cubic)
+    coeffs = builder(n, phi_kk)
+    roots = solve_cubic_real(coeffs)
     if which == "unique":
         if len(roots) == 1:
             return roots[0]
         if len(roots) == 2:
             # numerically on the degenerate surface: the designated root is the
             # simple one, where the derivative does not vanish
-            return max(roots, key=lambda r: abs(cubic.derivative(r)))
+            slope = fam.derivative_coefficients(coeffs)
+            return max(roots, key=lambda r: abs(fam.horner(slope, r)))
         raise ValueError(f"threshold undefined here: {kind.value} expects a unique real root")
     return roots[-1]
 

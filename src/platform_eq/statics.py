@@ -321,9 +321,7 @@ def _equilibrium_quantity(eq, quantity: str, side: Side) -> float:
         return eq.consumer_surplus[k]
     if quantity == "participation":
         return eq.participation[k]
-    if quantity == "z":
-        return eq.z.side(side)
-    raise ValueError(f"unknown quantity {quantity!r}")
+    return eq.z.side(side)
 
 
 def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
@@ -337,6 +335,8 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
     h = FD_STEP if h is None else h
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h!r}")
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
     if wrt == "u0":
         u0 = list(params.u0)
         u0_hi, u0_lo = list(u0), list(u0)

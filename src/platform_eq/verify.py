@@ -253,6 +253,7 @@ def _newton_polish(params: MarketParams, p_star: np.ndarray, cur: ProfitDerivati
     return cur
 
 
+@np.errstate(over="ignore")
 def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
                 radius: float = 0.5, grid_n: int = 41) -> DeviationReport:
     """Grid search over deviating prices in [p* - r|p*|, p* + r|p*|]^2, then a
@@ -270,7 +271,8 @@ def verify_nash(params: MarketParams, eq: SymmetricEquilibrium,
     solve does not converge is rejected, never raised; where the solve at p*
     itself does not converge, the report carries its residual and is not
     certified.  radius must be positive and finite and grid_n at least 1,
-    else ValueError.
+    else ValueError.  An overflow at a wide radius reads inf, which drops
+    no cell and caps no polish step.
     """
     if eq.regime != "cne":
         raise ValueError("verify_nash certifies competitive points")

@@ -13,7 +13,7 @@ import platform_eq.cli as cli
 import platform_eq.equilibrium as equilibrium
 import platform_eq.statics as statics
 from platform_eq.cli import DERIV_SPECS, main
-from platform_eq.config import MAX_SWEEP_POINTS, SWEEP_AXES, ConfigError, axis_count, parse_config
+from platform_eq.config import MAX_POINTS, SWEEP_AXES, ConfigError, axis_count, parse_config
 from platform_eq.model import MarketParams, Side
 
 BASE_INI = """\
@@ -73,10 +73,18 @@ class TestConfig:
     def test_sweep_point_cap(self):
         # parsed only, never swept: a sweep at the cap is accepted, one point more is not
         at_cap = "\n[sweep]\nstart = 0\nstop = 999999\nstep = 1\n"
-        assert axis_count(0.0, 999999.0, 1.0) == MAX_SWEEP_POINTS
+        assert axis_count(0.0, 999999.0, 1.0) == MAX_POINTS
         parse_config(BASE_INI + at_cap)
         with pytest.raises(ConfigError, match="points"):
             parse_config(BASE_INI + at_cap.replace("999999", "1000000"))
+
+    @pytest.mark.parametrize("section, key", [("grid", "resolution"), ("verify", "grid_n")])
+    def test_grid_cell_cap(self, section, key):
+        # parsed only, never built: 1000^2 cells are accepted, 1001^2 are not
+        assert 1000 ** 2 == MAX_POINTS
+        parse_config(BASE_INI + f"\n[{section}]\n{key} = 1000\n")
+        with pytest.raises(ConfigError, match="cells"):
+            parse_config(BASE_INI + f"\n[{section}]\n{key} = 1001\n")
 
     def test_solve_tol_is_an_unknown_key(self, tmp_path, capsys):
         ini = tmp_path / "f.ini"
@@ -136,6 +144,9 @@ INVALID_SETTINGS = {
     "figure_u0_abc": ("figures", "[figure]\nu0 = abc\n", ["--figure", "fig1"]),
     "figure_n_1": ("figures", "[figure]\nn_platforms = 1\n", ["--figure", "fig1"]),
     "resolution_0": ("figures", "[grid]\nresolution = 0\n", ["--figure", "fig1"]),
+    # more than MAX_POINTS cells per panel or per verify grid
+    "resolution_too_fine": ("figures", "[grid]\nresolution = 1001\n", ["--figure", "fig1"]),
+    "grid_n_too_fine": ("verify", "[verify]\ngrid_n = 1001\n", []),
     "phi_max_inf": ("figures", "[grid]\nphi_max = inf\n", ["--figure", "fig1"]),
     "beta_min_nan": ("figures", "[grid]\nbeta_min = nan\n", ["--figure", "fig1"]),
     "phi_range_empty": ("figures", "[grid]\nphi_min = 1\nphi_max = 1\n", ["--figure", "fig1"]),
@@ -155,7 +166,7 @@ INVALID_SETTINGS = {
     "step_underflows": ("sweep", "[sweep]\nstep = 5e-324\n", []),
     "step2_underflows": ("sweep", "[sweep]\naxis2 = beta\nstart2 = 0.5\nstop2 = 1\n"
                          "step2 = 5e-324\n", []),
-    # finite point counts, but more than MAX_SWEEP_POINTS on one axis or over both
+    # finite point counts, but more than MAX_POINTS on one axis or over both
     "step_too_fine": ("sweep", "[sweep]\nstep = 1e-300\n", []),
     "sweep_points_product": ("sweep", "[sweep]\nstep = 0.001\naxis2 = beta\nstart2 = 0.5\n"
                              "stop2 = 1\nstep2 = 0.0001\n", []),
@@ -175,6 +186,10 @@ INVALID_SETTINGS = {
     "solve_tol_is_unknown": ("solve", "[solve]\ntol = 1e-10\n", []),
     "tol_negative": ("solve", "[solve]\ntol = -1\n", []),
     "tol_nan": ("solve", "[solve]\ntol = nan\n", []),
+    "derivatives_maybe": ("sweep", "[sweep]\nderivatives = maybe\n", []),
+    # a second [market] section is malformed; keys under [DEFAULT] are top-level keys
+    "market_twice": ("solve", "[market]\nn_platforms = 3\n", []),
+    "default_section_keys": ("solve", "[DEFAULT]\nseed = 1\n", []),
     "flag_regime_bad": ("solve", "", ["--regime", "bad"]),
     "flag_seed_abc": ("solve", "", ["--seed", "abc"]),
     "flag_figure_fig9": ("figures", "", ["--figure", "fig9"]),

@@ -403,3 +403,31 @@ class TestMarketState:
             MarketState(np.array([[0.5, 0.6], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             MarketState(np.array([[1.2, -0.2], [0.5, 0.5]]))
+
+
+class TestRejectedInputs:
+    def test_price_profile_sides_and_values(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PriceProfile(buyer=(1.0, 1.0), seller=(1.0,))
+        with pytest.raises(ValueError, match="prices must be finite"):
+            PriceProfile(buyer=(1.0, np.nan), seller=(1.0, 1.0))
+
+    def test_market_state_shape(self):
+        for shares in (np.full(3, 1.0 / 3), np.full((3, 2), 0.5), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                MarketState(shares)
+
+    def test_share_fixed_point_nan_prices(self):
+        with pytest.raises(ValueError, match="prices must be finite"):
+            share_fixed_point(MarketParams.uniform(2, 1.0), np.full((2, 2), np.nan))
+
+    def test_monte_carlo_needs_a_sample(self):
+        state = MarketState(np.full((2, 3), 1.0 / 3))
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            monte_carlo_shares(MarketParams.uniform(2, 1.0), PriceProfile.symmetric(2, 1.0, 1.0),
+                               state, samples=0, seed=0)
+
+    def test_multistart_replicate_that_stalls_raises(self):
+        with pytest.raises(FixedPointError, match="multistart replicate"):
+            fixed_point_multistart(MarketParams.uniform(2, 1.0, phi_own=0.5),
+                                   PriceProfile.symmetric(2, 1.0, 1.0), starts=3, max_iter=1)

@@ -192,6 +192,11 @@ class TestFocForms:
             assert np.all(np.diff(vals) < 0)
 
 
+def test_foc_residual_needs_two_sides():
+    with pytest.raises(ValueError, match=r"z must provide \(z_b, z_s\)"):
+        cne_foc_residual([0.0, 0.0, 0.0], MarketParams.uniform(2, 1.0))
+
+
 class TestHMatrix:
     def test_zero_externality_diagonal(self):
         params = MarketParams.uniform(2, 1.0)

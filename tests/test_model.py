@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from platform_eq.model import (Cubic, MarketParams, Side, ce_existence_bound,
+from platform_eq._families import horner
+from platform_eq.model import (MarketParams, Side, ce_existence_bound,
                                check_ce_existence, check_cne_existence,
                                cne_existence_bound, solve_cubic_real)
 
@@ -33,20 +34,20 @@ def bisect_isolate(f, lo=-10.0, hi=10.0, n=20001, xtol=1e-12):
 
 class TestCubic:
     def test_unit_root(self):
-        assert solve_cubic_real(Cubic(1, 0, 0, -1)) == pytest.approx([1.0], abs=1e-12)
+        assert solve_cubic_real([-1, 0, 0, 1]) == pytest.approx([1.0], abs=1e-12)
 
     def test_symmetric_factorization(self):
-        roots = solve_cubic_real(Cubic(1, 0, -1, 0))
+        roots = solve_cubic_real([0, -1, 0, 1])
         assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
 
     def test_profit_region_cubic_vs_isolator(self):
         # 4 b^3 N^3 + b^2 (2-5N) N phi - 2 b N phi^2 + 2 phi^3 at N=2, phi=-1
-        c = Cubic(32.0, 16.0, -4.0, -2.0)
+        c = [-2.0, -4.0, 16.0, 32.0]
         roots = solve_cubic_real(c)
-        scale = c.scale
+        scale = max(1.0, *map(abs, c))
         for r in roots:
-            assert abs(c(r)) <= 1e-9 * scale
-        iso = bisect_isolate(lambda x: c(x))
+            assert abs(horner(c, r)) <= 1e-9 * scale
+        iso = bisect_isolate(lambda x: horner(c, x))
         assert len(roots) == len(iso) == 3
         assert roots == pytest.approx(iso, abs=1e-9)
         # exact factorization (b + 1/2)(32 b^2 - 4)
@@ -55,37 +56,37 @@ class TestCubic:
     def test_random_cubics_match_isolator(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
-            c = Cubic(*rng.uniform(-3, 3, size=4))
-            if abs(c.c3) < 1e-3:
+            c = rng.uniform(-3, 3, size=4)[::-1].tolist()
+            if abs(c[3]) < 1e-3:
                 continue
             mine = solve_cubic_real(c)
-            iso = bisect_isolate(lambda x: c(x), n=4001)
+            iso = bisect_isolate(lambda x: horner(c, x), n=4001)
             window = [r for r in mine if abs(r) < 9.99]
             iso = [r for r in iso if abs(r) < 9.99]
             assert len(window) == len(iso)
             for a, b in zip(window, iso):
                 assert a == pytest.approx(b, abs=1e-7)
             for r in mine:
-                assert abs(c(r)) <= 1e-9 * c.scale
+                assert abs(horner(c, r)) <= 1e-9 * max(1.0, *map(abs, c))
 
     def test_scale_invariance(self):
-        base = solve_cubic_real(Cubic(24, -50, 26, -5))
+        base = solve_cubic_real([-5, 26, -50, 24])
         for lam in (1e-9, 1e-6, 1e6):
-            scaled = solve_cubic_real(Cubic(24 * lam, -50 * lam, 26 * lam, -5 * lam))
+            scaled = solve_cubic_real([-5 * lam, 26 * lam, -50 * lam, 24 * lam])
             assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_near_triple_root(self):
-        roots = solve_cubic_real(Cubic(1, -3, 3, -1))
+        roots = solve_cubic_real([-1, 3, -3, 1])
         assert roots == pytest.approx([1.0], abs=1e-6)
-        roots = solve_cubic_real(Cubic(1, -4, 5, -2))  # (x-1)^2 (x-2)
+        roots = solve_cubic_real([-2, 5, -4, 1])  # (x-1)^2 (x-2)
         assert roots == pytest.approx([1.0, 2.0], abs=1e-6)
 
     def test_degenerate_raises(self):
         # only cubics: a quadratic, linear or constant polynomial is refused
-        for coefficients in ((0, 1, -3, 2), (0, 0, 2, -4), (0, 1, 0, 1), (0, 0, 0, 5),
-                             (0, 0, 0, 0)):
+        for coefficients in ([2, -3, 1, 0], [-4, 2, 0, 0], [1, 0, 1, 0], [5, 0, 0, 0],
+                             [0, 0, 0, 0]):
             with pytest.raises(ValueError, match="degenerate polynomial"):
-                solve_cubic_real(Cubic(*coefficients))
+                solve_cubic_real(coefficients)
 
 
 class TestExistence:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import platform_eq.regions as regions
+from platform_eq._families import horner
 from platform_eq.cli import main
-from platform_eq.model import Cubic, MarketParams, Side, check_cne_existence, cne_existence_bound
+from platform_eq.model import MarketParams, Side, check_cne_existence, cne_existence_bound
 from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, RegionLabel, ThresholdKind,
                                  Verdict, classify_columns, classify_direction,
                                  classify_existence, classify_sign_z,
@@ -49,8 +50,8 @@ class TestThresholdArithmetic:
             value = eval_threshold(kind, n, phi)
             builder, which = _CUBIC_KINDS[kind]
             cubic = builder(float(n), phi)
-            assert abs(cubic(value)) <= 1e-9 * cubic.scale
-            iso = bisect_isolate(lambda x: cubic(x), lo=-20, hi=20, n=80001)
+            assert abs(horner(cubic, value)) <= 1e-9 * max(1.0, *map(abs, cubic))
+            iso = bisect_isolate(lambda x: horner(cubic, x), lo=-20, hi=20, n=80001)
             assert iso, (kind, n, phi)
             expected = max(iso) if which == "largest" else iso[0]
             assert value == pytest.approx(expected, abs=1e-7)
@@ -93,6 +94,11 @@ class TestThresholdArithmetic:
             u_tc = eval_threshold(ThresholdKind.U_TILDE_C, n, phi)
             gc = eval_threshold(ThresholdKind.GAMMA_C, n, phi, u_tc)
             assert gc == pytest.approx(8 * phi / (27 * n), rel=1e-12)
+
+    def test_critical_outside_utility_at_nonpositive_phi(self):
+        for kind in (ThresholdKind.U_TILDE, ThresholdKind.U_TILDE_C):
+            for n, phi in ((2, 0.0), (4, -0.7), (7, -2.0)):
+                assert eval_threshold(kind, n, phi) == 2.0 * phi / (n + 1.0)
 
     def test_argument_checks(self):
         with pytest.raises(ValueError, match="phi_kk"):
@@ -265,6 +271,10 @@ class TestRegionGrids:
             assert checked > 100
             assert frac >= 0.99, (classifier, agree, checked)
 
+    def test_grid_agreement_needs_solved_signs(self):
+        with pytest.raises(ValueError, match="without solve_signs"):
+            grid_agreement(region_grid("price_dn", resolution=2, n=4))
+
     def test_figure_paint_and_curve(self):
         grid = region_grid("cs_dn", resolution=40, n=4, u0=0.0)
         paint = figure_paint("fig6", grid)
@@ -436,7 +446,7 @@ def test_undefined_cubic_threshold_raises_and_reads_error(monkeypatch, tmp_path,
     # solve_cubic_real refuses a constant polynomial as degenerate: f_p is
     # undefined at every phi
     monkeypatch.setitem(regions._CUBIC_KINDS, ThresholdKind.F_P,
-                        (lambda n, phi: Cubic(0.0, 0.0, 0.0, 1.0), "unique"))
+                        (lambda n, phi: [1.0, 0.0, 0.0, 0.0], "unique"))
     # phi > 0 and f(4) phi < beta < phi: the price/N list reaches its f_p band
     with pytest.raises(ValueError, match="f_p"):
         classify_direction("price", "n_platforms", MarketParams.uniform(4, 0.6, phi_own=1.0),
@@ -462,6 +472,14 @@ def test_undefined_cubic_threshold_raises_and_reads_error(monkeypatch, tmp_path,
         assert (f"vprice_dn,{side},error,,,threshold undefined here: "
                 "f_p has no designated real root") in rows
     assert sum(",error," in row for row in rows) == 2
+
+
+def test_unique_kind_with_three_real_roots_raises(monkeypatch):
+    # (beta - 1)(beta - 2)(beta - 3): a "unique" kind with three distinct roots
+    monkeypatch.setitem(regions._CUBIC_KINDS, ThresholdKind.G_PI,
+                        (lambda n, phi: [-6.0, 11.0, -6.0, 1.0], "unique"))
+    with pytest.raises(ValueError, match="g_pi expects a unique real root"):
+        eval_threshold(ThresholdKind.G_PI, 4, 1.0)
 
 
 def test_direction_classifier_names_an_unknown_request():

@@ -7,6 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from platform_eq import _families as fam
+from platform_eq import statics
 from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side, cne_existence_bound
 from platform_eq.statics import (_ANALYTIC_OPS, CLOSED_FORMS, DERIVATIVE_WRT, DZ_DU0,
@@ -142,6 +143,13 @@ class TestAnalyticVsFiniteDifference:
         with pytest.raises(ValueError, match="unknown differentiation variable 'beta'"):
             fd_derivative("price", "beta", MarketParams.uniform(2, 1.0), Side.BUYER)
 
+    def test_fd_unknown_quantity_solves_nothing(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(statics, "solve_cne", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="unknown quantity 'welfare'"):
+            fd_derivative("welfare", "u0", MarketParams.uniform(2, 1.0), Side.BUYER)
+        assert solves == []
+
     def test_closed_form_unknown_key(self):
         with pytest.raises(ValueError, match="no closed form"):
             closed_form("participation", "u0", MarketParams.uniform(2, 1.0), Side.BUYER)
@@ -257,6 +265,29 @@ def test_closed_form_columns_pinned_bits():
     assert not any(errors for _values, errors in table.values())
     values = np.stack([table[key][0] for key in (DZ_DU0, *CLOSED_FORMS)])
     assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_CLOSED_FORMS
+
+
+def test_closed_form_extreme_beta_raises():
+    # beta^3 ~ 1e-330 underflows every denominator; 1e360 overflows a float power
+    for beta, error, match in ((1e-110, ArithmeticError, "vanishing denominator"),
+                               (1e120, OverflowError, "out of range")):
+        for key in CLOSED_FORMS:
+            with pytest.raises(error, match=match):
+                closed_form(*key, MarketParams.uniform(3, beta), Side.BUYER, z_star=0.0)
+
+
+def test_closed_form_columns_denominator_build_error_first(monkeypatch):
+    # a cell whose numerator and denominator builds both fail reports the
+    # denominator's error
+    num_name, den_name, _ = CLOSED_FORMS["price", "u0"]
+    for name in (num_name, den_name):
+        def fail(*args, name=name):
+            raise OverflowError(f"{name} build")
+        monkeypatch.setitem(fam.FAMILIES, name, (fam.FAMILIES[name][0], fail))
+    values, errors = closed_form_columns([MarketParams.uniform(3, 1.0)], [(0.0, 0.0)])[
+        "price", "u0"]
+    assert {cell: str(exc) for cell, exc in errors.items()} == {
+        (0, 0): f"{den_name} build", (0, 1): f"{den_name} build"}
 
 
 class TestNoSilentNaN:

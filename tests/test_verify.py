@@ -25,6 +25,7 @@ SEED1_NONPOSITIVE = MarketParams(
     ((0.24574702287471295, -0.01665475201230473), (-0.02456488762563909, -0.7378459348014982)),
     (1.5440395877525708, 0.34252237139698893))
 COUPLED = MarketParams(3, (1.0, 0.9), ((0.2, 0.03), (-0.02, 0.1)), (0.1, -0.1))
+WIDE_RADIUS = MarketParams(3, (1.0, 1.2), ((0.2, 0.02), (0.01, 0.1)), (-0.5, 0.3))
 
 
 def market_ini(params):
@@ -420,6 +421,28 @@ class TestVerifyNash:
         # and radius 0 searched p* alone
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             verify_nash(BASE, base_eq, radius=radius, grid_n=5)
+
+    def test_wide_radius_overflows_quietly(self):
+        # at radius 1e200 the grid's contraction bound and the polish's step
+        # cap overflow; read as inf they drop no cell and cap no step, and
+        # under the suite's warning filter the search still returns
+        eq = solve_cne(WIDE_RADIUS)
+        report = verify_nash(WIDE_RADIUS, eq, radius=1e200, grid_n=5)
+        assert report.best_gain == 0.0 and not report.refined
+        assert report.best_deviation_prices == eq.prices
+        assert report.grid_converged == 25
+        assert report.base_profit == pytest.approx(eq.total_profit, rel=1e-12)
+        assert report.certified()
+
+    @pytest.mark.parametrize("keys", ["radius = 1e200\n", "perturb_price = 1e308\n"])
+    def test_cli_verify_writes_no_overflow_warning(self, tmp_path, keys):
+        # the exit code of the far-perturbed candidate is not pinned: verify
+        # certifies a priced-out candidate whose shares all underflow
+        ini = tmp_path / "v.ini"
+        ini.write_text(market_ini(WIDE_RADIUS) + "\n[verify]\ngrid_n = 5\n" + keys)
+        run = subprocess.run([sys.executable, "-W", "default", "-m", "platform_eq.cli",
+                              "verify", "--config", str(ini)], capture_output=True, text=True)
+        assert run.stderr == ""
 
     def test_grid_must_have_a_cell(self, base_eq):
         # grid_n = 0 died inside a numpy reduction over the empty grid
