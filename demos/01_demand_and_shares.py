@@ -12,7 +12,7 @@
 # %%
 import numpy as np
 
-from platform_eq import (MarketParams, PriceProfile, contraction_margin,
+from platform_eq import (MarketParams, contraction_margin,
                          fixed_point_multistart, logit_shares,
                          monte_carlo_shares, share_fixed_point)
 
@@ -35,7 +35,7 @@ params = MarketParams(
     beta=(1.0, 1.0),
     phi=((0.3, 0.1), (0.1, 0.3)),
 )
-prices = PriceProfile.symmetric(2, 1.0, 1.0)
+prices = np.array([[1.0, 1.0], [1.0, 1.0]])   # row 0 buyers, row 1 sellers
 state = share_fixed_point(params, prices)
 print("outside mass:", state.outside)
 print("platform shares:\n", state.platform_shares)

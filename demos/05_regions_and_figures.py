@@ -42,7 +42,7 @@ print("price response to entry at (phi=1, beta=0.5):", label.verdict.value)
 
 # %%
 grid = region_grid("sign_z_cne", resolution=120, n=4, u0=-1.0, solve_signs=True)
-agree, checked, frac = grid_agreement(grid, margin_min=0.01)
+agree, checked, frac = grid_agreement(grid)
 print(f"agreement: {agree}/{checked} = {frac:.4f}")
 
 # %% [markdown]

@@ -9,10 +9,9 @@ of solved equilibria.
 
 __version__ = "0.1.0"
 
-from .demand import (FixedPointError, MarketState, MonteCarloShares, PriceProfile,
-                     ShareSensitivities, contraction_margin, fixed_point_multistart,
-                     logit_shares, monte_carlo_shares, sensitivities,
-                     share_fixed_point)
+from .demand import (FixedPointError, MarketState, MonteCarloShares, ShareSensitivities,
+                     contraction_margin, fixed_point_multistart, logit_shares,
+                     monte_carlo_shares, sensitivities, share_fixed_point)
 from .equilibrium import (RegimeComparison, SolverError, SymmetricEquilibrium,
                           ZPoint, ce_foc_residual, cne_foc_residual,
                           compare_regimes, consumer_surplus, omega, solve_ce,

@@ -27,9 +27,9 @@ from .demand import FixedPointError
 from .equilibrium import SolverError, _one, compare_regimes, solve_markets
 from .limits import outside_option_limit_check, perfect_competition_check
 from .model import MarketParams, Side
-from .regions import (FIGURES, VERDICTS, classify_columns, classify_direction,
-                      classify_sign_z, figure_paint, figure_threshold_curve,
-                      grid_agreement, region_grids)
+from .regions import (AGREEMENT_MARGIN, FIGURES, VERDICTS, classify_columns,
+                      classify_direction, classify_sign_z, figure_paint,
+                      figure_threshold_curve, grid_agreement, region_grids)
 from . import __version__
 from .statics import closed_form_columns, ift_columns
 from .svg import PAINT_FILL, region_svg
@@ -434,7 +434,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{u0:g}"
         comments = _comments(cfg, "figures") + [
             f"figure {stem} n {n:g} u0 {u0:.17g}",
-            f"sign agreement {agree}/{checked} = {frac:.17g} (margin > 0.01)",
+            f"sign agreement {agree}/{checked} = {frac:.17g} (margin > {AGREEMENT_MARGIN:g})",
         ]
         # every panel column holds one type, so the rows share one format
         text = (csv_text(comments, ("phi", "beta", "verdict", "margin", "paint", "solved_sign"),

@@ -28,6 +28,7 @@ from .equilibrium import omega
 from .model import MarketParams, Side
 
 SIMPLEX_TOL = 1e-10
+FIXED_POINT_TOL = 1e-12   # sup-norm tolerance on Sigma(x) - x: the solvers' default
 BOX_STEPS = 2   # interval steps from the simplex to the invariant share box
 DEDUPE_TOL = 1e-9   # multistart limits this close in every share are one point
 MC_CHUNK = 250_000  # simulated users per Monte Carlo draw, bounding its memory
@@ -39,35 +40,6 @@ class FixedPointError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
         self.residual = float(residual)
-
-
-@dataclass(frozen=True)
-class PriceProfile:
-    """Per-platform, per-side prices; the outside option always costs 0."""
-
-    buyer: tuple[float, ...]
-    seller: tuple[float, ...]
-
-    def __post_init__(self):
-        b = tuple(float(p) for p in np.atleast_1d(self.buyer))
-        s = tuple(float(p) for p in np.atleast_1d(self.seller))
-        if len(b) != len(s):
-            raise ValueError("buyer and seller price vectors must have equal length")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
-            raise ValueError("prices must be finite")
-        object.__setattr__(self, "buyer", b)
-        object.__setattr__(self, "seller", s)
-
-    @classmethod
-    def symmetric(cls, n_platforms: int, p_b: float, p_s: float) -> "PriceProfile":
-        return cls(buyer=(p_b,) * n_platforms, seller=(p_s,) * n_platforms)
-
-    @property
-    def n_platforms(self) -> int:
-        return len(self.buyer)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.buyer, self.seller], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +59,6 @@ class MarketState:
         object.__setattr__(self, "shares", arr)
 
     @property
-    def n_platforms(self) -> int:
-        return self.shares.shape[1] - 1
-
-    @property
     def outside(self) -> np.ndarray:
         return self.shares[:, 0]
 
@@ -98,9 +66,6 @@ class MarketState:
     def platform_shares(self) -> np.ndarray:
         """Inside shares only, shape (2, N)."""
         return self.shares[:, 1:]
-
-    def side(self, side: Side) -> np.ndarray:
-        return self.shares[side.index]
 
 
 @dataclass(frozen=True)
@@ -164,10 +129,9 @@ def _sigma(x: np.ndarray, phi: np.ndarray, beta: np.ndarray, u0_beta: np.ndarray
 
 
 def _coerce_prices(params: MarketParams, prices) -> np.ndarray:
-    if isinstance(prices, PriceProfile):
-        arr = prices.as_array()
-    else:
-        arr = np.asarray(prices, dtype=float)
+    """prices as a float array of shape (..., 2, N), row 0 the buyers; the
+    outside option always costs 0."""
+    arr = np.asarray(prices, dtype=float)
     if arr.shape[-2:] != (2, params.n_platforms):
         raise ValueError(f"prices must have shape (..., 2, {params.n_platforms})")
     if not np.all(np.isfinite(arr)):
@@ -176,13 +140,13 @@ def _coerce_prices(params: MarketParams, prices) -> np.ndarray:
 
 
 def share_fixed_point(params: MarketParams, prices, damping: float | None = None,
-                      tol: float = 1e-12, max_iter: int = 100_000,
+                      tol: float = FIXED_POINT_TOL, max_iter: int = 100_000,
                       x0: MarketState | np.ndarray | None = None) -> MarketState:
     """Solve x = Sigma(x) for the per-side share vectors at the given prices.
 
     Args:
         params: market parameters.
-        prices: PriceProfile or array of shape (2, N).
+        prices: array of shape (2, N), row 0 the buyers.
         damping: step size d in x <- (1-d) x + d Sigma(x), in (0, 1]; None
             takes d = 1 where the share box at these prices proves a
             contraction (share_box's L_B < 1) and 0.5 otherwise.
@@ -204,7 +168,7 @@ def share_fixed_point(params: MarketParams, prices, damping: float | None = None
 
 
 def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
-                      damping: float | None = None, tol: float = 1e-12,
+                      damping: float | None = None, tol: float = FIXED_POINT_TOL,
                       max_iter: int = 100_000, x0: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized fixed point over a leading batch of price profiles:
@@ -227,9 +191,10 @@ def fixed_point_batch(params: MarketParams, prices_batch: np.ndarray,
 
 
 def class_fixed_point(params: MarketParams, prices: np.ndarray, mult: np.ndarray,
-                      x0: np.ndarray, damping: float | None = None, tol: float = 1e-12,
-                      max_iter: int = 100_000, maximize: int | None = None,
-                      box: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      x0: np.ndarray, damping: float | None = None,
+                      tol: float = FIXED_POINT_TOL, max_iter: int = 100_000,
+                      maximize: int | None = None, box: tuple | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """The stage-2 fixed point on platform classes, batch-last.
 
     The N platforms fall into C classes of mult[c] platforms each, and the
@@ -333,14 +298,14 @@ class MultiStartResult:
 
 
 def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
-                           seed: int = 0, damping: float | None = None, tol: float = 1e-12,
-                           max_iter: int = 100_000) -> MultiStartResult:
+                           seed: int = 0, max_iter: int = 100_000) -> MultiStartResult:
     """Run the fixed point from `starts` random interior starts and report all
     distinct limits.  Where the share box at these prices proves a contraction
     (share_box's L_B < 1, as a positive contraction margin always does) the
     result must be a single point; otherwise multiplicity is reported rather
-    than hidden.  damping is class_fixed_point's: by default d = 0.5 where
-    L_B >= 1.  starts must be at least 1, else ValueError.
+    than hidden.  Each start takes class_fixed_point's default damping, d = 0.5
+    where L_B >= 1, and must meet FIXED_POINT_TOL.  starts must be at least 1,
+    else ValueError.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
@@ -349,8 +314,8 @@ def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
     n = params.n_platforms
     x0 = rng.dirichlet(np.ones(n + 1), size=(starts, 2))
     batch_p = np.broadcast_to(p, (starts, 2, n)).copy()
-    x, resid = fixed_point_batch(params, batch_p, damping, tol, max_iter, x0=x0)
-    if np.any(resid > tol):
+    x, resid = fixed_point_batch(params, batch_p, max_iter=max_iter, x0=x0)
+    if np.any(resid > FIXED_POINT_TOL):
         raise FixedPointError("a multistart replicate did not converge", float(resid.max()))
     max_dist = 0.0
     points: list[np.ndarray] = []

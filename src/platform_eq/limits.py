@@ -17,6 +17,7 @@ from .statics import asymptotic_limits
 
 LARGE_N_TOL = 1e-2
 U0_LIMIT_TOL = 1e-3
+U0_LIMIT = 40.0   # |u0| at which outside_option_limit_check solves
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,8 @@ def perfect_competition_check(params_base: MarketParams,
                       achieved_error=float(err), tolerance=LARGE_N_TOL)
 
 
-def outside_option_limit_check(params_base: MarketParams,
-                               u0_magnitude: float = 40.0) -> tuple[LimitCheck, LimitCheck]:
-    """Solve at u0 = -magnitude and +magnitude and compare with the analytic limits.
+def outside_option_limit_check(params_base: MarketParams) -> tuple[LimitCheck, LimitCheck]:
+    """Solve at u0 = -U0_LIMIT and +U0_LIMIT and compare with the analytic limits.
 
     Returns a (small_u0, large_u0) pair: the low end targets the no-outside-
     option price/profit, the high end the efficient price and zero profit.
@@ -78,26 +78,24 @@ def outside_option_limit_check(params_base: MarketParams,
     """
     if not params_base.cross_externalities_zero:
         raise ValueError("outside-option limits require zero cross-side externalities")
-    mag = abs(float(u0_magnitude))
     checks = []
-    for sign, kind in ((-1.0, "small_u0"), (1.0, "large_u0")):
-        u0 = (sign * mag, sign * mag)
-        eq = solve_cne(params_base.replace(u0=u0))
-        row = {"u0": sign * mag}
+    for u0, kind in ((-U0_LIMIT, "small_u0"), (U0_LIMIT, "large_u0")):
+        eq = solve_cne(params_base.replace(u0=(u0, u0)))
+        row = {"u0": u0}
         errs = []
         targets = {}
         for side in Side:
             k = side.index
             lim = asymptotic_limits(params_base, side)
-            p_target = lim.p_u if sign < 0 else lim.p_e
-            pi_target = lim.pi_u if sign < 0 else lim.pi_e
+            p_target = lim.p_u if u0 < 0 else lim.p_e
+            pi_target = lim.pi_u if u0 < 0 else lim.pi_e
             targets[f"price_{side.label}"] = p_target
             targets[f"profit_{side.label}"] = pi_target
             row[f"price_{side.label}"] = eq.prices[k]
             row[f"profit_{side.label}"] = eq.profit_per_side[k]
             errs.append(abs(eq.prices[k] - p_target))
             errs.append(abs(eq.profit_per_side[k] - pi_target))
-        checks.append(LimitCheck(kind=kind, points=(sign * mag,),
+        checks.append(LimitCheck(kind=kind, points=(u0,),
                                  observed=(row,), targets=targets,
                                  achieved_error=float(max(errs)), tolerance=U0_LIMIT_TOL))
     return checks[0], checks[1]

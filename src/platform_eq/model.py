@@ -17,6 +17,7 @@ import numpy as np
 from ._families import derivative_coefficients, horner
 
 EULER_GAMMA = 0.5772156649015329
+POLISH_STEPS = 8   # Newton steps at most per cubic root
 
 
 class Side(Enum):
@@ -174,11 +175,11 @@ def check_ce_existence(params: MarketParams) -> tuple[bool, bool]:
 # cubic root solver
 # --------------------------------------------------------------------------
 
-def _polish(coeffs, root: float, iters: int = 8) -> float:
+def _polish(coeffs, root: float) -> float:
     """A few Newton steps; near-multiple roots this is still a contraction."""
     slope = derivative_coefficients(coeffs)
     x = root
-    for _ in range(iters):
+    for _ in range(POLISH_STEPS):
         f = horner(coeffs, x)
         fp = horner(slope, x)
         if fp == 0.0:

@@ -32,6 +32,7 @@ from .model import (MarketParams, Side, ce_existence_bound, cne_existence_bound,
 
 BOUNDARY_TOL = 1e-9
 CS_DN_Z_CAP = math.log(2.0) / 5.0
+AGREEMENT_MARGIN = 0.01   # grid_agreement scores only cells with a larger margin
 
 
 class ThresholdKind(Enum):
@@ -644,16 +645,16 @@ def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float,
     return np.where(np.isnan(diff), 0, np.sign(diff)).astype(int)
 
 
-def grid_agreement(grid: RegionGrid, margin_min: float = 0.01) -> tuple[int, int, float]:
+def grid_agreement(grid: RegionGrid) -> tuple[int, int, float]:
     """(agreements, cells checked, fraction) between classifier verdicts and the
     solved-sign companion grid, restricted to definite verdicts with margin
-    above margin_min.  Existence grids are scored one-sided: only cells the
+    above AGREEMENT_MARGIN.  Existence grids are scored one-sided: only cells the
     classifier certifies are checked (the condition is sufficient, not
     necessary)."""
     if grid.solved_signs is None:
         raise ValueError("grid was built without solve_signs=True")
     truth = grid.solved_signs
-    checked = (grid.signs != 0) & (grid.margins > margin_min) & (truth != 0)
+    checked = (grid.signs != 0) & (grid.margins > AGREEMENT_MARGIN) & (truth != 0)
     if grid.classifier.startswith("existence"):
         checked &= grid.signs > 0
     count = int(checked.sum())

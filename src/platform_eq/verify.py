@@ -362,7 +362,10 @@ def soc_cne_diag(z: float, params: MarketParams, side: Side) -> float:
 
     A ratio of two degree-7 series in e^z.  Where either overflows (z above
     about 101), e^{7z} is divided out of both and they are evaluated in
-    e^{-z}; the ratio tends to -N (beta N^2 - 2 (N-1) phi_kk) / (N-1)^2."""
+    e^{-z}; the ratio tends to -N (beta N^2 - 2 (N-1) phi_kk) / (N-1)^2.
+    Where the denominator e^z B^3 underflows (z below about -690), the ratio
+    is num e^{-z} / B^3: about -beta e^{-z}, and -inf once e^{-z} overflows.
+    Raises ArithmeticError only where the ratio is NaN."""
     if not params.cross_externalities_zero:
         raise ValueError("closed-form SOC requires zero cross-side externalities")
     n = float(params.n_platforms)
@@ -373,14 +376,21 @@ def soc_cne_diag(z: float, params: MarketParams, side: Side) -> float:
     num = eval_series(s, 0, z)
     with np.errstate(over="ignore", invalid="ignore"):
         ez = np.exp(z)
-        den = ez * (beta * ((n - 1.0) * ez + 1.0) * (n * ez + 1.0) - ez * phi) ** 3
+        b = beta * ((n - 1.0) * ez + 1.0) * (n * ez + 1.0) - ez * phi
+        den = ez * b ** 3
     if not (np.isfinite(num) and np.isfinite(den)):
         emz = np.exp(-z)
         num = eval_series(s[::-1], 0, -z)
         den = (beta * (n - 1.0 + emz) * (n + emz) - emz * phi) ** 3
-    if abs(den) < 1e-300:
-        raise ArithmeticError("vanishing SOC denominator")
-    return float(num / den)
+    elif abs(den) < 1e-300:
+        # e^z B^3 underflows: e^z leaves the denominator, and e^{-z} may overflow
+        with np.errstate(over="ignore"):
+            num, den = num * np.exp(-z), b ** 3
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = num / den
+    if np.isnan(ratio):
+        raise ArithmeticError("SOC ratio is NaN")
+    return float(ratio)
 
 
 @np.errstate(over="ignore", invalid="ignore")

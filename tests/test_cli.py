@@ -530,6 +530,18 @@ class TestVerifyCommand:
         assert doc["soc_cne"]["closed_form_diag"][0] == pytest.approx(-0.3375, rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_soc_denominator_passes(self, tmp_path, capsys):
+        # z* ~ -700: e^z B^3 in the closed-form SOC underflows below 1e-300,
+        # while the ratio, about -beta e^{-z}, is a finite negative number
+        ini = tmp_path / "v.ini"
+        ini.write_text("[market]\nn_platforms = 2\nbeta_b = 1.0\nbeta_s = 1.0\n"
+                       "u0_b = 700\nu0_s = 700\n")
+        assert main(["verify", "--config", str(ini)]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert doc["passed"] is True
+        assert doc["soc_cne"]["closed_form_diag"] == [pytest.approx(-2.757e304, rel=1e-3)] * 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_negative_collusive_z_writes_null(self, tmp_path, capsys):
         # z_ce,b ~ -1000.9: e^{-z} overflows in the closed-form collusive
         # Hessian, whose -inf diagonal still reads negative; JSON has no

@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platform_eq import demand
-from platform_eq.demand import (FixedPointError, MarketState, PriceProfile,
-                                contraction_margin, fixed_point_batch,
-                                fixed_point_multistart, logit_shares,
+from platform_eq.demand import (FixedPointError, MarketState, contraction_margin,
+                                fixed_point_batch, fixed_point_multistart, logit_shares,
                                 monte_carlo_shares, sensitivities, share_box,
                                 share_fixed_point)
 from platform_eq.equilibrium import solve_cne
@@ -66,7 +65,7 @@ class TestFixedPoint:
 
     def test_simplex_invariant(self):
         params = MarketParams(3, (0.5, 0.9), ((0.3, 0.1), (-0.2, 0.4)), (0.2, -0.1))
-        state = share_fixed_point(params, PriceProfile.symmetric(3, 0.5, -0.3))
+        state = share_fixed_point(params, np.array([[0.5] * 3, [-0.3] * 3]))
         assert np.max(np.abs(state.shares.sum(axis=1) - 1.0)) <= 1e-10
         assert np.all(state.shares >= 0)
 
@@ -86,7 +85,7 @@ class TestFixedPoint:
         x_oracle = 0.5 * (lo + hi)
 
         params = MarketParams(2, (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3)))
-        state = share_fixed_point(params, PriceProfile.symmetric(2, 1.0, 1.0))
+        state = share_fixed_point(params, np.ones((2, 2)))
         inside = state.platform_shares
         assert inside[0, 0] == pytest.approx(inside[0, 1], abs=1e-12)
         assert inside[0, 0] == pytest.approx(inside[1, 0], abs=1e-12)
@@ -111,7 +110,7 @@ class TestFixedPoint:
 
     def test_price_monotonicity(self):
         params = MarketParams.uniform(3, 1.0)
-        base = share_fixed_point(params, PriceProfile.symmetric(3, 0.5, 0.5))
+        base = share_fixed_point(params, np.full((2, 3), 0.5))
         bumped_prices = np.array([[0.7, 0.5, 0.5], [0.5, 0.5, 0.5]])
         bumped = share_fixed_point(params, bumped_prices)
         assert bumped.shares[0, 1] < base.shares[0, 1]
@@ -120,7 +119,7 @@ class TestFixedPoint:
     def test_nonconvergence_error_carries_residual(self):
         params = MarketParams.uniform(2, 1.0, phi_own=0.3)
         with pytest.raises(FixedPointError) as err:
-            share_fixed_point(params, PriceProfile.symmetric(2, 1.0, 1.0), max_iter=2)
+            share_fixed_point(params, np.ones((2, 2)), max_iter=2)
         assert err.value.residual > 0
 
     def test_input_validation(self):
@@ -130,7 +129,7 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             share_fixed_point(params, np.zeros((2, 2)), damping=0.0)
 
-    @pytest.mark.parametrize("solve", [fixed_point_batch, fixed_point_multistart])
+    @pytest.mark.parametrize("solve", [fixed_point_batch, share_fixed_point])
     @pytest.mark.parametrize("bad", [{"damping": 0.0}, {"damping": 1.5},
                                      {"damping": np.nan}, {"tol": 0.0}, {"tol": -1e-12}])
     def test_every_entry_point_validates(self, solve, bad):
@@ -139,6 +138,21 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             solve(params, np.zeros((4, 2, 2)) if solve is fixed_point_batch
                   else np.zeros((2, 2)), **bad)
+
+    @pytest.mark.parametrize("solve", [
+        share_fixed_point, fixed_point_batch, fixed_point_multistart,
+        lambda params, prices: monte_carlo_shares(
+            params, prices, MarketState(np.full((2, 3), 1.0 / 3)), samples=10, seed=0)],
+        ids=["share_fixed_point", "fixed_point_batch", "fixed_point_multistart",
+             "monte_carlo_shares"])
+    @pytest.mark.parametrize("prices", [
+        [[1.0, 1.0], [1.0]],                  # two buyer prices, one seller price
+        np.zeros((3, 2)),                     # three rows for two sides
+        np.array([[1.0, np.nan], [1.0, 1.0]]),
+    ], ids=["ragged", "shape", "nan"])
+    def test_every_stage2_entry_rejects_bad_prices(self, solve, prices):
+        with pytest.raises(ValueError):
+            solve(MarketParams.uniform(2, 1.0), prices)
 
 
 def _deviation_grid(n, half, grid_n=41):
@@ -368,13 +382,13 @@ class TestMonteCarlo:
         n = 3
         params = MarketParams.uniform(n, 1.0)
         state = MarketState(np.full((2, n + 1), 1.0 / (n + 1)))
-        prices = PriceProfile.symmetric(n, 0.0, 0.0)
+        prices = np.zeros((2, n))
         mc = monte_carlo_shares(params, prices, state, samples=1_000_000, seed=9)
         assert np.max(np.abs(mc.shares.shares - 0.25) / mc.stderr) < 3.0
 
     def test_self_consistency_with_fixed_point(self):
         params = MarketParams(2, (1.0, 0.8), ((0.3, 0.05), (0.05, 0.2)), (0.1, -0.2))
-        prices = PriceProfile.symmetric(2, 0.8, 0.4)
+        prices = np.array([[0.8] * 2, [0.4] * 2])
         state = share_fixed_point(params, prices)
         mc = monte_carlo_shares(params, prices, state, samples=400_000, seed=123)
         dev = np.abs(mc.shares.shares - state.shares) / np.maximum(mc.stderr, 1e-12)
@@ -391,7 +405,7 @@ class TestMonteCarlo:
     def test_reproducible_under_seed(self):
         params = MarketParams.uniform(2, 1.0)
         state = MarketState(np.full((2, 3), 1.0 / 3))
-        prices = PriceProfile.symmetric(2, 1.0, 1.0)
+        prices = np.ones((2, 2))
         a = monte_carlo_shares(params, prices, state, samples=10_000, seed=77)
         b = monte_carlo_shares(params, prices, state, samples=10_000, seed=77)
         assert np.array_equal(a.shares.shares, b.shares.shares)
@@ -406,12 +420,6 @@ class TestMarketState:
 
 
 class TestRejectedInputs:
-    def test_price_profile_sides_and_values(self):
-        with pytest.raises(ValueError, match="equal length"):
-            PriceProfile(buyer=(1.0, 1.0), seller=(1.0,))
-        with pytest.raises(ValueError, match="prices must be finite"):
-            PriceProfile(buyer=(1.0, np.nan), seller=(1.0, 1.0))
-
     def test_market_state_shape(self):
         for shares in (np.full(3, 1.0 / 3), np.full((3, 2), 0.5), np.ones((2, 1))):
             with pytest.raises(ValueError, match="shape"):
@@ -424,10 +432,10 @@ class TestRejectedInputs:
     def test_monte_carlo_needs_a_sample(self):
         state = MarketState(np.full((2, 3), 1.0 / 3))
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            monte_carlo_shares(MarketParams.uniform(2, 1.0), PriceProfile.symmetric(2, 1.0, 1.0),
+            monte_carlo_shares(MarketParams.uniform(2, 1.0), np.ones((2, 2)),
                                state, samples=0, seed=0)
 
     def test_multistart_replicate_that_stalls_raises(self):
         with pytest.raises(FixedPointError, match="multistart replicate"):
             fixed_point_multistart(MarketParams.uniform(2, 1.0, phi_own=0.5),
-                                   PriceProfile.symmetric(2, 1.0, 1.0), starts=3, max_iter=1)
+                                   np.ones((2, 2)), starts=3, max_iter=1)

@@ -1,12 +1,15 @@
-"""Smoke test of ``tools/output_digests.py`` on one workload and seed."""
+"""``tools/output_digests.py``: a smoke test on one workload and seed, and the
+benchmark-output golden of every workload at seeds 1-3."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 from platform_eq import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIGESTS = ROOT / "tests" / "data" / "perfbench_digests.json"
 
 
 def _tool():
@@ -29,3 +32,14 @@ def test_sweep_coupled_seed1_digests(monkeypatch):
     monkeypatch.setattr(cli, "_comments", lambda cfg, command: comments(cfg, command) + ["x"])
     changed = tool.digests(str(ROOT), workloads=("sweep-coupled",), seeds=(1,))
     assert all(changed[k] != first[k] for k in first)
+
+
+def test_benchmark_outputs_match_golden():
+    # every item of every benchmark workload at seeds 1-3, byte for byte.  A
+    # deliberate output change rewrites the file with
+    # `python3 tools/output_digests.py . > tests/data/perfbench_digests.json`
+    # and lists the changed items in CHANGES.md
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    got = _tool().digests(str(ROOT))
+    changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    assert not changed, f"{len(changed)} of {len(golden)} items changed: {changed[:10]}"

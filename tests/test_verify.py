@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from platform_eq._families import s_coefficients
 from platform_eq.equilibrium import solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
 from platform_eq.demand import (FixedPointError, contraction_margin, fixed_point_multistart,
@@ -549,6 +550,21 @@ class TestSecondOrderConditions:
         limit = -n * (beta * n * n - 2.0 * (n - 1) * phi) / (n - 1) ** 2
         for z in (60.0, 101.0, 102.0, 118.5, 700.0, 1e4):
             assert soc_cne_diag(z, params, Side.BUYER) == pytest.approx(limit, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cne_diag_where_its_denominator_underflows(self):
+        # at z = -700 the denominator e^z B^3 is below 1e-300, yet the ratio,
+        # about -beta e^{-z}, is finite; it overflows to -inf past z = -709.8
+        mpmath = pytest.importorskip("mpmath")
+        params = MarketParams.uniform(2, 1.0)
+        val = soc_cne_diag(-700.0, params, Side.BUYER)
+        with mpmath.workdps(50):
+            ez, n = mpmath.exp(-700), mpmath.mpf(2)
+            num = sum(mpmath.mpf(c) * ez**m
+                      for m, c in enumerate(s_coefficients(1.0, 0.0, 2.0)))
+            ref = num / (ez * ((n - 1) * ez + 1) ** 3 * (n * ez + 1) ** 3)
+        assert val < 0 and abs(val - float(ref)) <= 1e-12 * abs(float(ref))
+        assert soc_cne_diag(-800.0, params, Side.BUYER) == -np.inf
 
     def test_ce_hessian_zero_phi_diagonal(self):
         eq = solve_ce(BASE)
