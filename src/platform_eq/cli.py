@@ -428,9 +428,13 @@ def cmd_figures(cfg: RunConfig) -> int:
         agree, checked, frac = grid_agreement(grid)
         paint = figure_paint(figure, grid)
         verdict = np.array([v.value for v in VERDICTS])[grid.verdicts]
-        rows = list(zip([phi for phi in phis for _beta in betas], betas * len(phis),
-                        *(c.ravel().tolist() for c in (verdict, grid.margins, paint,
-                                                       grid.solved_signs))))
+        # the six columns interleaved into one flat list, row by row
+        cells = grid.verdicts.size
+        flat = [None] * (6 * cells)
+        flat[0::6] = [phi for phi in phis for _beta in betas]
+        flat[1::6] = betas * len(phis)
+        for i, c in enumerate((verdict, grid.margins, paint, grid.solved_signs), 2):
+            flat[i::6] = c.ravel().tolist()
         stem = figure if len(spec.panel_u0) == 1 else f"{figure}_u0_{u0:g}"
         comments = _comments(cfg, "figures") + [
             f"figure {stem} n {n:g} u0 {u0:.17g}",
@@ -438,7 +442,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         ]
         # every panel column holds one type, so the rows share one format
         text = (csv_text(comments, ("phi", "beta", "verdict", "margin", "paint", "solved_sign"),
-                         []) + "".join(map(FIGURE_ROW.__mod__, rows)))
+                         []) + (FIGURE_ROW * cells) % tuple(flat))
         _emit(text, out_dir, f"{stem}.csv", echo=False)
         title = f"{figure}: {spec.description} (N={n:g}, u0={u0:g})"
         legend = [(PAINT_FILL[paint_id], label) for paint_id, label in spec.legend]
@@ -446,7 +450,7 @@ def cmd_figures(cfg: RunConfig) -> int:
                          title, legend, width=cfg.get("output", "width"),
                          height=cfg.get("output", "height"))
         _emit(svg, out_dir, f"{stem}.svg", echo=False)
-        sys.stdout.write(f"{stem}: {len(rows)} cells, sign agreement "
+        sys.stdout.write(f"{stem}: {cells} cells, sign agreement "
                          f"{agree}/{checked} ({frac:.4f})\n")
     return 0
 

@@ -128,12 +128,13 @@ def _sigma(x: np.ndarray, phi: np.ndarray, beta: np.ndarray, u0_beta: np.ndarray
     return u
 
 
-def _coerce_prices(params: MarketParams, prices) -> np.ndarray:
-    """prices as a float array of shape (..., 2, N), row 0 the buyers; the
-    outside option always costs 0."""
+def _coerce_prices(params: MarketParams, prices, single: bool = False) -> np.ndarray:
+    """prices as a float array of shape (..., 2, N), or exactly (2, N) where
+    single, row 0 the buyers; the outside option always costs 0."""
     arr = np.asarray(prices, dtype=float)
-    if arr.shape[-2:] != (2, params.n_platforms):
-        raise ValueError(f"prices must have shape (..., 2, {params.n_platforms})")
+    if (arr.shape if single else arr.shape[-2:]) != (2, params.n_platforms):
+        lead = "" if single else "..., "
+        raise ValueError(f"prices must have shape ({lead}2, {params.n_platforms})")
     if not np.all(np.isfinite(arr)):
         raise ValueError("prices must be finite")
     return arr
@@ -159,6 +160,7 @@ def share_fixed_point(params: MarketParams, prices, damping: float | None = None
             the last residual so callers can retry with an explicit, smaller
             damping.
     """
+    prices = _coerce_prices(params, prices, single=True)
     if x0 is not None:
         x0 = x0.shares if isinstance(x0, MarketState) else np.asarray(x0, dtype=float)
     x, resid = fixed_point_batch(params, prices, damping, tol, max_iter, x0=x0)
@@ -310,7 +312,7 @@ def fixed_point_multistart(params: MarketParams, prices, starts: int = 10,
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     rng = np.random.default_rng(seed)
-    p = _coerce_prices(params, prices)
+    p = _coerce_prices(params, prices, single=True)
     n = params.n_platforms
     x0 = rng.dirichlet(np.ones(n + 1), size=(starts, 2))
     batch_p = np.broadcast_to(p, (starts, 2, n)).copy()
@@ -424,7 +426,7 @@ def monte_carlo_shares(params: MarketParams, prices, fixed_state: MarketState,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    p = _coerce_prices(params, prices)
+    p = _coerce_prices(params, prices, single=True)
     n = params.n_platforms
     phi = params.phi_arr
     ext = phi @ fixed_state.platform_shares  # (2, N)

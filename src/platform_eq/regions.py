@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import mk_slope, mkc_slope, omega, solve_decoupled_batch
+from .equilibrium import _decoupled_value, mk_slope, mkc_slope, omega, solve_decoupled_batch
 from .model import (MarketParams, Side, ce_existence_bound, cne_existence_bound,
                     existence_fails, solve_cubic_real)
 
@@ -572,9 +572,11 @@ def region_grids(classifiers, phi_range: tuple[float, float] = (-2.0, 2.0),
                  n: int = 4, u0: float = 0.0, solve_signs: bool = False) -> list[RegionGrid]:
     """:func:`region_grid` of each classifier over one mesh, in order.
 
-    A stage-1 z-grid is solved only where a grid reads it, and each distinct
-    (regime, platform count) grid once per call, so the direction grids'
-    solved signs share their N +- h solves.  Nothing outlives the call.
+    A full stage-1 z-grid is solved only where a grid reads it, and each
+    distinct (regime, platform count) grid once per call, so the direction
+    grids' solved signs share their N +- h solves.  A sign-z grid's solved
+    signs root-solve only its cells outside the existence region (see
+    :func:`_solved_sign_grid`).  Nothing outlives the call.
     """
     for classifier in classifiers:
         if classifier not in _GRID_RULES:
@@ -613,12 +615,27 @@ def region_grids(classifiers, phi_range: tuple[float, float] = (-2.0, 2.0),
 
 def _solved_sign_grid(classifier: str, pp: np.ndarray, bb: np.ndarray, n: float, u0: float,
                       z_at) -> np.ndarray:
-    """Numeric ground truth per cell: solved z sign, FD quantity sign, or a
+    """Numeric ground truth per cell: the sign of z*, FD quantity sign, or a
     monotonicity certificate for the existence grids.  z_at(regime, N) gives
-    the solved z-grid of a regime at platform count N."""
+    the solved z-grid of a regime at platform count N.
+
+    Inside the existence region (beta > 0) the decoupled FOC M(z) strictly
+    decreases and has no pole, so z* has the sign of M(0): one FOC value per
+    cell there.  Only the other cells are root-solved, as one batch; a cell's
+    root has the same bits in any batch, and a cell without one reads 0."""
     if classifier in ("sign_z_cne", "sign_z_ce"):
-        z_grid = z_at("cne" if classifier == "sign_z_cne" else "ce", n)
-        return np.where(np.isnan(z_grid), 0, np.sign(z_grid)).astype(int)
+        regime = classifier.removeprefix("sign_z_")
+        bound = ce_existence_bound(n) if regime == "ce" else cne_existence_bound(n)
+        solve = existence_fails(bb, pp, bound) | (bb <= 0)
+        inside = ~solve
+        signs = np.zeros(pp.shape, dtype=int)
+        with np.errstate(all="ignore"):  # a beta near underflow can still divide by zero
+            signs[inside] = np.sign(_decoupled_value(regime == "ce", 0.0, bb[inside], pp[inside],
+                                                     n, u0))
+        if solve.any():
+            z = solve_decoupled_batch(regime, bb[solve], pp[solve], n, u0)
+            signs[solve] = np.where(np.isnan(z), 0, np.sign(z))
+        return signs
     if classifier in ("existence_cne", "existence_ce"):
         # certificate of a unique root: the FOC slope stays negative on a z grid
         # (the competitive slope family is built once for the whole grid)

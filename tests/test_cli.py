@@ -14,7 +14,7 @@ import platform_eq.equilibrium as equilibrium
 import platform_eq.statics as statics
 from platform_eq.cli import DERIV_SPECS, main
 from platform_eq.config import MAX_POINTS, SWEEP_AXES, ConfigError, axis_count, parse_config
-from platform_eq.model import MarketParams, Side
+from platform_eq.model import MarketParams, Side, cne_existence_bound, existence_fails
 
 BASE_INI = """\
 [market]
@@ -643,22 +643,36 @@ class TestFiguresCommand:
                 assert r["paint"] == "0"
 
     def test_each_z_grid_solved_once_per_command(self, tmp_path, capsys, monkeypatch):
-        # 8 panels read 6 distinct z-grids: fig2's and fig3's two panels
-        # one each, and fig4-fig6 share z*(N +- h) at N = 4, u0 = 0; fig1
-        # reads none.  A second command solves them again.
+        # fig4-fig6 share the two full z-grids z*(N +- h) at N = 4, u0 = 0;
+        # fig1 reads none.  A sign-z panel (fig2, fig3) root-solves only its
+        # cells outside the existence region, in one call given just those
+        # cells: both fig2 panels at N = 4, while at N = 200 no cell of this
+        # mesh is outside, so fig3 solves nothing.  A second command solves
+        # them again.
         import platform_eq.regions as regions
         solves = []
         solve = regions.solve_decoupled_batch
         monkeypatch.setattr(regions, "solve_decoupled_batch",
                             lambda regime, beta, phi, n, u0:
-                            solves.append((regime, n, u0)) or solve(regime, beta, phi, n, u0))
+                            solves.append((regime, n, u0, beta, phi))
+                            or solve(regime, beta, phi, n, u0))
         ini = tmp_path / "f.ini"
         ini.write_text(BASE_INI + "\n[grid]\nresolution = 10\n")
+        mesh = regions.region_grid("existence_cne", resolution=10)
+        pp, bb = np.meshgrid(mesh.phis, mesh.betas, indexing="ij")
+        fails = existence_fails(bb, pp, cne_existence_bound(4))
+        assert fails.any() and not existence_fails(bb, pp, cne_existence_bound(200)).any()
+        expected = [(4.0004, 0.0, bb, pp), (3.9996, 0.0, bb, pp),
+                    (4.0, -1.0, bb[fails], pp[fails]), (4.0, 0.5, bb[fails], pp[fails])]
         for run in (1, 2):
             assert main(["figures", "--config", str(ini), "--out", str(tmp_path / "figs"),
                          "--jobs", "1"]) == 0
-            assert len(solves) == 6 * run
-            assert len(set(solves[-6:])) == 6
+            assert len(solves) == 4 * run
+            for (regime, n, u0, beta, phi), (n_want, u0_want, beta_want, phi_want) in zip(
+                    solves[-4:], expected):
+                assert (regime, n, u0) == ("cne", n_want, u0_want)
+                np.testing.assert_array_equal(beta, beta_want)
+                np.testing.assert_array_equal(phi, phi_want)
         stems = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert stems == 2 * ["fig1", "fig2_u0_-1", "fig2_u0_0.5", "fig3_u0_-1", "fig3_u0_1",
                              "fig4", "fig5", "fig6"]

@@ -154,6 +154,18 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             solve(MarketParams.uniform(2, 1.0), prices)
 
+    @pytest.mark.parametrize("solve", [
+        share_fixed_point, fixed_point_multistart,
+        lambda params, prices: monte_carlo_shares(
+            params, prices, MarketState(np.full((2, 3), 1.0 / 3)), samples=10, seed=0)],
+        ids=["share_fixed_point", "fixed_point_multistart", "monte_carlo_shares"])
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2)], ids=["1x2x2", "2x2x2"])
+    def test_one_profile_entries_reject_a_batch_of_prices(self, solve, shape):
+        # these take one price profile: a leading batch axis, even of length
+        # 1, is a wrong shape, not a batch
+        with pytest.raises(ValueError, match=r"prices must have shape \(2, 2\)"):
+            solve(MarketParams.uniform(2, 1.0), np.zeros(shape))
+
 
 def _deviation_grid(n, half, grid_n=41):
     """grid_n^2 profiles: platform 1's two prices on [-half, half], the rest at 0."""

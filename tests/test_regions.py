@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import platform_eq.regions as regions
 from platform_eq._families import horner
 from platform_eq.cli import main
-from platform_eq.model import MarketParams, Side, check_cne_existence, cne_existence_bound
+from platform_eq.model import (MarketParams, Side, ce_existence_bound, check_cne_existence,
+                               cne_existence_bound)
 from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, RegionLabel, ThresholdKind,
                                  Verdict, classify_columns, classify_direction,
                                  classify_existence, classify_sign_z,
@@ -438,6 +439,38 @@ def test_scalar_classifiers_match_grid(classifier, n, u0, resolution, seed):
         assert VERDICTS[grid.verdicts[i, j]] is label.verdict
         assert grid.margins[i, j] == label.margin
         assert grid.signs[i, j] == label.sign
+
+
+def _root_solved_signs(regime, grid):
+    """The sign of a full root solve of every cell, 0 where none is found:
+    the sign-z truth as once computed, kept as the oracle."""
+    phi, beta = _cells(grid)
+    z = solve_decoupled_batch(regime, beta, phi, grid.n, grid.u0)
+    return np.where(np.isnan(z), 0, np.sign(z)).astype(int)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(regime=st.sampled_from(["cne", "ce"]),
+       n=st.sampled_from([2, 3, 4, 5, 6, 7, 50, 200, 1000]),
+       u0=st.floats(-40.0, 40.0),
+       phi_lo=st.floats(-3.0, -0.01), phi_hi=st.floats(0.01, 3.0),
+       beta_scale=st.floats(1.1, 3.0), below_zero=st.booleans(),
+       resolution=st.integers(4, 40))
+def test_sign_z_truth_matches_a_full_root_solve(regime, n, u0, phi_lo, phi_hi, beta_scale,
+                                                below_zero, resolution):
+    """Every cell's solved sign of a sign-z grid is the sign of a full root
+    solve of that cell.  The beta window reaches beta_scale times past the
+    existence bound and the sign threshold (gamma or gamma_c) at both phi
+    ends, so it crosses each wherever they are positive; some windows also
+    reach below beta = 0."""
+    kind, bound = ((ThresholdKind.GAMMA, cne_existence_bound(n)) if regime == "cne"
+                   else (ThresholdKind.GAMMA_C, ce_existence_bound(n)))
+    top = max(bound * phi_hi, *(float(eval_threshold(kind, n, phi, u0))
+                                for phi in (phi_lo, phi_hi)), 0.05)
+    beta_range = (-0.25 * top if below_zero else 0.0, beta_scale * top)
+    grid = region_grid(f"sign_z_{regime}", (phi_lo, phi_hi), beta_range, resolution, n, u0,
+                       solve_signs=True)
+    np.testing.assert_array_equal(grid.solved_signs, _root_solved_signs(regime, grid))
 
 
 def test_undefined_cubic_threshold_raises_and_reads_error(monkeypatch, tmp_path, capsys):
