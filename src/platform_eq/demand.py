@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import omega
-from .model import MarketParams, Side
+from .model import MarketParams
 
 SIMPLEX_TOL = 1e-10
 FIXED_POINT_TOL = 1e-12   # sup-norm tolerance on Sigma(x) - x: the solvers' default
@@ -66,14 +65,6 @@ class MarketState:
     def platform_shares(self) -> np.ndarray:
         """Inside shares only, shape (2, N)."""
         return self.shares[:, 1:]
-
-
-@dataclass(frozen=True)
-class ShareSensitivities:
-    """Own-utility (s) and cross-platform (r) share derivatives at a symmetric profile."""
-
-    s: float
-    r: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,17 +390,6 @@ def share_box(params: MarketParams, prices: np.ndarray, mult: np.ndarray
         s = np.clip((2.0 - s0) / (4.0 * m), s_lo, s_hi)
         lip = float(np.max(np.abs(phi).sum(axis=1) / beta * s * (2.0 - 2.0 * m * s - s0)))
     return (lip if np.isfinite(lip) else np.inf), box[0], box[1]
-
-
-def sensitivities(z: float, params: MarketParams, side: Side) -> ShareSensitivities:
-    """Own- and cross-platform share derivatives at a symmetric profile.
-
-    In the per-platform share omega = 1/(e^{-z} + N): s = omega (1 - omega) / beta
-    and r = -omega^2 / beta, finite for every z.
-    """
-    beta = params.beta[side.index]
-    w = omega(float(z), params.n_platforms)
-    return ShareSensitivities(s=float(w * (1.0 - w) / beta), r=float(-w * w / beta))
 
 
 # --------------------------------------------------------------------------

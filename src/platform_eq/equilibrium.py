@@ -412,7 +412,8 @@ def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
     and bisecting would only walk back to it.  It also ends when its
     bisection step is that small or its value is exactly zero.  A pole cell
     ends beside the pole its Newton step points at, with a large value the
-    caller rejects.  Returns (z, FOC value at z)."""
+    caller rejects.  A cell still live after 200 iterations has not
+    converged and keeps NaN.  Returns (z, FOC value at z)."""
     a = None if ce.all() else a_coefficients(beta, phi_kk, n)  # cne slope family, once
     z, fz = np.full(pos.shape, np.nan), np.full(pos.shape, np.nan)
     x, cells = 0.5 * (pos + neg), np.arange(pos.size)
@@ -439,8 +440,6 @@ def _rtsafe(ce, pos, neg, beta, phi_kk, n, u0):
                                   phi_kk, u0))
             a = None if a is None else [c[live] for c in a]
         x = x - delta
-    else:
-        z[cells], fz[cells] = x, fx
     return z, fz
 
 
@@ -605,11 +604,15 @@ def solve_markets(regimes, markets, *, n: float | None = None) -> list:
     the mask marks take one more `_roots` batch, at 600 pieces a side, for
     every root, and each keeps its max-profit one.  Returns one list per
     regime holding, per market, its SymmetricEquilibrium or its SolverError.
-    `n` evaluates every market at one real-valued platform count, finite
-    and above 1, else ValueError.
+    A regime other than "cne" or "ce" is a ValueError.  `n` evaluates every
+    market at one real-valued platform count, finite and above 1, else
+    ValueError.
     """
     if n is not None and not 1.0 < n < np.inf:
         raise ValueError(f"n must be a finite platform count above 1, got {n!r}")
+    for regime in regimes:
+        if regime not in ("cne", "ce"):
+            raise ValueError(f"unknown regime {regime!r}")
     m = len(markets)
     groups: dict[float, list[int]] = {}
     for i, p in enumerate(markets):
@@ -686,8 +689,8 @@ def compare_regimes(params: MarketParams) -> RegimeComparison:
     dz = cne.z.as_array() - ce.z.as_array()
     ext_term = params.phi_arr @ (np.array(ce.shares) - np.array(cne.shares))
     return RegimeComparison(
-        cne=cne, ce=ce, dz=tuple(dz),
-        d_participation=tuple(np.array(cne.participation) - np.array(ce.participation)),
-        d_price=tuple(np.array(cne.prices) - np.array(ce.prices)),
+        cne=cne, ce=ce, dz=tuple(dz.tolist()),
+        d_participation=tuple(a - b for a, b in zip(cne.participation, ce.participation)),
+        d_price=tuple(a - b for a, b in zip(cne.prices, ce.prices)),
         decomposition_externality=tuple(map(float, ext_term)),
         decomposition_utility=tuple(map(float, params.beta_arr * dz)))

@@ -151,26 +151,6 @@ def existence_fails(beta, phi_kk, bound):
     return (phi_kk > 0) & (beta <= bound * phi_kk)
 
 
-def _existence(params: MarketParams, bound: float) -> tuple[bool, bool]:
-    return tuple((~existence_fails(params.beta_arr, np.diag(params.phi_arr), bound)).tolist())
-
-
-def check_cne_existence(params: MarketParams) -> tuple[bool, bool]:
-    """Per-side check of the condition guaranteeing a unique symmetric competitive equilibrium.
-
-    True for side k iff phi_kk <= 0, or phi_kk > 0 and beta_k > 2(N-1)/N^2 * phi_kk.
-    """
-    return _existence(params, cne_existence_bound(float(params.n_platforms)))
-
-
-def check_ce_existence(params: MarketParams) -> tuple[bool, bool]:
-    """Per-side check of the uniqueness condition for the collusive equilibrium.
-
-    True for side k iff phi_kk <= 0, or phi_kk > 0 and beta_k > 8 phi_kk / (27 N).
-    """
-    return _existence(params, ce_existence_bound(float(params.n_platforms)))
-
-
 # --------------------------------------------------------------------------
 # cubic root solver
 # --------------------------------------------------------------------------

@@ -16,9 +16,9 @@ refuses to run when the cross-side externalities are nonzero: those closed
 forms simply do not apply there, and silently returning them would be a
 correctness trap.
 `ift_columns` covers that regime from one 2x2 solve at z* per market, over
-many markets at once; `ift_derivatives` is its one-market case.  A
-derivative that cannot be formed is an ArithmeticError, raised by the
-one-cell forms and kept per cell by the column forms; none returns NaN.
+many markets at once.  A derivative that cannot be formed is an
+ArithmeticError, raised by the one-cell forms and kept per cell by the
+column forms; none returns NaN.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from functools import partial
 import numpy as np
 
 from . import _families as fam
-from .equilibrium import (SLOPE_Z_CAP, SymmetricEquilibrium, _Columns, _complex_partials,
-                          _slope_denominator, solve_cne)
+from .equilibrium import (SLOPE_Z_CAP, _Columns, _complex_partials, _slope_denominator,
+                          solve_cne)
 from .model import MarketParams, Side
 
 QUANTITIES = ("price", "profit", "consumer_surplus", "participation", "z")
@@ -48,18 +48,6 @@ class AnalyticDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """Analytic and finite-difference values of one sensitivity, side by side."""
-
-    quantity: str
-    wrt: str
-    side: Side
-    analytic: float | None
-    finite_difference: float
-    agreement: float
-
-
-@dataclass(frozen=True)
 class AsymptoticLimits:
     """Extreme-outside-option limits of the competitive price and per-side profit."""
 
@@ -73,7 +61,7 @@ def _require_decoupled(params: MarketParams):
     if not params.cross_externalities_zero:
         raise AnalyticDomainError(
             "analytic comparative statics require zero cross-side externalities; "
-            "use ift_derivatives instead")
+            "use ift_columns instead")
 
 
 # --------------------------------------------------------------------------
@@ -297,16 +285,6 @@ def ift_columns(eqs: list) -> dict[tuple[str, str], tuple[np.ndarray, dict]]:
             for wrt, col in (("u0", (0, 1)), ("n_platforms", (2, 2)))}
 
 
-def ift_derivatives(eq: SymmetricEquilibrium) -> dict[tuple[str, str], tuple[float, float]]:
-    """`ift_columns` of one solved equilibrium: (quantity, wrt) -> (buyer,
-    seller) values; a singular F_z or a non-finite result raises
-    ArithmeticError."""
-    table = ift_columns([eq])
-    if table["z", "u0"][1]:
-        raise table["z", "u0"][1][0, 0]
-    return {key: tuple(values[0].tolist()) for key, (values, _errors) in table.items()}
-
-
 # --------------------------------------------------------------------------
 # finite-difference oracle and limits
 # --------------------------------------------------------------------------
@@ -353,23 +331,6 @@ def fd_derivative(quantity: str, wrt: str, params: MarketParams, side: Side,
     q_hi = _equilibrium_quantity(hi, quantity, side)
     q_lo = _equilibrium_quantity(lo, quantity, side)
     return (q_hi - q_lo) / (2.0 * h)
-
-
-def derivative_bundle(quantity: str, wrt: str, params: MarketParams,
-                      side: Side) -> DerivativeBundle:
-    """Pair the analytic derivative (when defined) with its FD oracle value."""
-    fd = fd_derivative(quantity, wrt, params, side)
-    analytic = None
-    op = _ANALYTIC_OPS.get((quantity, wrt))
-    if op is not None and params.cross_externalities_zero:
-        analytic = op(params, side)
-    if analytic is None:
-        agreement = float("nan")
-    else:
-        agreement = abs(analytic - fd) / max(1e-12, abs(analytic))
-    return DerivativeBundle(quantity=quantity, wrt=wrt, side=side,
-                           analytic=analytic, finite_difference=fd,
-                           agreement=agreement)
 
 
 def asymptotic_limits(params: MarketParams, side: Side) -> AsymptoticLimits:

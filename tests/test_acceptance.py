@@ -25,7 +25,7 @@ from platform_eq.limits import outside_option_limit_check, perfect_competition_c
 from platform_eq.model import EULER_GAMMA, MarketParams, Side, cne_existence_bound
 from platform_eq.regions import (FIGURES, ThresholdKind, Verdict, classify_direction,
                                  eval_threshold, grid_agreement, region_grid)
-from platform_eq.statics import derivative_bundle, fd_derivative
+from platform_eq.statics import closed_form, fd_derivative
 from platform_eq.verify import verify_nash
 
 from test_model import bisect_isolate
@@ -192,8 +192,9 @@ def test_c06_analytic_comparative_statics():
         params = random_valid_params(rng, cross=0.0)
         side = Side.BUYER if rng.integers(2) else Side.SELLER
         for quantity, wrt in ops:
-            b = derivative_bundle(quantity, wrt, params, side)
-            worst = fold_max(worst, b.agreement)
+            analytic = closed_form(quantity, wrt, params, side)
+            fd = fd_derivative(quantity, wrt, params, side)
+            worst = fold_max(worst, abs(analytic - fd) / max(1e-12, abs(analytic)))
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and dt < 60
     report("C6 analytic comparative statics",

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from platform_eq import demand
 from platform_eq.demand import (FixedPointError, MarketState, contraction_margin,
                                 fixed_point_batch, fixed_point_multistart, logit_shares,
-                                monte_carlo_shares, sensitivities, share_box,
-                                share_fixed_point)
+                                monte_carlo_shares, share_box, share_fixed_point)
 from platform_eq.equilibrium import solve_cne
-from platform_eq.model import MarketParams, Side
+from platform_eq.model import MarketParams
 
 
 class TestLogitShares:
@@ -351,42 +350,6 @@ class TestContractionMargin:
             t = logit_shares(u, beta)
             worst = max(worst, float(np.max(2.0 * t * (1.0 - t) / beta)))
         assert worst <= 1.0 / (2.0 * beta) + 1e-12
-
-
-class TestSensitivities:
-    def test_finite_difference_oracle(self):
-        params = MarketParams.uniform(2, 1.0)
-        h = 1e-6
-        for z in (-3.0, -1.2, 0.0, 0.8, 2.5):
-            sens = sensitivities(z, params, Side.BUYER)
-            n = params.n_platforms
-            u = np.concatenate([[0.0], np.full(n, z)])  # beta = 1: u = z
-            e1 = np.zeros(n + 1)
-            e1[1] = h
-            s_fd = (logit_shares(u + e1, 1.0)[1] - logit_shares(u - e1, 1.0)[1]) / (2 * h)
-            e2 = np.zeros(n + 1)
-            e2[2] = h
-            r_fd = (logit_shares(u + e2, 1.0)[1] - logit_shares(u - e2, 1.0)[1]) / (2 * h)
-            assert sens.s == pytest.approx(s_fd, rel=1e-7)
-            assert sens.r == pytest.approx(r_fd, rel=1e-7)
-
-    def test_value_at_zero(self):
-        # N=2, beta=1, z=0: all three options equal, T=1/3, so s = T(1-T) = 2/9
-        sens = sensitivities(0.0, MarketParams.uniform(2, 1.0), Side.BUYER)
-        assert sens.s == pytest.approx(2 / 9, abs=1e-15)
-        assert sens.r == pytest.approx(-1 / 9, abs=1e-15)
-
-    def test_empty_market_limit(self):
-        sens = sensitivities(-80.0, MarketParams.uniform(3, 1.0), Side.BUYER)
-        assert abs(sens.s) < 1e-30 and abs(sens.r) < 1e-30
-
-    def test_signs_and_foc_denominator(self):
-        params = MarketParams.uniform(4, 0.6)
-        n = params.n_platforms
-        for z in np.linspace(-10, 10, 81):
-            sens = sensitivities(z, params, Side.SELLER)
-            assert sens.s > 0 and sens.r < 0
-            assert sens.s + (n - 1) * sens.r > 0
 
 
 class TestMonteCarlo:

@@ -14,9 +14,9 @@ from platform_eq.equilibrium import (SolverError, ZPoint, _as_z_array,
                                      mkc_value, omega, solve_ce, solve_cne,
                                      solve_decoupled_batch)
 from platform_eq.model import (EULER_GAMMA, MarketParams, Side, ce_existence_bound,
-                               check_ce_existence, check_cne_existence, cne_existence_bound)
+                               cne_existence_bound, existence_fails)
 from platform_eq.regions import Verdict, classify_existence, classify_sign_z
-from platform_eq.statics import ift_derivatives
+from platform_eq.statics import ift_columns
 from test_exact import pricing_matrices
 
 
@@ -288,7 +288,7 @@ class TestSolvers:
 
     def test_existence_warning_flag(self):
         params = MarketParams.uniform(4, 0.2, phi_own=1.0)  # beta < f(4) = 0.375
-        assert not all(check_cne_existence(params))
+        assert existence_fails(0.2, 1.0, cne_existence_bound(4))
         eq = solve_cne(params)
         assert any("existence" in w for w in eq.warnings)
         assert eq.foc_residual <= 1e-8
@@ -436,6 +436,34 @@ def test_solve_markets_matches_one_market_solves():
         assert any(r.warnings for r in results if not isinstance(r, Exception))
 
 
+@pytest.mark.parametrize("regimes", [("CE",), ("cne", "collusive"), ("",)])
+def test_unknown_regime_is_a_value_error(regimes):
+    # any regime but "ce" was solved as competitive and labelled cne
+    with pytest.raises(ValueError, match="unknown regime"):
+        equilibrium.solve_markets(regimes, [MarketParams.uniform(2, 1.0)])
+
+
+@pytest.mark.parametrize("beta", [1e-60, 1e-100])
+def test_root_find_never_reports_an_unconverged_cell(beta):
+    # a cell still live at the iteration cap was written out as a root: at
+    # beta = 1e-60 the batch returned z = -115.37 with |M| = 1.6e-50 and no
+    # warning, where the root is -133.96.  Now it is the root or NaN, and
+    # solve_cne either returns the root or raises.
+    lo, hi = -1000.0, 0.0  # M(lo) > 0 > M(hi): the root by bisection on mk_value
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mk_value(mid, beta, -1.0, 4.0, 0.0) > 0 else (lo, mid)
+    root = lo
+    (z,) = solve_decoupled_batch("cne", [beta], [-1.0], 4.0, 0.0)
+    assert np.isnan(z) or z == pytest.approx(root, abs=1e-9)
+    try:
+        eq = solve_cne(MarketParams.uniform(4, beta, phi_own=-1.0))
+    except SolverError as exc:
+        assert str(exc) == "no root in range for the decoupled cne FOC"
+    else:
+        assert eq.z.z_b == pytest.approx(root, abs=1e-9)
+
+
 @pytest.mark.parametrize("n", [-2.0, 0.0, 1.0, np.nan, np.inf])
 @pytest.mark.parametrize("solve", [solve_cne, solve_ce,
                                    lambda p, n: equilibrium.solve_markets(("cne",), [p], n=n)],
@@ -540,10 +568,12 @@ def test_existence_warnings_name_the_failing_sides(markets):
     # exactly the sides model's per-side check fails, and there the region
     # classifiers never read Positive
     both = equilibrium.solve_markets(("cne", "ce"), markets)
-    for regime, check, results in zip(("cne", "ce"), (check_cne_existence, check_ce_existence),
+    for regime, bound, results in zip(("cne", "ce"), (cne_existence_bound, ce_existence_bound),
                                       both):
         for params, result in zip(markets, results):
-            fails = [side for side, ok in zip(Side, check(params)) if not ok]
+            failed = existence_fails(params.beta_arr, np.diag(params.phi_arr),
+                                     bound(float(params.n_platforms)))
+            fails = [side for side in Side if failed[side.index]]
             for side in fails:
                 assert classify_existence(regime, params, side).verdict in (
                     Verdict.NEGATIVE, Verdict.INDETERMINATE)
@@ -766,7 +796,10 @@ def test_coupled_batch_pinned_bits():
         for result in results:
             record = _bits(result)
             if not isinstance(result, Exception):
-                record += repr(sorted(ift_derivatives(result).items()))
+                table = ift_columns([result])
+                assert not table["z", "u0"][1]
+                record += repr(sorted({key: tuple(values[0].tolist())
+                                       for key, (values, _errors) in table.items()}.items()))
             digest.update(record.encode())
     assert digest.hexdigest() == PINNED_COUPLED
 
@@ -799,6 +832,16 @@ def test_stacked_steps_set_singular_columns_aside():
     assert np.isnan(step[:, 2]).all() and np.isnan(step[:, 4]).all()
 
 class TestCompareRegimes:
+    def test_fields_are_python_floats(self):
+        # dz, d_participation and d_price were np.float64, so printing them
+        # read np.float64(...)
+        cmp_ = compare_regimes(MarketParams(3, (1.0, 0.8), ((0.3, 0.1), (0.05, -0.2)),
+                                            (0.2, -0.1)))
+        for field in ("dz", "d_participation", "d_price", "decomposition_externality",
+                      "decomposition_utility"):
+            assert all(type(v) is float for v in getattr(cmp_, field)), field
+        assert repr(cmp_.d_price) == "(-0.3980180732803258, -0.34582098422584606)"
+
     def test_base_case(self):
         cmp_ = compare_regimes(MarketParams.uniform(2, 1.0))
         assert cmp_.dz[0] == pytest.approx(Z_CNE_BASE - Z_CE_BASE, abs=1e-10)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from platform_eq._families import horner
-from platform_eq.model import (MarketParams, Side, ce_existence_bound,
-                               check_ce_existence, check_cne_existence,
-                               cne_existence_bound, solve_cubic_real)
+from platform_eq.model import (MarketParams, Side, ce_existence_bound, cne_existence_bound,
+                               existence_fails, solve_cubic_real)
 
 
 def bisect_isolate(f, lo=-10.0, hi=10.0, n=20001, xtol=1e-12):
@@ -91,28 +90,24 @@ class TestCubic:
 
 class TestExistence:
     def test_cne_examples(self):
-        assert check_cne_existence(MarketParams.uniform(4, 0.4, phi_own=1.0)) == (True, True)
+        assert not existence_fails(0.4, 1.0, cne_existence_bound(4))
         assert cne_existence_bound(4) == pytest.approx(0.375, abs=1e-15)
-        assert check_cne_existence(MarketParams.uniform(2, 0.01, phi_own=-3.0)) == (True, True)
+        assert not existence_fails(0.01, -3.0, cne_existence_bound(2))
         # boundary is excluded: strict inequality
-        assert check_cne_existence(MarketParams.uniform(4, 0.375, phi_own=1.0)) == (False, False)
+        assert existence_fails(0.375, 1.0, cne_existence_bound(4))
 
     def test_ce_examples(self):
         assert ce_existence_bound(2) == pytest.approx(8 / 54)
-        assert check_ce_existence(MarketParams.uniform(2, 0.2, phi_own=1.0)) == (True, True)
-        assert check_ce_existence(MarketParams.uniform(2, 0.1, phi_own=1.0)) == (False, False)
+        assert not existence_fails(0.2, 1.0, ce_existence_bound(2))
+        assert existence_fails(0.1, 1.0, ce_existence_bound(2))
 
     def test_cne_implies_ce(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 9))
-            params = MarketParams.uniform(n, rng.uniform(0.01, 3.0),
-                                          phi_own=rng.uniform(-2.0, 2.0))
-            cne = check_cne_existence(params)
-            ce = check_ce_existence(params)
-            for k in (0, 1):
-                if cne[k]:
-                    assert ce[k]
+            beta, phi = rng.uniform(0.01, 3.0), rng.uniform(-2.0, 2.0)
+            if not existence_fails(beta, phi, cne_existence_bound(n)):
+                assert not existence_fails(beta, phi, ce_existence_bound(n))
 
     def test_f_decreasing_to_zero(self):
         ns = np.unique(np.geomspace(2, 1_000_000, 60).astype(int))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import platform_eq.regions as regions
 from platform_eq._families import horner
 from platform_eq.cli import main
-from platform_eq.model import (MarketParams, Side, ce_existence_bound, check_cne_existence,
-                               cne_existence_bound)
+from platform_eq.model import (MarketParams, Side, ce_existence_bound, cne_existence_bound,
+                               existence_fails)
 from platform_eq.regions import (FIGURES, GRID_CLASSIFIERS, VERDICTS, RegionLabel, ThresholdKind,
                                  Verdict, classify_columns, classify_direction,
                                  classify_existence, classify_sign_z,
@@ -310,9 +310,8 @@ class TestRegionGrids:
     def test_errors_become_indeterminate(self):
         # the scalar classifier reports "existence condition fails" exactly there
         grid = region_grid("sign_z_cne", resolution=12, n=4, u0=0.0)
-        fails = np.array([[not check_cne_existence(
-            MarketParams.uniform(4, float(beta), phi_own=float(phi)))[0]
-            for beta in grid.betas] for phi in grid.phis])
+        fails = existence_fails(np.asarray(grid.betas)[None, :], np.asarray(grid.phis)[:, None],
+                                cne_existence_bound(4.0))
         assert fails.any()
         assert np.array_equal(_is(grid, Verdict.INDETERMINATE), fails)
         assert np.all(np.isinf(grid.margins[fails]))

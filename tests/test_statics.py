@@ -13,9 +13,8 @@ from platform_eq.model import MarketParams, Side, cne_existence_bound
 from platform_eq.statics import (_ANALYTIC_OPS, CLOSED_FORMS, DERIVATIVE_WRT, DZ_DU0,
                                  QUANTITIES, AnalyticDomainError, asymptotic_limits,
                                  closed_form, closed_form_columns, dcs_dn, dcs_du0,
-                                 derivative_bundle, dparticipation_dn, dprice_dn, dprice_du0,
-                                 dprofit_dn, dprofit_du0, dz_du0, fd_derivative,
-                                 ift_derivatives)
+                                 dparticipation_dn, dprice_dn, dprice_du0, dprofit_dn,
+                                 dprofit_du0, dz_du0, fd_derivative, ift_columns)
 
 from test_envelope import wide_markets
 
@@ -101,18 +100,20 @@ class TestAnalyticVsFiniteDifference:
         for _ in range(10):
             params = random_valid_params(rng)
             for quantity, wrt in ALL_OPS:
-                b = derivative_bundle(quantity, wrt, params, Side.SELLER)
-                assert b.analytic is not None
-                assert b.agreement < 1e-6, (params, quantity, wrt, b)
+                analytic = closed_form(quantity, wrt, params, Side.SELLER)
+                fd = fd_derivative(quantity, wrt, params, Side.SELLER)
+                agreement = abs(analytic - fd) / max(1e-12, abs(analytic))
+                assert agreement < 1e-6, (params, quantity, wrt, analytic, fd)
 
     def test_strict_sign_agreement(self):
         rng = np.random.default_rng(34)
         for _ in range(15):
             params = random_valid_params(rng)
             for quantity, wrt in ALL_OPS:
-                b = derivative_bundle(quantity, wrt, params, Side.BUYER)
-                if abs(b.analytic) > 1e-8:
-                    assert np.sign(b.analytic) == np.sign(b.finite_difference)
+                analytic = closed_form(quantity, wrt, params, Side.BUYER)
+                if abs(analytic) > 1e-8:
+                    fd = fd_derivative(quantity, wrt, params, Side.BUYER)
+                    assert np.sign(analytic) == np.sign(fd)
 
     def test_richardson_consistency(self):
         params = MarketParams.uniform(3, 0.9, phi_own=0.5, u0=-0.3)
@@ -125,8 +126,8 @@ class TestAnalyticVsFiniteDifference:
         params = MarketParams(3, (1.0, 1.0), ((0.2, 0.03), (0.03, 0.2)))
         val = fd_derivative("price", "u0", params, Side.BUYER)
         assert np.isfinite(val) and val < 0
-        b = derivative_bundle("price", "u0", params, Side.BUYER)
-        assert b.analytic is None and np.isnan(b.agreement)
+        with pytest.raises(AnalyticDomainError):
+            closed_form("price", "u0", params, Side.BUYER)
 
     def test_fd_step_must_be_positive_and_finite(self):
         # h = 0 divided by zero, and a negative h gave the central difference of -h
@@ -332,12 +333,14 @@ class TestImplicitFunctionDerivatives:
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(envelope_markets(cross=0.05))
     def test_coupled_matches_fd(self, params):
-        d = ift_derivatives(solve_cne(params))
+        table = ift_columns([solve_cne(params)])
         for quantity in QUANTITIES:
             for wrt in DERIVATIVE_WRT:
+                values, errors = table[quantity, wrt]
+                assert not errors
                 for side in Side:
                     fd = fd_derivative(quantity, wrt, params, side)
-                    assert _close(d[quantity, wrt][side.index], fd, 1e-6), (quantity, wrt, side)
+                    assert _close(values[0, side.index], fd, 1e-6), (quantity, wrt, side)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(envelope_markets(cross=0.0))
@@ -346,11 +349,13 @@ class TestImplicitFunctionDerivatives:
         # every entry of the closed-form table and dz*/du0, through the evaluator
         assert set(_ANALYTIC_OPS) == {DZ_DU0, *CLOSED_FORMS}
         eq = solve_cne(params)
-        d = ift_derivatives(eq)
+        table = ift_columns([eq])
         for quantity, wrt in _ANALYTIC_OPS:
+            values, errors = table[quantity, wrt]
+            assert not errors
             for side in Side:
                 exact = closed_form(quantity, wrt, params, side, z_star=eq.z.side(side))
-                assert _close(d[quantity, wrt][side.index], exact, 1e-10), (quantity, wrt, side)
+                assert _close(values[0, side.index], exact, 1e-10), (quantity, wrt, side)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(wide_markets())
@@ -359,28 +364,30 @@ class TestImplicitFunctionDerivatives:
             eq = solve_cne(params)
         except SolverError:
             return
-        try:
-            d = ift_derivatives(eq)
-        except ArithmeticError:
-            event("ift_derivatives raised ArithmeticError")
+        table = ift_columns([eq])
+        if table["z", "u0"][1]:
+            event("ift_columns kept an ArithmeticError")
             return
-        assert np.isfinite(list(d.values())).all()
+        assert all(np.isfinite(values).all() for values, _errors in table.values())
 
     def test_collusive_matches_central_differences(self):
         params = MarketParams(3, (1.0, 0.8), ((0.2, 0.03), (-0.04, 0.1)), (0.3, -0.5))
-        d = ift_derivatives(solve_ce(params))
+        table = ift_columns([solve_ce(params)])
+        assert not table["z", "u0"][1]
         h = 1e-5
         hi, lo = (solve_ce(params.replace(u0=(0.3 + s, -0.5))) for s in (h, -h))
-        assert _close(d["price", "u0"][0], (hi.prices[0] - lo.prices[0]) / (2 * h), 1e-6)
+        assert _close(table["price", "u0"][0][0, 0],
+                      (hi.prices[0] - lo.prices[0]) / (2 * h), 1e-6)
         h = 1e-4
         hi, lo = (solve_ce(params, n=3 + s) for s in (h, -h))
-        assert _close(d["participation", "n_platforms"][1],
+        assert _close(table["participation", "n_platforms"][0][0, 1],
                       (hi.participation[1] - lo.participation[1]) / (2 * h), 1e-6)
 
     def test_non_finite_point_raises(self):
         eq = solve_cne(MarketParams(3, (1.0, 1.0), ((0.2, 0.03), (0.03, 0.2))))
-        with pytest.raises(ArithmeticError):
-            ift_derivatives(dataclasses.replace(eq, z=ZPoint(float("nan"), 0.0)))
+        table = ift_columns([dataclasses.replace(eq, z=ZPoint(float("nan"), 0.0))])
+        for _values, errors in table.values():
+            assert isinstance(errors[0, 0], ArithmeticError) and errors[0, 1] is errors[0, 0]
 
 
 class TestSignRegions:

@@ -3,9 +3,9 @@
 `platform-eq sweep` solves all of a regime's points in one stage-1 batch per
 platform count and evaluates the closed forms over columns.  The reference
 here builds every row alone, from `solve_cne`/`solve_ce`, `closed_form`,
-`ift_derivatives` and the classifiers, and formats each cell by the CSV rules
-(bools true/false, floats %.17g, everything else str).  The two CSVs must
-agree bit for bit.
+`ift_columns` of that one equilibrium and the classifiers, and formats each
+cell by the CSV rules (bools true/false, floats %.17g, everything else str).
+The two CSVs must agree bit for bit.
 """
 
 import collections
@@ -27,7 +27,7 @@ from platform_eq.config import SWEEP_AXES, parse_config
 from platform_eq.equilibrium import SolverError, ZPoint, solve_ce, solve_cne
 from platform_eq.model import MarketParams, Side
 from platform_eq.regions import classify_direction, classify_sign_z
-from platform_eq.statics import closed_form, ift_columns, ift_derivatives
+from platform_eq.statics import closed_form, ift_columns
 
 from test_acceptance import C12_INI
 
@@ -67,10 +67,10 @@ def _reference_row(params, regime, with_derivs) -> str:
             cells["deriv_method"] = "analytic" if params.cross_externalities_zero else "ift"
             d = None
             if not params.cross_externalities_zero:
-                try:
-                    d = ift_derivatives(eq)
-                except ArithmeticError as exc:
-                    d = f"error:{type(exc).__name__}"
+                table = ift_columns([eq])
+                errors = table["z", "u0"][1]
+                d = (f"error:{type(errors[0, 0]).__name__}" if errors else
+                     {key: values[0].tolist() for key, (values, _errors) in table.items()})
             for quantity, wrt, name in cli.DERIV_SPECS:
                 for side in Side:
                     if params.cross_externalities_zero:
@@ -216,8 +216,9 @@ def test_one_stage1_batch_per_regime_and_platform_count(monkeypatch, u0_values):
 
 def test_ift_columns_match_one_point_solves():
     # one complex-step call and one stacked solve per (regime, N) group: each
-    # row carries the bits of its own `ift_derivatives`, and a row whose F_z
-    # is not finite holds that ArithmeticError on both sides of every key
+    # row carries the bits of `ift_columns` of its equilibrium alone, and a
+    # row whose F_z is not finite holds that ArithmeticError on both sides of
+    # every key
     rng = np.random.default_rng(7)
     eqs = [solver(MarketParams(int(rng.integers(2, 5)), tuple(rng.uniform(0.3, 2.0, 2)),
                                ((rng.uniform(-1.0, 1.0), rng.uniform(-0.05, 0.05)),
@@ -228,17 +229,17 @@ def test_ift_columns_match_one_point_solves():
     table = ift_columns(eqs)
     assert len({(eq.regime, eq.n) for eq in eqs}) > 2
     for row, eq in enumerate(eqs):
-        try:
-            expected = ift_derivatives(eq)
-        except ArithmeticError as exc:
+        expected = ift_columns([eq])
+        if expected["z", "u0"][1]:
             assert row == 5
+            exc = expected["z", "u0"][1][0, 0]
             for _values, errors in table.values():
                 assert str(errors[row, 0]) == str(exc) and errors[row, 1] is errors[row, 0]
             continue
         assert table.keys() == expected.keys()
         for key, (values, errors) in table.items():
             assert (row, 0) not in errors and (row, 1) not in errors
-            assert repr(values[row].tolist()) == repr(list(expected[key]))
+            assert repr(values[row].tolist()) == repr(expected[key][0][0].tolist())
 
 
 def _sweep_cells(text: str) -> list[dict]:
